@@ -1,6 +1,6 @@
 # Developer entry points. `make ci` is what a PR must keep green.
 
-.PHONY: ci build test race bench benchdiff soak soak-short
+.PHONY: ci build test race bench soak soak-short
 
 ci:
 	./scripts/ci.sh
@@ -15,9 +15,12 @@ test:
 race:
 	go test -race ./internal/core/ ./internal/state/
 
+# The absolute-number gate: four workloads end to end and layer by layer
+# (bench/pepcmark/README.md). Figure shapes are asserted by
+# `go test ./internal/experiments/`.
 bench:
 	go test -bench=Pipeline -benchmem -run='^$$' .
-	go run ./cmd/pepcbench -fig 8 -fig8 pktsize
+	bash bench/pepcmark/run.sh
 
 # Chaos soak (DESIGN.md §4.12): `soak-short` is the race-enabled CI
 # smoke (also run by `make ci`); `soak` is the full seeded run.
@@ -26,9 +29,3 @@ soak:
 
 soak-short:
 	./scripts/soak.sh -short
-
-# Regenerate Figures 5/6 and fail on a >10% throughput regression against
-# the checked-in baselines (bench/baseline/). Not part of `make ci`:
-# shared-CPU hosts are too noisy for a hard gate; run it on quiet iron.
-benchdiff:
-	./scripts/benchdiff.sh

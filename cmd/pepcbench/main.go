@@ -1,10 +1,12 @@
 // Command pepcbench regenerates the tables and figures of the paper's
-// evaluation (§5–§7) and prints the measured series.
+// evaluation (§5–§7) and prints the measured series. The figures carry
+// the paper's shapes; absolute numbers are gated by bench/pepcmark.
 //
 // Usage:
 //
 //	pepcbench -fig 5              # regenerate Figure 5
 //	pepcbench -fig faults         # robustness: outage sweep + chaos soak
+//	pepcbench -fig 7 -lanes sum   # multi-lane sweeps: auto, parallel or sum
 //	pepcbench -table 1            # print Table 1
 //	pepcbench -all                # every table and figure
 //	pepcbench -all -scale full    # paper-scale populations (slow, GBs)
@@ -12,9 +14,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"time"
@@ -22,40 +24,44 @@ import (
 	"pepc"
 )
 
-func main() {
-	fig := flag.String("fig", "", "figure to regenerate: a number (4-15) or a name (e.g. faults)")
-	table := flag.Int("table", 0, "table number to print (1-2)")
-	all := flag.Bool("all", false, "run every table and figure")
-	scale := flag.String("scale", "quick", "experiment scale: quick or full")
-	users := flag.Int("users", 0, "override max user population")
-	packets := flag.Int("packets", 0, "override measured packets per point")
-	events := flag.Int("events", 0, "override measured signaling events per point")
-	fig7Mode := flag.String("fig7", "auto", "figure 7 aggregation: auto, parallel (concurrent workers) or sum (measure-and-sum)")
-	fig5Mode := flag.String("fig5", "batched", "figure 5 signaling execution: batched (control fast path) or inline")
-	fig6Mode := flag.String("fig6", "batched", "figure 6 signaling execution: batched (control fast path) or inline")
-	fig8Mode := flag.String("fig8", "paper", "figure 8 experiment: paper (migration impact) or pktsize (header-engine packet-size sweep)")
-	fig14Mode := flag.String("fig14", "paper", "figure 14 sweep: paper (always-on fraction) or population (pointer vs handle state layout)")
-	sockioQMode := flag.String("sockioq", "auto", "sockio multi-queue aggregation: auto, parallel (concurrent lanes) or sum (measure-and-sum)")
-	clusterMode := flag.String("clustermode", "auto", "cluster experiment aggregation: auto, parallel (concurrent node lanes) or sum (measure-and-sum)")
-	faultSeed := flag.Uint64("faultseed", 0, "faults experiment: injector seed (0 = default)")
-	faultEpochs := flag.Int("faultepochs", 0, "faults experiment: chaos soak epochs (0 = default)")
-	jsonOut := flag.Bool("json", false, "also write each result as machine-readable BENCH_<name>.json")
-	list := flag.Bool("list", false, "list available experiments")
-	flag.Parse()
-
+// parseArgs turns the command line into the experiments to run and their
+// scale; names is nil for -list. Unknown flags (the flag package's
+// "provided but not defined") and bad values are errors, reported on
+// stderr before it returns.
+func parseArgs(args []string, stderr io.Writer) (names []string, sc pepc.ExperimentScale, err error) {
+	fs := flag.NewFlagSet("pepcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fail := func(format string, a ...any) ([]string, pepc.ExperimentScale, error) {
+		err := fmt.Errorf(format, a...)
+		fmt.Fprintf(stderr, "pepcbench: %v\n", err)
+		return nil, sc, err
+	}
+	fig := fs.String("fig", "", "figure to regenerate: a number (4-15) or a name (e.g. faults)")
+	table := fs.Int("table", 0, "table number to print (1-2)")
+	all := fs.Bool("all", false, "run every table and figure")
+	scale := fs.String("scale", "quick", "experiment scale: quick or full")
+	users := fs.Int("users", 0, "override max user population")
+	packets := fs.Int("packets", 0, "override measured packets per point")
+	events := fs.Int("events", 0, "override measured signaling events per point")
+	lanes := fs.String("lanes", "auto", "multi-lane sweeps (fig 7 cores, sockio queues, cluster nodes): auto, parallel (concurrent lanes) or sum (measure-and-sum, marked derived)")
+	fig14Mode := fs.String("fig14", "paper", "figure 14 sweep: paper (always-on fraction) or population (pointer vs handle state layout)")
+	faultSeed := fs.Uint64("faultseed", 0, "faults experiment: injector seed (0 = default)")
+	faultEpochs := fs.Int("faultepochs", 0, "faults experiment: chaos soak epochs (0 = default)")
+	list := fs.Bool("list", false, "list available experiments")
+	if err := fs.Parse(args); err != nil {
+		return nil, sc, err
+	}
 	if *list {
-		for _, n := range pepc.ExperimentNames() {
-			fmt.Println(n)
-		}
-		return
+		return nil, sc, nil
 	}
 
-	sc := pepc.QuickScale
-	if *scale == "full" {
+	switch *scale {
+	case "quick":
+		sc = pepc.QuickScale
+	case "full":
 		sc = pepc.FullScale
-	} else if *scale != "quick" {
-		fmt.Fprintf(os.Stderr, "pepcbench: unknown scale %q\n", *scale)
-		os.Exit(2)
+	default:
+		return fail("unknown scale %q", *scale)
 	}
 	if *users > 0 {
 		sc.MaxUsers = *users
@@ -66,59 +72,21 @@ func main() {
 	if *events > 0 {
 		sc.EventsPerPoint = *events
 	}
-	switch *fig7Mode {
+	switch *lanes {
 	case "auto", "parallel", "sum":
 	default:
-		fmt.Fprintf(os.Stderr, "pepcbench: -fig7 must be auto, parallel or sum (got %q)\n", *fig7Mode)
-		os.Exit(2)
+		return fail("-lanes must be auto, parallel or sum (got %q)", *lanes)
 	}
-	sc.Fig7Mode = *fig7Mode
-	switch *fig5Mode {
-	case "", "batched", "inline":
-	default:
-		fmt.Fprintf(os.Stderr, "pepcbench: -fig5 must be batched or inline (got %q)\n", *fig5Mode)
-		os.Exit(2)
-	}
-	sc.Fig5Mode = *fig5Mode
-	switch *fig6Mode {
-	case "", "batched", "inline":
-	default:
-		fmt.Fprintf(os.Stderr, "pepcbench: -fig6 must be batched or inline (got %q)\n", *fig6Mode)
-		os.Exit(2)
-	}
-	sc.Fig6Mode = *fig6Mode
-	switch *fig8Mode {
-	case "", "paper", "pktsize":
-	default:
-		fmt.Fprintf(os.Stderr, "pepcbench: -fig8 must be paper or pktsize (got %q)\n", *fig8Mode)
-		os.Exit(2)
-	}
-	sc.Fig8Mode = *fig8Mode
+	sc.Lanes = *lanes
 	switch *fig14Mode {
-	case "", "paper", "population":
+	case "paper", "population":
 	default:
-		fmt.Fprintf(os.Stderr, "pepcbench: -fig14 must be paper or population (got %q)\n", *fig14Mode)
-		os.Exit(2)
+		return fail("-fig14 must be paper or population (got %q)", *fig14Mode)
 	}
 	sc.Fig14Mode = *fig14Mode
-	switch *sockioQMode {
-	case "", "auto", "parallel", "sum":
-	default:
-		fmt.Fprintf(os.Stderr, "pepcbench: -sockioq must be auto, parallel or sum (got %q)\n", *sockioQMode)
-		os.Exit(2)
-	}
-	sc.SockioQMode = *sockioQMode
-	switch *clusterMode {
-	case "", "auto", "parallel", "sum":
-	default:
-		fmt.Fprintf(os.Stderr, "pepcbench: -clustermode must be auto, parallel or sum (got %q)\n", *clusterMode)
-		os.Exit(2)
-	}
-	sc.ClusterMode = *clusterMode
 	sc.FaultSeed = *faultSeed
 	sc.FaultEpochs = *faultEpochs
 
-	var names []string
 	switch {
 	case *all:
 		names = pepc.ExperimentNames()
@@ -132,10 +100,26 @@ func main() {
 	case *table != 0:
 		names = []string{fmt.Sprintf("table%d", *table)}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return fail("one of -fig, -table, -all or -list is required")
 	}
+	return names, sc, nil
+}
 
+func main() {
+	names, sc, err := parseArgs(os.Args[1:], os.Stderr)
+	if err == flag.ErrHelp {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2) // parseArgs said why
+	}
+	if names == nil {
+		for _, n := range pepc.ExperimentNames() {
+			fmt.Println(n)
+		}
+		return
+	}
 	for _, name := range names {
 		start := time.Now()
 		res, err := pepc.RunExperiment(name, sc)
@@ -145,21 +129,5 @@ func main() {
 		}
 		fmt.Print(res.Render())
 		fmt.Printf("(%s in %.1fs)\n\n", name, time.Since(start).Seconds())
-		if *jsonOut {
-			if err := writeJSON(name, res); err != nil {
-				fmt.Fprintf(os.Stderr, "pepcbench: %s: %v\n", name, err)
-				os.Exit(1)
-			}
-		}
 	}
-}
-
-// writeJSON emits one result as BENCH_<name>.json so per-figure series
-// can be tracked machine-readably across revisions.
-func writeJSON(name string, res pepc.ExperimentResult) error {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_"+name+".json", append(data, '\n'), 0o644)
 }

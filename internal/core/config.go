@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/netip"
 
 	"pepc/internal/bpf"
 	"pepc/internal/pcef"
@@ -33,10 +34,6 @@ type SliceSpec struct {
 	// key→*UE indexes, "handle" for pointer-free key→handle indexes over
 	// slab-allocated hot state (DESIGN.md §4.10).
 	StateLayout string `json:"state_layout,omitempty"`
-	// EncapMode selects downlink GTP-U encapsulation: "" or "template"
-	// stamps the per-user precomputed outer header, "serialize" builds
-	// the headers field by field per packet (DESIGN.md §4.11).
-	EncapMode string `json:"encap_mode,omitempty"`
 	// PrimarySize hints the two-level primary table capacity.
 	PrimarySize int `json:"primary_size,omitempty"`
 	// SyncEvery overrides the data plane's update batching interval.
@@ -85,6 +82,9 @@ func LoadOperatorConfig(r io.Reader) (OperatorConfig, error) {
 	if err := dec.Decode(&cfg); err != nil {
 		return cfg, fmt.Errorf("core: parsing operator config: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return cfg, fmt.Errorf("core: parsing operator config: data after the top-level object")
+	}
 	if len(cfg.Slices) == 0 {
 		return cfg, fmt.Errorf("core: operator config has no slices")
 	}
@@ -97,6 +97,11 @@ func LoadOperatorConfig(r io.Reader) (OperatorConfig, error) {
 			return cfg, fmt.Errorf("core: duplicate slice id %d", sp.ID)
 		}
 		seen[sp.ID] = true
+		if sp.CoreAddr != "" {
+			if _, err := parseIPv4(sp.CoreAddr); err != nil {
+				return cfg, fmt.Errorf("core: slice %d core_addr: %w", sp.ID, err)
+			}
+		}
 		for _, rs := range sp.Rules {
 			if _, err := rs.rule(); err != nil {
 				return cfg, fmt.Errorf("core: slice %d rule %d: %w", sp.ID, rs.ID, err)
@@ -128,14 +133,6 @@ func BuildNode(cfg OperatorConfig) (*Node, error) {
 			sc.StateLayout = LayoutHandle
 		default:
 			return nil, fmt.Errorf("core: slice %d: unknown state_layout %q", sp.ID, sp.StateLayout)
-		}
-		switch sp.EncapMode {
-		case "", "template":
-			sc.EncapMode = EncapTemplate
-		case "serialize":
-			sc.EncapMode = EncapSerialize
-		default:
-			return nil, fmt.Errorf("core: slice %d: unknown encap_mode %q", sp.ID, sp.EncapMode)
 		}
 		if sp.IoTPoolSize > 0 {
 			sc.IoTTEIDBase = 0xE000_0000 | uint32(sp.ID)<<20
@@ -223,31 +220,25 @@ func (rs RuleSpec) rule() (pcef.Rule, error) {
 
 // parseIPv4 parses a dotted-quad address into host order.
 func parseIPv4(s string) (uint32, error) {
-	var a, b, c, d int
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d", &a, &b, &c, &d); err != nil {
+	a, err := netip.ParseAddr(s)
+	if err != nil || !a.Is4() {
 		return 0, fmt.Errorf("bad IPv4 %q", s)
 	}
-	for _, v := range []int{a, b, c, d} {
-		if v < 0 || v > 255 {
-			return 0, fmt.Errorf("bad IPv4 %q", s)
-		}
-	}
-	return pkt.IPv4Addr(byte(a), byte(b), byte(c), byte(d)), nil
+	return hostOrder(a), nil
+}
+
+// hostOrder converts an IPv4 netip.Addr to the host-order form the data
+// plane uses.
+func hostOrder(a netip.Addr) uint32 {
+	b := a.As4()
+	return pkt.IPv4Addr(b[0], b[1], b[2], b[3])
 }
 
 // parseCIDR parses "a.b.c.d/len".
 func parseCIDR(s string) (uint32, uint8, error) {
-	var a, b, c, d, bits int
-	if _, err := fmt.Sscanf(s, "%d.%d.%d.%d/%d", &a, &b, &c, &d, &bits); err != nil {
+	p, err := netip.ParsePrefix(s)
+	if err != nil || !p.Addr().Is4() {
 		return 0, 0, fmt.Errorf("bad CIDR %q", s)
 	}
-	if bits < 0 || bits > 32 {
-		return 0, 0, fmt.Errorf("bad prefix length in %q", s)
-	}
-	for _, v := range []int{a, b, c, d} {
-		if v < 0 || v > 255 {
-			return 0, 0, fmt.Errorf("bad CIDR %q", s)
-		}
-	}
-	return pkt.IPv4Addr(byte(a), byte(b), byte(c), byte(d)), uint8(bits), nil
+	return hostOrder(p.Addr()), uint8(p.Bits()), nil
 }

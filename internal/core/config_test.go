@@ -28,7 +28,6 @@ const sampleConfig = `{
       "primary_size": 64,
       "sync_every": 16,
       "batch_size": 8,
-      "encap_mode": "serialize",
       "iot_pool_size": 100
     }
   ]
@@ -55,11 +54,31 @@ func TestLoadOperatorConfigRejectsBadInput(t *testing.T) {
 		"bad cidr":       `{"slices": [{"id": 1, "rules": [{"id": 1, "dst_cidr": "10.0.0.0/40"}]}]}`,
 		"bad port range": `{"slices": [{"id": 1, "rules": [{"id": 1, "dst_port_lo": 10, "dst_port_hi": 5}]}]}`,
 		"not json":       `slices: nope`,
+		// Spellings the Sscanf parsers used to accept by stopping at the
+		// first non-matching byte.
+		"core_addr extra octet":    `{"slices": [{"id": 1, "core_addr": "10.0.0.1.9"}]}`,
+		"core_addr trailing junk":  `{"slices": [{"id": 1, "core_addr": "10.0.0.1 junk"}]}`,
+		"core_addr ipv6":           `{"slices": [{"id": 1, "core_addr": "::1"}]}`,
+		"cidr trailing junk":       `{"slices": [{"id": 1, "rules": [{"id": 1, "src_cidr": "10.0.0.0/8x"}]}]}`,
+		"cidr extra octet":         `{"slices": [{"id": 1, "rules": [{"id": 1, "dst_cidr": "10.0.0.0.0/8"}]}]}`,
+		"cidr without length":      `{"slices": [{"id": 1, "rules": [{"id": 1, "dst_cidr": "10.0.0.0"}]}]}`,
+		"bytes after the object":   `{"slices": [{"id": 1}]} {"slices": []}`,
+		"garbage after the object": `{"slices": [{"id": 1}]} junk`,
 	}
 	for name, raw := range cases {
 		if _, err := LoadOperatorConfig(strings.NewReader(raw)); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
+	}
+}
+
+// A config written for the retired template-vs-serialize ablation must
+// fail loudly, naming the field, rather than run with a different encap
+// than its author asked for.
+func TestLoadOperatorConfigRejectsEncapMode(t *testing.T) {
+	_, err := LoadOperatorConfig(strings.NewReader(`{"slices": [{"id": 1, "encap_mode": "serialize"}]}`))
+	if err == nil || !strings.Contains(err.Error(), `"encap_mode"`) {
+		t.Fatalf("encap_mode: err = %v, want unknown-field error naming it", err)
 	}
 }
 
@@ -90,15 +109,6 @@ func TestBuildNodeFromConfig(t *testing.T) {
 	if n.Slice(1).Config().SyncEvery != 16 || n.Slice(1).Config().BatchSize != 8 {
 		t.Fatalf("slice 1 sync_every=%d batch_size=%d",
 			n.Slice(1).Config().SyncEvery, n.Slice(1).Config().BatchSize)
-	}
-	if n.Slice(0).Config().EncapMode != EncapTemplate || n.Slice(1).Config().EncapMode != EncapSerialize {
-		t.Fatalf("encap modes: slice0=%d slice1=%d",
-			n.Slice(0).Config().EncapMode, n.Slice(1).Config().EncapMode)
-	}
-	if bad, err := LoadOperatorConfig(strings.NewReader(`{"slices": [{"id": 1, "encap_mode": "psychic"}]}`)); err != nil {
-		t.Fatal(err)
-	} else if _, err := BuildNode(bad); err == nil || !strings.Contains(err.Error(), "encap_mode") {
-		t.Fatalf("unknown encap_mode accepted: %v", err)
 	}
 	// The configured drop rule is live: SMTP is blocked on slice 0.
 	res, err := n.AttachUser(0, AttachSpec{IMSI: 1, ENBAddr: 1, DownlinkTEID: 2})
@@ -137,6 +147,9 @@ func TestParseHelpers(t *testing.T) {
 	}
 	if _, err := parseIPv4("junk"); err == nil {
 		t.Fatal("junk accepted")
+	}
+	if addr, err := parseIPv4("172.16.0.10"); err != nil || addr != pkt.IPv4Addr(172, 16, 0, 10) {
+		t.Fatalf("ipv4: %v %v", addr, err)
 	}
 	addr, bits, err := parseCIDR("10.1.0.0/16")
 	if err != nil || addr != pkt.IPv4Addr(10, 1, 0, 0) || bits != 16 {

@@ -137,29 +137,3 @@ func TestHandleLayoutChurnReattach(t *testing.T) {
 
 // slabSizeForTest mirrors state's slab size (1024) without exporting it.
 const slabSizeForTest = 1024
-
-func TestShardedDataHandleLayout(t *testing.T) {
-	// The sharded runner composes slices, so the handle layout must work
-	// per-shard unchanged: attach a user on each shard and spray traffic.
-	slices := []*Slice{
-		NewSlice(SliceConfig{ID: 1, StateLayout: LayoutHandle, UserHint: 64}),
-		NewSlice(SliceConfig{ID: 2, StateLayout: LayoutHandle, UserHint: 64}),
-	}
-	sd, err := NewShardedData(slices, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := pkt.NewPool(2048, 128)
-	for i, s := range slices {
-		res := attachOne(t, s, uint64(5000+i))
-		b := buildUplink(pool, res.UplinkTEID, res.UEAddr, 1, s.Config().CoreAddr, 80)
-		if shard := sd.SteerUplink(b); shard != i {
-			t.Fatalf("packet for slice %d steered to shard %d", i, shard)
-		}
-		s.Data().ProcessUplinkBatch([]*pkt.Buf{b}, sim.Now())
-		if s.Data().Forwarded.Load() != 1 {
-			t.Fatalf("shard %d did not forward (missed=%d)", i, s.Data().Missed.Load())
-		}
-		drainEgress(s)
-	}
-}

@@ -46,21 +46,6 @@ const (
 	LayoutHandle
 )
 
-// EncapMode selects how downlink GTP-U envelopes are emitted
-// (DESIGN.md §4.11).
-type EncapMode uint8
-
-const (
-	// EncapTemplate stamps the per-user precomputed outer header cached
-	// in hot state and patches the length fields with an incremental
-	// checksum update. The default.
-	EncapTemplate EncapMode = iota
-	// EncapSerialize builds the outer headers field by field with a full
-	// header checksum per packet — the pre-template path, kept as the
-	// comparison mode of the fig8 sweep.
-	EncapSerialize
-)
-
 // SliceConfig parameterizes a PEPC slice.
 type SliceConfig struct {
 	// ID distinguishes slices within a node and seeds identifier
@@ -95,9 +80,6 @@ type SliceConfig struct {
 	// CoreAddr is the slice's data-plane IP used as the outer source for
 	// downlink GTP-U encapsulation.
 	CoreAddr uint32
-	// EncapMode selects template-stamped vs field-serialized downlink
-	// encapsulation.
-	EncapMode EncapMode
 }
 
 func (c SliceConfig) withDefaults() SliceConfig {
@@ -787,12 +769,12 @@ func (dp *DataPlane) downlinkRun(batch []*pkt.Buf, lo, hi int, hot *state.HotUE,
 
 	// Encap each admitted packet, then settle the run's counters in one
 	// write and forward. sc.allowed doubles as the forward mask here.
-	// Template mode stamps the envelope cached in hot state (rebuilt
-	// above if the epoch moved, so it matches this run's teid/enbAddr
-	// snapshot); serialize mode keeps the field-by-field path for
-	// comparison.
+	// The envelope is the template cached in hot state (rebuilt above if
+	// the epoch moved, so it matches this run's teid/enbAddr snapshot);
+	// field-by-field gtp.EncapGPDU is only the fallback for a template
+	// that is not valid for this run.
 	tmpl := &hot.Priv.Encap
-	useTmpl := dp.s.cfg.EncapMode == EncapTemplate && tmpl.Valid() && tmpl.TEID() == teid
+	useTmpl := tmpl.Valid() && tmpl.TEID() == teid
 	var nFwd, bytesFwd, nDrop uint64
 	for k := lo; k < hi; k++ {
 		if partial && !sc.allowed[k] {

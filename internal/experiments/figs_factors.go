@@ -72,15 +72,8 @@ func Fig12(sc Scale) (Result, error) {
 		}
 		var pts []sim.Point
 		for _, updates := range updateCounts {
-			// Median of three runs: OS timeslicing on shared-CPU hosts
-			// makes single runs noisy.
-			vs := []float64{
-				fig12Point(tb, ues, sc.PacketsPerPoint, updates),
-				fig12Point(tb, ues, sc.PacketsPerPoint, updates),
-				fig12Point(tb, ues, sc.PacketsPerPoint, updates),
-			}
-			sort.Float64s(vs)
-			pts = append(pts, sim.Point{X: float64(updates), Y: vs[1]})
+			v, _ := median3(func() (float64, error) { return fig12Point(tb, ues, sc.PacketsPerPoint, updates), nil })
+			pts = append(pts, sim.Point{X: float64(updates), Y: v})
 		}
 		name := mode.String()
 		if mode == state.LockModeGiant {
@@ -304,7 +297,7 @@ func fig14Point(sc Scale, mode core.TableMode, total int, alwaysOn, churnPerSec 
 		drainRing(s)
 	}
 
-	measure := func() float64 {
+	measure := func() (float64, error) {
 		processed := 0
 		churnDebt := 0.0
 		start := time.Now()
@@ -332,11 +325,9 @@ func fig14Point(sc Scale, mode core.TableMode, total int, alwaysOn, churnPerSec 
 				}
 			}
 		}
-		return mpps(processed, time.Since(start))
+		return mpps(processed, time.Since(start)), nil
 	}
-	vs := []float64{measure(), measure(), measure()}
-	sort.Float64s(vs)
-	return vs[1], nil
+	return median3(measure)
 }
 
 // fig14Population is the population-scaling variant of Figure 14
@@ -598,7 +589,7 @@ func fig15Point(sc Scale, total int, iotFraction float64, customized bool) (floa
 		s.Data().ProcessUplinkBatch(batch, sim.Now())
 		drainRing(s)
 	}
-	measure := func() float64 {
+	measure := func() (float64, error) {
 		processed := 0
 		start := time.Now()
 		for processed < sc.PacketsPerPoint {
@@ -610,11 +601,9 @@ func fig15Point(sc Scale, total int, iotFraction float64, customized bool) (floa
 			processed += len(batch)
 			drainRing(s)
 		}
-		return mpps(processed, time.Since(start))
+		return mpps(processed, time.Since(start)), nil
 	}
-	vs := []float64{measure(), measure(), measure()}
-	sort.Float64s(vs)
-	return vs[1], nil
+	return median3(measure)
 }
 
 func orOne(primary, fallback []workload.User) []workload.User {

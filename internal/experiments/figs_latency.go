@@ -138,11 +138,10 @@ func latRun(sc Scale, sn latScenario, record bool) (float64, *hdr.Histogram, err
 	return mpps(processed, elapsed), lat, nil
 }
 
-// LatFig regenerates the tail-latency figure gated in CI: per-packet
-// p50/p99/p99.9 (µs, lower is better) across the five interference
-// scenarios. The series carry Direction "down" so benchdiff ratchets a
-// ceiling and fails on tail inflation, the mirror image of the
-// throughput gates.
+// LatFig regenerates the tail-latency figure: per-packet p50/p99/p99.9
+// (µs, lower is better) across the five interference scenarios. Its
+// claim is which scenario owns which quantile (injected stalls the
+// p99.9, migration buffering the p50), asserted by TestLatFigSmoke.
 func LatFig(sc Scale) (Result, error) {
 	r := Result{
 		Figure: "Lat",
@@ -208,7 +207,7 @@ func LatFig(sc Scale) (Result, error) {
 		gcNow()
 	}
 	for qi, q := range quantiles {
-		r.Series = append(r.Series, sim.Series{Name: q.name, Points: pts[qi], Direction: "down"})
+		r.Series = append(r.Series, sim.Series{Name: q.name, Points: pts[qi]})
 	}
 	if onMpps > baseMpps {
 		baseMpps = onMpps

@@ -103,12 +103,11 @@ func migrationRun(sc Scale, users int, migrationsPerKPackets float64, recordLate
 	return mpps(processed, elapsed), lat, nil
 }
 
-// fig8Migration regenerates the paper's Figure 8: the impact of state
+// Fig8 regenerates the paper's Figure 8: the impact of state
 // migrations on data-plane throughput. The x axis is migrations per
 // second normalized against the measured packet rate, expressed as the
 // paper's migrations/second by assuming the measured base throughput.
-// Fig8 (figs_header.go) dispatches here for Fig8Mode ""/"paper".
-func fig8Migration(sc Scale) (Result, error) {
+func Fig8(sc Scale) (Result, error) {
 	r := Result{
 		Figure: "Figure 8",
 		Title:  "Impact of state migrations on data plane throughput",

@@ -5,10 +5,15 @@ import (
 	"testing"
 )
 
-// TestPFCPFigSmoke runs the N4 churn sweep at a tiny scale end to end:
-// both series must produce a nonzero rate at every worker count, and
-// skipping the modification exchange must never be slower than the full
-// cycle at the single-worker point (it is a strict subset of the work).
+// TestPFCPFigSmoke runs the N4 churn sweep at a tiny scale end to end
+// and succeeds the BENCH_pfcp ratchet's shape: both series produce a
+// nonzero rate at every worker count, and skipping the modification
+// exchange is not slower than the full cycle at any of them — it is a
+// strict subset of the work and one fewer round trip per session. A
+// point is 1024 sessions: at 256 it lasts 10ms and the worst of the four
+// establish+delete / full-cycle ratios was 0.57-1.9 over 100
+// regenerations; at 1024 it was 0.80-1.9 (0.68 at 2048, median 1.25)
+// over loopback with the workers sharing two CPUs. Asserted: 0.6.
 func TestPFCPFigSmoke(t *testing.T) {
 	if pc, err := net.ListenPacket("udp", "127.0.0.1:0"); err != nil {
 		t.Skipf("loopback UDP unavailable: %v", err)
@@ -16,7 +21,7 @@ func TestPFCPFigSmoke(t *testing.T) {
 		pc.Close()
 	}
 	sc := Quick
-	sc.EventsPerPoint = 256
+	sc.EventsPerPoint = 1024
 	res, err := PFCPFig(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -38,11 +43,10 @@ func TestPFCPFigSmoke(t *testing.T) {
 	if full.Name != "establish+modify+delete" || nomod.Name != "establish+delete" {
 		t.Fatalf("unexpected series names %q, %q", full.Name, nomod.Name)
 	}
-	// One-worker comparison is deterministic enough to assert even on a
-	// noisy host: the no-modify cycle does strictly less work and one
-	// fewer round trip per session.
-	if nomod.Points[0].Y < full.Points[0].Y*0.8 {
-		t.Errorf("establish+delete (%.0f/s) slower than the full cycle (%.0f/s) at 1 worker",
-			nomod.Points[0].Y, full.Points[0].Y)
+	for i, p := range full.Points {
+		if nomod.Points[i].Y < 0.6*p.Y {
+			t.Errorf("establish+delete (%.0f/s) < 0.6x the full cycle (%.0f/s) at %v workers",
+				nomod.Points[i].Y, p.Y, p.X)
+		}
 	}
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pepc/internal/core"
@@ -20,6 +17,9 @@ import (
 // sockioWindows is the number of independent measurement windows folded
 // (by max) into each data point.
 const sockioWindows = 3
+
+// sockioQueues are the queue counts of the multi-queue sweep.
+var sockioQueues = []int{1, 2, 4}
 
 // Sockio measures the syscall tax of the real-socket data plane and what
 // vectorized I/O buys back (DESIGN.md §4.13): a traffic source and the
@@ -86,18 +86,18 @@ func Sockio(sc Scale) (Result, error) {
 	// share-nothing queue lanes at the default burst size, the -rxqueues
 	// scaling axis of cmd/pepcd.
 	mq := sim.Series{Name: "PEPC loopback multi-queue"}
-	qmode, qsteered := "", true
-	for _, q := range []int{1, 2, 4} {
-		rate, m, steered, lost, err := sockioQueueRun(q, total, nUsers, sc.SockioQMode)
+	qsteered := true
+	for _, q := range sockioQueues {
+		lr, steered, lost, err := sockioQueueRun(q, total, nUsers, sc.Lanes)
 		if err != nil {
 			return Result{}, err
 		}
 		totalLost += lost
-		qmode = m
+		mq.Derived = lr.Derived
 		if !steered {
 			qsteered = false
 		}
-		mq.Points = append(mq.Points, sim.Point{X: float64(q), Y: rate})
+		mq.Points = append(mq.Points, sim.Point{X: float64(q), Y: lr.Mpps})
 		gcNow()
 	}
 
@@ -109,10 +109,6 @@ func Sockio(sc Scale) (Result, error) {
 	if !qsteered {
 		steerNote = "reuseport flow steering unavailable: multi-queue lanes emulated on separate sockets"
 	}
-	qmodeNote := fmt.Sprintf("multi-queue %s mode: every lane's rx loop and source run concurrently (GOMAXPROCS=%d)", qmode, runtime.GOMAXPROCS(0))
-	if qmode == "sum" {
-		qmodeNote = "multi-queue sum mode: share-nothing lanes measured independently and added (single-CPU methodology, as Figure 7)"
-	}
 	notes := []string{
 		"closed loop over loopback UDP: source and node event loops run concurrently (the deployed daemon shape), flow-controlled one burst in flight",
 		fmt.Sprintf("each point is the fastest of %d measurement windows (shields against scheduler interference)", sockioWindows),
@@ -121,7 +117,7 @@ func Sockio(sc Scale) (Result, error) {
 		fmt.Sprintf("batched best %.3f Mpps = %.2fx the per-packet reference (%.3f Mpps)", bestWire, bestWire/legacyMpps, legacyMpps),
 		mode,
 		steerNote,
-		qmodeNote,
+		"multi-queue " + lanesNote(mq.Derived),
 		fmt.Sprintf("multi-queue aggregate at burst %d: %.3f Mpps at 1 queue, %.3f at 4 (%.2fx)",
 			sockio.DefaultBatch, mq.Points[0].Y, mq.Points[2].Y, mq.Points[2].Y/mq.Points[0].Y),
 	}
@@ -157,50 +153,58 @@ type sockioQueueLane struct {
 	done     chan struct{}
 }
 
-// start spawns the lane's node-side event loop — the same per-queue rx +
-// inline pipeline + coalesced egress shape cmd/pepcd runs — which exits
-// when the lane's node socket closes.
+// sockioServe is the node-side event loop every wire point runs — the
+// per-queue rx + inline pipeline + coalesced egress shape of cmd/pepcd:
+// blocking batched Recv, batched steer, the slice pipeline inline, one
+// coalesced send back to the source endpoint. It returns when the
+// measuring side closes conn.
+func sockioServe(node *core.Node, s *core.Slice, conn *sockio.Conn, pool *pkt.Pool, batch int, src netip.AddrPort) {
+	rcv := sockio.NewReceiver(conn, pool, batch)
+	defer rcv.Close()
+	ws := node.NewWireSteer(batch, rcv.Cache())
+	egSnd := sockio.NewSender(conn, batch, time.Hour)
+	defer egSnd.Close()
+	scratch := make([]*pkt.Buf, 0, batch)
+	proc := make([]*pkt.Buf, batch)
+	for {
+		k, err := rcv.Recv()
+		if k == 0 {
+			if err != nil {
+				return // socket closed by the measuring side
+			}
+			continue
+		}
+		scratch = rcv.TakeAll(scratch[:0])
+		ws.Steer(scratch)
+		for {
+			m := s.Uplink.DequeueBatch(proc)
+			if m == 0 {
+				break
+			}
+			s.Data().ProcessUplinkBatch(proc[:m], sim.Now())
+		}
+		for {
+			eb, ok := s.Egress.Dequeue()
+			if !ok {
+				break
+			}
+			if egSnd.Queue(eb, src) != nil {
+				return
+			}
+		}
+		if egSnd.Flush() != nil {
+			return
+		}
+	}
+}
+
+// start spawns the lane's node-side event loop, which exits when the
+// lane's node socket closes.
 func (l *sockioQueueLane) start(pool *pkt.Pool) {
 	l.done = make(chan struct{})
 	go func() {
 		defer close(l.done)
-		rcv := sockio.NewReceiver(l.nodeConn, pool, l.batch)
-		defer rcv.Close()
-		ws := l.node.NewWireSteer(l.batch, rcv.Cache())
-		egSnd := sockio.NewSender(l.nodeConn, l.batch, time.Hour)
-		defer egSnd.Close()
-		scratch := make([]*pkt.Buf, 0, l.batch)
-		proc := make([]*pkt.Buf, l.batch)
-		for {
-			k, err := rcv.Recv()
-			if k == 0 {
-				if err != nil {
-					return // socket closed by the measuring side
-				}
-				continue
-			}
-			scratch = rcv.TakeAll(scratch[:0])
-			ws.Steer(scratch)
-			for {
-				m := l.slice.Uplink.DequeueBatch(proc)
-				if m == 0 {
-					break
-				}
-				l.slice.Data().ProcessUplinkBatch(proc[:m], sim.Now())
-			}
-			for {
-				eb, ok := l.slice.Egress.Dequeue()
-				if !ok {
-					break
-				}
-				if egSnd.Queue(eb, l.srcAddr) != nil {
-					return
-				}
-			}
-			if egSnd.Flush() != nil {
-				return
-			}
-		}
+		sockioServe(l.node, l.slice, l.nodeConn, pool, l.batch, l.srcAddr)
 	}()
 }
 
@@ -358,39 +362,37 @@ func sockioQueueSetup(queues, nUsers, batch int) ([]*sockioQueueLane, func(), bo
 
 // sockioQueueRun measures one queue-count point of the multi-queue sweep:
 // aggregate Mpps across the group's share-nothing lanes at the default
-// burst size. Two aggregation modes (Scale.SockioQMode): "parallel" runs
-// every lane's node loop and source concurrently and divides the total
-// completed round trips by the shared wall clock; "sum" measures each
-// lane alone and adds the rates — the Figure 7 single-CPU methodology,
-// honest because the lanes share no mutable state beyond the wait-free
-// PeerTable analog (none here) and the kernel's socket layer. ""/"auto"
-// picks parallel when GOMAXPROCS can host every lane's two goroutines.
-func sockioQueueRun(queues, total, nUsers int, mode string) (float64, string, bool, int, error) {
+// burst size, fastest of sockioWindows runLanes passes. Each lane is a
+// node loop plus its source, so running the sweep's widest point
+// concurrently takes two goroutines per queue; measure-and-sum is honest
+// here because the lanes share no mutable state beyond the kernel's
+// socket layer (the other lanes' node loops stay parked in Recv).
+func sockioQueueRun(queues, total, nUsers int, mode string) (laneRate, bool, int, error) {
 	batch := sockio.DefaultBatch
-	if mode == "" || mode == "auto" {
-		if runtime.GOMAXPROCS(0) >= 2*queues {
-			mode = "parallel"
-		} else {
-			mode = "sum"
-		}
-	}
-	lanes, cleanup, steered, err := sockioQueueSetup(queues, nUsers, batch)
+	qlanes, cleanup, steered, err := sockioQueueSetup(queues, nUsers, batch)
 	if err != nil {
-		return 0, mode, false, 0, err
+		return laneRate{}, false, 0, err
 	}
-	stopLanes := func() {
+	pool := pkt.NewPool(pkt.DefaultBufSize, pkt.DefaultHeadroom)
+	lanes := make([]lane, len(qlanes))
+	for i, l := range qlanes {
+		l.start(pool)
+		lanes[i] = l.measure
+	}
+	defer func() {
 		cleanup()
-		for _, l := range lanes {
-			if l.done != nil {
-				<-l.done
-			}
+		for _, l := range qlanes {
+			<-l.done
 		}
+	}()
+	lost := func() int {
+		n := 0
+		for _, l := range qlanes {
+			n += l.lost
+		}
+		return n
 	}
 
-	pool := pkt.NewPool(pkt.DefaultBufSize, pkt.DefaultHeadroom)
-	for _, l := range lanes {
-		l.start(pool)
-	}
 	laneQuota := total / sockioWindows / queues
 	if laneQuota < batch {
 		laneQuota = batch
@@ -400,71 +402,23 @@ func sockioQueueRun(queues, total, nUsers int, mode string) (float64, string, bo
 		warm = 1024
 	}
 	for _, l := range lanes {
-		if _, err := l.measure(warm); err != nil {
-			stopLanes()
-			return 0, mode, steered, 0, err
+		if _, err := l(warm); err != nil {
+			return laneRate{}, steered, lost(), err
 		}
 	}
 	gcNow()
 
-	best := 0.0
-	var ferr error
-	if mode == "parallel" {
-		for w := 0; w < sockioWindows && ferr == nil; w++ {
-			var wg sync.WaitGroup
-			var processed atomic.Int64
-			var errMu sync.Mutex
-			start := time.Now()
-			for _, l := range lanes {
-				wg.Add(1)
-				go func(l *sockioQueueLane) {
-					defer wg.Done()
-					p, err := l.measure(laneQuota)
-					processed.Add(int64(p))
-					if err != nil {
-						errMu.Lock()
-						ferr = err
-						errMu.Unlock()
-					}
-				}(l)
-			}
-			wg.Wait()
-			if r := mpps(int(processed.Load()), time.Since(start)); r > best {
-				best = r
-			}
+	var best laneRate
+	for w := 0; w < sockioWindows; w++ {
+		lr, err := runLanes(mode, 2*sockioQueues[len(sockioQueues)-1], laneQuota, lanes)
+		if err != nil {
+			return laneRate{}, steered, lost(), err
 		}
-	} else {
-		// Sum mode: each lane measured alone (the other lanes' node
-		// loops stay parked in Recv), fastest of the windows per lane,
-		// rates added.
-		agg := 0.0
-		for _, l := range lanes {
-			laneBest := 0.0
-			for w := 0; w < sockioWindows && ferr == nil; w++ {
-				start := time.Now()
-				p, err := l.measure(laneQuota)
-				if err != nil {
-					ferr = err
-					break
-				}
-				if r := mpps(p, time.Since(start)); r > laneBest {
-					laneBest = r
-				}
-			}
-			agg += laneBest
+		if lr.Mpps >= best.Mpps {
+			best = lr
 		}
-		best = agg
 	}
-
-	lost := 0
-	for _, l := range lanes {
-		lost += l.lost
-	}
-	stopLanes()
-	if ferr != nil {
-		return 0, mode, steered, lost, ferr
-	}
-	return best, mode, steered, lost, nil
+	return best, steered, lost(), nil
 }
 
 // sockioNode builds the single-slice node and attached population every
@@ -541,43 +495,7 @@ func sockioWireRun(batch, total, nUsers int) (float64, float64, int, error) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		rcv := sockio.NewReceiver(nodeConn, pool, batch)
-		defer rcv.Close()
-		ws := node.NewWireSteer(batch, rcv.Cache())
-		egSnd := sockio.NewSender(nodeConn, batch, time.Hour)
-		defer egSnd.Close()
-		scratch := make([]*pkt.Buf, 0, batch)
-		proc := make([]*pkt.Buf, batch)
-		for {
-			k, err := rcv.Recv()
-			if k == 0 {
-				if err != nil {
-					return // socket closed by the measuring side
-				}
-				continue
-			}
-			scratch = rcv.TakeAll(scratch[:0])
-			ws.Steer(scratch)
-			for {
-				m := s.Uplink.DequeueBatch(proc)
-				if m == 0 {
-					break
-				}
-				s.Data().ProcessUplinkBatch(proc[:m], sim.Now())
-			}
-			for {
-				eb, ok := s.Egress.Dequeue()
-				if !ok {
-					break
-				}
-				if egSnd.Queue(eb, srcAddr) != nil {
-					return
-				}
-			}
-			if egSnd.Flush() != nil {
-				return
-			}
-		}
+		sockioServe(node, s, nodeConn, pool, batch, srcAddr)
 	}()
 
 	// Source side: enbsim in burst mode.

@@ -5,10 +5,15 @@ import (
 	"testing"
 )
 
-// TestSockioSmoke runs the sockio sweep at a tiny scale end to end: every
-// point must produce a nonzero rate on all three series, and the wire
-// series must report fewer syscalls per packet at burst 64 than at
-// burst 1 on platforms with vectorized I/O.
+// TestSockioSmoke runs the sockio sweep at a tiny scale end to end and
+// succeeds the BENCH_sockio ratchets' shapes: every point produces a
+// nonzero rate, the wire series reports fewer syscalls per packet at
+// burst 64 than at burst 1, the batched path's best point beats the
+// per-packet loop it replaced (1.62-3.25x over 20 regenerations;
+// asserted: 1.2x), and in measure-and-sum mode (pinned, as in
+// TestFig7Smoke) four queue lanes out-aggregate one (2.48-6.13x;
+// asserted: 1.5x) — a derived series, so never a measured number worth
+// a ratchet.
 func TestSockioSmoke(t *testing.T) {
 	if pc, err := net.ListenPacket("udp4", "127.0.0.1:0"); err != nil {
 		t.Skipf("loopback UDP unavailable: %v", err)
@@ -18,6 +23,7 @@ func TestSockioSmoke(t *testing.T) {
 	sc := Quick
 	sc.PacketsPerPoint = 8192 * 4 // 8192 packets per point after the /4
 	sc.MaxUsers = 4096
+	sc.Lanes = "sum"
 	res, err := Sockio(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -33,34 +39,25 @@ func TestSockioSmoke(t *testing.T) {
 		if len(s.Points) != wantPts {
 			t.Fatalf("series %q: want %d points, got %d", s.Name, wantPts, len(s.Points))
 		}
+		if s.Derived != (i == 4) {
+			t.Fatalf("series %q: Derived=%v; exactly the summed multi-queue sweep is derived", s.Name, s.Derived)
+		}
 		for _, p := range s.Points {
 			if p.Y <= 0 {
 				t.Fatalf("series %q: zero rate at x=%.0f", s.Name, p.X)
 			}
 		}
 	}
-	mq := res.Series[4]
-	if mq.Name != "PEPC loopback multi-queue" {
-		t.Fatalf("unexpected multi-queue series %q", mq.Name)
+	wire, legacy, sys, mq := res.Series[0], res.Series[1], res.Series[3], res.Series[4]
+	if mq.Name != "PEPC loopback multi-queue" || sys.Name != "syscalls per packet" {
+		t.Fatalf("unexpected series order: %q, %q", sys.Name, mq.Name)
 	}
-	if mq.Points[2].Y < mq.Points[0].Y {
-		t.Errorf("aggregate rate fell with queues: %.3f Mpps at 1 queue vs %.3f at 4",
-			mq.Points[0].Y, mq.Points[2].Y)
-	}
-	sys := res.Series[3]
-	if sys.Name != "syscalls per packet" {
-		t.Fatalf("unexpected last series %q", sys.Name)
-	}
-	first, last := sys.Points[0].Y, sys.Points[len(sys.Points)-1].Y
-	if last >= first {
+	if first, last := sys.Points[0].Y, sys.Points[len(sys.Points)-1].Y; last >= first {
 		t.Errorf("syscalls/packet did not fall with burst size: %.3f at 1 vs %.3f at 64", first, last)
 	}
-
-	// The batched path must beat the per-packet loop it replaced. The
-	// full-scale margin (>=2x, tracked in EXPERIMENTS.md and ratcheted in
-	// BENCH_sockio.json) is checked loosely here: this tiny smoke scale
-	// runs on shared CI hosts where absolute rates swing.
-	wire, legacy := res.Series[0], res.Series[1]
+	if mq.Points[2].Y < 1.5*mq.Points[0].Y {
+		t.Errorf("4-queue aggregate %.3f Mpps < 1.5x 1-queue %.3f", mq.Points[2].Y, mq.Points[0].Y)
+	}
 	best := 0.0
 	for _, p := range wire.Points {
 		if p.Y > best {

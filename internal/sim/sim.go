@@ -88,14 +88,13 @@ func (m *Meter) Elapsed() float64 { return float64(Now()-m.start) / 1e9 }
 
 // Series is a labelled result column for figure output: a sequence of
 // (x, y) points with a name, rendered as aligned text by Table.
-// Direction declares which way is better for gating: "" or "up" means
-// higher values win (throughput), "down" means lower values win
-// (latency) — benchdiff flips its ratchet and regression test
-// accordingly.
+// Derived marks a series whose values were computed rather than
+// observed (share-nothing lanes measured one at a time and summed); the
+// harness labels such series wherever it prints them.
 type Series struct {
-	Name      string
-	Points    []Point
-	Direction string `json:",omitempty"`
+	Name    string
+	Points  []Point
+	Derived bool
 }
 
 // Point is one measurement.
