@@ -1,0 +1,253 @@
+package main
+
+import (
+	"net"
+	"net/netip"
+	"syscall"
+	"testing"
+	"time"
+
+	"pepc"
+	"pepc/internal/pkt"
+	"pepc/internal/sockio"
+	"pepc/internal/workload"
+)
+
+// attachUsers attaches IMSIs from..from+n-1 to slice si through the node,
+// the way an attach storm reaches a lane that is parked with no traffic.
+func attachUsers(t *testing.T, node *pepc.Node, si int, from, n int) []workload.User {
+	t.Helper()
+	users := make([]workload.User, 0, n)
+	for i := 0; i < n; i++ {
+		imsi := uint64(from + i)
+		res, err := node.AttachUser(si, pepc.AttachSpec{IMSI: imsi, ENBAddr: 0xC0A83201,
+			DownlinkTEID: 0x0200_0000 | uint32(imsi), ECGI: 1, TAI: 1})
+		if err != nil {
+			t.Fatalf("attach %d: %v", imsi, err)
+		}
+		users = append(users, workload.User{IMSI: imsi, UplinkTEID: res.UplinkTEID, UEAddr: res.UEAddr})
+	}
+	return users
+}
+
+// woken runs a producer-side action against a parked lane and waits for
+// the lane to have taken what it left. A lost wake-up is a hang (fatal
+// after 10 s), not a slow pass; the time it reports is how long a live
+// one took.
+func woken(t *testing.T, s *pepc.Slice, what string, act func()) time.Duration {
+	t.Helper()
+	t0 := time.Now()
+	act()
+	waitFor(t, 10*time.Second, "the parked lane to wake for "+what, func() bool { return !s.DataPending() })
+	return time.Since(t0)
+}
+
+// TestLaneWakeAttachStorm: 40 000 attaches against a lane that is parked
+// with no traffic. Every one pushes an index update; the queue holds
+// 16 K, so a lane that slept through the storm would lose users to the
+// full queue. Afterwards each user's first uplink G-PDU must forward.
+func TestLaneWakeAttachStorm(t *testing.T) {
+	n := 40_000
+	if testing.Short() {
+		n = 20_000 // still past the 16 K update queue
+	}
+	cfg := testConfig(1, 1, netip.AddrPort{}) // no SGi next-hop: only the counters matter
+	cfg.subscribers = n
+	cfg.rxBatch, cfg.txBatch = 32, 32
+	d := startDaemon(t, cfg)
+	s := d.node.Slice(0)
+
+	users := attachUsers(t, d.node, 0, 1, n)
+	waitFor(t, 10*time.Second, "the storm's updates to sync", func() bool { return !s.DataPending() })
+
+	_, snd := dialGTPU(t, d)
+	defer snd.Close()
+	gen := workload.NewTrafficGen(workload.TrafficConfig{ENBAddr: 0xC0A83201}, users)
+	dp := s.Data()
+	for sent := 0; sent < n; {
+		for i := 0; i < 1024 && sent < n; i++ {
+			if err := snd.Queue(gen.UplinkFor(users[sent]), netip.AddrPort{}); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+		}
+		if err := snd.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(sent)
+		waitFor(t, 10*time.Second, "the first packets to be accounted for", func() bool {
+			return dp.Forwarded.Load()+dp.Missed.Load()+dp.Dropped.Load()+d.node.Demux().Unknown.Load() >= want
+		})
+	}
+	if dp.Missed.Load() != 0 || dp.Forwarded.Load() != uint64(n) {
+		t.Fatalf("after a %d-attach storm on a parked lane: forwarded=%d missed=%d dropped=%d unknown=%d; updates were lost",
+			n, dp.Forwarded.Load(), dp.Missed.Load(), dp.Dropped.Load(), d.node.Demux().Unknown.Load())
+	}
+}
+
+// TestLaneWake covers every producer that must reach a parked lane: a
+// control→data update, a packet handed to the slice's ring from outside
+// its lane, and a migration (whose extract fence waits for two syncs and
+// gives up — losing the user's QoS levels — after 50 ms). Each must wake
+// the lane well inside 20 ms at least once in three tries (a loaded host
+// may slow one try; a lost wake-up fails them all, as a hang), and 1 000
+// park/kick cycles must never hang.
+func TestLaneWake(t *testing.T) {
+	cfg := testConfig(2, 2, netip.AddrPort{})
+	cfg.subscribers = 2000
+	d := startDaemon(t, cfg)
+	node := d.node
+	s0 := node.Slice(0)
+	const prompt = 20 * time.Millisecond
+
+	best := func(what string, try func(i int) time.Duration) {
+		t.Helper()
+		var took time.Duration
+		for i := 0; i < 3; i++ {
+			if took = try(i); took <= prompt {
+				return
+			}
+		}
+		t.Errorf("%s: a parked lane took %v to react on its best of three tries, want at most %v", what, took, prompt)
+	}
+
+	var users []workload.User
+	best("update push", func(i int) time.Duration {
+		time.Sleep(2 * time.Millisecond) // let the lane park
+		return woken(t, s0, "an update push", func() { users = append(users, attachUsers(t, node, 0, 1+i, 1)...) })
+	})
+
+	gen := workload.NewTrafficGen(workload.TrafficConfig{ENBAddr: 0xC0A83201}, users)
+	best("ring hand-off", func(int) time.Duration {
+		time.Sleep(2 * time.Millisecond)
+		f0 := s0.Data().Forwarded.Load()
+		took := woken(t, s0, "a packet handed to its ring", func() { node.SteerUplink(gen.UplinkFor(users[0])) })
+		if s0.Data().Forwarded.Load() != f0+1 {
+			t.Fatalf("the handed-off packet was not forwarded (forwarded %d → %d)", f0, s0.Data().Forwarded.Load())
+		}
+		return took
+	})
+
+	best("migration", func(i int) time.Duration {
+		time.Sleep(2 * time.Millisecond)
+		src, dst := i%2, (i+1)%2
+		t0 := time.Now()
+		if err := node.Scheduler().MigrateUser(users[0].IMSI, src, dst); err != nil {
+			t.Fatalf("migrate %d→%d: %v", src, dst, err)
+		}
+		return time.Since(t0)
+	})
+
+	for i := 0; i < 1000; i++ {
+		woken(t, s0, "an update push", func() { attachUsers(t, node, 0, 100+i, 1) })
+	}
+}
+
+// TestLaneIdleBurn: the full daemon wiring with no traffic costs (almost)
+// no CPU — every lane, the N4 loop and the S1AP listener are parked in
+// their sockets. A single spinning worker would burn the whole 300 ms.
+func TestLaneIdleBurn(t *testing.T) {
+	cfg := testConfig(2, 2, netip.AddrPort{})
+	cfg.n4 = "127.0.0.1:0"
+	startDaemon(t, cfg)
+	cpu := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			t.Skipf("getrusage: %v", err)
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	time.Sleep(20 * time.Millisecond) // start-up settles
+	before := cpu()
+	time.Sleep(300 * time.Millisecond)
+	if burned := cpu() - before; burned >= 30*time.Millisecond {
+		t.Fatalf("idle daemon burned %v of CPU in 300ms, want under 30ms", burned)
+	}
+}
+
+// TestZeroAllocLane guards the lane's steady state like the other
+// fast-path guards: receive, sync, steer, process, transmit — and the
+// park/unpark around them — allocate nothing per burst.
+func TestZeroAllocLane(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	sink, sgi := sgiSink(t)
+	sinkIO, err := sockio.NewConn(sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := sockio.ListenGroup("udp4", "127.0.0.1:0", 1)
+	if err != nil {
+		t.Skipf("loopback UDP unavailable: %v", err)
+	}
+	defer group.Close()
+	node := pepc.NewNode(pepc.SliceConfig{ID: 1, UserHint: 64})
+	users := attachUsers(t, node, 0, 1, 4)
+	const burst = 8
+	l := newLane(node, group.Queue(0), []*pepc.Slice{node.Slice(0)}, pkt.NewPool(pkt.DefaultBufSize, pkt.DefaultHeadroom),
+		sockio.NewPeerTable(), sgi, burst, burst, burst, nil, &wireStats{})
+	defer node.Slice(0).ReleaseData()
+
+	sc, err := net.Dial("udp4", group.LocalAddrPort().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	src, err := sockio.NewConn(sc.(*net.UDPConn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snd := sockio.NewSender(src, burst, time.Hour)
+	defer snd.Close()
+	gen := workload.NewTrafficGen(workload.TrafficConfig{ENBAddr: 0xC0A83201}, users)
+	tmpl := gen.UplinkFor(users[0])
+	payload := append([]byte(nil), tmpl.Bytes()...)
+	tmpl.Free()
+
+	out := make([]sockio.Message, burst)
+	for i := range out {
+		out[i].Buf = make([]byte, 2048)
+	}
+	sink.SetReadDeadline(time.Now().Add(30 * time.Second))
+	group.Queue(0).UDPConn().SetReadDeadline(time.Now().Add(30 * time.Second))
+	round := func(get func() *pkt.Buf) {
+		for i := 0; i < burst; i++ {
+			b := get()
+			b.SetBytes(payload)
+			if err := snd.Queue(b, netip.AddrPort{}); err != nil { // a full batch flushes itself
+				t.Fatal(err)
+			}
+		}
+		for got := 0; got < burst; {
+			n, err := l.recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.pass(n)
+			got += n
+		}
+		for got := 0; got < burst; {
+			n, err := sinkIO.ReadBatch(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += n
+		}
+	}
+	pool := pkt.NewPool(pkt.DefaultBufSize, pkt.DefaultHeadroom)
+	round(pool.Get)             // binds the caches and grows the syscall scratch
+	recycled := snd.Cache().Get // the sender's free cycle feeds the next burst
+	// Warm until the lane's buffer cycle closes: its sender's free cache
+	// has to fill and spill to the shared pool before its receiver's
+	// refills stop minting new buffers.
+	for i := 0; i < 4*pkt.DefaultCacheSize/burst; i++ {
+		round(recycled)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { round(recycled) }); allocs != 0 {
+		t.Fatalf("lane steady state allocates %.1f allocs/burst, want 0", allocs)
+	}
+	if fwd := node.Slice(0).Data().Forwarded.Load(); fwd < 50*burst {
+		t.Fatalf("forwarded %d packets; the guard did not exercise the data path", fwd)
+	}
+}

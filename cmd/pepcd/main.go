@@ -1,33 +1,36 @@
 // Command pepcd runs a PEPC node: it instantiates slices, wires the
 // in-process HSS/PCRF backends through the node proxy, listens for
-// S1AP-over-SCTP signaling on a UDP socket (one association per eNodeB),
-// and forwards GTP-U user traffic received on a second UDP socket.
+// S1AP-over-SCTP signaling on a UDP socket (one association per eNodeB)
+// and optionally for N4 (PFCP) on another, and forwards GTP-U user
+// traffic received on a third.
 //
-// The user-plane path is vectorized end to end: bursts of datagrams land
-// directly in pool-backed packet buffers with one recvmmsg per burst, are
-// steered in batches through the node demux into the slice rings, and
-// egress re-coalesces per destination and leaves with one sendmmsg per
-// burst — uplink toward the SGi next-hop, downlink back to the eNodeB
-// tunnel endpoint learned from the uplink outer headers.
+// The user plane is one loop, the lane (lane.go): one goroutine per
+// GTP-U queue owns the queue's socket and the slices assigned to it and
+// runs every burst to completion — one recvmmsg lands a burst in
+// pool-backed buffers, the burst steers through the node demux, the
+// lane's slices process what reached their rings, and egress leaves with
+// one sendmmsg, uplink toward the SGi next-hop, downlink back to the
+// eNodeB tunnel endpoint learned from the uplink outer headers. An idle
+// lane is parked in its socket read and costs no CPU; whatever else
+// feeds its slices wakes it.
 //
 // The wire path scales past one core with -rxqueues N: the GTP-U address
-// is served by an SO_REUSEPORT group of N sockets (sockio.Group), each
-// with its own rx loop (Receiver + PoolCache + WireSteer) and its own
-// egress loop (one coalescing Sender draining the egress rings of the
-// slices assigned to that queue round-robin), so rx parsing, demux
-// steering, and tx syscalls all run per queue with no shared hot state.
-// The only cross-queue structures are the read-mostly PeerTable
-// (copy-on-write, wait-free lookups) and the per-conn atomic stats. Where
-// the kernel accepts it, a cBPF program steers by flow (GTP TEID mod N,
-// IPv4 dst mod N) so one UE's packets stay on one queue; otherwise the
-// kernel's 4-tuple hash distributes across source ports.
+// is served by an SO_REUSEPORT group of N sockets (sockio.Group), one
+// lane each, slice i on queue i mod N. The only cross-queue structures
+// are the rings of a slice another lane steers into, the read-mostly
+// PeerTable and the per-conn atomic stats. Where the kernel accepts it, a
+// cBPF program steers by flow (GTP TEID mod N, IPv4 dst mod N) so one
+// UE's packets stay on one queue; otherwise the kernel's 4-tuple hash
+// distributes across source ports.
+//
+// SIGINT and SIGTERM shut down drain-then-exit (daemon.shutdown).
 //
 // Usage:
 //
 //	pepcd -slices 2 -s1ap :36412 -gtpu :2152 -subscribers 100000
 //	pepcd -config operator.json            # slices + PCC rules from file
-//	pepcd -sgi 10.0.0.2:9000 -rxbatch 32 -linger 100us
-//	pepcd -slices 4 -rxqueues 4            # one rx/tx queue per slice
+//	pepcd -sgi 10.0.0.2:9000 -rxbatch 32
+//	pepcd -slices 4 -rxqueues 4            # one lane per slice
 //
 // Pair it with cmd/enbsim, which attaches UEs over the same wire format
 // and sources uplink traffic.
@@ -37,6 +40,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -44,9 +48,9 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"pepc"
@@ -56,125 +60,197 @@ import (
 	"pepc/internal/sockio"
 )
 
-// wireStats aggregates the daemon-level wire-path counters the per-loop
-// components report into.
+// wireStats aggregates the daemon-level wire-path counters: signaling
+// datagrams dropped on a full per-peer queue (SCTP retransmission
+// recovers them), egress writes that failed, and packets dropped for want
+// of a destination (no -sgi next-hop, or an eNodeB tunnel endpoint not yet
+// learned from uplink). Datagrams sent are the sockets' own tx counter.
 type wireStats struct {
-	// s1apDrops counts signaling datagrams dropped because a peer's
-	// delivery queue overflowed (SCTP retransmission recovers them).
-	s1apDrops atomic.Uint64
-	// egressSent / egressErrs / egressNoRoute count user-plane egress:
-	// datagrams transmitted, flushes that failed, and packets dropped
-	// because no destination was known (no -sgi next-hop, or an eNodeB
-	// tunnel endpoint not yet learned from uplink).
-	egressSent    atomic.Uint64
-	egressErrs    atomic.Uint64
-	egressNoRoute atomic.Uint64
+	s1apDrops, egressErrs, egressNoRoute atomic.Uint64
+}
+
+// config is pepcd's command line.
+type config struct {
+	slices, subscribers, rxBatch, txBatch, rxQueues int
+	s1ap, n4, gtpu, sgi, configPath, pprof          string
+	stats                                           time.Duration
+	lat                                             bool
 }
 
 func main() {
-	slices := flag.Int("slices", 1, "number of PEPC slices")
-	s1apAddr := flag.String("s1ap", ":36412", "UDP listen address for S1AP-over-SCTP signaling")
-	n4Addr := flag.String("n4", "", "UDP listen address for N4 (PFCP) SMF signaling, e.g. :8805 (empty disables)")
-	gtpuAddr := flag.String("gtpu", ":2152", "UDP listen address for GTP-U user traffic")
-	subscribers := flag.Int("subscribers", 100_000, "subscribers to provision in the HSS (IMSIs from 1)")
-	statsEvery := flag.Duration("stats", 5*time.Second, "stats print interval")
-	configPath := flag.String("config", "", "operator configuration file (JSON); overrides -slices")
-	sgiAddr := flag.String("sgi", "", "SGi next-hop for decapsulated uplink (host:port; empty drops+counts)")
-	rxBatch := flag.Int("rxbatch", sockio.DefaultBatch, "GTP-U receive burst size (datagrams per recvmmsg)")
-	txBatch := flag.Int("txbatch", sockio.DefaultBatch, "egress burst size (datagrams per sendmmsg)")
-	linger := flag.Duration("linger", sockio.DefaultLinger, "max time a partial egress burst waits for companions")
-	rxQueues := flag.Int("rxqueues", 1, "GTP-U rx/tx queues: SO_REUSEPORT sockets, one rx loop and one egress loop each (1 = single socket)")
-	recordLat := flag.Bool("lat", false, "record wire-to-wire latency (rx stamp to egress flush) and report p50/p99/p999 in the stats line")
-	pprofAddr := flag.String("pprof", "", "net/http/pprof listen address (empty disables)")
+	var cfg config
+	flag.IntVar(&cfg.slices, "slices", 1, "number of PEPC slices")
+	flag.StringVar(&cfg.s1ap, "s1ap", ":36412", "UDP listen address for S1AP-over-SCTP signaling")
+	flag.StringVar(&cfg.n4, "n4", "", "UDP listen address for N4 (PFCP) SMF signaling, e.g. :8805 (empty disables)")
+	flag.StringVar(&cfg.gtpu, "gtpu", ":2152", "UDP listen address for GTP-U user traffic")
+	flag.IntVar(&cfg.subscribers, "subscribers", 100_000, "subscribers to provision in the HSS (IMSIs from 1)")
+	flag.DurationVar(&cfg.stats, "stats", 5*time.Second, "stats print interval")
+	flag.StringVar(&cfg.configPath, "config", "", "operator configuration file (JSON); overrides -slices")
+	flag.StringVar(&cfg.sgi, "sgi", "", "SGi next-hop for decapsulated uplink (host:port; empty drops+counts)")
+	flag.IntVar(&cfg.rxBatch, "rxbatch", sockio.DefaultBatch, "GTP-U receive burst size (datagrams per recvmmsg)")
+	flag.IntVar(&cfg.txBatch, "txbatch", sockio.DefaultBatch, "egress burst size (datagrams per sendmmsg)")
+	flag.IntVar(&cfg.rxQueues, "rxqueues", 1, "GTP-U queues: SO_REUSEPORT sockets, one lane goroutine each (1 = single socket)")
+	flag.BoolVar(&cfg.lat, "lat", false, "record wire-to-wire latency (rx stamp to egress flush) and report p50/p99/p999 in the stats line")
+	flag.StringVar(&cfg.pprof, "pprof", "", "net/http/pprof listen address (empty disables)")
 	flag.Parse()
 
-	var node *pepc.Node
-	if *configPath != "" {
-		f, err := os.Open(*configPath)
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	stop := make(chan struct{})
+	go func() {
+		<-sig
+		close(stop)
+	}()
+	if err := run(cfg, stop); err != nil {
+		log.Fatalf("pepcd: %v", err)
+	}
+}
+
+// run serves cfg until stop closes, then shuts down drain-then-exit.
+func run(cfg config, stop <-chan struct{}) error {
+	d, err := start(cfg)
+	if err != nil {
+		return err
+	}
+	tick := time.NewTicker(cfg.stats)
+	defer tick.Stop()
+	for {
+		select {
+		case <-stop:
+			log.Print("pepcd: shutting down")
+			d.shutdown()
+			return nil
+		case <-tick.C:
+			d.logStats()
+		}
+	}
+}
+
+// daemon is a serving pepcd: the node, its sockets and the goroutines on
+// them.
+type daemon struct {
+	node    *pepc.Node
+	upf     *pepc.UPF // nil without -n4
+	group   *sockio.Group
+	n4      *sockio.Conn // nil without -n4
+	s1ap    net.PacketConn
+	sockets []io.Closer
+	peers   *sockio.PeerTable
+	lanes   []*lane
+	lats    []*hdr.Histogram // one per lane with -lat, else nil
+	stats   *wireStats
+
+	stop    chan struct{}  // closed by shutdown: lanes and associations
+	serving sync.WaitGroup // lanes, the N4 loop, the S1AP listener
+}
+
+// start builds the node, binds every listener — all of them before
+// anything serves, so a taken port fails the start with nothing running
+// or left open — and starts serving.
+func start(cfg config) (_ *daemon, err error) {
+	d := &daemon{stats: &wireStats{}, peers: sockio.NewPeerTable(), stop: make(chan struct{})}
+	if cfg.configPath != "" {
+		f, err := os.Open(cfg.configPath)
 		if err != nil {
-			log.Fatalf("pepcd: %v", err)
+			return nil, err
 		}
 		opCfg, err := pepc.LoadOperatorConfig(f)
 		f.Close()
 		if err != nil {
-			log.Fatalf("pepcd: %v", err)
+			return nil, err
 		}
-		node, err = pepc.BuildNode(opCfg)
-		if err != nil {
-			log.Fatalf("pepcd: %v", err)
+		if d.node, err = pepc.BuildNode(opCfg); err != nil {
+			return nil, err
 		}
 	} else {
-		cfgs := make([]pepc.SliceConfig, *slices)
+		cfgs := make([]pepc.SliceConfig, cfg.slices)
 		for i := range cfgs {
-			cfgs[i] = pepc.SliceConfig{ID: i + 1, UserHint: *subscribers / *slices}
+			cfgs[i] = pepc.SliceConfig{ID: i + 1, UserHint: cfg.subscribers / cfg.slices}
 		}
-		node = pepc.NewNode(cfgs...)
+		d.node = pepc.NewNode(cfgs...)
 	}
-
 	var sgi netip.AddrPort
-	if *sgiAddr != "" {
-		ap, err := netip.ParseAddrPort(*sgiAddr)
-		if err != nil {
-			log.Fatalf("pepcd: -sgi: %v", err)
+	if cfg.sgi != "" {
+		if sgi, err = netip.ParseAddrPort(cfg.sgi); err != nil {
+			return nil, fmt.Errorf("-sgi: %w", err)
 		}
-		sgi = ap
+	}
+	if cfg.rxBatch <= 0 {
+		cfg.rxBatch = sockio.DefaultBatch
+	}
+	if cfg.txBatch <= 0 {
+		cfg.txBatch = sockio.DefaultBatch
 	}
 
-	if *pprofAddr != "" {
+	defer func() {
+		if err != nil {
+			d.closeSockets()
+		}
+	}()
+	if d.group, err = sockio.ListenGroup("udp", cfg.gtpu, cfg.rxQueues); err != nil {
+		return nil, fmt.Errorf("gtpu listen: %w", err)
+	}
+	d.sockets = append(d.sockets, d.group)
+	if d.s1ap, err = net.ListenPacket("udp", cfg.s1ap); err != nil {
+		return nil, fmt.Errorf("s1ap listen: %w", err)
+	}
+	d.sockets = append(d.sockets, d.s1ap)
+	if cfg.n4 != "" {
+		pc, err := net.ListenPacket("udp", cfg.n4)
+		if err != nil {
+			return nil, fmt.Errorf("n4 listen: %w", err)
+		}
+		d.sockets = append(d.sockets, pc)
+		if d.n4, err = sockio.NewConn(pc.(*net.UDPConn)); err != nil {
+			return nil, fmt.Errorf("n4 listen: %w", err)
+		}
+	}
+
+	if cfg.pprof != "" {
 		go func() {
-			log.Printf("pepcd: pprof on %s", *pprofAddr)
-			log.Printf("pepcd: pprof server: %v", http.ListenAndServe(*pprofAddr, nil))
+			log.Printf("pepcd: pprof on %s", cfg.pprof)
+			log.Printf("pepcd: pprof server: %v", http.ListenAndServe(cfg.pprof, nil))
 		}()
 	}
-
 	hss := pepc.NewHSS()
-	hss.ProvisionRange(1, *subscribers, 50e6, 100e6)
-	pcrf := pepc.NewPCRF()
-	node.AttachProxy(pepc.NewProxy(hss, pcrf))
+	hss.ProvisionRange(1, cfg.subscribers, 50e6, 100e6)
+	d.node.AttachProxy(pepc.NewProxy(hss, pepc.NewPCRF()))
 
-	stop := make(chan struct{})
-	stats := &wireStats{}
-
-	// User traffic sockets: an SO_REUSEPORT group of -rxqueues lanes (a
-	// single plain socket at 1), each lane owned by one rx loop and one
-	// egress loop. Replies must leave from the bound GTP-U port, which
-	// every queue of the group shares.
-	group, err := sockio.ListenGroup("udp", *gtpuAddr, *rxQueues)
-	if err != nil {
-		log.Fatalf("pepcd: gtpu listen: %v", err)
-	}
-	if group.Size() < *rxQueues {
-		log.Printf("pepcd: multi-queue rx unavailable on this platform; running %d queue(s)", group.Size())
+	// User plane: one lane per queue of the group (a single plain socket
+	// at 1), slice i on queue i mod Q. Replies leave from the bound GTP-U
+	// port, which every queue of the group shares.
+	q := d.group.Size()
+	if q < cfg.rxQueues {
+		log.Printf("pepcd: multi-queue rx unavailable on this platform; running %d queue(s)", q)
 	}
 	pool := pkt.NewPool(pkt.DefaultBufSize, pkt.DefaultHeadroom)
-	peers := sockio.NewPeerTable()
-
-	// Data planes, then the wire loops: one rx loop and one egress loop
-	// per queue, slices assigned to egress queues round-robin.
-	for i := 0; i < node.NumSlices(); i++ {
-		go node.Slice(i).RunData(stop)
-	}
-	lats := startWirePlanes(node, group, pool, peers, sgi, *rxBatch, *txBatch, *linger, *recordLat, stats, stop)
-
-	// Signaling listener: each new peer address becomes one SCTP
-	// association served by an S1AP server bound round-robin to a slice.
-	s1apConn, err := net.ListenPacket("udp", *s1apAddr)
-	if err != nil {
-		log.Fatalf("pepcd: s1ap listen: %v", err)
-	}
-	go serveS1AP(node, s1apConn, stats, stop)
-
-	// N4 listener: the 5G SMF drives sessions over PFCP; the UPF maps
-	// them onto the same slices the 4G procedures use.
-	var upf *pepc.UPF
-	if *n4Addr != "" {
-		n4Conn, err := net.ListenPacket("udp", *n4Addr)
-		if err != nil {
-			log.Fatalf("pepcd: n4 listen: %v", err)
+	for qi := 0; qi < q; qi++ {
+		var own []*pepc.Slice
+		for i := qi; i < d.node.NumSlices(); i += q {
+			own = append(own, d.node.Slice(i))
 		}
-		upf = pepc.NewUPF(node, localIPv4(n4Conn))
-		go serveN4(upf, n4Conn, stop)
-		log.Printf("pepcd: N4 (PFCP) on %s", *n4Addr)
+		var lat *hdr.Histogram
+		if cfg.lat {
+			lat = hdr.New()
+			d.lats = append(d.lats, lat)
+		}
+		d.lanes = append(d.lanes, newLane(d.node, d.group.Queue(qi), own, pool, d.peers, sgi,
+			cfg.rxBatch, cfg.txBatch, q*max(cfg.rxBatch, cfg.txBatch), lat, d.stats))
+	}
+	rxDone := new(sync.WaitGroup) // lane.finish's barrier
+	rxDone.Add(q)
+	for _, l := range d.lanes {
+		d.serve(func() { l.run(d.stop, rxDone) })
+	}
+
+	// Signaling: each new S1AP peer address becomes one SCTP association
+	// served by an S1AP server bound round-robin to a slice; over N4 the
+	// 5G SMF drives sessions the UPF maps onto the same slices.
+	d.serve(func() { serveS1AP(d.node, d.s1ap, d.stats, d.stop) })
+	if d.n4 != nil {
+		d.upf = pepc.NewUPF(d.node, localIPv4(d.n4.UDPConn()))
+		d.serve(func() { d.upf.Serve(d.n4) })
+		log.Printf("pepcd: N4 (PFCP) on %s", d.n4.LocalAddrPort())
 	}
 
 	mode := "fallback (one datagram per syscall)"
@@ -182,79 +258,84 @@ func main() {
 		mode = "recvmmsg/sendmmsg"
 	}
 	steer := "kernel 4-tuple hash"
-	if group.Steered() {
+	if d.group.Steered() {
 		steer = "cBPF flow steering"
 	}
+	rcv, snd := d.group.BufferSizes()
+	log.Printf("pepcd: GTP-U socket buffers per queue: rcv %d KiB, snd %d KiB (asked for %d KiB)",
+		rcv>>10, snd>>10, sockio.SocketBuffer>>10)
 	log.Printf("pepcd: %d slices, %d subscribers, S1AP on %s, GTP-U on %s (%s, rx burst %d, %d queue(s), %s)",
-		node.NumSlices(), *subscribers, *s1apAddr, *gtpuAddr, mode, *rxBatch, group.Size(), steer)
+		d.node.NumSlices(), cfg.subscribers, d.s1ap.LocalAddr(), d.group.LocalAddrPort(), mode, cfg.rxBatch, q, steer)
+	return d, nil
+}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	tick := time.NewTicker(*statsEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-sig:
-			close(stop)
-			log.Print("pepcd: shutting down")
-			return
-		case <-tick.C:
-			for i := 0; i < node.NumSlices(); i++ {
-				s := node.Slice(i)
-				log.Printf("slice %d: users=%d forwarded=%d dropped=%d missed=%d",
-					i, s.Users(), s.Data().Forwarded.Load(), s.Data().Dropped.Load(), s.Data().Missed.Load())
-			}
-			if upf != nil {
-				ns := upf.Stats()
-				log.Printf("n4: sessions=%d established=%d modified=%d deleted=%d heartbeats=%d rejected=%d",
-					upf.Sessions(), ns.Established, ns.Modified, ns.Deleted, ns.Heartbeats, ns.Rejected)
-			}
-			st := group.Stats()
-			log.Printf("wire: rx=%d pkts/%d calls tx=%d pkts/%d calls peers=%d "+
-				"egress sent=%d noroute=%d errs=%d s1ap-drops=%d%s%s",
-				st.RxPackets, st.RxCalls, st.TxPackets, st.TxCalls, peers.Len(),
-				stats.egressSent.Load(), stats.egressNoRoute.Load(),
-				stats.egressErrs.Load(), stats.s1apDrops.Load(), queueStatsSuffix(group),
-				latStatsSuffix(lats))
-		}
+// serve runs fn on a goroutine shutdown waits for.
+func (d *daemon) serve(fn func()) {
+	d.serving.Add(1)
+	go func() {
+		defer d.serving.Done()
+		fn()
+	}()
+}
+
+// shutdownCap bounds drain-then-exit (milliseconds unless overloaded):
+// well under the 3 s after which bench/pepcmark kills the process.
+const shutdownCap = 2 * time.Second
+
+// shutdown stops serving without losing what is in flight: every lane
+// reads out its socket, runs its rings dry and flushes (lane.finish); the
+// N4 loop answers the burst it has gathered (a past read deadline ends
+// it at its next read, after its write); the S1AP listener closes. It
+// returns when they have all exited, or logs and returns at shutdownCap.
+func (d *daemon) shutdown() {
+	t0 := time.Now()
+	close(d.stop)
+	for _, l := range d.lanes {
+		l.kick()
+	}
+	if d.n4 != nil {
+		d.n4.UDPConn().SetReadDeadline(kicked)
+	}
+	d.s1ap.Close()
+	done := make(chan struct{})
+	go func() {
+		d.serving.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		log.Printf("pepcd: drained and stopped in %v", time.Since(t0).Round(time.Microsecond))
+	case <-time.After(shutdownCap):
+		log.Printf("pepcd: still draining after %v; exiting with packets in flight", shutdownCap)
+	}
+	d.closeSockets()
+}
+
+func (d *daemon) closeSockets() {
+	for _, c := range d.sockets {
+		c.Close()
 	}
 }
 
-// startWirePlanes spawns the multi-queue wire path over an open socket
-// group: one rx loop per queue, and one egress loop per queue draining
-// the egress rings of the slices assigned to it (slice i → queue i mod
-// Q). Each queue owns its Receiver, PoolCache, WireSteer, and Sender;
-// the PeerTable and per-conn stats are the only cross-queue state. With
-// recordLat set, each queue's receiver stamps its rx bursts and each
-// queue's sender records rx-stamp→egress-flush latency into a per-queue
-// histogram (single writer: the egress loop); the returned slice holds
-// one histogram per egress queue for merged readout, nil when disabled.
-func startWirePlanes(node *pepc.Node, group *sockio.Group, pool *pkt.Pool, peers *sockio.PeerTable,
-	sgi netip.AddrPort, rxBatch, txBatch int, linger time.Duration, recordLat bool,
-	stats *wireStats, stop <-chan struct{}) []*hdr.Histogram {
-	q := group.Size()
-	var lats []*hdr.Histogram
-	if recordLat {
-		lats = make([]*hdr.Histogram, q)
-		for i := range lats {
-			lats[i] = hdr.New()
-		}
+// logStats prints the per-slice, N4 and wire counters.
+func (d *daemon) logStats() {
+	for i := 0; i < d.node.NumSlices(); i++ {
+		s := d.node.Slice(i)
+		log.Printf("slice %d: users=%d forwarded=%d dropped=%d missed=%d",
+			i, s.Users(), s.Data().Forwarded.Load(), s.Data().Dropped.Load(), s.Data().Missed.Load())
 	}
-	for qi := 0; qi < q; qi++ {
-		var own []*pepc.Slice
-		for i := qi; i < node.NumSlices(); i += q {
-			own = append(own, node.Slice(i))
-		}
-		var lat *hdr.Histogram
-		if lats != nil {
-			lat = lats[qi]
-		}
-		if len(own) > 0 {
-			go runQueueEgress(own, group.Queue(qi), peers, sgi, txBatch, linger, lat, stats, stop)
-		}
-		go runGTPURx(node, group.Queue(qi), pool, peers, rxBatch, recordLat, stop)
+	if d.upf != nil {
+		ns := d.upf.Stats()
+		log.Printf("n4: sessions=%d established=%d modified=%d deleted=%d heartbeats=%d rejected=%d",
+			d.upf.Sessions(), ns.Established, ns.Modified, ns.Deleted, ns.Heartbeats, ns.Rejected)
 	}
-	return lats
+	st := d.group.Stats()
+	log.Printf("wire: rx=%d pkts/%d calls tx=%d pkts/%d calls peers=%d "+
+		"egress sent=%d noroute=%d errs=%d s1ap-drops=%d%s%s",
+		st.RxPackets, st.RxCalls, st.TxPackets, st.TxCalls, d.peers.Len(),
+		st.TxPackets, d.stats.egressNoRoute.Load(),
+		d.stats.egressErrs.Load(), d.stats.s1apDrops.Load(), queueStatsSuffix(d.group),
+		latStatsSuffix(d.lats))
 }
 
 // latStatsSuffix renders the merged wire-to-wire latency tail appended
@@ -293,157 +374,6 @@ func queueStatsSuffix(group *sockio.Group) string {
 	return out
 }
 
-// runGTPURx is one queue's user-plane receive loop: one vectorized read
-// lands a burst of datagrams directly in pool buffers (encap headroom
-// intact), eNodeB tunnel endpoints are learned from the outer headers,
-// and the whole burst steers through the node demux in one pass. With
-// flow steering attached, every packet this loop receives belongs to a
-// flow pinned to this queue, so the queue's PoolCache and steer scratch
-// never see another queue's traffic.
-func runGTPURx(node *pepc.Node, conn *sockio.Conn, pool *pkt.Pool, peers *sockio.PeerTable, batch int, stamp bool, stop <-chan struct{}) {
-	rcv := sockio.NewReceiver(conn, pool, batch)
-	rcv.StampRx(stamp)
-	defer rcv.Close()
-	ws := node.NewWireSteer(batch, rcv.Cache())
-	scratch := make([]*pkt.Buf, 0, batch)
-	uc := conn.UDPConn()
-	for {
-		select {
-		case <-stop:
-			conn.Close()
-			return
-		default:
-		}
-		uc.SetReadDeadline(time.Now().Add(time.Second))
-		n, err := rcv.Recv()
-		if n == 0 {
-			if err == sockio.ErrClosed {
-				return
-			}
-			continue // deadline tick: re-check stop
-		}
-		for i := 0; i < n; i++ {
-			learnPeer(peers, rcv.Buf(i).Bytes(), rcv.From(i))
-		}
-		scratch = rcv.TakeAll(scratch[:0])
-		ws.Steer(scratch)
-	}
-}
-
-// learnPeer records the outer source address of anything shaped like a
-// GTP-U envelope (IPv4 carrying UDP), mapping the eNodeB's tunnel-plane
-// IPv4 to the UDP endpoint it actually sends from, so downlink egress can
-// address it. A stray learn keyed by a non-eNB source is never looked up.
-func learnPeer(peers *sockio.PeerTable, data []byte, from netip.AddrPort) {
-	if len(data) < pkt.IPv4HeaderLen+pkt.UDPHeaderLen || data[0]>>4 != 4 || data[9] != pkt.ProtoUDP {
-		return
-	}
-	peers.Learn(binary.BigEndian.Uint32(data[12:16]), from)
-}
-
-// runQueueEgress is one queue's egress loop: it drains the egress rings
-// of every slice assigned to the queue into a single coalescing Sender on
-// the queue's socket, so egress from co-located slices shares sendmmsg
-// bursts. Uplink (decapsulated plain IP) goes to the SGi next-hop,
-// downlink (re-encapped GTP-U) to the eNodeB whose tunnel address is in
-// the outer header, resolved through the wait-free PeerTable. The linger
-// budget is enforced from the loop's housekeeping slot with one clock
-// read per pass — not one per slice — and the read is skipped entirely
-// while nothing is pending.
-func runQueueEgress(slices []*pepc.Slice, conn *sockio.Conn, peers *sockio.PeerTable, sgi netip.AddrPort,
-	batch int, linger time.Duration, lat *hdr.Histogram, stats *wireStats, stop <-chan struct{}) {
-	snd := sockio.NewSender(conn, batch, linger)
-	snd.SetLatency(lat)
-	defer snd.Close()
-	var prevSent, prevErrs uint64
-	account := func() {
-		if d := snd.Sent - prevSent; d > 0 {
-			stats.egressSent.Add(d)
-			prevSent = snd.Sent
-		}
-		if d := snd.Errs - prevErrs; d > 0 {
-			stats.egressErrs.Add(d)
-			prevErrs = snd.Errs
-		}
-	}
-	queueOne := func(b *pkt.Buf) {
-		if b.Meta.Uplink {
-			if !sgi.IsValid() {
-				stats.egressNoRoute.Add(1)
-				snd.Cache().Put(b)
-				return
-			}
-			snd.Queue(b, sgi)
-			return
-		}
-		data := b.Bytes()
-		if len(data) < pkt.IPv4HeaderLen {
-			stats.egressNoRoute.Add(1)
-			snd.Cache().Put(b)
-			return
-		}
-		dst, ok := peers.Lookup(binary.BigEndian.Uint32(data[16:20]))
-		if !ok {
-			stats.egressNoRoute.Add(1)
-			snd.Cache().Put(b)
-			return
-		}
-		snd.Queue(b, dst)
-	}
-	proc := make([]*pkt.Buf, batch)
-	// Bounded park on idle: this is a daemon sharing cores with the data
-	// planes, not a pinned benchmark loop.
-	const idlePark = 200 * time.Microsecond
-	idle := 0
-	for {
-		select {
-		case <-stop:
-			account()
-			return
-		default:
-		}
-		drained := 0
-		for _, s := range slices {
-			for {
-				m := s.Egress.DequeueBatch(proc)
-				if m == 0 {
-					break
-				}
-				drained += m
-				for _, b := range proc[:m] {
-					queueOne(b)
-				}
-			}
-		}
-		if drained > 0 {
-			idle = 0
-			continue
-		}
-		// Housekeeping slot: one clock read covers every sender this
-		// loop owns (just one today), skipped while nothing lingers.
-		if snd.Pending() > 0 {
-			snd.FlushExpired(time.Now())
-		}
-		account()
-		// Never take the long park while a partial burst lingers: a
-		// 200µs sleep on top of the 100µs linger budget triples the
-		// worst-case wait of an already-staged packet, and that is
-		// exactly where it shows up — the p99.9 of wire-to-wire
-		// latency, not the mean. Yield instead so the next pass can
-		// flush the expired batch on time.
-		if idle++; idle >= 4 && snd.Pending() == 0 {
-			time.Sleep(idlePark)
-		} else {
-			runtime.Gosched()
-		}
-	}
-}
-
-// n4Batch bounds how many PFCP datagrams one serveN4 pass processes
-// before flushing the batched signaling and answering: N modifications
-// landing together drain as one grouped procedure batch.
-const n4Batch = 64
-
 // localIPv4 extracts the listener's IPv4 as the UPF node identity,
 // falling back to loopback for wildcard binds.
 func localIPv4(pc net.PacketConn) uint32 {
@@ -455,83 +385,34 @@ func localIPv4(pc net.PacketConn) uint32 {
 	return pkt.IPv4Addr(127, 0, 0, 1)
 }
 
-// serveN4 is the PFCP service loop: it gathers a burst of datagrams
-// (blocking for the first, then draining whatever is immediately
-// queued), handles each, flushes the batched signaling of every touched
-// slice once, and only then sends the responses — so a response never
-// races the state change it reports.
-func serveN4(upf *pepc.UPF, pc net.PacketConn, stop <-chan struct{}) {
-	type reply struct {
-		to   net.Addr
-		resp []byte
-	}
-	rd := make([]byte, 64*1024)
-	replies := make([]reply, 0, n4Batch)
-	var respBuf []byte
-	for {
-		select {
-		case <-stop:
-			pc.Close()
-			return
-		default:
-		}
-		pc.SetReadDeadline(time.Now().Add(time.Second))
-		n, from, err := pc.ReadFrom(rd)
-		if err != nil {
-			continue
-		}
-		replies = replies[:0]
-		respBuf = respBuf[:0]
-		for {
-			mark := len(respBuf)
-			respBuf = upf.Handle(rd[:n], respBuf)
-			if len(respBuf) > mark {
-				replies = append(replies, reply{to: from, resp: respBuf[mark:]})
-			}
-			if len(replies) >= n4Batch {
-				break
-			}
-			// Drain whatever else already landed without blocking.
-			pc.SetReadDeadline(time.Now())
-			if n, from, err = pc.ReadFrom(rd); err != nil {
-				break
-			}
-		}
-		upf.Flush()
-		for i := range replies {
-			pc.WriteTo(replies[i].resp, replies[i].to)
-		}
-	}
-}
-
 // sctpBufSize is the pooled receive-copy size for signaling datagrams;
 // every SCTP-over-UDP packet this wire produces fits (the association
 // MTU is far below it). Larger datagrams fall back to a one-off
 // allocation.
 const sctpBufSize = 4096
 
-// serveS1AP accepts one association per remote address over UDP.
-// Signaling datagrams are copied into pooled buffers that recycle once
-// the association has consumed them, a full per-peer queue counts a drop
-// instead of silently discarding, and peers whose serving goroutine
-// exited are evicted so a restarting eNodeB re-accepts cleanly.
+// serveS1AP accepts one association per remote address over UDP, until
+// pc closes. Signaling datagrams are copied into pooled buffers that
+// recycle once the association has consumed them, a full per-peer queue
+// counts a drop instead of silently discarding, and peers whose serving
+// goroutine exited are evicted so a restarting eNodeB re-accepts cleanly.
+// On the way out every association's wire is closed, which ends it.
 func serveS1AP(node *pepc.Node, pc net.PacketConn, stats *wireStats, stop <-chan struct{}) {
 	peers := make(map[string]*demuxWire)
+	// gone carries the keys of ended associations back for eviction; the
+	// buffer lets a wave of them end between two datagrams without
+	// blocking (senders also give up at stop).
 	gone := make(chan string, 128)
 	next := 0
 	bufPool := &sync.Pool{New: func() any { b := make([]byte, sctpBufSize); return &b }}
 	rd := make([]byte, 64*1024)
 	for {
-		select {
-		case <-stop:
-			pc.Close()
-			return
-		default:
-		}
-		pc.SetReadDeadline(time.Now().Add(time.Second))
 		n, from, err := pc.ReadFrom(rd)
 		if err != nil {
-			continue
+			for _, w := range peers {
+				close(w.inCh)
+			}
+			return
 		}
 		// Evict peers whose association ended: the serving goroutine
 		// reports its key on exit, and removing the entry lets the next
@@ -559,7 +440,12 @@ func serveS1AP(node *pepc.Node, pc net.PacketConn, stats *wireStats, stop <-chan
 			next++
 			tag := uint32(next + 1)
 			go func(key string, w *demuxWire) {
-				defer func() { gone <- key }()
+				defer func() {
+					select {
+					case gone <- key:
+					case <-stop:
+					}
+				}()
 				assoc, err := pepc.SCTPAccept(w, pepc.SCTPConfig{Tag: tag})
 				if err != nil {
 					log.Printf("pepcd: accept from %s: %v", key, err)

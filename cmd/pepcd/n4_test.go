@@ -1,18 +1,36 @@
 package main
 
 import (
-	"net"
 	"net/netip"
 	"testing"
 	"time"
 
-	"pepc"
 	"pepc/internal/gtp"
 	"pepc/internal/pfcp"
 	"pepc/internal/pkt"
-	"pepc/internal/sockio"
 	"pepc/internal/workload"
 )
+
+// sessionRequest is the canonical establishment: uplink PDR by F-TEID
+// with outer header removal, downlink PDR by UE address, a FAR wrapping
+// downlink toward the gNB, and one QER with the given MBRs.
+func sessionRequest(teid, ueAddr, gnbTEID, gnbAddr uint32, upKbps, downKbps uint64) *pfcp.SessionRequest {
+	return &pfcp.SessionRequest{
+		CreatePDRs: []pfcp.PDR{
+			{ID: 1, Precedence: 100, SourceInterface: pfcp.InterfaceAccess,
+				TEID: teid, TEIDAddr: pkt.IPv4Addr(127, 0, 0, 1),
+				OuterHeaderRemoval: true, FARID: 2, QERID: 1},
+			{ID: 2, Precedence: 100, SourceInterface: pfcp.InterfaceCore,
+				UEAddr: ueAddr, FARID: 1, QERID: 1},
+		},
+		CreateFARs: []pfcp.FAR{
+			{ID: 1, DestinationInterface: pfcp.InterfaceAccess,
+				OuterHeaderCreation: true, TEID: gnbTEID, Addr: gnbAddr},
+			{ID: 2, DestinationInterface: pfcp.InterfaceCore},
+		},
+		CreateQERs: []pfcp.QER{{ID: 1, MBRUplinkKbps: upKbps, MBRDownlinkKbps: downKbps}},
+	}
+}
 
 // TestPepcdN4 is the UPF-mode integration test: pepcd's N4 listener and
 // wire planes on real loopback UDP, driven by a pfcp.Client the way
@@ -22,43 +40,14 @@ import (
 // modification rewrites the tunnel TEID and drops the QER rate until
 // policing bites; deletion makes the F-TEID unroutable again.
 func TestPepcdN4(t *testing.T) {
-	node := pepc.NewNode(pepc.SliceConfig{ID: 1, UserHint: 64})
-	stop := make(chan struct{})
-	stats := &wireStats{}
-	go node.Slice(0).RunData(stop)
-
-	// SGi sink for decapped uplink.
-	sgiSink, err := net.ListenPacket("udp4", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback UDP unavailable: %v", err)
-	}
-	defer sgiSink.Close()
-	sgi := sgiSink.LocalAddr().(*net.UDPAddr).AddrPort()
-
-	// GTP-U wire planes, as main() runs them.
-	gtpuConn, err := net.ListenPacket("udp4", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback UDP unavailable: %v", err)
-	}
-	gtpuIO, err := sockio.NewConn(gtpuConn.(*net.UDPConn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := pkt.NewPool(pkt.DefaultBufSize, pkt.DefaultHeadroom)
-	peers := sockio.NewPeerTable()
-	go runQueueEgress([]*pepc.Slice{node.Slice(0)}, gtpuIO, peers, sgi, 8, time.Millisecond, nil, stats, stop)
-	go runGTPURx(node, gtpuIO, pool, peers, 16, false, stop)
-
-	// N4 listener, as main() runs it.
-	n4Conn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback UDP unavailable: %v", err)
-	}
-	upf := pepc.NewUPF(node, localIPv4(n4Conn))
-	go serveN4(upf, n4Conn, stop)
+	sgiSink, sgi := sgiSink(t)
+	cfg := testConfig(1, 1, sgi)
+	cfg.n4 = "127.0.0.1:0"
+	d := startDaemon(t, cfg)
+	node, upf, stats := d.node, d.upf, d.stats
 
 	// SMF side: associate, establish.
-	smf, err := pfcp.Dial(n4Conn.LocalAddr().String(), pkt.IPv4Addr(10, 255, 0, 1))
+	smf, err := pfcp.Dial(d.n4.LocalAddrPort().String(), pkt.IPv4Addr(10, 255, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,21 +66,7 @@ func TestPepcdN4(t *testing.T) {
 	)
 	ueAddr := pkt.IPv4Addr(45, 1, 0, 1)
 	gnbAddr := uint32(0xC0A83201) // 192.168.50.1, the outer src our gNB socket claims
-	seid, err := smf.Establish(&pfcp.SessionRequest{
-		CreatePDRs: []pfcp.PDR{
-			{ID: 1, Precedence: 100, SourceInterface: pfcp.InterfaceAccess,
-				TEID: teid, TEIDAddr: pkt.IPv4Addr(127, 0, 0, 1),
-				OuterHeaderRemoval: true, FARID: 2, QERID: 1},
-			{ID: 2, Precedence: 100, SourceInterface: pfcp.InterfaceCore,
-				UEAddr: ueAddr, FARID: 1, QERID: 1},
-		},
-		CreateFARs: []pfcp.FAR{
-			{ID: 1, DestinationInterface: pfcp.InterfaceAccess,
-				OuterHeaderCreation: true, TEID: gnbTEID, Addr: gnbAddr},
-			{ID: 2, DestinationInterface: pfcp.InterfaceCore},
-		},
-		CreateQERs: []pfcp.QER{{ID: 1, MBRUplinkKbps: 50_000, MBRDownlinkKbps: 100_000}},
-	})
+	seid, err := smf.Establish(sessionRequest(teid, ueAddr, gnbTEID, gnbAddr, 50_000, 100_000))
 	if err != nil {
 		t.Fatalf("establish: %v", err)
 	}
@@ -99,39 +74,15 @@ func TestPepcdN4(t *testing.T) {
 		t.Fatalf("sessions = %d", got)
 	}
 
-	// gNB side: uplink GTP-U bursts to the PDR's F-TEID, outer src = the
-	// FAR's tunnel address so the rx path learns where downlink goes.
-	dconn, err := net.Dial("udp4", gtpuIO.LocalAddrPort().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dconn.Close()
-	dio, err := sockio.NewConn(dconn.(*net.UDPConn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snd := sockio.NewSender(dio, 16, time.Hour)
+	// gNB side: uplink GTP-U to the PDR's F-TEID, outer src = the FAR's
+	// tunnel address so the rx path learns where downlink goes.
+	dconn, snd := dialGTPU(t, d)
 	defer snd.Close()
 	users := []workload.User{{IMSI: 1, UplinkTEID: teid, UEAddr: ueAddr}}
 	gen := workload.NewTrafficGen(workload.TrafficConfig{ENBAddr: gnbAddr}, users)
-
-	// Closed loop: loopback UDP drops silently under contention, so offer
-	// bursts until the data plane has forwarded enough.
-	want := uint64(100)
-	if testing.Short() {
-		want = 20
-	}
-	deadline := time.After(20 * time.Second)
-	for node.Slice(0).Data().Forwarded.Load() < want {
-		select {
-		case <-deadline:
-			t.Fatalf("forwarded only %d of %d (missed=%d dropped=%d unknown=%d)",
-				node.Slice(0).Data().Forwarded.Load(), want,
-				node.Slice(0).Data().Missed.Load(), node.Slice(0).Data().Dropped.Load(),
-				node.Demux().Unknown.Load())
-		default:
-		}
-		for i := 0; i < 16; i++ {
+	uplink := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
 			if err := snd.Queue(gen.NextUplink(), netip.AddrPort{}); err != nil {
 				t.Fatal(err)
 			}
@@ -139,16 +90,29 @@ func TestPepcdN4(t *testing.T) {
 		if err := snd.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
+	}
+	dp := node.Slice(0).Data()
+
+	// The establishment's reply is out, so its index update must already
+	// be where the very first burst finds it: the lane syncs after its
+	// read returns and before it steers what the read brought.
+	const first = 16
+	uplink(first)
+	waitFor(t, 10*time.Second, "the first burst to be accounted for", func() bool {
+		return dp.Forwarded.Load()+dp.Missed.Load()+node.Demux().Unknown.Load() >= first
+	})
+	if dp.Forwarded.Load() != first {
+		t.Fatalf("first burst after establish: forwarded=%d missed=%d unknown=%d, want all %d forwarded",
+			dp.Forwarded.Load(), dp.Missed.Load(), node.Demux().Unknown.Load(), first)
 	}
 
 	// Decapped uplink reaches the SGi sink as plain IP from the UE.
 	buf := make([]byte, 2048)
 	sgiSink.SetReadDeadline(time.Now().Add(10 * time.Second))
-	n, _, err := sgiSink.ReadFrom(buf)
+	n, err := sgiSink.Read(buf)
 	if err != nil {
-		t.Fatalf("nothing reached the SGi sink: %v (egress sent=%d errs=%d noroute=%d)",
-			err, stats.egressSent.Load(), stats.egressErrs.Load(), stats.egressNoRoute.Load())
+		t.Fatalf("nothing reached the SGi sink: %v (tx=%d errs=%d noroute=%d)",
+			err, d.group.Stats().TxPackets, stats.egressErrs.Load(), stats.egressNoRoute.Load())
 	}
 	var ip pkt.IPv4
 	if err := ip.DecodeFromBytes(buf[:n]); err != nil {
@@ -163,23 +127,21 @@ func TestPepcdN4(t *testing.T) {
 	readDownlinkTEID := func() uint32 {
 		t.Helper()
 		down := gen.DownlinkFor(users[0])
-		if _, err := sgiSink.WriteTo(down.Bytes(), gtpuConn.LocalAddr()); err != nil {
+		if _, err := sgiSink.WriteToUDPAddrPort(down.Bytes(), d.group.LocalAddrPort()); err != nil {
 			t.Fatal(err)
 		}
 		down.Free()
 		dl := make([]byte, 2048)
 		dconn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		for {
-			n, err := dconn.Read(dl)
-			if err != nil {
-				t.Fatalf("downlink never reached the gNB endpoint: %v (noroute=%d)", err, stats.egressNoRoute.Load())
-			}
-			teid, _, perr := gtp.ParseOuter(dl[:n])
-			if perr != nil {
-				continue // stray uplink echo
-			}
-			return teid
+		n, err := dconn.Read(dl)
+		if err != nil {
+			t.Fatalf("downlink never reached the gNB endpoint: %v (noroute=%d)", err, stats.egressNoRoute.Load())
 		}
+		teid, _, err := gtp.ParseOuter(dl[:n])
+		if err != nil {
+			t.Fatalf("downlink at the gNB endpoint is not GTP-U: %v", err)
+		}
+		return teid
 	}
 	if got := readDownlinkTEID(); got != gnbTEID {
 		t.Fatalf("downlink TEID %#x, want the FAR's %#x", got, gnbTEID)
@@ -196,69 +158,40 @@ func TestPepcdN4(t *testing.T) {
 		t.Fatalf("modify: %v", err)
 	}
 
-	// The new tunnel shows on the next downlink. The data plane applies
-	// the epoch bump on its next sync, so poll briefly.
-	modDeadline := time.After(10 * time.Second)
-	for {
-		if got := readDownlinkTEID(); got == gnbTEID+1 {
-			break
-		}
-		select {
-		case <-modDeadline:
-			t.Fatalf("downlink TEID never switched to the updated FAR's %#x", gnbTEID+1)
-		default:
-			time.Sleep(10 * time.Millisecond)
-		}
+	// The probe that follows the modification's reply already leaves in
+	// the new tunnel — no polling, no grace period.
+	if got := readDownlinkTEID(); got != gnbTEID+1 {
+		t.Fatalf("first downlink after modify carries TEID %#x, want the updated FAR's %#x", got, gnbTEID+1)
 	}
 
 	// Policing: at 64 kbps the uplink bursts must start dying in the
 	// token bucket.
-	dropped0 := node.Slice(0).Data().Dropped.Load()
-	polDeadline := time.After(10 * time.Second)
-	for node.Slice(0).Data().Dropped.Load() == dropped0 {
-		select {
-		case <-polDeadline:
-			t.Fatalf("no policing drops at 64 kbps (forwarded=%d)", node.Slice(0).Data().Forwarded.Load())
-		default:
+	dropped0 := dp.Dropped.Load()
+	polDeadline := time.Now().Add(10 * time.Second)
+	for dp.Dropped.Load() == dropped0 {
+		if time.Now().After(polDeadline) {
+			t.Fatalf("no policing drops at 64 kbps (forwarded=%d)", dp.Forwarded.Load())
 		}
-		for i := 0; i < 16; i++ {
-			if err := snd.Queue(gen.NextUplink(), netip.AddrPort{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := snd.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(2 * time.Millisecond)
+		uplink(16)
+		time.Sleep(time.Millisecond)
 	}
 
-	// Deletion: the session, its user and its steering entry are gone;
-	// further uplink for the old F-TEID is unknown at the demux.
+	// Deletion: the session, its user and its steering entry are gone by
+	// the time the reply is; the next uplink for the old F-TEID is unknown
+	// at the demux.
 	if err := smf.Delete(seid); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	if got := upf.Sessions(); got != 0 {
 		t.Fatalf("sessions after delete = %d", got)
 	}
-	unknown0 := node.Demux().Unknown.Load()
-	delDeadline := time.After(10 * time.Second)
-	for node.Demux().Unknown.Load() == unknown0 {
-		select {
-		case <-delDeadline:
-			t.Fatal("uplink for a deleted session still routed")
-		default:
-		}
-		for i := 0; i < 8; i++ {
-			if err := snd.Queue(gen.NextUplink(), netip.AddrPort{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := snd.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(2 * time.Millisecond)
+	settled := func() uint64 {
+		return dp.Forwarded.Load() + dp.Dropped.Load() + dp.Missed.Load() + node.Demux().Unknown.Load()
 	}
-
-	close(stop)
-	time.Sleep(50 * time.Millisecond)
+	before, unknown0 := settled(), node.Demux().Unknown.Load()
+	uplink(8)
+	waitFor(t, 10*time.Second, "the post-delete burst to be accounted for", func() bool { return settled() >= before+8 })
+	if got := node.Demux().Unknown.Load() - unknown0; got != 8 {
+		t.Fatalf("uplink for a deleted session: %d of 8 unknown at the demux", got)
+	}
 }

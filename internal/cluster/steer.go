@@ -15,7 +15,7 @@ import (
 // membership; a membership change (epoch bump) re-derives the per-node
 // steerer array once.
 //
-// Single goroutine per Steerer, like WireSteer: one rx loop owns one
+// Single goroutine per Steerer, like WireSteer: one receive loop owns one
 // Steerer. Several Steerers may feed one cluster concurrently — node
 // demux locks and MPSC slice rings absorb the fan-in.
 type Steerer struct {

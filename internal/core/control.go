@@ -446,17 +446,17 @@ func (cp *ControlPlane) notifyInsert(teid, ueAddr uint32, ue *state.UE) {
 	if cp.s.tl != nil {
 		cp.s.tl.InsertSecondary(teid, ueAddr, ue)
 		// A freshly attached device is active: promote now.
-		cp.s.updates.Push(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
+		cp.s.pushUpdate(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
 		return
 	}
-	cp.s.updates.Push(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
+	cp.s.pushUpdate(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
 }
 
 func (cp *ControlPlane) notifyDelete(teid, ueAddr uint32) {
 	if cp.s.tl != nil {
 		cp.s.tl.RemoveSecondary(teid, ueAddr)
 	}
-	cp.s.updates.Push(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ueAddr})
+	cp.s.pushUpdate(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ueAddr})
 }
 
 // installRules installs PCC rules into the slice PCEF and records their
@@ -595,7 +595,7 @@ func (cp *ControlPlane) Promote(imsi uint64) error {
 		teid = c.UplinkTEID
 		ueAddr = c.UEAddr
 	})
-	cp.s.updates.Push(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
+	cp.s.pushUpdate(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
 	cp.Promotions.Add(1)
 	return nil
 }
@@ -615,7 +615,7 @@ func (cp *ControlPlane) Demote(imsi uint64) error {
 		teid = c.UplinkTEID
 		ueAddr = c.UEAddr
 	})
-	cp.s.updates.Push(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ueAddr})
+	cp.s.pushUpdate(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ueAddr})
 	cp.Evictions.Add(1)
 	return nil
 }
@@ -646,13 +646,13 @@ func (cp *ControlPlane) Maintain(now, idleNs int64) int {
 			teid = c.UplinkTEID
 			ueAddr = c.UEAddr
 		})
-		cp.s.updates.Push(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: req.ue})
+		cp.s.pushUpdate(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: req.ue})
 		cp.Promotions.Add(1)
 		actions++
 	}
 	if cp.s.tl != nil && idleNs > 0 {
 		n := cp.s.tl.EvictIdle(now, idleNs, func(teid, ip uint32) {
-			cp.s.updates.Push(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ip})
+			cp.s.pushUpdate(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ip})
 			cp.Evictions.Add(1)
 		})
 		actions += n
@@ -694,6 +694,7 @@ func (cp *ControlPlane) extract(imsi uint64) (state.ControlState, state.CounterS
 				fenced = false
 				break
 			}
+			cp.s.wakeData() // a parked data thread syncs only when woken
 			runtime.Gosched()
 		}
 	}

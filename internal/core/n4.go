@@ -8,6 +8,7 @@ import (
 	"pepc/internal/bpf"
 	"pepc/internal/pcef"
 	"pepc/internal/pfcp"
+	"pepc/internal/sockio"
 	"pepc/internal/state"
 )
 
@@ -74,8 +75,9 @@ type N4Stats struct {
 }
 
 // UPF terminates PFCP for a node, mapping SMF-driven sessions onto
-// slices round-robin. Construct with NewUPF; drive with Handle (one
-// datagram in, at most one response out) and Flush (once per burst).
+// slices round-robin. Construct with NewUPF; run Serve over a socket, or
+// drive it by hand with Handle (one datagram in, at most one response
+// out) and Flush (once per burst).
 type UPF struct {
 	node     *Node
 	nodeAddr uint32
@@ -174,6 +176,58 @@ func (u *UPF) Flush() {
 		}
 	}
 	u.dirtyAny = false
+}
+
+// n4Batch bounds how many PFCP datagrams one Serve pass gathers: N
+// modifications landing together drain as one grouped procedure batch.
+// n4MaxDatagram sizes a receive slot to PFCP's 16-bit length field, so
+// the batch is kept to what a megabyte of slots holds.
+const (
+	n4Batch       = 16
+	n4MaxDatagram = 64 << 10
+)
+
+// Serve is the N4 service loop, on the calling goroutine: one vectorized
+// read blocks for the first datagram and returns whatever else is
+// queued, each is handled, the batched signaling of every touched slice
+// is flushed once, and only then do the responses leave in one
+// vectorized write — so a response never races the state change it
+// reports. Steady state the transport allocates nothing. It returns the
+// read error that ended it: close conn to stop it at once, or set conn's
+// read deadline in the past to stop it after the burst in hand is
+// answered.
+func (u *UPF) Serve(conn *sockio.Conn) error {
+	in := make([]sockio.Message, n4Batch)
+	slab := make([]byte, n4Batch*n4MaxDatagram)
+	for i := range in {
+		in[i].Buf = slab[i*n4MaxDatagram : (i+1)*n4MaxDatagram]
+	}
+	out := make([]sockio.Message, 0, n4Batch)
+	var resp []byte
+	for {
+		n, err := conn.ReadBatch(in)
+		if err != nil {
+			return err
+		}
+		out, resp = out[:0], resp[:0]
+		for i := range in[:n] {
+			mark := len(resp)
+			resp = u.Handle(in[i].Buf[:in[i].N], resp)
+			if len(resp) > mark {
+				// Should a later Handle grow resp into a new array, this
+				// slice keeps the old one alive until the write below.
+				out = append(out, sockio.Message{Buf: resp[mark:], N: len(resp) - mark, Addr: in[i].Addr})
+			}
+		}
+		u.Flush()
+		for rest := out; len(rest) > 0; {
+			sent, err := conn.WriteBatch(rest)
+			if err != nil {
+				sent++ // that peer is unreachable; the others still get answers
+			}
+			rest = rest[min(sent, len(rest)):]
+		}
+	}
 }
 
 // enqueue submits ev to slice idx's control ring, draining inline once

@@ -273,13 +273,7 @@ func (n *Node) steer(key uint32, b *pkt.Buf, uplink bool) {
 		return
 	}
 	s := n.slices[sliceIdx]
-	var accepted bool
-	if uplink {
-		accepted = s.Uplink.Enqueue(b)
-	} else {
-		accepted = s.Downlink.Enqueue(b)
-	}
-	if !accepted {
+	if !s.enqueue(b, uplink) {
 		b.Free() // ring full: tail drop
 		return
 	}
@@ -411,14 +405,14 @@ func (sc *Scheduler) MigrateUser(imsi uint64, src, dst int) error {
 	target := n.slices[dst]
 	if bufUp != nil {
 		for _, b := range bufUp.pkts {
-			if !target.Uplink.Enqueue(b) {
+			if !target.enqueue(b, true) {
 				b.Free()
 			}
 		}
 	}
 	if bufDown != nil {
 		for _, b := range bufDown.pkts {
-			if !target.Downlink.Enqueue(b) {
+			if !target.enqueue(b, false) {
 				b.Free()
 			}
 		}
@@ -441,7 +435,7 @@ func (sc *Scheduler) abortMigration(teid, ueIP uint32) {
 	d.mu.Unlock()
 	if bufUp != nil {
 		for _, b := range bufUp.pkts {
-			if upOK && sc.n.slices[up].Uplink.Enqueue(b) {
+			if upOK && sc.n.slices[up].enqueue(b, true) {
 				continue
 			}
 			b.Free()
@@ -449,7 +443,7 @@ func (sc *Scheduler) abortMigration(teid, ueIP uint32) {
 	}
 	if bufDown != nil {
 		for _, b := range bufDown.pkts {
-			if downOK && sc.n.slices[down].Downlink.Enqueue(b) {
+			if downOK && sc.n.slices[down].enqueue(b, false) {
 				continue
 			}
 			b.Free()

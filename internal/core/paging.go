@@ -82,7 +82,7 @@ func (cp *ControlPlane) ResumeAccess(imsi uint64, enbAddr, downlinkTEID uint32) 
 			return nil
 		}
 		b.Meta.Paged = false
-		if !cp.s.Downlink.Enqueue(b) {
+		if !cp.s.enqueue(b, false) {
 			b.Free()
 		}
 	}

@@ -128,7 +128,7 @@ func (s *Slice) reconcileSurvivors(crashed *Slice, rep *RecoveryReport) {
 				// recycled key, superseded by the re-insert that follows
 				// it in the queue — skip.
 				if s.tl != nil {
-					s.updates.Push(u)
+					s.pushUpdate(u)
 					rep.EvictionsReplayed++
 				}
 				return

@@ -103,15 +103,17 @@ func (cp *ControlPlane) DrainSignaling(max int) int {
 }
 
 // pushUpdates hands a drain's accumulated index operations to the data
-// plane in one call. When the queue is full and a data worker is
-// running, it yields until the worker syncs; without a worker the
-// remainder is dropped, matching the single-push best-effort semantics.
+// plane in one call. When the queue is full and a data thread is bound,
+// it wakes it and yields until it syncs; without one the remainder is
+// dropped, as in pushUpdate.
 func (cp *ControlPlane) pushUpdates(us []state.Update) {
 	pushed := cp.s.updates.PushBatch(us)
 	for pushed < len(us) && cp.s.data.running.Load() {
+		cp.s.wakeData()
 		runtime.Gosched()
 		pushed += cp.s.updates.PushBatch(us[pushed:])
 	}
+	cp.s.wakeData()
 }
 
 // attachEventBatch executes a run of attach events: one batched IMSI

@@ -149,6 +149,10 @@ type Slice struct {
 	// SetFaults for what it reaches.
 	faults *fault.Injector
 
+	// waker reaches a data thread that blocks when idle (nil while the
+	// data thread polls or the caller drives both planes); see Waker.
+	waker atomic.Pointer[Waker]
+
 	// ctrlCmds is the migration/command channel between the node
 	// scheduler and the slice control thread (Listing 1's
 	// from_node_sched/to_node_sched pair): when the control loop runs,

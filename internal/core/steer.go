@@ -18,8 +18,8 @@ import (
 //
 // Packets caught mid-migration fall back to the per-packet steer slow
 // path (which handles the buffering handshake); everything else stays on
-// the batch path. Single goroutine (one rx loop per WireSteer); the
-// demux lock makes concurrent WireSteers over one node safe.
+// the batch path. Single goroutine (one lane per WireSteer); the demux
+// lock makes concurrent WireSteers over one node safe.
 //
 // Rx-queue ↔ worker affinity contract: in the multi-queue wire data
 // plane (sockio.Group, pepcd -rxqueues) each rx queue owns exactly one
@@ -29,13 +29,13 @@ import (
 // interleavings of one flow — per-flow packet order within a steer batch
 // is arrival order — and its scratch and cache stay core-local. The
 // slice rings absorb the cross-queue fan-in: Uplink/Downlink are MPSC,
-// so several rx queues may enqueue into one slice concurrently, while
-// each slice's Egress ring stays SPSC and is drained by exactly one
-// queue's egress loop (slice i → queue i mod Q in pepcd).
+// so several lanes may enqueue into one slice concurrently (waking its
+// own lane if that is parked), while each slice's Egress ring stays SPSC
+// and is drained by the lane that owns it (slice i → queue i mod Q).
 type WireSteer struct {
 	n *Node
 	// cache, when non-nil, is the free path for dropped packets —
-	// typically the rx loop's PoolCache, so drops recycle into the same
+	// typically the lane receiver's PoolCache, so drops recycle into the same
 	// per-worker level refills come from.
 	cache *pkt.PoolCache
 
@@ -189,6 +189,7 @@ func (ws *WireSteer) Steer(bufs []*pkt.Buf) {
 		} else {
 			acc = s.Downlink.EnqueueBatch(live[i:j])
 		}
+		s.wakeData()
 		steered += uint64(acc)
 		for k := i + acc; k < j; k++ {
 			ws.free(live[k]) // ring full: tail drop

@@ -11,6 +11,7 @@ import (
 	"pepc/internal/pfcp"
 	"pepc/internal/pkt"
 	"pepc/internal/sim"
+	"pepc/internal/sockio"
 )
 
 // pfcpWindows is the number of independent measurement windows folded
@@ -18,8 +19,8 @@ import (
 const pfcpWindows = 3
 
 // PFCPFig measures N4 session churn over loopback UDP (DESIGN.md
-// §4.17): a UPF node serving PFCP exactly as cmd/pepcd's serveN4 loop
-// does (burst gather, handle, one signaling flush, then respond), driven
+// §4.17): a UPF node serving PFCP with the loop cmd/pepcd runs
+// (UPF.Serve: burst gather, handle, one signaling flush, then respond), driven
 // by concurrent SMF workers — each a pfcp.Client running establishment →
 // modification → deletion cycles, the cmd/smfsim shape. The sweep is
 // sessions/s against worker count for the full cycle and for
@@ -77,50 +78,6 @@ func PFCPFig(sc Scale) (Result, error) {
 	}, nil
 }
 
-// pfcpServe is the experiment's copy of the daemon's N4 service loop:
-// gather a burst, handle each datagram, flush the batched signaling
-// once, then answer. Exits when the socket closes.
-func pfcpServe(upf *core.UPF, pc net.PacketConn) {
-	type reply struct {
-		to   net.Addr
-		resp []byte
-	}
-	const burst = 64
-	rd := make([]byte, 64*1024)
-	replies := make([]reply, 0, burst)
-	var respBuf []byte
-	for {
-		pc.SetReadDeadline(time.Now().Add(time.Second))
-		n, from, err := pc.ReadFrom(rd)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return
-		}
-		replies = replies[:0]
-		respBuf = respBuf[:0]
-		for {
-			mark := len(respBuf)
-			respBuf = upf.Handle(rd[:n], respBuf)
-			if len(respBuf) > mark {
-				replies = append(replies, reply{to: from, resp: respBuf[mark:]})
-			}
-			if len(replies) >= burst {
-				break
-			}
-			pc.SetReadDeadline(time.Now())
-			if n, from, err = pc.ReadFrom(rd); err != nil {
-				break
-			}
-		}
-		upf.Flush()
-		for i := range replies {
-			pc.WriteTo(replies[i].resp, replies[i].to)
-		}
-	}
-}
-
 // pfcpChurnRun measures one (workers, modify) point: total cycles split
 // across the workers, fastest of pfcpWindows windows, returning
 // sessions/s and the retransmit count.
@@ -130,10 +87,15 @@ func pfcpChurnRun(workers, cycles int, modify bool) (float64, uint64, error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("pfcp: loopback unavailable: %w", err)
 	}
+	conn, err := sockio.NewConn(pc.(*net.UDPConn))
+	if err != nil {
+		pc.Close()
+		return 0, 0, err
+	}
 	upf := core.NewUPF(node, pkt.IPv4Addr(127, 0, 0, 1))
 	done := make(chan struct{})
-	go func() { defer close(done); pfcpServe(upf, pc) }()
-	stop := func() { pc.Close(); <-done }
+	go func() { defer close(done); upf.Serve(conn) }()
+	stop := func() { conn.Close(); <-done }
 
 	clients := make([]*pfcp.Client, workers)
 	for w := range clients {

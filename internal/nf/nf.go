@@ -13,44 +13,11 @@ import (
 
 	"pepc/internal/fault"
 	"pepc/internal/pkt"
-	"pepc/internal/ring"
 )
 
 // DefaultBatchSize is the per-poll packet budget, the paper's update
 // batching granularity (32).
 const DefaultBatchSize = 32
-
-// Port is a pair of rings standing in for a NIC queue or a vport between
-// pipeline stages: packets flow in on RX and out on TX.
-type Port struct {
-	RX *ring.SPSC[*pkt.Buf]
-	TX *ring.SPSC[*pkt.Buf]
-}
-
-// NewPort returns a port with rings of the given capacity (power of two).
-func NewPort(capacity int) (*Port, error) {
-	rx, err := ring.NewSPSC[*pkt.Buf](capacity)
-	if err != nil {
-		return nil, err
-	}
-	tx, err := ring.NewSPSC[*pkt.Buf](capacity)
-	if err != nil {
-		return nil, err
-	}
-	return &Port{RX: rx, TX: tx}, nil
-}
-
-// MustPort is NewPort that panics on error.
-func MustPort(capacity int) *Port {
-	p, err := NewPort(capacity)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Peer returns the port as seen from the other side: its RX is this TX.
-func (p *Port) Peer() *Port { return &Port{RX: p.TX, TX: p.RX} }
 
 // Stats counts worker activity. Fields are updated by the worker and may
 // be read concurrently through atomic loads via the Stats method.
@@ -108,13 +75,6 @@ type Worker struct {
 	// the loop consults fault.WorkerStall and sleeps the armed delay when
 	// it fires — a preempted or wedged data core. Nil disables.
 	Faults *fault.Injector
-	// IdlePark, when positive, makes a persistently idle worker sleep
-	// that long instead of pure busy-polling with Gosched. Daemon-mode
-	// workers (socket egress, co-scheduled slices on small hosts) set it
-	// to trade bounded wakeup latency for not burning a core while the
-	// wire is quiet; benchmark workers leave it 0 to keep the
-	// run-to-completion loop hot.
-	IdlePark time.Duration
 
 	// Stalls counts injected worker stalls.
 	Stalls atomic.Uint64
@@ -194,77 +154,12 @@ func (w *Worker) Run(stop <-chan struct{}) {
 			}
 			idle++
 			if idle > 64 {
-				if w.IdlePark > 0 {
-					time.Sleep(w.IdlePark)
-				} else {
-					runtime.Gosched()
-				}
+				runtime.Gosched()
 				idle = 0
 			}
 			continue
 		}
 		idle = 0
-		if w.Housekeep != nil && sinceHK >= hkEvery {
-			w.Housekeep()
-			sinceHK = 0
-		}
-	}
-}
-
-// RunN processes at most total packets, then returns — the measured-work
-// variant benchmarks use so a run has a defined end without wall-clock
-// coupling. Housekeeping behaves as in Run.
-func (w *Worker) RunN(total int) {
-	if w.Cache != nil {
-		defer w.Cache.Flush()
-	}
-	batchSize := w.BatchSize
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	hkEvery := w.HousekeepEvery
-	if hkEvery <= 0 {
-		hkEvery = DefaultBatchSize
-	}
-	batch := make([]*pkt.Buf, batchSize)
-	sinceHK := 0
-	done := 0
-	for done < total {
-		w.maybeStall()
-		budget := batchSize
-		if rem := total - done; rem < budget {
-			budget = rem
-		}
-		n := w.In.DequeueBatch(batch[:budget])
-		if n > 0 {
-			w.Handler(batch[:n])
-			w.stats.Packets.Add(uint64(n))
-			w.stats.Batches.Add(1)
-			done += n
-			sinceHK += n
-		}
-		if w.In2 != nil && done < total {
-			budget = batchSize
-			if rem := total - done; rem < budget {
-				budget = rem
-			}
-			if n2 := w.In2.DequeueBatch(batch[:budget]); n2 > 0 {
-				w.Handler2(batch[:n2])
-				w.stats.Packets.Add(uint64(n2))
-				w.stats.Batches.Add(1)
-				done += n2
-				sinceHK += n2
-				n += n2
-			}
-		}
-		if n == 0 {
-			if w.Housekeep != nil {
-				w.Housekeep()
-				sinceHK = 0
-			}
-			runtime.Gosched()
-			continue
-		}
 		if w.Housekeep != nil && sinceHK >= hkEvery {
 			w.Housekeep()
 			sinceHK = 0

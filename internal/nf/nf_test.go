@@ -1,7 +1,7 @@
 package nf
 
 import (
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,95 +10,85 @@ import (
 	"pepc/internal/ring"
 )
 
+// runUntil runs w until done reports true, then stops it and waits for
+// the loop to exit.
+func runUntil(t *testing.T, w *Worker, done func() bool) {
+	t.Helper()
+	stop, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		w.Run(stop)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); !done(); {
+		if time.Now().After(deadline) {
+			t.Fatal("worker did not finish its input in 10s")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(stop)
+	<-exited
+}
+
 func TestWorkerProcessesAllPackets(t *testing.T) {
-	port := MustPort(1024)
+	in := ring.MustSPSC[*pkt.Buf](1024)
 	pool := pkt.NewPool(256, 32)
 	const total = 5000
-	var got int
+	var got atomic.Int64
 	w := &Worker{
-		In: port.RX,
+		In: in,
 		Handler: func(batch []*pkt.Buf) {
 			for _, b := range batch {
-				got++
+				got.Add(1)
 				b.Free()
 			}
 		},
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
-		w.RunN(total)
-	}()
-	for i := 0; i < total; {
-		b := pool.Get()
-		b.SetBytes([]byte{byte(i)})
-		if port.RX.Enqueue(b) {
-			i++
+		for i := 0; i < total; {
+			b := pool.Get()
+			b.SetBytes([]byte{byte(i)})
+			if in.Enqueue(b) {
+				i++
+			}
 		}
-	}
-	wg.Wait()
-	if got != total {
-		t.Fatalf("processed %d, want %d", got, total)
-	}
-	st := w.Stats()
-	if st.Packets != total || st.Batches == 0 {
+	}()
+	runUntil(t, w, func() bool { return got.Load() == total })
+	if st := w.Stats(); st.Packets != total || st.Batches == 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
 
 func TestWorkerHousekeepCadence(t *testing.T) {
-	port := MustPort(1024)
+	in := ring.MustSPSC[*pkt.Buf](1024)
 	pool := pkt.NewPool(256, 32)
-	hk := 0
+	var hk, got atomic.Int64
 	w := &Worker{
-		In:             port.RX,
+		In:             in,
 		BatchSize:      8,
 		HousekeepEvery: 32,
 		Handler: func(batch []*pkt.Buf) {
 			for _, b := range batch {
+				got.Add(1)
 				b.Free()
 			}
 		},
-		Housekeep: func() { hk++ },
+		Housekeep: func() { hk.Add(1) },
 	}
 	const total = 320
 	for i := 0; i < total; i++ {
-		port.RX.Enqueue(pool.Get())
+		in.Enqueue(pool.Get())
 	}
-	w.RunN(total)
+	runUntil(t, w, func() bool { return got.Load() == total })
 	// 320 packets at one housekeep per 32 → at least 10 (idle polls add
 	// more).
-	if hk < 10 {
-		t.Fatalf("housekeep ran %d times, want >= 10", hk)
+	if hk.Load() < 10 {
+		t.Fatalf("housekeep ran %d times, want >= 10", hk.Load())
 	}
 }
 
 func TestWorkerRunStops(t *testing.T) {
-	port := MustPort(64)
-	w := &Worker{In: port.RX, Handler: func(batch []*pkt.Buf) {}}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		w.Run(stop)
-		close(done)
-	}()
-	close(stop)
-	<-done
-}
-
-func TestPortPeer(t *testing.T) {
-	p := MustPort(64)
-	peer := p.Peer()
-	if peer.RX != p.TX || peer.TX != p.RX {
-		t.Fatal("peer does not mirror rings")
-	}
-}
-
-func TestNewPortRejectsBadCapacity(t *testing.T) {
-	if _, err := NewPort(3); err == nil {
-		t.Fatal("bad capacity accepted")
-	}
+	w := &Worker{In: ring.MustSPSC[*pkt.Buf](64), Handler: func(batch []*pkt.Buf) {}}
+	runUntil(t, w, func() bool { return true })
 }
 
 // An armed WorkerStall must freeze the loop between batches (counted in
@@ -107,20 +97,17 @@ func TestWorkerStallInjection(t *testing.T) {
 	in := ring.MustSPSC[*pkt.Buf](64)
 	inj := fault.New(1)
 	inj.ArmDelay(fault.WorkerStall, fault.RateMax, 100*time.Microsecond)
-	var got int
+	var got atomic.Int64
 	w := &Worker{
 		In:      in,
 		Faults:  inj,
-		Handler: func(batch []*pkt.Buf) { got += len(batch) },
+		Handler: func(batch []*pkt.Buf) { got.Add(int64(len(batch))) },
 	}
 	const total = 16
 	for i := 0; i < total; i++ {
 		in.Enqueue(pkt.NewBuf(64, 0))
 	}
-	w.RunN(total)
-	if got != total {
-		t.Fatalf("processed %d packets, want %d", got, total)
-	}
+	runUntil(t, w, func() bool { return got.Load() == total })
 	if w.Stalls.Load() == 0 {
 		t.Fatal("no stalls injected despite RateMax arm")
 	}

@@ -17,7 +17,10 @@ type txState struct{}
 
 func (c *Conn) initOS() {}
 
-func (c *Conn) readBatch(ms []Message) (int, error) {
+func (c *Conn) readBatch(ms []Message, wait bool) (int, error) {
+	if !wait {
+		return 0, nil // the net package offers no non-blocking read
+	}
 	return c.fallbackReadBatch(ms)
 }
 

@@ -38,9 +38,10 @@ type osState struct {
 	// fields below.
 	fn func(fd uintptr) bool
 
-	want  int // messages in the call in flight (tx)
-	count int // messages completed so far
-	calls int // kernel crossings performed (including EAGAIN probes)
+	want  int  // messages in the call in flight (tx)
+	poll  bool // rx: report an empty socket instead of parking on it
+	count int  // messages completed so far
+	calls int  // kernel crossings performed (including EAGAIN probes)
 	errno syscall.Errno
 }
 
@@ -65,7 +66,8 @@ func (c *Conn) initOS() {
 }
 
 // rxReady is the raw-read callback: one recvmmsg attempt. Returning false
-// parks the goroutine on the netpoller until the socket is readable.
+// parks the goroutine on the netpoller until the socket is readable; a
+// polling read returns true on an empty socket instead (count stays 0).
 func (c *Conn) rxReady(fd uintptr) bool {
 	s := &c.rx.osState
 	s.calls++
@@ -73,7 +75,7 @@ func (c *Conn) rxReady(fd uintptr) bool {
 		uintptr(unsafe.Pointer(&s.hdrs[0])), uintptr(len(s.hdrs)), 0, 0, 0)
 	if errno != 0 {
 		if errno == syscall.EAGAIN || errno == syscall.EINTR {
-			return false
+			return s.poll
 		}
 		s.errno = errno
 		return true
@@ -82,8 +84,9 @@ func (c *Conn) rxReady(fd uintptr) bool {
 	return true
 }
 
-func (c *Conn) readBatch(ms []Message) (int, error) {
+func (c *Conn) readBatch(ms []Message, wait bool) (int, error) {
 	s := &c.rx.osState
+	s.poll = !wait
 	s.ensure(len(ms))
 	for i := range ms {
 		s.iovs[i].Base = &ms[i].Buf[0]

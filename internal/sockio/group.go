@@ -8,10 +8,10 @@ import (
 // Group is the multi-queue socket substrate: n UDP sockets bound to the
 // same local address via SO_REUSEPORT, each one an independent rx/tx lane
 // with its own Conn (and therefore its own syscall scratch, stats, and tx
-// serialization). The daemon runs one rx loop and one egress loop per
-// queue, so rx parsing, demux steering, and tx syscalls all scale across
-// cores with no shared hot state — the wire-path analogue of the
-// share-nothing sharded data plane.
+// serialization). The daemon runs one lane goroutine per queue, so rx
+// parsing, demux steering, and tx syscalls all scale across cores with
+// no shared hot state — the wire-path analogue of the share-nothing
+// sharded data plane.
 //
 // Where the platform supports it, a classic-BPF program is attached to
 // the reuseport group (SO_ATTACH_REUSEPORT_CBPF) steering datagrams by
@@ -31,11 +31,18 @@ type Group struct {
 	steered bool
 }
 
+// SocketBuffer is the SO_RCVBUF and SO_SNDBUF every queue of a group
+// asks for: the kernel default (~208 KiB) holds about a hundred full-size
+// datagrams, less than one scheduling hiccup at wire rates. The kernel
+// clamps the request to net.core.{r,w}mem_max (BufferSizes reports it).
+const SocketBuffer = 4 << 20
+
 // ListenGroup binds n UDP sockets to addr as one reuseport group and
 // wraps each for batch I/O. n <= 1 (and any n on the portable fallback)
 // yields a single plain socket. addr may carry port 0: the first bind
 // picks the port, the rest join it.
 func ListenGroup(network, addr string, n int) (*Group, error) {
+	g := &Group{}
 	if n <= 1 {
 		pc, err := net.ListenPacket(network, addr)
 		if err != nil {
@@ -46,14 +53,24 @@ func ListenGroup(network, addr string, n int) (*Group, error) {
 			pc.Close()
 			return nil, err
 		}
-		return &Group{conns: []*Conn{c}}, nil
+		g.conns = []*Conn{c}
+	} else {
+		var err error
+		if g.conns, g.steered, err = listenGroupOS(network, addr, n); err != nil {
+			return nil, err
+		}
 	}
-	conns, steered, err := listenGroupOS(network, addr, n)
-	if err != nil {
-		return nil, err
+	for _, c := range g.conns {
+		// Best effort: a refused request leaves the kernel default.
+		_ = c.uc.SetReadBuffer(SocketBuffer)
+		_ = c.uc.SetWriteBuffer(SocketBuffer)
 	}
-	return &Group{conns: conns, steered: steered}, nil
+	return g, nil
 }
+
+// BufferSizes returns the receive and send buffer sizes the kernel
+// granted each queue, in bytes (0, 0 where the platform cannot say).
+func (g *Group) BufferSizes() (rcv, snd int) { return g.conns[0].bufferSizes() }
 
 // Size returns the number of queues actually open (which may be 1 on
 // platforms without reuseport regardless of what was requested).

@@ -4,6 +4,8 @@ package sockio
 
 import "net"
 
+func (c *Conn) bufferSizes() (rcv, snd int) { return 0, 0 }
+
 // listenGroupOS is the portable substrate: no SO_REUSEPORT, so a
 // requested multi-queue group degrades to one plain socket — callers see
 // Size()==1 and run the single-queue daemon shape unchanged.

@@ -106,6 +106,16 @@ func attachReusePortProg(c *Conn, prog []sockFilter) error {
 	return nil
 }
 
+// bufferSizes reads back SO_RCVBUF and SO_SNDBUF (the kernel reports
+// twice the requested payload size: it counts its own bookkeeping).
+func (c *Conn) bufferSizes() (rcv, snd int) {
+	_ = c.rc.Control(func(fd uintptr) {
+		rcv, _ = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF)
+		snd, _ = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_SNDBUF)
+	})
+	return rcv, snd
+}
+
 // listenGroupOS opens n reuseport sockets on addr and attaches the flow
 // steering program. The attach is best-effort: a kernel that refuses it
 // leaves the group balancing by 4-tuple hash (steered=false).

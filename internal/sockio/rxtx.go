@@ -13,8 +13,7 @@ import (
 // packet buffers: one ReadBatch lands up to batch datagrams, each in its
 // own pkt.Buf with the pool's encap headroom preserved, refilled from a
 // per-receiver PoolCache so the steady state touches the shared pool once
-// per half-cache rather than once per packet. Single goroutine (the rx
-// loop).
+// per half-cache rather than once per packet. Single goroutine.
 type Receiver struct {
 	conn  *Conn
 	cache *pkt.PoolCache
@@ -63,14 +62,20 @@ func (r *Receiver) StampRx(on bool) { r.stamp = on }
 // landed. Each datagram i is in Buf(i) (length set, headroom intact) with
 // its source address at From(i). Buffers not taken with Take before the
 // next Recv are recycled. Blocks per the conn's read deadline.
-func (r *Receiver) Recv() (int, error) {
+func (r *Receiver) Recv() (int, error) { return r.recv(true) }
+
+// Poll is Recv that never waits (Conn.PollBatch): 0 datagrams and a nil
+// error mean the socket is empty right now.
+func (r *Receiver) Poll() (int, error) { return r.recv(false) }
+
+func (r *Receiver) recv(wait bool) (int, error) {
 	for i := range r.bufs {
 		if r.bufs[i] == nil {
 			r.bufs[i] = r.cache.Get()
 		}
 		r.msgs[i].Buf = r.bufs[i].RecvSlice()
 	}
-	n, err := r.conn.ReadBatch(r.msgs)
+	n, err := r.conn.read(r.msgs, wait)
 	for i := 0; i < n; i++ {
 		if serr := r.bufs[i].SetRecvLen(r.msgs[i].N); serr != nil {
 			// Datagram larger than the buffer (truncated by the kernel):
@@ -125,51 +130,35 @@ func (r *Receiver) Close() {
 
 // Sender coalesces egress packet buffers into gathered tx bursts: Queue
 // stages a buffer for a destination, a full batch flushes in one
-// WriteBatch, and a small linger budget bounds how long a partial batch
-// may wait for companions. Sent buffers are released through a PoolCache
-// so the free path is batched too. Single goroutine (one egress worker);
-// several senders may share one Conn.
+// WriteBatch, and the owner flushes a partial batch when its pass ends —
+// nothing lingers on a clock. Sent buffers are released through a
+// PoolCache so the free path is batched too. Single goroutine; several
+// senders may share one Conn.
 type Sender struct {
-	conn   *Conn
-	msgs   []Message
-	bufs   []*pkt.Buf
-	n      int
-	linger time.Duration
-	since  time.Time // when the oldest pending message was queued
-	cache  pkt.PoolCache
-	lat    *hdr.Histogram
-
-	// Sent and Errs count transmitted datagrams and failed flushes
-	// (single-writer; read between runs or via the owner's stats hook).
-	Sent uint64
-	Errs uint64
+	conn  *Conn
+	msgs  []Message
+	bufs  []*pkt.Buf
+	n     int
+	eager bool // flush on every Queue
+	cache pkt.PoolCache
+	lat   *hdr.Histogram
 }
 
-// DefaultLinger bounds how long a partial tx batch waits for more egress
-// before flushing: long enough to aggregate a burst arriving back to
-// back, far below any latency budget.
-const DefaultLinger = 100 * time.Microsecond
-
-// NewSender builds a sender flushing bursts of up to batch datagrams,
-// holding partial batches at most linger (0 selects DefaultLinger;
-// negative disables lingering, flushing every Queue immediately).
+// NewSender builds a sender flushing bursts of up to batch datagrams. A
+// negative linger flushes every Queue immediately; any other value
+// leaves partial batches to the caller's Flush (the parameter once
+// carried a time budget and keeps its place for existing callers).
 func NewSender(conn *Conn, batch int, linger time.Duration) *Sender {
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	if linger == 0 {
-		linger = DefaultLinger
-	}
 	return &Sender{
-		conn:   conn,
-		msgs:   make([]Message, batch),
-		bufs:   make([]*pkt.Buf, batch),
-		linger: linger,
+		conn:  conn,
+		msgs:  make([]Message, batch),
+		bufs:  make([]*pkt.Buf, batch),
+		eager: linger < 0,
 	}
 }
-
-// Conn returns the sender's socket.
-func (s *Sender) Conn() *Conn { return s.conn }
 
 // Cache returns the sender's free-side pool cache (bound lazily by the
 // first flushed buffer). Callers that drop packets instead of queueing
@@ -184,25 +173,20 @@ func (s *Sender) Pending() int { return s.n }
 // SetLatency arms wire-to-wire latency recording: each Flush records
 // now − Meta.TSNanos for every stamped datagram it transmits, with one
 // clock read per flushed burst. Recording at flush (not at Queue)
-// deliberately charges the linger wait to the packet — the tail a
+// charges the wait for the rest of the burst to the packet — what a
 // coalescing egress actually imposes on the wire. Pass nil to disable.
 func (s *Sender) SetLatency(h *hdr.Histogram) { s.lat = h }
 
 // Queue stages b for transmission to dst, taking ownership. A zero dst
 // sends on the connected socket's peer. The batch flushes when full (or
-// immediately when lingering is disabled).
+// on every Queue for an eager sender).
 func (s *Sender) Queue(b *pkt.Buf, dst netip.AddrPort) error {
-	if s.n == 0 && s.linger > 0 {
-		// The linger clock only matters when partial batches may wait;
-		// with lingering disabled every Queue flushes below.
-		s.since = time.Now()
-	}
 	s.msgs[s.n].Buf = b.Bytes()
 	s.msgs[s.n].N = b.Len()
 	s.msgs[s.n].Addr = dst
 	s.bufs[s.n] = b
 	s.n++
-	if s.n == len(s.msgs) || s.linger < 0 {
+	if s.n == len(s.msgs) || s.eager {
 		return s.Flush()
 	}
 	return nil
@@ -215,11 +199,7 @@ func (s *Sender) Flush() error {
 	if s.n == 0 {
 		return nil
 	}
-	n, err := s.conn.WriteBatch(s.msgs[:s.n])
-	s.Sent += uint64(n)
-	if err != nil {
-		s.Errs++
-	}
+	_, err := s.conn.WriteBatch(s.msgs[:s.n]) // the conn's stats count what left
 	if s.lat != nil {
 		now := sim.Now()
 		for i := 0; i < s.n; i++ {
@@ -234,21 +214,6 @@ func (s *Sender) Flush() error {
 	}
 	s.n = 0
 	return err
-}
-
-// FlushExpired flushes the pending batch if it has lingered past the
-// budget. Call from the tx loop's idle path with the current time — one
-// clock read per housekeep pass, shared across every sender the loop
-// owns: with N queues × M slices a per-sender time.Now() would multiply
-// vDSO clock reads for no precision gain (the linger budget is orders of
-// magnitude coarser than the read). Callers should skip the clock read
-// entirely while Pending() is zero; with a zero now this is a no-op
-// unless the budget has genuinely expired against the zero time.
-func (s *Sender) FlushExpired(now time.Time) error {
-	if s.n == 0 || now.Sub(s.since) < s.linger {
-		return nil
-	}
-	return s.Flush()
 }
 
 // Close flushes pending datagrams and spills the free-side cache.

@@ -10,8 +10,8 @@
 // surface, allocation free in the steady state. Receiver and Sender sit
 // on top and own the pkt.PoolCache glue: a Receiver scatters each rx
 // burst into fresh pool buffers (headroom intact) and a Sender coalesces
-// egress buffers into gathered bursts, flushed when a batch fills or a
-// small linger budget expires. PeerTable remembers which UDP endpoint
+// egress buffers into gathered bursts, flushed when a batch fills or its
+// owner ends a pass. PeerTable remembers which UDP endpoint
 // each outer tunnel source address arrived from, so downlink egress can
 // be routed back to the eNodeB's socket without configuration.
 package sockio
@@ -27,8 +27,7 @@ import (
 
 // DefaultBatch is the default rx/tx burst size in datagrams — large
 // enough to amortize a syscall across a worker batch (nf.DefaultBatchSize
-// packets), small enough to keep the linger budget's latency contribution
-// trivial.
+// packets), small enough that filling one adds no latency worth naming.
 const DefaultBatch = 32
 
 // Message describes one datagram of a batch: the payload region and the
@@ -61,9 +60,9 @@ type StatsSnapshot struct {
 }
 
 // Conn is a UDP socket with vectorized batch I/O. At most one goroutine
-// may call ReadBatch and one WriteBatch concurrently (the rx loop / tx
-// worker split); WriteBatch itself is internally serialized so several
-// egress workers may share one socket.
+// may read (ReadBatch/PollBatch) and one WriteBatch concurrently;
+// WriteBatch itself is internally serialized so several senders may
+// share one socket.
 type Conn struct {
 	uc *net.UDPConn
 	rc syscall.RawConn
@@ -71,8 +70,7 @@ type Conn struct {
 	stats Stats
 
 	rx rxState
-	// txMu serializes WriteBatch callers: replies must leave from the
-	// bound GTP-U port, so every slice's egress worker shares this conn.
+	// txMu serializes WriteBatch callers sharing the conn.
 	txMu sync.Mutex
 	tx   txState
 }
@@ -119,11 +117,18 @@ func (c *Conn) Close() error { return c.uc.Close() }
 // as many datagrams as one kernel crossing yields, up to len(ms). It
 // returns the count; ms[i].N and ms[i].Addr describe each datagram.
 // Allocation free in the steady state.
-func (c *Conn) ReadBatch(ms []Message) (int, error) {
+func (c *Conn) ReadBatch(ms []Message) (int, error) { return c.read(ms, true) }
+
+// PollBatch is ReadBatch that never waits: with nothing queued it
+// returns (0, nil) at once, for a loop with other work pending. The
+// portable substrate cannot poll and always reports nothing queued.
+func (c *Conn) PollBatch(ms []Message) (int, error) { return c.read(ms, false) }
+
+func (c *Conn) read(ms []Message, wait bool) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
 	}
-	n, err := c.readBatch(ms)
+	n, err := c.readBatch(ms, wait)
 	if n > 0 {
 		// readBatch counts its own kernel crossings (including EAGAIN
 		// probes); only the packet tally lives here.
@@ -155,8 +160,8 @@ var ErrClosed = errors.New("sockio: connection closed")
 // PeerTable maps outer tunnel source addresses (the eNodeB's S1-U IPv4,
 // host order) to the UDP endpoint the tunnel's packets arrive from, so
 // downlink egress — whose outer destination is that same S1-U address —
-// can be transmitted back over the wire without static routing. The rx
-// loops learn, egress workers look up.
+// can be transmitted back over the wire without static routing. Lanes
+// learn on receive and look up on transmit.
 //
 // It is one of the two cross-queue structures of the multi-queue data
 // plane (Conn stats being the other) and is kept read-mostly: Lookup runs

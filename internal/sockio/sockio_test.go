@@ -170,7 +170,7 @@ func TestReceiverLandsInPoolBufs(t *testing.T) {
 	r := NewReceiver(rx, pool, 8)
 	defer r.Close()
 
-	snd := NewSender(tx, 4, -1) // no linger: flush per queue
+	snd := NewSender(tx, 4, -1) // eager: flush per Queue
 	for i := 0; i < 5; i++ {
 		b := pool.Get()
 		b.SetBytes([]byte{byte('a' + i), 1, 2, 3})
@@ -210,42 +210,67 @@ func TestReceiverLandsInPoolBufs(t *testing.T) {
 	}
 }
 
-func TestSenderLinger(t *testing.T) {
+// TestSenderPartialWaitsForFlush: a partial batch leaves only on the
+// owner's Flush — no clock sends it.
+func TestSenderPartialWaitsForFlush(t *testing.T) {
 	rx, tx := pairConns(t)
 	pool := pkt.NewPool(512, 64)
-	snd := NewSender(tx, 16, 50*time.Millisecond)
+	snd := NewSender(tx, 16, time.Hour)
 	b := pool.Get()
-	b.SetBytes([]byte("lingering"))
+	b.SetBytes([]byte("staged"))
 	if err := snd.Queue(b, netip.AddrPort{}); err != nil {
 		t.Fatal(err)
 	}
 	if snd.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1 (partial batch must linger)", snd.Pending())
+		t.Fatalf("Pending = %d, want 1 (a partial batch waits for Flush)", snd.Pending())
 	}
-	// Not yet expired: nothing flushes.
-	if err := snd.FlushExpired(time.Now()); err != nil {
-		t.Fatal(err)
-	}
-	if snd.Pending() != 1 {
-		t.Fatal("flushed before linger budget expired")
-	}
-	// Past the budget: flushes.
-	if err := snd.FlushExpired(time.Now().Add(time.Second)); err != nil {
+	if err := snd.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if snd.Pending() != 0 {
-		t.Fatal("linger expiry did not flush")
+		t.Fatal("Flush left the batch pending")
 	}
-	got := readAll(t, rx, 4, 1)
-	if string(got[0]) != "lingering" {
+	if got := readAll(t, rx, 4, 1); string(got[0]) != "staged" {
 		t.Fatalf("got %q", got[0])
+	}
+}
+
+// TestReceiverPoll: Poll reports an empty socket at once instead of
+// parking on it, and lands what is queued when something is.
+func TestReceiverPoll(t *testing.T) {
+	rx, tx := pairConns(t)
+	pool := pkt.NewPool(512, 64)
+	r := NewReceiver(rx, pool, 8)
+	defer r.Close()
+	if n, err := r.Poll(); n != 0 || err != nil {
+		t.Fatalf("Poll on an empty socket = %d, %v; want 0, nil", n, err)
+	}
+	if !Batched() {
+		return // the portable substrate cannot poll
+	}
+	if _, err := tx.UDPConn().Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n, err := r.Poll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Poll never saw the queued datagram")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
 func TestSenderFullBatchFlushes(t *testing.T) {
 	rx, tx := pairConns(t)
 	pool := pkt.NewPool(512, 64)
-	snd := NewSender(tx, 4, time.Hour) // linger would never expire
+	snd := NewSender(tx, 4, time.Hour)
 	for i := 0; i < 4; i++ {
 		b := pool.Get()
 		b.SetBytes([]byte{byte(i)})
@@ -324,7 +349,7 @@ func TestZeroAllocBatchIO(t *testing.T) {
 	}
 	// Warm round binds the sender's cache and grows the syscall scratch;
 	// steady-state rounds then draw send buffers from the sender's own
-	// free cycle, as the daemon's egress workers do.
+	// free cycle.
 	round(pool.Get)
 
 	steady := func() { round(snd.Cache().Get) }

@@ -28,11 +28,19 @@ go test -race ./internal/core/ ./internal/state/ ./internal/sockio/ ./internal/h
 echo "== cluster e2e (-race: churn + kill/recover conservation)"
 go test -race -run 'TestClusterConcurrentChurn|TestKillRecoverConservation' -count=1 ./internal/cluster/
 
-# Multi-queue daemon smoke: pepcd's -rxqueues 2 wiring end to end under
-# the race detector — per-queue rx and egress loops sharing only the
-# copy-on-write PeerTable and the per-conn atomic stats.
-echo "== pepcd multi-queue smoke (-rxqueues 2 under -race)"
-go test -race -run 'TestPepcdMultiQueue' -count=1 ./cmd/pepcd/
+# The daemon under the race detector, all of it: lanes sharing slice
+# rings, the PeerTable and conn stats across two queues (exact per-flow
+# order, steered and hashed), the wake protocol (attach storm on a parked
+# lane, ring hand-off, migration fence, 1 000 park/kick cycles), idle
+# burn, drain-then-exit on SIGTERM and SIGINT, and the N4 loop.
+echo "== pepcd under -race (lanes, wake, shutdown drain, N4)"
+go test -race -count=1 ./cmd/pepcd/
+
+# Sync-before-process is a race the N4 test must win every time: the
+# first burst after an establishment and the first probe after a
+# modification, 20 times over.
+echo "== pepcd N4 modify->probe x20"
+go test -run 'TestPepcdN4' -count=20 ./cmd/pepcd/
 
 # Chaos soak smoke: the short, time-bounded soak under the race detector
 # (seeded fault plans; zero invariant violations required). See
@@ -41,11 +49,12 @@ echo "== soak smoke (scripts/soak.sh -short)"
 ./scripts/soak.sh -short
 
 # Allocation guards: the per-packet path (batch lookups, arena access,
-# steady-state forwarding, recycled signaling) must stay at 0 allocs/op.
+# steady-state forwarding, recycled signaling, the daemon's lane and the
+# N4 loop's transport) must stay at 0 allocs/op.
 # Run them apart from the main suite with -count=1 so a cached pass can't
 # mask a fresh allocation, and without -race (the race runtime allocates).
 echo "== allocation guards (ZeroAlloc tests)"
-go test -run 'ZeroAlloc' -count=1 ./internal/pkt/ ./internal/gtp/ ./internal/core/ ./internal/state/ ./internal/sockio/ ./internal/hdr/
+go test -run 'ZeroAlloc' -count=1 ./internal/pkt/ ./internal/gtp/ ./internal/core/ ./internal/state/ ./internal/sockio/ ./internal/hdr/ ./cmd/pepcd/
 
 # Figure shapes: internal/experiments asserts the paper's relative
 # claims (who wins, which way a curve bends) on regenerated figures; the
@@ -63,11 +72,13 @@ echo "== fuzz seeds"
 go test -run 'Fuzz' -count=1 ./internal/gtp/ ./internal/pfcp/
 
 # Dangling references: the second benchmark system, its ratchets and the
-# ablation knobs only it exercised are gone; nothing outside the
-# project history (and the config test proving the JSON key is rejected)
-# may still name them.
+# ablation knobs only it exercised are gone, and so are the daemon's rx
+# loop, egress loop, idle park and linger clock (the lane replaced them);
+# nothing outside the project history (and the config test proving the
+# JSON key is rejected) may still name them.
 echo "== dangling-reference guard"
 retired='benchdiff|BENCHDIFF_|bench/baseline|encap_mode|-fig8 pktsize'
+retired="$retired|idlePark|IdlePark|runQueueEgress|runGTPURx|FlushExpired|-linger"
 if grep -rnE -e "$retired" --include='*.go' --include='*.sh' --include='*.md' --include=Makefile \
 	--exclude-dir=.git --exclude-dir=.bench_build . |
 	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:|^\./scripts/ci\.sh:|^\./internal/core/config_test\.go:'; then
