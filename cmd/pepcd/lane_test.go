@@ -1,15 +1,12 @@
 package main
 
 import (
-	"net"
 	"net/netip"
 	"syscall"
 	"testing"
 	"time"
 
 	"pepc"
-	"pepc/internal/pkt"
-	"pepc/internal/sockio"
 	"pepc/internal/workload"
 )
 
@@ -162,92 +159,5 @@ func TestLaneIdleBurn(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	if burned := cpu() - before; burned >= 30*time.Millisecond {
 		t.Fatalf("idle daemon burned %v of CPU in 300ms, want under 30ms", burned)
-	}
-}
-
-// TestZeroAllocLane guards the lane's steady state like the other
-// fast-path guards: receive, sync, steer, process, transmit — and the
-// park/unpark around them — allocate nothing per burst.
-func TestZeroAllocLane(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	sink, sgi := sgiSink(t)
-	sinkIO, err := sockio.NewConn(sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	group, err := sockio.ListenGroup("udp4", "127.0.0.1:0", 1)
-	if err != nil {
-		t.Skipf("loopback UDP unavailable: %v", err)
-	}
-	defer group.Close()
-	node := pepc.NewNode(pepc.SliceConfig{ID: 1, UserHint: 64})
-	users := attachUsers(t, node, 0, 1, 4)
-	const burst = 8
-	l := newLane(node, group.Queue(0), []*pepc.Slice{node.Slice(0)}, pkt.NewPool(pkt.DefaultBufSize, pkt.DefaultHeadroom),
-		sockio.NewPeerTable(), sgi, burst, burst, burst, nil, &wireStats{})
-	defer node.Slice(0).ReleaseData()
-
-	sc, err := net.Dial("udp4", group.LocalAddrPort().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	src, err := sockio.NewConn(sc.(*net.UDPConn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snd := sockio.NewSender(src, burst, time.Hour)
-	defer snd.Close()
-	gen := workload.NewTrafficGen(workload.TrafficConfig{ENBAddr: 0xC0A83201}, users)
-	tmpl := gen.UplinkFor(users[0])
-	payload := append([]byte(nil), tmpl.Bytes()...)
-	tmpl.Free()
-
-	out := make([]sockio.Message, burst)
-	for i := range out {
-		out[i].Buf = make([]byte, 2048)
-	}
-	sink.SetReadDeadline(time.Now().Add(30 * time.Second))
-	group.Queue(0).UDPConn().SetReadDeadline(time.Now().Add(30 * time.Second))
-	round := func(get func() *pkt.Buf) {
-		for i := 0; i < burst; i++ {
-			b := get()
-			b.SetBytes(payload)
-			if err := snd.Queue(b, netip.AddrPort{}); err != nil { // a full batch flushes itself
-				t.Fatal(err)
-			}
-		}
-		for got := 0; got < burst; {
-			n, err := l.recv()
-			if err != nil {
-				t.Fatal(err)
-			}
-			l.pass(n)
-			got += n
-		}
-		for got := 0; got < burst; {
-			n, err := sinkIO.ReadBatch(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got += n
-		}
-	}
-	pool := pkt.NewPool(pkt.DefaultBufSize, pkt.DefaultHeadroom)
-	round(pool.Get)             // binds the caches and grows the syscall scratch
-	recycled := snd.Cache().Get // the sender's free cycle feeds the next burst
-	// Warm until the lane's buffer cycle closes: its sender's free cache
-	// has to fill and spill to the shared pool before its receiver's
-	// refills stop minting new buffers.
-	for i := 0; i < 4*pkt.DefaultCacheSize/burst; i++ {
-		round(recycled)
-	}
-	if allocs := testing.AllocsPerRun(50, func() { round(recycled) }); allocs != 0 {
-		t.Fatalf("lane steady state allocates %.1f allocs/burst, want 0", allocs)
-	}
-	if fwd := node.Slice(0).Data().Forwarded.Load(); fwd < 50*burst {
-		t.Fatalf("forwarded %d packets; the guard did not exercise the data path", fwd)
 	}
 }

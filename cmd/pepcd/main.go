@@ -4,7 +4,7 @@
 // and optionally for N4 (PFCP) on another, and forwards GTP-U user
 // traffic received on a third.
 //
-// The user plane is one loop, the lane (lane.go): one goroutine per
+// The user plane is one loop, the lane (internal/lane): one goroutine per
 // GTP-U queue owns the queue's socket and the slices assigned to it and
 // runs every burst to completion — one recvmmsg lands a burst in
 // pool-backed buffers, the burst steers through the node demux, the
@@ -55,6 +55,7 @@ import (
 
 	"pepc"
 	"pepc/internal/hdr"
+	"pepc/internal/lane"
 	"pepc/internal/pkt"
 	"pepc/internal/sctp"
 	"pepc/internal/sockio"
@@ -136,7 +137,7 @@ type daemon struct {
 	s1ap    net.PacketConn
 	sockets []io.Closer
 	peers   *sockio.PeerTable
-	lanes   []*lane
+	lanes   []*lane.Lane
 	lats    []*hdr.Histogram // one per lane with -lat, else nil
 	stats   *wireStats
 
@@ -234,13 +235,17 @@ func start(cfg config) (_ *daemon, err error) {
 			lat = hdr.New()
 			d.lats = append(d.lats, lat)
 		}
-		d.lanes = append(d.lanes, newLane(d.node, d.group.Queue(qi), own, pool, d.peers, sgi,
-			cfg.rxBatch, cfg.txBatch, q*max(cfg.rxBatch, cfg.txBatch), lat, d.stats))
+		d.lanes = append(d.lanes, lane.New(d.node, d.group.Queue(qi), own, pool, d.peers, sgi,
+			cfg.rxBatch, cfg.txBatch, q*max(cfg.rxBatch, cfg.txBatch), lat, &d.stats.egressErrs, &d.stats.egressNoRoute))
 	}
-	rxDone := new(sync.WaitGroup) // lane.finish's barrier
+	rxDone := new(sync.WaitGroup) // the lanes' drain barrier
 	rxDone.Add(q)
-	for _, l := range d.lanes {
-		d.serve(func() { l.run(d.stop, rxDone) })
+	for qi, l := range d.lanes {
+		d.serve(func() {
+			if err := l.Run(d.stop, rxDone); err != nil {
+				log.Printf("pepcd: lane %s stops: read: %v", d.group.Queue(qi).LocalAddrPort(), err)
+			}
+		})
 	}
 
 	// Signaling: each new S1AP peer address becomes one SCTP association
@@ -283,7 +288,7 @@ func (d *daemon) serve(fn func()) {
 const shutdownCap = 2 * time.Second
 
 // shutdown stops serving without losing what is in flight: every lane
-// reads out its socket, runs its rings dry and flushes (lane.finish); the
+// reads out its socket, runs its rings dry and flushes (lane.Run); the
 // N4 loop answers the burst it has gathered (a past read deadline ends
 // it at its next read, after its write); the S1AP listener closes. It
 // returns when they have all exited, or logs and returns at shutdownCap.
@@ -291,10 +296,10 @@ func (d *daemon) shutdown() {
 	t0 := time.Now()
 	close(d.stop)
 	for _, l := range d.lanes {
-		l.kick()
+		l.Kick()
 	}
 	if d.n4 != nil {
-		d.n4.UDPConn().SetReadDeadline(kicked)
+		d.n4.UDPConn().SetReadDeadline(time.Unix(1, 0))
 	}
 	d.s1ap.Close()
 	done := make(chan struct{})

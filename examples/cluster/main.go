@@ -13,7 +13,6 @@ import (
 	"pepc"
 	"pepc/internal/lb"
 	"pepc/internal/pkt"
-	"pepc/internal/sim"
 	"pepc/internal/state"
 	"pepc/internal/workload"
 )
@@ -54,8 +53,6 @@ func main() {
 		home[i] = nodeIdx
 		counts[nodeIdx]++
 	}
-	nodes[0].Slice(0).Data().SyncUpdates()
-	nodes[1].Slice(0).Data().SyncUpdates()
 	fmt.Printf("cluster: %d users balanced %d/%d across two nodes\n", users, counts[0], counts[1])
 
 	// steer sends one uplink packet through the balancer to its node.
@@ -63,19 +60,14 @@ func main() {
 		pepc.NewTrafficGen(pepc.TrafficConfig{CoreAddr: nodes[0].Slice(0).Config().CoreAddr}, pop),
 		pepc.NewTrafficGen(pepc.TrafficConfig{CoreAddr: nodes[1].Slice(0).Config().CoreAddr}, pop),
 	}
+	proc := make([]*pepc.Buf, 8)
 	steer := func(u workload.User, nodeIdx int) {
 		b := gens[nodeIdx].UplinkFor(u)
 		nodes[nodeIdx].SteerUplink(b)
-		// Drive the node's data plane inline.
+		// Drive the node's data plane inline: one pass syncs and
+		// forwards the packet.
 		s := nodes[nodeIdx].Slice(0)
-		batch := make([]*pepc.Buf, 8)
-		for {
-			n := s.Uplink.DequeueBatch(batch)
-			if n == 0 {
-				break
-			}
-			s.Data().ProcessUplinkBatch(batch[:n], sim.Now())
-		}
+		s.RunPass(proc)
 		for {
 			out, ok := s.Egress.Dequeue()
 			if !ok {
@@ -111,7 +103,6 @@ func main() {
 		log.Fatalf("import: %v", err)
 	}
 	override[u.UplinkTEID] = dst
-	nodes[dst].Slice(0).Data().SyncUpdates()
 	fmt.Printf("migrated user %d: node-%d -> node-%d\n", u.IMSI, src, dst)
 
 	// Its traffic now flows on the new node, counters intact.

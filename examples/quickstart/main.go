@@ -58,12 +58,12 @@ func main() {
 	fmt.Printf("UE %d attached: GUTI=%#x IP=%s uplink TEID=%#x\n",
 		ue.IMSI, ue.GUTI, pkt.FormatIPv4(ue.UEAddr), ue.UplinkTEID)
 
-	// 4. Data plane: run the slice workers and push one uplink packet
-	// (GTP-U from the eNodeB) and one downlink packet (IP toward the UE).
+	// 4. Data plane: run the slice's data thread and push one uplink
+	// packet (GTP-U from the eNodeB) and one downlink packet (IP toward
+	// the UE). Its pass syncs the new user before it looks them up.
 	stop := make(chan struct{})
 	go slice.RunData(stop)
 	defer close(stop)
-	time.Sleep(10 * time.Millisecond) // let the worker sync the new user
 
 	up := buildUplink(ue)
 	node.SteerUplink(up)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pepc/internal/gtp"
-	"pepc/internal/nf"
 	"pepc/internal/pkt"
 	"pepc/internal/sim"
 	"pepc/internal/state"
@@ -119,31 +118,19 @@ func TestEchoInBatchMix(t *testing.T) {
 	drainEgress(s)
 }
 
-// TestBatchKnobsIndependent checks that SliceConfig.BatchSize (worker
-// dequeue budget) and SliceConfig.SyncEvery (update-sync granularity) are
-// genuinely independent: defaults resolve separately, and a sync interval
-// smaller than a processed batch still applies updates mid-batch.
+// TestBatchKnobsIndependent checks that SliceConfig.SyncEvery
+// (update-sync granularity) is independent of the processed batch: it
+// defaults on its own, and a sync interval smaller than a batch still
+// applies updates mid-batch.
 func TestBatchKnobsIndependent(t *testing.T) {
-	def := SliceConfig{}.withDefaults()
-	if def.SyncEvery != state.DefaultSyncEvery {
+	if def := (SliceConfig{}).withDefaults(); def.SyncEvery != state.DefaultSyncEvery {
 		t.Fatalf("default SyncEvery = %d", def.SyncEvery)
-	}
-	if def.BatchSize != nf.DefaultBatchSize {
-		t.Fatalf("default BatchSize = %d", def.BatchSize)
-	}
-	got := SliceConfig{SyncEvery: 4}.withDefaults()
-	if got.BatchSize != nf.DefaultBatchSize || got.SyncEvery != 4 {
-		t.Fatalf("SyncEvery override leaked into BatchSize: %+v", got)
-	}
-	got = SliceConfig{BatchSize: 128}.withDefaults()
-	if got.SyncEvery != state.DefaultSyncEvery || got.BatchSize != 128 {
-		t.Fatalf("BatchSize override leaked into SyncEvery: %+v", got)
 	}
 
 	// SyncEvery=4 with an 8-packet batch: the attach update queued before
 	// processing must become visible at the first 4-packet boundary, so
 	// packets 1-4 miss and packets 5-8 hit — inside one batch call.
-	s := NewSlice(SliceConfig{ID: 23, UserHint: 64, SyncEvery: 4, BatchSize: 32})
+	s := NewSlice(SliceConfig{ID: 23, UserHint: 64, SyncEvery: 4})
 	res, err := s.Control().Attach(AttachSpec{IMSI: 23, ENBAddr: 1, DownlinkTEID: 2})
 	if err != nil {
 		t.Fatal(err)

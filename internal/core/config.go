@@ -38,10 +38,6 @@ type SliceSpec struct {
 	PrimarySize int `json:"primary_size,omitempty"`
 	// SyncEvery overrides the data plane's update batching interval.
 	SyncEvery int `json:"sync_every,omitempty"`
-	// BatchSize overrides the data plane's I/O batch size (how many
-	// packets a worker pulls from its ring per iteration), independent
-	// of SyncEvery.
-	BatchSize int `json:"batch_size,omitempty"`
 	// IoTPoolSize reserves that many stateless-IoT TEIDs (§4.2); 0
 	// disables the pool.
 	IoTPoolSize int `json:"iot_pool_size,omitempty"`
@@ -122,7 +118,6 @@ func BuildNode(cfg OperatorConfig) (*Node, error) {
 			UserHint:    sp.Users,
 			PrimaryHint: sp.PrimarySize,
 			SyncEvery:   sp.SyncEvery,
-			BatchSize:   sp.BatchSize,
 		}
 		if sp.TwoLevelTable {
 			sc.TableMode = TableTwoLevel

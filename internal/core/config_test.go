@@ -27,7 +27,6 @@ const sampleConfig = `{
       "two_level_table": true,
       "primary_size": 64,
       "sync_every": 16,
-      "batch_size": 8,
       "iot_pool_size": 100
     }
   ]
@@ -72,14 +71,26 @@ func TestLoadOperatorConfigRejectsBadInput(t *testing.T) {
 	}
 }
 
-// A config written for the retired template-vs-serialize ablation must
-// fail loudly, naming the field, rather than run with a different encap
-// than its author asked for.
-func TestLoadOperatorConfigRejectsEncapMode(t *testing.T) {
-	_, err := LoadOperatorConfig(strings.NewReader(`{"slices": [{"id": 1, "encap_mode": "serialize"}]}`))
-	if err == nil || !strings.Contains(err.Error(), `"encap_mode"`) {
-		t.Fatalf("encap_mode: err = %v, want unknown-field error naming it", err)
+// rejectsRetired checks that a config naming a retired knob fails
+// loudly, naming the field, rather than running other than its author
+// asked for.
+func rejectsRetired(t *testing.T, raw, field string) {
+	t.Helper()
+	_, err := LoadOperatorConfig(strings.NewReader(raw))
+	if err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+		t.Fatalf("%s: err = %v, want unknown-field error naming it", field, err)
 	}
+}
+
+// The retired template-vs-serialize ablation.
+func TestLoadOperatorConfigRejectsEncapMode(t *testing.T) {
+	rejectsRetired(t, `{"slices": [{"id": 1, "encap_mode": "serialize"}]}`, "encap_mode")
+}
+
+// The retired dequeue budget, which pepcd never read: the sample config
+// as it used to be written.
+func TestLoadOperatorConfigRejectsBatchSize(t *testing.T) {
+	rejectsRetired(t, strings.Replace(sampleConfig, `"sync_every": 16,`, `"sync_every": 16, "batch_size": 8,`, 1), "batch_size")
 }
 
 func TestBuildNodeFromConfig(t *testing.T) {
@@ -106,9 +117,8 @@ func TestBuildNodeFromConfig(t *testing.T) {
 	if n.Slice(1).Config().IoTTEIDCount != 100 {
 		t.Fatalf("slice 1 IoT pool = %d", n.Slice(1).Config().IoTTEIDCount)
 	}
-	if n.Slice(1).Config().SyncEvery != 16 || n.Slice(1).Config().BatchSize != 8 {
-		t.Fatalf("slice 1 sync_every=%d batch_size=%d",
-			n.Slice(1).Config().SyncEvery, n.Slice(1).Config().BatchSize)
+	if n.Slice(1).Config().SyncEvery != 16 {
+		t.Fatalf("slice 1 sync_every=%d", n.Slice(1).Config().SyncEvery)
 	}
 	// The configured drop rule is live: SMTP is blocked on slice 0.
 	res, err := n.AttachUser(0, AttachSpec{IMSI: 1, ENBAddr: 1, DownlinkTEID: 2})

@@ -682,9 +682,9 @@ func (cp *ControlPlane) extract(imsi uint64) (state.ControlState, state.CounterS
 	// Fence: wait until the data thread has completed two sync cycles
 	// after the delete was queued. Syncs run between batches, so after
 	// the second one no batch that could still write this user's
-	// counters remains in flight, and the snapshot below is final. The
-	// timeout covers inline setups with no data worker running, where
-	// the caller is the only driver of both planes.
+	// counters remains in flight, and the snapshot below is final. With
+	// no data thread bound the caller drives both planes and there is
+	// nothing to wait for; the timeout covers a stalled one.
 	fenced := true
 	if cp.s.data.running.Load() {
 		seq0 := cp.s.data.syncSeq.Load()
@@ -704,7 +704,7 @@ func (cp *ControlPlane) extract(imsi uint64) (state.ControlState, state.CounterS
 	// orders the data thread's writes before ours). On a fence timeout
 	// the levels are simply not captured and the target starts the
 	// limiter full — budget-conserving transfer is best effort, exact
-	// whenever the fence holds (always, absent a stalled worker).
+	// whenever the fence holds (always, absent a stalled data thread).
 	if fenced {
 		if l := ue.Hot().Priv.Limiter; l != nil {
 			lv.Valid = true

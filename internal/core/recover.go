@@ -239,10 +239,10 @@ func (s *Slice) ArenaLive() int {
 
 // SetFaults arms fault injection across the slice: the signaling ring
 // consults fault.RingOverflow on every enqueue (injected backpressure,
-// surfacing as SigDrops) and the data worker started by a later RunData
-// consults fault.WorkerStall between batches. Call before the planes
-// run; a nil injector disarms. The Diameter-side faults are armed
-// separately on the Proxy (SetS6aFaults/SetGxFaults).
+// surfacing as SigDrops) and every RunPass consults fault.WorkerStall
+// before it dequeues. Call before the planes run; a nil injector
+// disarms. The Diameter-side faults are armed separately on the Proxy
+// (SetS6aFaults/SetGxFaults).
 func (s *Slice) SetFaults(inj *fault.Injector) {
 	s.faults = inj
 	if inj == nil {

@@ -13,12 +13,10 @@ import (
 	"pepc/internal/fault"
 	"pepc/internal/gtp"
 	"pepc/internal/hdr"
-	"pepc/internal/nf"
 	"pepc/internal/pcef"
 	"pepc/internal/pkt"
 	"pepc/internal/qos"
 	"pepc/internal/ring"
-	"pepc/internal/sim"
 	"pepc/internal/state"
 )
 
@@ -63,11 +61,6 @@ type SliceConfig struct {
 	// SyncEvery is the data thread's update-sync interval in packets
 	// (§7.2; the paper uses 32). 1 disables batching.
 	SyncEvery int
-	// BatchSize is the data worker's per-poll dequeue budget in worker
-	// mode (RunData). It is independent of SyncEvery: dequeue batch size
-	// trades latency for poll amortization, while SyncEvery fixes how
-	// stale the data-plane indexes may get.
-	BatchSize int
 	// RingCapacity sizes the slice's packet rings (power of two).
 	RingCapacity int
 	// IoTTEIDBase/IoTTEIDCount reserve a TEID pool for Stateless IoT
@@ -94,9 +87,6 @@ func (c SliceConfig) withDefaults() SliceConfig {
 	}
 	if c.SyncEvery <= 0 {
 		c.SyncEvery = state.DefaultSyncEvery
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = nf.DefaultBatchSize
 	}
 	if c.RingCapacity <= 0 {
 		c.RingCapacity = 1 << 12
@@ -162,8 +152,8 @@ type Slice struct {
 }
 
 // NewSlice builds a slice. The returned slice is passive: drive the data
-// plane with ProcessUplink/ProcessDownlink (inline mode) or RunData
-// (worker mode), and the control plane through its methods.
+// plane with Process*Batch or RunPass (inline mode) or RunData (a parked
+// data thread), and the control plane through its methods.
 func NewSlice(cfg SliceConfig) *Slice {
 	cfg = cfg.withDefaults()
 	s := &Slice{
@@ -238,8 +228,8 @@ type DataPlane struct {
 	// uses it to know when the data thread can no longer touch an
 	// extracted user's counters.
 	syncSeq atomic.Uint64
-	// running reports whether a data worker loop is active; when it is
-	// not, the migration fence is unnecessary (the caller drives both
+	// running reports whether a data thread is bound (BindData); when
+	// none is, the migration fence is unnecessary (the caller drives both
 	// planes) and is skipped.
 	running atomic.Bool
 
@@ -267,7 +257,7 @@ type DataPlane struct {
 	// cache is the data thread's level of the two-level buffer pool:
 	// drops and tail-drops release into it so a batch of frees costs one
 	// shared-pool interaction. It lazily binds to the ingress pool of the
-	// first freed buffer; the worker flushes it on exit.
+	// first freed buffer; ReleaseData flushes it.
 	cache pkt.PoolCache
 
 	sinceSync int
@@ -275,7 +265,7 @@ type DataPlane struct {
 	// scratch holds the staged pipeline's preallocated per-stage arrays.
 	// Batch processing is single-threaded: ProcessUplinkBatch and
 	// ProcessDownlinkBatch share the scratch and must be called from one
-	// goroutine (the data thread), as RunData and the paper's
+	// goroutine (the data thread), as RunPass and the paper's
 	// run-to-completion model already require.
 	scratch dpScratch
 }
@@ -354,8 +344,8 @@ func (dp *DataPlane) ResetLatency() {
 }
 
 // SyncUpdates drains the control→data update queue into the data-plane
-// indexes. Called automatically every SyncEvery packets; exposed for
-// worker housekeeping and tests.
+// indexes. Called automatically every SyncEvery packets and by every
+// RunPass; exposed for inline drivers and tests.
 func (dp *DataPlane) SyncUpdates() int {
 	var n int
 	if dp.s.ix != nil {
@@ -392,8 +382,8 @@ func (dp *DataPlane) lookup(key uint32, uplink bool) *state.UE {
 // control-state read, one aggregate token-bucket operation and one
 // counter write per run instead of per packet. The batch is segmented at
 // SyncEvery boundaries so control-update sync keeps its exact per-packet
-// granularity (§7.2, Figure 13). Inline mode for benchmarks; RunData
-// wraps it for worker mode. Single data thread only (see dpScratch).
+// granularity (§7.2, Figure 13). Inline mode for benchmarks; RunPass
+// wraps it for data threads. Single data thread only (see dpScratch).
 func (dp *DataPlane) ProcessUplinkBatch(batch []*pkt.Buf, now int64) {
 	for len(batch) > 0 {
 		chunk := dp.s.cfg.SyncEvery - dp.sinceSync
@@ -878,10 +868,6 @@ func (dp *DataPlane) drop(b *pkt.Buf) {
 	dp.cache.Put(b)
 }
 
-// FlushCache spills the data thread's buffer cache back to the shared
-// pool; worker loops call it on exit so cached buffers are not stranded.
-func (dp *DataPlane) FlushCache() { dp.cache.Flush() }
-
 func (dp *DataPlane) countDrop(hot *state.HotUE) {
 	hot.WriteCounters(func(c *state.CounterState) { c.DroppedPackets++ })
 }
@@ -936,36 +922,6 @@ func parseInner(b *pkt.Buf) (pkt.Flow, int, bool) {
 		f.DstPort = uint16(data[off+2])<<8 | uint16(data[off+3])
 	}
 	return f, b.Len(), true
-}
-
-// RunData runs the data plane until stop closes — worker mode for
-// end-to-end and latency experiments. Both directions share one
-// run-to-completion goroutine, the paper's single-data-core slice: one
-// nf.Worker polls the uplink then the downlink ring each iteration, so
-// the data thread really is a single thread (the update-sync counter,
-// the staged-pipeline scratch and the single-producer Egress ring all
-// rely on that). Dequeue batch size comes from cfg.BatchSize;
-// update-sync granularity stays cfg.SyncEvery — the two knobs are
-// independent.
-func (s *Slice) RunData(stop <-chan struct{}) {
-	s.data.running.Store(true)
-	defer s.data.running.Store(false)
-	w := &nf.Worker{
-		In:             s.Uplink,
-		In2:            s.Downlink,
-		BatchSize:      s.cfg.BatchSize,
-		HousekeepEvery: s.cfg.SyncEvery,
-		Handler: func(batch []*pkt.Buf) {
-			s.data.ProcessUplinkBatch(batch, sim.Now())
-		},
-		Handler2: func(batch []*pkt.Buf) {
-			s.data.ProcessDownlinkBatch(batch, sim.Now())
-		},
-		Housekeep: func() { s.data.SyncUpdates() },
-		Cache:     &s.data.cache,
-		Faults:    s.faults,
-	}
-	w.Run(stop)
 }
 
 // Errors.

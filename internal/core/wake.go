@@ -3,21 +3,25 @@ package core
 import (
 	"runtime"
 	"sync/atomic"
+	"time"
 
+	"pepc/internal/fault"
 	"pepc/internal/pkt"
+	"pepc/internal/sim"
 	"pepc/internal/state"
 )
 
 // Waker lets producers reach a data thread that blocks when idle instead
-// of polling its rings (pepcd's lane parks in its socket read). The owner
-// stores Parked, re-checks Slice.DataPending, and only then blocks;
-// producers — another lane's steering, a migration drain, a paging
-// resume, a control→data update, the extract fence — enqueue first and
-// then call Slice.wakeData, which kicks iff Parked. Go atomics are
-// sequentially consistent, so either the producer sees Parked or the
-// owner's re-check sees the item: no wake-up is lost, and a kick that
-// lands on an owner already awake costs one empty pass. One Waker may
-// serve every slice of a lane. DESIGN.md §4.13 has the long form.
+// of polling its rings (pepcd's lane parks in its socket read, RunData in
+// a channel receive). The owner stores Parked, re-checks
+// Slice.DataPending, and only then blocks; producers — another lane's
+// steering, a migration drain, a paging resume, a control→data update,
+// the extract fence — enqueue first and then call Slice.wakeData, which
+// kicks iff Parked. Go atomics are sequentially consistent, so either the
+// producer sees Parked or the owner's re-check sees the item: no wake-up
+// is lost, and a kick that lands on an owner already awake costs one
+// empty pass. One Waker may serve every slice of a lane. DESIGN.md §4.13
+// has the long form.
 type Waker struct {
 	Parked atomic.Bool
 	// Kick makes the owner's blocking call return, now or on its next
@@ -26,10 +30,9 @@ type Waker struct {
 }
 
 // BindData makes the calling goroutine the slice's data thread until
-// ReleaseData: it owns SyncUpdates, Process*Batch and the consumer side
-// of the ingress rings (as RunData does for in-process users), the
-// migration fence and full-queue update pushes wait on it, and producers
-// wake it through w.
+// ReleaseData: it owns RunPass and with it the consumer side of the
+// ingress rings, the migration fence and full-queue update pushes wait on
+// it, and producers wake it through w.
 func (s *Slice) BindData(w *Waker) {
 	s.waker.Store(w)
 	s.data.running.Store(true)
@@ -47,6 +50,73 @@ func (s *Slice) ReleaseData() {
 // packet in either ingress ring or a queued control→data update.
 func (s *Slice) DataPending() bool {
 	return s.Uplink.Len() > 0 || s.Downlink.Len() > 0 || s.updates.Len() > 0
+}
+
+// RunPass is one pass of the slice's data thread (§3.1 fn. 4: a batch
+// runs to completion, housekeeping happens between batches): an injected
+// fault.WorkerStall, if armed, then up to len(proc) packets from Uplink
+// and up to len(proc) from Downlink through Process*Batch. Every pass
+// syncs the control→data updates, and each ring's batch is synced after
+// it is dequeued, so an update pushed before a packet was enqueued (an
+// attach, then the user's first packet) is in the indexes when that
+// packet is looked up. Forwarded packets stay on Egress for the caller.
+// Returns the packets processed; data thread only, proc is its scratch.
+func (s *Slice) RunPass(proc []*pkt.Buf) int {
+	if s.faults != nil {
+		if d := s.faults.FireDelay(fault.WorkerStall); d > 0 {
+			time.Sleep(d) // a preempted or wedged data core, never mid-batch
+		}
+	}
+	up := s.Uplink.DequeueBatch(proc)
+	s.data.SyncUpdates()
+	if up > 0 {
+		s.data.ProcessUplinkBatch(proc[:up], sim.Now())
+	}
+	down := s.Downlink.DequeueBatch(proc)
+	if down > 0 {
+		s.data.SyncUpdates()
+		s.data.ProcessDownlinkBatch(proc[:down], sim.Now())
+	}
+	return up + down
+}
+
+// dataBatch is RunData's per-ring budget for one pass, the paper's batch
+// size.
+const dataBatch = 32
+
+// RunData is the slice's data thread for in-process users until stop
+// closes: RunPass while the slice has work, parked in a channel receive
+// when it has none. It binds like pepcd's lane, so every producer wakes
+// it the same way; its Kick is a non-blocking send on a 1-slot channel
+// (one pending kick is enough). Egress stays on the ring for the caller.
+func (s *Slice) RunData(stop <-chan struct{}) {
+	kicks := make(chan struct{}, 1)
+	w := &Waker{Kick: func() {
+		select {
+		case kicks <- struct{}{}:
+		default:
+		}
+	}}
+	s.BindData(w)
+	defer s.ReleaseData()
+	proc := make([]*pkt.Buf, dataBatch)
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		s.RunPass(proc)
+		w.Parked.Store(true)
+		if !s.DataPending() {
+			select {
+			case <-kicks:
+			case <-stop:
+				return
+			}
+		}
+		w.Parked.Store(false)
+	}
 }
 
 // wakeData is the one place producers reach a parked data thread from;

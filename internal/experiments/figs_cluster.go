@@ -135,19 +135,7 @@ func (l *clusterLane) run(total int) {
 	drain := func() {
 		for i := 0; i < l.node.NumSlices(); i++ {
 			s := l.node.Slice(i)
-			for {
-				k := s.Uplink.DequeueBatch(scratch[:])
-				if k == 0 {
-					break
-				}
-				s.Data().ProcessUplinkBatch(scratch[:k], sim.Now())
-			}
-			for {
-				k := s.Downlink.DequeueBatch(scratch[:])
-				if k == 0 {
-					break
-				}
-				s.Data().ProcessDownlinkBatch(scratch[:k], sim.Now())
+			for s.RunPass(scratch[:]) > 0 {
 			}
 			drainRing(s)
 		}

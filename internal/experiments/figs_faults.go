@@ -161,7 +161,7 @@ type SoakStats struct {
 
 // runChaosSoak is the chaos harness: per epoch it derives a randomized
 // fault plan from the seed (deterministic per (seed, epoch)), arms it
-// across the Diameter proxy, the signaling ring and the data worker,
+// across the Diameter proxy, the signaling ring and the data thread,
 // churns the population with attaches, traffic, handovers, detaches and
 // cross-slice migrations, runs a checkpoint/crash/recover cycle, then
 // disarms and validates invariants: user-count conservation, no leaked
@@ -197,7 +197,7 @@ func runChaosSoak(seed uint64, epochs, usersPerEpoch int) (SoakStats, []string) 
 	peer := core.NewNode(core.SliceConfig{ID: 3, UserHint: 1 << 12, StateLayout: core.LayoutHandle})
 	peerLive := map[uint64]struct{}{}
 
-	// The data worker for slice 0 runs for the whole soak; slice 1 (the
+	// Slice 0's data thread runs for the whole soak; slice 1 (the
 	// migration target) is driven inline by the driver.
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -246,13 +246,11 @@ func runChaosSoak(seed uint64, epochs, usersPerEpoch int) (SoakStats, []string) 
 			epochUsers = append(epochUsers, workload.User{IMSI: imsi, UplinkTEID: res.UplinkTEID, UEAddr: res.UEAddr})
 		}
 
-		// Traffic through the (possibly stalling) worker.
+		// Traffic through the node's steering path, which wakes the
+		// (possibly stalling) parked data thread.
 		gen := workload.NewTrafficGen(workload.TrafficConfig{CoreAddr: s0.Config().CoreAddr}, epochUsers)
 		for i := 0; i < 1024; i++ {
-			b := gen.NextUplink()
-			if !s0.Uplink.Enqueue(b) {
-				b.Free()
-			}
+			n.SteerUplink(gen.NextUplink())
 		}
 		// Handovers and detaches through the (possibly overflowing)
 		// signaling ring; a shed event keeps the old state, which the
@@ -381,8 +379,7 @@ func runChaosSoak(seed uint64, epochs, usersPerEpoch int) (SoakStats, []string) 
 		}
 	}
 	stats.SigDrops = s0.Control().SigDrops.Load()
-	// Worker stalls are reported through the injector (the worker's own
-	// counter is private to RunData's worker instance).
+	// Data-thread stalls are counted by the injector that fires them.
 	stats.Stalls = inj.Fired(fault.WorkerStall)
 	return stats, violations
 }

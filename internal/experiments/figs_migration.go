@@ -63,19 +63,14 @@ func migrationRun(sc Scale, users int, migrationsPerKPackets float64, recordLate
 			n.SteerUplink(b)
 		}
 		// Drive both data planes inline, one clock read per dequeued
-		// batch. A single read hoisted over the whole drain (as this
-		// loop used to do) under-measures exactly the packets that
-		// matter: ones buffered mid-migration are dequeued later in
-		// wall time than the stale `now` claims, flattening the tail
-		// the figure exists to show.
+		// batch (RunPass reads it per ring). A single read hoisted over
+		// the whole drain (as this loop used to do) under-measures
+		// exactly the packets that matter: ones buffered mid-migration
+		// are dequeued later in wall time than the stale `now` claims,
+		// flattening the tail the figure exists to show.
 		for sliceIdx := 0; sliceIdx < 2; sliceIdx++ {
 			s := n.Slice(sliceIdx)
-			for {
-				k := s.Uplink.DequeueBatch(batch)
-				if k == 0 {
-					break
-				}
-				s.Data().ProcessUplinkBatch(batch[:k], sim.Now())
+			for s.RunPass(batch) > 0 {
 			}
 			drainRing(s)
 		}

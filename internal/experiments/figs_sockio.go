@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"pepc/internal/core"
 	"pepc/internal/gtp"
+	wirelane "pepc/internal/lane"
 	"pepc/internal/pkt"
 	"pepc/internal/sim"
 	"pepc/internal/sockio"
@@ -26,9 +29,10 @@ var sockioQueues = []int{1, 2, 4}
 // node's event loops run as concurrent goroutines over loopback UDP —
 // the deployed daemon shape, so the per-syscall baseline pays what the
 // old per-packet loop really paid (one rx syscall, one tx syscall, and a
-// netpoller park/unpark per datagram), while the batched path amortizes
-// all three across each burst: recvmmsg into pool buffers, the batched
-// demux steer, the slice pipeline, and a coalesced sendmmsg egress. The
+// netpoller park/unpark per datagram), while the batched and multi-queue
+// series run pepcd's own lane (internal/lane), which amortizes all three
+// across each burst: recvmmsg into pool buffers, the batched demux
+// steer, the slice's data pass, and a coalesced sendmmsg egress. The
 // sweep runs 64-byte packets at burst sizes 1-64; the in-memory series
 // is the no-socket ceiling both wire paths converge toward.
 func Sockio(sc Scale) (Result, error) {
@@ -135,10 +139,10 @@ func Sockio(sc Scale) (Result, error) {
 }
 
 // sockioQueueLane is one share-nothing lane of the multi-queue sweep:
-// its own node-side socket (a queue of the reuseport group), its own
-// slice, Receiver, WireSteer, egress Sender, and its own traffic source
-// socket generating only flows steered to this lane (TEID ≡ lane mod
-// queues, matching the group's cBPF program).
+// its own node-side socket (a queue of the reuseport group) with its own
+// slice and pepcd lane on it, and its own traffic source socket
+// generating only flows steered to this lane (TEID ≡ lane mod queues,
+// matching the group's cBPF program).
 type sockioQueueLane struct {
 	slice    *core.Slice
 	node     *core.Node
@@ -153,59 +157,23 @@ type sockioQueueLane struct {
 	done     chan struct{}
 }
 
-// sockioServe is the node-side event loop every wire point runs — the
-// per-queue rx + inline pipeline + coalesced egress shape of cmd/pepcd:
-// blocking batched Recv, batched steer, the slice pipeline inline, one
-// coalesced send back to the source endpoint. It returns when the
-// measuring side closes conn.
-func sockioServe(node *core.Node, s *core.Slice, conn *sockio.Conn, pool *pkt.Pool, batch int, src netip.AddrPort) {
-	rcv := sockio.NewReceiver(conn, pool, batch)
-	defer rcv.Close()
-	ws := node.NewWireSteer(batch, rcv.Cache())
-	egSnd := sockio.NewSender(conn, batch, time.Hour)
-	defer egSnd.Close()
-	scratch := make([]*pkt.Buf, 0, batch)
-	proc := make([]*pkt.Buf, batch)
-	for {
-		k, err := rcv.Recv()
-		if k == 0 {
-			if err != nil {
-				return // socket closed by the measuring side
-			}
-			continue
-		}
-		scratch = rcv.TakeAll(scratch[:0])
-		ws.Steer(scratch)
-		for {
-			m := s.Uplink.DequeueBatch(proc)
-			if m == 0 {
-				break
-			}
-			s.Data().ProcessUplinkBatch(proc[:m], sim.Now())
-		}
-		for {
-			eb, ok := s.Egress.Dequeue()
-			if !ok {
-				break
-			}
-			if egSnd.Queue(eb, src) != nil {
-				return
-			}
-		}
-		if egSnd.Flush() != nil {
-			return
-		}
-	}
-}
-
-// start spawns the lane's node-side event loop, which exits when the
-// lane's node socket closes.
-func (l *sockioQueueLane) start(pool *pkt.Pool) {
-	l.done = make(chan struct{})
+// serveLane runs pepcd's lane for one slice on conn in a goroutine —
+// burst-size rx and tx, a one-burst ring budget (the steerer hands the
+// slice at most a burst per pass), egress echoed to src as SGi traffic —
+// until the measuring side closes conn. The returned channel closes when
+// the lane has exited.
+func serveLane(node *core.Node, s *core.Slice, conn *sockio.Conn, pool *pkt.Pool, batch int, src netip.AddrPort) chan struct{} {
+	var egressErrs, egressNoRoute atomic.Uint64
+	l := wirelane.New(node, conn, []*core.Slice{s}, pool, sockio.NewPeerTable(), src,
+		batch, batch, batch, nil, &egressErrs, &egressNoRoute)
+	rxDone := new(sync.WaitGroup)
+	rxDone.Add(1)
+	done := make(chan struct{})
 	go func() {
-		defer close(l.done)
-		sockioServe(l.node, l.slice, l.nodeConn, pool, l.batch, l.srcAddr)
+		defer close(done)
+		l.Run(nil, rxDone) // ends on the closed socket's read error
 	}()
+	return done
 }
 
 // iterate offers one burst of n uplink packets from the lane's source and
@@ -366,7 +334,7 @@ func sockioQueueSetup(queues, nUsers, batch int) ([]*sockioQueueLane, func(), bo
 // node loop plus its source, so running the sweep's widest point
 // concurrently takes two goroutines per queue; measure-and-sum is honest
 // here because the lanes share no mutable state beyond the kernel's
-// socket layer (the other lanes' node loops stay parked in Recv).
+// socket layer (the other queues' lanes stay parked in Recv).
 func sockioQueueRun(queues, total, nUsers int, mode string) (laneRate, bool, int, error) {
 	batch := sockio.DefaultBatch
 	qlanes, cleanup, steered, err := sockioQueueSetup(queues, nUsers, batch)
@@ -376,7 +344,7 @@ func sockioQueueRun(queues, total, nUsers int, mode string) (laneRate, bool, int
 	pool := pkt.NewPool(pkt.DefaultBufSize, pkt.DefaultHeadroom)
 	lanes := make([]lane, len(qlanes))
 	for i, l := range qlanes {
-		l.start(pool)
+		l.done = serveLane(l.node, l.slice, l.nodeConn, pool, l.batch, l.srcAddr)
 		lanes[i] = l.measure
 	}
 	defer func() {
@@ -468,10 +436,10 @@ func sockioSockets() (*sockio.Conn, *sockio.Conn, netip.AddrPort, error) {
 	return nodeConn, srcConn, euc.LocalAddr().(*net.UDPAddr).AddrPort(), nil
 }
 
-// sockioWireRun measures one burst-size point: the node's rx and egress
-// loops run in a goroutine exactly as cmd/pepcd runs them (blocking
-// batched Recv, batched steer, inline pipeline, coalesced egress send
-// back to the learned source endpoint), while this goroutine plays
+// sockioWireRun measures one burst-size point: pepcd's lane runs in a
+// goroutine (blocking batched Recv, batched steer, the slice's data
+// pass, coalesced egress send back to the source endpoint), while this
+// goroutine plays
 // cmd/enbsim in burst mode — send a burst, read the echoed burst back,
 // repeat. One burst in flight keeps the loop flow-controlled; the wall
 // clock at the source divided into the packets that completed the round
@@ -491,12 +459,8 @@ func sockioWireRun(batch, total, nUsers int) (float64, float64, int, error) {
 
 	pool := pkt.NewPool(pkt.DefaultBufSize, pkt.DefaultHeadroom)
 
-	// Node event loop: the daemon side.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		sockioServe(node, s, nodeConn, pool, batch, srcAddr)
-	}()
+	// Node side: the daemon's lane.
+	done := serveLane(node, s, nodeConn, pool, batch, srcAddr)
 
 	// Source side: enbsim in burst mode.
 	srcSnd := sockio.NewSender(srcConn, batch, time.Hour)
@@ -596,7 +560,7 @@ func sockioWireRun(batch, total, nUsers int) (float64, float64, int, error) {
 // sockioLegacyRun measures the replaced system over the same loopback
 // closed loop: the node goroutine runs the old per-packet serveGTPU shape
 // (one ReadFrom per datagram into a scratch buffer, copy into a pool
-// buffer, per-packet locked steer, same inline pipeline, one WriteTo per
+// buffer, per-packet locked steer, one data pass, one WriteTo per
 // egress packet) and the source offers one datagram per syscall, as the
 // pre-burst-mode enbsim did.
 func sockioLegacyRun(total, nUsers int) (float64, int, error) {
@@ -634,13 +598,7 @@ func sockioLegacyRun(total, nUsers int) (float64, int, error) {
 			} else {
 				node.SteerDownlink(b)
 			}
-			for {
-				m := s.Uplink.DequeueBatch(proc)
-				if m == 0 {
-					break
-				}
-				s.Data().ProcessUplinkBatch(proc[:m], sim.Now())
-			}
+			s.RunPass(proc)
 			for {
 				eb, ok := s.Egress.Dequeue()
 				if !ok {
@@ -717,7 +675,7 @@ func sockioLegacyRun(total, nUsers int) (float64, int, error) {
 }
 
 // sockioMemRun is the same closed loop without sockets: generate a burst,
-// steer it through the demux, run the pipeline inline, recycle egress.
+// steer it through the demux, run one data pass, recycle egress.
 func sockioMemRun(batch, total, nUsers int) (float64, error) {
 	node, gen, err := sockioNode(nUsers)
 	if err != nil {
@@ -733,13 +691,7 @@ func sockioMemRun(batch, total, nUsers int) (float64, error) {
 			burst[i] = gen.NextUplink()
 		}
 		ws.Steer(burst[:n])
-		for {
-			m := s.Uplink.DequeueBatch(proc)
-			if m == 0 {
-				break
-			}
-			s.Data().ProcessUplinkBatch(proc[:m], sim.Now())
-		}
+		s.RunPass(proc)
 		drainRing(s)
 	}
 

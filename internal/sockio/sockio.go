@@ -26,8 +26,9 @@ import (
 )
 
 // DefaultBatch is the default rx/tx burst size in datagrams — large
-// enough to amortize a syscall across a worker batch (nf.DefaultBatchSize
-// packets), small enough that filling one adds no latency worth naming.
+// enough to amortize a syscall across a data pass's batch (the paper's
+// 32 packets), small enough that filling one adds no latency worth
+// naming.
 const DefaultBatch = 32
 
 // Message describes one datagram of a batch: the payload region and the

@@ -17,8 +17,9 @@
 //	hss.ProvisionRange(1000, 100, 10e6, 50e6)
 //	node.AttachProxy(pepc.NewProxy(hss, pepc.NewPCRF()))
 //	res, err := node.AttachUser(0, pepc.AttachSpec{IMSI: 1000})
-//	// feed GTP-U traffic into node.Slice(0).Uplink, run the data plane
-//	// with node.Slice(0).RunData(stop), read egress from Egress.
+//	// run the data thread with go node.Slice(0).RunData(stop) (it parks
+//	// when idle), steer GTP-U traffic in with node.SteerUplink, read
+//	// egress from node.Slice(0).Egress.
 //
 // See examples/ for complete programs and DESIGN.md for the system
 // inventory and experiment index.

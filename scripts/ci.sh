@@ -2,8 +2,9 @@
 # ci.sh — the checks every PR must pass, in the order they fail fastest:
 # build, vet, the full test suite, then the race detector over the
 # packages that carry the single-writer lock discipline (internal/core's
-# data/control split and internal/state's table modes), so a concurrency
-# regression is machine-caught rather than review-caught.
+# data/control split and parked data thread, internal/lane's socket loop
+# and internal/state's table modes), so a concurrency regression is
+# machine-caught rather than review-caught.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,8 +18,8 @@ go vet ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race internal/core internal/state internal/sockio internal/hdr internal/pfcp"
-go test -race ./internal/core/ ./internal/state/ ./internal/sockio/ ./internal/hdr/ ./internal/pfcp/
+echo "== go test -race internal/core internal/lane internal/state internal/sockio internal/hdr internal/pfcp"
+go test -race ./internal/core/ ./internal/lane/ ./internal/state/ ./internal/sockio/ ./internal/hdr/ ./internal/pfcp/
 
 # Cluster e2e under the race detector: a 2-node cluster taking an attach
 # storm and live steering concurrently with add/remove/kill/recover
@@ -49,12 +50,12 @@ echo "== soak smoke (scripts/soak.sh -short)"
 ./scripts/soak.sh -short
 
 # Allocation guards: the per-packet path (batch lookups, arena access,
-# steady-state forwarding, recycled signaling, the daemon's lane and the
-# N4 loop's transport) must stay at 0 allocs/op.
+# steady-state forwarding, the slice's data pass, recycled signaling, the
+# daemon's lane and the N4 loop's transport) must stay at 0 allocs/op.
 # Run them apart from the main suite with -count=1 so a cached pass can't
 # mask a fresh allocation, and without -race (the race runtime allocates).
 echo "== allocation guards (ZeroAlloc tests)"
-go test -run 'ZeroAlloc' -count=1 ./internal/pkt/ ./internal/gtp/ ./internal/core/ ./internal/state/ ./internal/sockio/ ./internal/hdr/ ./cmd/pepcd/
+go test -run 'ZeroAlloc' -count=1 ./internal/pkt/ ./internal/gtp/ ./internal/core/ ./internal/state/ ./internal/sockio/ ./internal/hdr/ ./internal/lane/
 
 # Figure shapes: internal/experiments asserts the paper's relative
 # claims (who wins, which way a curve bends) on regenerated figures; the
@@ -66,19 +67,21 @@ go test -count=3 ./internal/experiments/
 # Fuzz seed corpora: run every fuzz target's checked-in seeds once as
 # plain tests (no -fuzz exploration in CI; a failing seed is a
 # regression in the parse-once codec surface). Covers the GTP-U outer
-# parser (incl. the fragmented-outer rejection seeds) and the PFCP
-# message/IE/flow-description codecs.
+# parser (incl. the fragmented-outer rejection seeds), the PFCP
+# message/IE/flow-description codecs and the handle store's model check.
 echo "== fuzz seeds"
-go test -run 'Fuzz' -count=1 ./internal/gtp/ ./internal/pfcp/
+go test -run 'Fuzz' -count=1 ./internal/gtp/ ./internal/pfcp/ ./internal/state/
 
 # Dangling references: the second benchmark system, its ratchets and the
 # ablation knobs only it exercised are gone, and so are the daemon's rx
-# loop, egress loop, idle park and linger clock (the lane replaced them);
-# nothing outside the project history (and the config test proving the
-# JSON key is rejected) may still name them.
+# loop, egress loop, idle park and linger clock (the lane replaced them)
+# and the in-process worker package with its dequeue budget (the slice's
+# data pass replaced them); nothing outside the project history (and the
+# config test proving the JSON keys are rejected) may still name them.
 echo "== dangling-reference guard"
 retired='benchdiff|BENCHDIFF_|bench/baseline|encap_mode|-fig8 pktsize'
 retired="$retired|idlePark|IdlePark|runQueueEgress|runGTPURx|FlushExpired|-linger"
+retired="$retired|internal/nf|nf\.Worker|HousekeepEvery|batch_size"
 if grep -rnE -e "$retired" --include='*.go' --include='*.sh' --include='*.md' --include=Makefile \
 	--exclude-dir=.git --exclude-dir=.bench_build . |
 	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:|^\./scripts/ci\.sh:|^\./internal/core/config_test\.go:'; then
