@@ -29,22 +29,16 @@ import (
 )
 
 // Identifier scheme: the cluster owns a global 24-bit user sequence
-// space. A user's uplink TEID is (teidBase+slice)<<24 | seq and its UE
-// address is (addrBase+slice)<<24 | seq, with slice = seq mod
-// slices-per-node — stable across nodes, so a migrated user keeps its
-// identifiers and lands on the same slice index everywhere. The bases
-// keep the two key spaces (and the per-slice allocator's own ranges)
-// disjoint.
-const (
-	seqBits  = 24
-	seqMask  = 1<<seqBits - 1
-	teidBase = 0x40
-	addrBase = 10
-)
+// space and takes its identifiers from core's: a user's uplink TEID and
+// UE address are core.HomeTEID/HomeUEAddr of its slice's ID and its seq,
+// with slice = seq mod slices-per-node. Every node's slice i has ID i+1,
+// so a user is on its home slice on whichever node owns it, and a
+// migrated user keeps its identifiers and steers without an exception.
+const seqMask = 1<<24 - 1
 
-// MaxSlicesPerNode bounds the per-node slice count so the TEID and UE
-// address high-byte ranges cannot collide.
-const MaxSlicesPerNode = 32
+// MaxSlicesPerNode bounds the per-node slice count by the slice IDs an
+// identifier prefix can carry.
+const MaxSlicesPerNode = core.MaxSliceID
 
 var (
 	// ErrNoSeq is returned when the 24-bit user sequence space is
@@ -72,12 +66,12 @@ var (
 
 // UplinkTEIDFor returns the uplink TEID the cluster assigns to seq.
 func UplinkTEIDFor(seq uint32, slicesPerNode int) uint32 {
-	return uint32(teidBase+int(seq)%slicesPerNode)<<seqBits | (seq & seqMask)
+	return core.HomeTEID(int(seq)%slicesPerNode+1, seq)
 }
 
 // UEAddrFor returns the UE address the cluster assigns to seq.
 func UEAddrFor(seq uint32, slicesPerNode int) uint32 {
-	return uint32(addrBase+int(seq)%slicesPerNode)<<seqBits | (seq & seqMask)
+	return core.HomeUEAddr(int(seq)%slicesPerNode+1, seq)
 }
 
 // SteerKey reduces a wire key (uplink TEID or downlink UE address) to
@@ -437,8 +431,9 @@ type Stats struct {
 }
 
 // Stats returns cluster-wide steering counters. Unknown counts packets
-// that arrived at a node not (or not yet) serving their user — the
-// disruption currency of rebalancing and failures.
+// no node could steer; one reaching a node not (or not yet) serving its
+// user — the disruption currency of rebalancing and failures — is
+// counted Missed by its home slice there.
 func (c *Cluster) Stats() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -98,10 +98,21 @@ func TestClusterAttachAndSteer(t *testing.T) {
 	}
 	checkRoutable(t, c, users)
 
-	// Identifiers embed the steering key in both directions.
+	// Identifiers embed the steering key, the user's seq, in both
+	// directions, and come from core's scheme: every node steers both to
+	// the user's slice by prefix alone.
 	for _, u := range users {
-		if SteerKey(u.UplinkTEID) != SteerKey(u.UEAddr) {
-			t.Fatalf("user %d: TEID %#x and addr %#x disagree on key", u.IMSI, u.UplinkTEID, u.UEAddr)
+		seq, _ := c.SeqOf(u.IMSI)
+		if SteerKey(u.UplinkTEID) != uint64(seq) || SteerKey(u.UEAddr) != uint64(seq) {
+			t.Fatalf("user %d: TEID %#x and addr %#x do not carry seq %d", u.IMSI, u.UplinkTEID, u.UEAddr, seq)
+		}
+		for _, name := range c.Names() {
+			d := c.Node(name).Demux()
+			up, okUp := d.LookupSlice(u.UplinkTEID)
+			down, okDown := d.LookupSliceByIP(u.UEAddr)
+			if want := int(seq) % 2; !okUp || !okDown || up != want || down != want {
+				t.Fatalf("user %d on %s steers to slices %d/%d, want %d", u.IMSI, name, up, down, want)
+			}
 		}
 	}
 

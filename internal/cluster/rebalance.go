@@ -25,7 +25,7 @@ type RebalanceReport struct {
 // AddNode grows the cluster by one freshly built node and migrates
 // exactly the users whose Maglev slots remapped onto it. The balancer
 // flips before migration starts: new attaches route to the new node
-// immediately, and remapped users' in-flight packets surface as Unknown
+// immediately, and remapped users' in-flight packets surface as Missed
 // drops on the new owner until their chunk lands — the bounded
 // disruption window.
 func (c *Cluster) AddNode() (string, RebalanceReport, error) {

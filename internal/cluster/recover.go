@@ -56,7 +56,7 @@ func (c *Cluster) CheckpointAll() (int, error) {
 }
 
 // KillNode simulates a node crash: the member drops out of the Maglev
-// table immediately (its users' packets surface as Unknown drops on the
+// table immediately (its users' packets surface as Missed drops on the
 // re-picked owners), but its in-memory carcass and last checkpoints are
 // kept for RecoverNode. No user state is migrated — that is the point.
 func (c *Cluster) KillNode(name string) error {

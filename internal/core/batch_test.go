@@ -217,8 +217,8 @@ func TestDownlinkSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestSteerMigrationCompletesInWindow pins the steer double-check race
-// window: the read-locked lookup sees the user migrating, the migration
-// completes before the write lock is taken, and the packet must then be
+// window: the lock-free lookup sees the user migrating, the migration
+// completes before the demux lock is taken, and the packet must then be
 // steered to the NEW owner by a fresh lookup instead of being buffered
 // against a dead migration entry.
 func TestSteerMigrationCompletesInWindow(t *testing.T) {
@@ -228,19 +228,16 @@ func TestSteerMigrationCompletesInWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := node.Demux()
-	// Put the user mid-migration, as MigrateUser's step 1 does.
-	d.mu.Lock()
-	d.migrating[res.UplinkTEID] = &migBuffer{}
-	d.mu.Unlock()
-	// Complete the "migration" inside the window: remap to slice 1 and
-	// clear the migration entry between steer's RLock and Lock.
+	// Put the user mid-migration, as MigrateUser's step 1 does, and
+	// complete the "migration" inside the window: remap to slice 1 and
+	// clear the migration entry between steer's lookup and its lock.
+	end := markMigrating(d, res.UplinkTEID, 0)
 	fired := false
 	d.steerTestHook = func() {
 		fired = true
-		d.mu.Lock()
-		delete(d.migrating, res.UplinkTEID)
-		d.byTEID[res.UplinkTEID] = 1
-		d.mu.Unlock()
+		if n := len(end(1)); n != 0 {
+			t.Errorf("%d packets buffered before the window", n)
+		}
 	}
 	pool := pkt.NewPool(2048, 128)
 	b := buildUplink(pool, res.UplinkTEID, res.UEAddr, 1, node.Slice(1).Config().CoreAddr, 80)

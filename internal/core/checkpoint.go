@@ -139,14 +139,8 @@ func (n *Node) RegisterRestored(sliceIdx int) (int, error) {
 	}
 	count := 0
 	s.cp.Range(func(ue *state.UE) bool {
-		var teid, ueIP uint32
-		var imsi uint64
-		ue.ReadCtrl(func(c *state.ControlState) {
-			teid = c.UplinkTEID
-			ueIP = c.UEAddr
-			imsi = c.IMSI
-		})
-		n.demux.Register(teid, ueIP, imsi, sliceIdx)
+		cs, _ := ue.Snapshot()
+		n.demux.Register(cs.UplinkTEID, cs.UEAddr, cs.IMSI, sliceIdx)
 		count++
 		return true
 	})

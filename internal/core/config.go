@@ -24,7 +24,7 @@ type OperatorConfig struct {
 
 // SliceSpec is the operator-facing slice description.
 type SliceSpec struct {
-	// ID must be unique within the node (>= 1).
+	// ID must be unique within the node (1..MaxSliceID).
 	ID int `json:"id"`
 	// Users hints the expected population for table sizing.
 	Users int `json:"users,omitempty"`
@@ -84,15 +84,12 @@ func LoadOperatorConfig(r io.Reader) (OperatorConfig, error) {
 	if len(cfg.Slices) == 0 {
 		return cfg, fmt.Errorf("core: operator config has no slices")
 	}
-	seen := map[int]bool{}
+	ids := make([]int, len(cfg.Slices))
 	for i, sp := range cfg.Slices {
 		if sp.ID <= 0 {
 			return cfg, fmt.Errorf("core: slice %d: id must be >= 1", i)
 		}
-		if seen[sp.ID] {
-			return cfg, fmt.Errorf("core: duplicate slice id %d", sp.ID)
-		}
-		seen[sp.ID] = true
+		ids[i] = sp.ID
 		if sp.CoreAddr != "" {
 			if _, err := parseIPv4(sp.CoreAddr); err != nil {
 				return cfg, fmt.Errorf("core: slice %d core_addr: %w", sp.ID, err)
@@ -104,7 +101,7 @@ func LoadOperatorConfig(r io.Reader) (OperatorConfig, error) {
 			}
 		}
 	}
-	return cfg, nil
+	return cfg, checkSliceIDs(ids)
 }
 
 // BuildNode instantiates a node from the configuration: slices with their

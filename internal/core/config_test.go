@@ -63,6 +63,10 @@ func TestLoadOperatorConfigRejectsBadInput(t *testing.T) {
 		"cidr without length":      `{"slices": [{"id": 1, "rules": [{"id": 1, "dst_cidr": "10.0.0.0"}]}]}`,
 		"bytes after the object":   `{"slices": [{"id": 1}]} {"slices": []}`,
 		"garbage after the object": `{"slices": [{"id": 1}]} junk`,
+		// Identifier prefixes: a TEID prefix in the IoT pool, one that
+		// wraps.
+		"id past MaxSliceID": `{"slices": [{"id": 208}]}`,
+		"id wraps a prefix":  `{"slices": [{"id": 1}, {"id": 250}]}`,
 	}
 	for name, raw := range cases {
 		if _, err := LoadOperatorConfig(strings.NewReader(raw)); err == nil {

@@ -20,9 +20,7 @@ import (
 type ControlPlane struct {
 	s *Slice
 
-	// Identifier allocation. TEIDs carry the slice id in the top byte
-	// (0xF0|id space) so they never collide with UE addresses
-	// (10.0.0.0/8) in the two-level table's shared key space.
+	// Identifier allocation (HomeTEID, HomeUEAddr).
 	nextSeq uint32
 	iotSeq  uint32
 
@@ -422,20 +420,38 @@ func (cp *ControlPlane) retire(ue *state.UE, teid, ueAddr uint32) {
 	cp.retLen++
 }
 
+// Identifier scheme: a slice's identifiers carry its ID in the top byte
+// — TEID prefix ID+16, UE-address prefix ID+10 — above a 24-bit
+// sequence. The prefix names the user's home slice, which is all the
+// node demux reads to steer it, and keeps a slice's TEIDs and addresses
+// disjoint (the two-level table shares one key space). Above MaxSliceID
+// a TEID prefix would reach the IoT pool's 0xE0–0xEF range, then wrap.
+const (
+	teidPrefix = 16
+	addrPrefix = 10
+	seqMask    = 1<<24 - 1
+	// MaxSliceID is the largest ID a slice may carry.
+	MaxSliceID = 0xE0 - teidPrefix - 1
+)
+
+// HomeTEID is the uplink TEID slice sliceID assigns to sequence seq.
+func HomeTEID(sliceID int, seq uint32) uint32 {
+	return uint32(sliceID+teidPrefix)<<24 | seq&seqMask
+}
+
+// HomeUEAddr is the UE address slice sliceID assigns to sequence seq.
+func HomeUEAddr(sliceID int, seq uint32) uint32 {
+	return uint32(sliceID+addrPrefix)<<24 | seq&seqMask
+}
+
 // allocate hands out the next uplink TEID and UE address.
 func (cp *ControlPlane) allocate() (teid, ueAddr uint32, err error) {
 	cp.nextSeq++
 	seq := cp.nextSeq
-	if seq >= 1<<24 {
+	if seq > seqMask {
 		return 0, 0, ErrPoolExhausted
 	}
-	// Per-slice prefixes keep TEIDs and UE addresses disjoint within the
-	// slice (the two-level table shares one key space) and unique across
-	// slices (the node demux routes on them).
-	id := uint32(cp.s.cfg.ID)
-	teid = (id+16)<<24 | seq
-	ueAddr = (id+10)<<24 | seq
-	return teid, ueAddr, nil
+	return HomeTEID(cp.s.cfg.ID, seq), HomeUEAddr(cp.s.cfg.ID, seq), nil
 }
 
 // notifyInsert pushes the data-plane index updates for a new/restored
@@ -450,6 +466,12 @@ func (cp *ControlPlane) notifyInsert(teid, ueAddr uint32, ue *state.UE) {
 		return
 	}
 	cp.s.pushUpdate(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
+}
+
+// ueKeys reads a user's data keys: its uplink TEID and UE address.
+func ueKeys(ue *state.UE) (teid, ueAddr uint32) {
+	ue.ReadCtrl(func(c *state.ControlState) { teid, ueAddr = c.UplinkTEID, c.UEAddr })
+	return teid, ueAddr
 }
 
 func (cp *ControlPlane) notifyDelete(teid, ueAddr uint32) {
@@ -530,11 +552,7 @@ func (cp *ControlPlane) Detach(imsi uint64) error {
 	if err != nil {
 		return ErrUserUnknown
 	}
-	var teid, ueAddr uint32
-	ue.ReadCtrl(func(c *state.ControlState) {
-		teid = c.UplinkTEID
-		ueAddr = c.UEAddr
-	})
+	teid, ueAddr := ueKeys(ue)
 	cp.notifyDelete(teid, ueAddr)
 	cp.collector.Forget(imsi)
 	if cp.proxy != nil {
@@ -590,11 +608,7 @@ func (cp *ControlPlane) Promote(imsi uint64) error {
 	if ue == nil {
 		return ErrUserUnknown
 	}
-	var teid, ueAddr uint32
-	ue.ReadCtrl(func(c *state.ControlState) {
-		teid = c.UplinkTEID
-		ueAddr = c.UEAddr
-	})
+	teid, ueAddr := ueKeys(ue)
 	cp.s.pushUpdate(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
 	cp.Promotions.Add(1)
 	return nil
@@ -610,11 +624,7 @@ func (cp *ControlPlane) Demote(imsi uint64) error {
 	if ue == nil {
 		return ErrUserUnknown
 	}
-	var teid, ueAddr uint32
-	ue.ReadCtrl(func(c *state.ControlState) {
-		teid = c.UplinkTEID
-		ueAddr = c.UEAddr
-	})
+	teid, ueAddr := ueKeys(ue)
 	cp.s.pushUpdate(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ueAddr})
 	cp.Evictions.Add(1)
 	return nil
@@ -641,11 +651,7 @@ func (cp *ControlPlane) Maintain(now, idleNs int64) int {
 		if !ok {
 			break
 		}
-		var teid, ueAddr uint32
-		req.ue.ReadCtrl(func(c *state.ControlState) {
-			teid = c.UplinkTEID
-			ueAddr = c.UEAddr
-		})
+		teid, ueAddr := ueKeys(req.ue)
 		cp.s.pushUpdate(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: req.ue})
 		cp.Promotions.Add(1)
 		actions++
@@ -673,12 +679,7 @@ func (cp *ControlPlane) extract(imsi uint64) (state.ControlState, state.CounterS
 	if err != nil {
 		return state.ControlState{}, state.CounterState{}, lv, ErrUserUnknown
 	}
-	var teid, ueAddr uint32
-	ue.ReadCtrl(func(c *state.ControlState) {
-		teid = c.UplinkTEID
-		ueAddr = c.UEAddr
-	})
-	cp.notifyDelete(teid, ueAddr)
+	cp.notifyDelete(ueKeys(ue))
 	// Fence: wait until the data thread has completed two sync cycles
 	// after the delete was queued. Syncs run between batches, so after
 	// the second one no batch that could still write this user's
@@ -730,6 +731,9 @@ func (cp *ControlPlane) install(cs state.ControlState, cnt state.CounterState, n
 // identical configuration and configurePreserving keeps the seeded
 // levels — a user cannot reset its policing budget by migrating.
 func (cp *ControlPlane) installLevels(cs state.ControlState, cnt state.CounterState, lv state.QoSLevels, now int64) error {
+	if cp.s.cp.LookupIMSI(cs.IMSI) != nil {
+		return ErrUserExists
+	}
 	ue := &state.UE{}
 	cp.bindHot(ue)
 	ue.Restore(cs, cnt)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,18 +28,39 @@ type Node struct {
 }
 
 // NewNode instantiates a node with its slices. Use AttachBackends to wire
-// HSS/PCRF after construction.
+// HSS/PCRF after construction. A slice with ID 0 takes its index as ID.
+// NewNode panics when two slices would share an ID (and so an identifier
+// prefix) or an ID exceeds MaxSliceID.
 func NewNode(sliceCfgs ...SliceConfig) *Node {
 	n := &Node{}
+	ids := make([]int, len(sliceCfgs))
 	for i, cfg := range sliceCfgs {
 		if cfg.ID == 0 {
 			cfg.ID = i
 		}
+		ids[i] = cfg.ID
 		n.slices = append(n.slices, NewSlice(cfg))
 	}
-	n.demux = NewDemux(len(n.slices))
+	if err := checkSliceIDs(ids); err != nil {
+		panic(err)
+	}
+	n.demux = newDemux(ids)
 	n.sched = newScheduler(n)
 	return n
+}
+
+// checkSliceIDs reports the first slice whose ID is out of range or
+// repeats an earlier slice's.
+func checkSliceIDs(ids []int) error {
+	for i, id := range ids {
+		if id < 0 || id > MaxSliceID {
+			return fmt.Errorf("core: slice %d: id %d outside 0..%d", i, id, MaxSliceID)
+		}
+		if j := slices.Index(ids[:i], id); j >= 0 {
+			return fmt.Errorf("core: slice %d: id %d already taken by slice %d", i, id, j)
+		}
+	}
+	return nil
 }
 
 // AttachProxy wires a proxy into every slice's control plane.
@@ -107,92 +129,171 @@ func (n *Node) ServeS1AP(sliceIdx int, assoc *sctp.Assoc) (*S1APServer, error) {
 // associated slice ... it uses the TEID (for uplink) or user device IP
 // address (for downlink)"; signaling resolves by IMSI or GUTI).
 //
-// Lookups take a read lock; the node scheduler remaps users under the
-// write lock during migration. Users marked migrating divert to a
-// per-user buffer queue instead of a slice (§4.3).
+// Data steering is arithmetic: a key's top byte names its home slice
+// (HomeTEID, HomeUEAddr), read from a table NewNode fills from its
+// slices' IDs. Users off their home slice have an entry in the exception
+// table, which always wins: users mid-migration (with the buffer their
+// packets divert to, §4.3), users migrated or imported onto another
+// slice, and identifiers assigned outside the allocator (N4 F-TEIDs and
+// UE addresses). The per-packet read takes no lock: one atomic load
+// while the table is empty, one sync.Map load otherwise. Writers —
+// Register, Unregister, the migration handshake — and the migration
+// buffer's slow path serialize on mu.
+//
+// A key on a home prefix steers there even when its user is gone, and
+// the slice counts the packet Missed; a key with neither home nor
+// exception is dropped here as Unknown.
 type Demux struct {
-	mu     sync.RWMutex
-	byTEID map[uint32]int
-	byIP   map[uint32]int
+	mu     sync.Mutex
 	byIMSI map[uint64]int
-	// migrating holds per-user packet buffers keyed by demux key while a
-	// migration is in flight.
-	migrating map[uint32]*migBuffer
 
-	numSlices int
+	// home maps a demuxKey>>24 to a slice index, or steerUnknown.
+	home [512]int32
+	// exc maps a demuxKey to its *route; excN counts the entries.
+	exc  sync.Map
+	excN atomic.Int64
 
 	Steered  atomic.Uint64
 	Unknown  atomic.Uint64
 	Buffered atomic.Uint64
 
-	// steerTestHook, when non-nil, runs between steer's read-locked
-	// migration lookup and its write-locked double check. Tests use it to
+	// steerTestHook, when non-nil, runs between steer's lock-free lookup
+	// and the migration slow path's locked re-check. Tests use it to
 	// complete a migration inside that window deterministically; nil in
 	// production.
 	steerTestHook func()
+}
+
+// demuxKey is a steering key: a downlink UE address, or an uplink TEID
+// with bit 32 set so the two spaces never collide. Shifted right by 24
+// it indexes Demux.home.
+type demuxKey uint64
+
+func keyOf(key uint32, uplink bool) demuxKey {
+	if uplink {
+		return demuxKey(key) | 1<<32
+	}
+	return demuxKey(key)
+}
+
+func (k demuxKey) uplink() bool { return k>>32 != 0 }
+
+// route is an exception entry: the slice serving the key and, while its
+// user migrates, the buffer its packets divert to. Entries are replaced,
+// never changed, except buf.pkts, which mu guards.
+type route struct {
+	slice int32
+	buf   *migBuffer
 }
 
 type migBuffer struct {
 	pkts []*pkt.Buf
 }
 
-// NewDemux returns an empty demux for a node with numSlices slices.
-func NewDemux(numSlices int) *Demux {
-	return &Demux{
-		byTEID:    make(map[uint32]int),
-		byIP:      make(map[uint32]int),
-		byIMSI:    make(map[uint64]int),
-		migrating: make(map[uint32]*migBuffer),
-		numSlices: numSlices,
+func newDemux(ids []int) *Demux {
+	d := &Demux{byIMSI: make(map[uint64]int)}
+	for i := range d.home {
+		d.home[i] = steerUnknown
+	}
+	for i, id := range ids {
+		d.home[keyOf(HomeTEID(id, 0), true)>>24] = int32(i)
+		d.home[keyOf(HomeUEAddr(id, 0), false)>>24] = int32(i)
+	}
+	return d
+}
+
+// lookup is the per-packet rule: the key's exception if it has one
+// (steerMigrating while its user migrates), else its home.
+func (d *Demux) lookup(k demuxKey) int32 {
+	if d.excN.Load() == 0 {
+		return d.home[k>>24]
+	}
+	if s, mb := d.owner(k); mb == nil {
+		return s
+	}
+	return steerMigrating
+}
+
+// owner is the slice k routes to, and its migration buffer if any.
+func (d *Demux) owner(k demuxKey) (int32, *migBuffer) {
+	if v, ok := d.exc.Load(k); ok {
+		r := v.(*route)
+		return r.slice, r.buf
+	}
+	return d.home[k>>24], nil
+}
+
+// put sets k's exception to (slice, buf), or removes it when that says
+// no more than k's home does (slice < 0: steer k home), and returns the
+// entry it replaced. Callers hold mu.
+func (d *Demux) put(k demuxKey, slice int32, buf *migBuffer) *route {
+	var old *route
+	if v, ok := d.exc.Load(k); ok {
+		old = v.(*route)
+	}
+	if buf == nil && (slice < 0 || slice == d.home[k>>24]) {
+		if old != nil {
+			d.exc.Delete(k)
+			d.excN.Add(-1)
+		}
+		return old
+	}
+	if old == nil {
+		d.excN.Add(1)
+	}
+	d.exc.Store(k, &route{slice: slice, buf: buf})
+	return old
+}
+
+// reroute points a user's nonzero keys at slice (slice < 0: home). A key
+// mid-migration is left alone: the migration's end sets its route.
+// Callers hold mu.
+func (d *Demux) reroute(teid, ueIP uint32, slice int32) {
+	for _, k := range [2]demuxKey{keyOf(teid, true), keyOf(ueIP, false)} {
+		if _, mb := d.owner(k); uint32(k) != 0 && mb == nil {
+			d.put(k, slice, nil)
+		}
 	}
 }
 
-// Register maps a user's data and signaling keys to a slice.
+// Register maps a user's signaling key to a slice and steers its data
+// keys there: an exception for a key off its home, none for one on it.
 func (d *Demux) Register(teid, ueIP uint32, imsi uint64, slice int) {
 	d.mu.Lock()
-	if teid != 0 {
-		d.byTEID[teid] = slice
-	}
-	if ueIP != 0 {
-		d.byIP[ueIP] = slice
-	}
+	d.reroute(teid, ueIP, int32(slice))
 	if imsi != 0 {
 		d.byIMSI[imsi] = slice
 	}
 	d.mu.Unlock()
 }
 
-// Unregister removes a user's mappings.
+// Unregister removes a user's signaling key and data-key exceptions;
+// its data keys steer to their home again, if they have one.
 func (d *Demux) Unregister(teid, ueIP uint32, imsi uint64) {
 	d.mu.Lock()
-	delete(d.byTEID, teid)
-	delete(d.byIP, ueIP)
+	d.reroute(teid, ueIP, -1)
 	delete(d.byIMSI, imsi)
 	d.mu.Unlock()
 }
 
-// LookupSlice resolves the slice for an uplink TEID (the paper's
-// LookUpSlice function).
+// LookupSlice reports the slice an uplink TEID steers to (the paper's
+// LookUpSlice function): its exception, else its home.
 func (d *Demux) LookupSlice(teid uint32) (int, bool) {
-	d.mu.RLock()
-	s, ok := d.byTEID[teid]
-	d.mu.RUnlock()
-	return s, ok
+	s, _ := d.owner(keyOf(teid, true))
+	return int(s), s >= 0
 }
 
-// LookupSliceByIP resolves the slice for a downlink UE address.
+// LookupSliceByIP reports the slice a downlink UE address steers to.
 func (d *Demux) LookupSliceByIP(ip uint32) (int, bool) {
-	d.mu.RLock()
-	s, ok := d.byIP[ip]
-	d.mu.RUnlock()
-	return s, ok
+	s, _ := d.owner(keyOf(ip, false))
+	return int(s), s >= 0
 }
 
 // LookupSliceByIMSI resolves the slice for signaling traffic.
 func (d *Demux) LookupSliceByIMSI(imsi uint64) (int, bool) {
-	d.mu.RLock()
+	d.mu.Lock()
 	s, ok := d.byIMSI[imsi]
-	d.mu.RUnlock()
+	d.mu.Unlock()
 	return s, ok
 }
 
@@ -211,7 +312,7 @@ func (n *Node) SteerUplink(b *pkt.Buf) {
 	b.Meta.TEID = teid
 	b.Meta.OuterLen = uint16(hdrLen)
 	b.Meta.OuterParsed = true
-	n.steer(teid, b, true)
+	n.steer(keyOf(teid, true), b)
 }
 
 // SteerDownlink routes one downlink (plain IP) packet by destination UE
@@ -226,58 +327,48 @@ func (n *Node) SteerDownlink(b *pkt.Buf) {
 	}
 	b.Meta.Flow = flow
 	b.Meta.FlowParsed = true
-	n.steer(flow.Dst, b, false)
+	n.steer(keyOf(flow.Dst, false), b)
 }
 
-func (n *Node) steer(key uint32, b *pkt.Buf, uplink bool) {
+func (n *Node) steer(k demuxKey, b *pkt.Buf) {
 	d := n.demux
-	d.mu.RLock()
-	mb := d.migrating[key]
-	var sliceIdx int
-	var ok bool
-	if uplink {
-		sliceIdx, ok = d.byTEID[key]
-	} else {
-		sliceIdx, ok = d.byIP[key]
-	}
-	d.mu.RUnlock()
-	if mb != nil {
-		if d.steerTestHook != nil {
-			d.steerTestHook()
-		}
-		// User is mid-migration: buffer until the transfer completes
-		// (§4.3: "the PEPC scheduler buffers the packets which are
-		// undergoing migration ... per-user migration queues, which are
-		// drained once a user state is migrated").
-		d.mu.Lock()
-		if mb2 := d.migrating[key]; mb2 != nil {
-			mb2.pkts = append(mb2.pkts, b)
-			d.Buffered.Add(1)
-			d.mu.Unlock()
+	s := d.lookup(k)
+	if s == steerMigrating {
+		if s = d.divert(k, b); s == steerMigrating {
 			return
 		}
-		d.mu.Unlock()
-		// Migration finished between the two lock acquisitions; fall
-		// through to normal steering with a fresh lookup.
-		d.mu.RLock()
-		if uplink {
-			sliceIdx, ok = d.byTEID[key]
-		} else {
-			sliceIdx, ok = d.byIP[key]
-		}
-		d.mu.RUnlock()
 	}
-	if !ok {
+	if s == steerUnknown {
 		d.Unknown.Add(1)
 		b.Free()
 		return
 	}
-	s := n.slices[sliceIdx]
-	if !s.enqueue(b, uplink) {
+	if !n.slices[s].enqueue(b, k.uplink()) {
 		b.Free() // ring full: tail drop
 		return
 	}
 	d.Steered.Add(1)
+}
+
+// divert is the migration slow path. Under mu, a packet whose user still
+// migrates joins the user's buffer until the transfer completes (§4.3:
+// "the PEPC scheduler buffers the packets which are undergoing migration
+// ... per-user migration queues, which are drained once a user state is
+// migrated") and steerMigrating is returned; if the migration ended
+// since the lock-free lookup, the key's settled route is.
+func (d *Demux) divert(k demuxKey, b *pkt.Buf) int32 {
+	if d.steerTestHook != nil {
+		d.steerTestHook()
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s, mb := d.owner(k)
+	if mb == nil {
+		return s
+	}
+	mb.pkts = append(mb.pkts, b)
+	d.Buffered.Add(1)
+	return steerMigrating
 }
 
 // Scheduler manages slices and migrations (§3.3: "(i) managing slices ...
@@ -327,22 +418,19 @@ func (sc *Scheduler) MigrateUser(imsi uint64, src, dst int) error {
 		sc.MigrationsFailed.Add(1)
 		return ErrUserUnknown
 	}
-	var teid, ueIP uint32
-	ue.ReadCtrl(func(c *state.ControlState) {
-		teid = c.UplinkTEID
-		ueIP = c.UEAddr
-	})
+	teid, ueIP := ueKeys(ue)
+	up, down := keyOf(teid, true), keyOf(ueIP, false)
 
 	// 1. Start buffering: packets for this user divert to per-user
 	// queues.
 	d.mu.Lock()
-	if _, exists := d.byTEID[teid]; !exists {
+	if s, mb := d.owner(up); s != int32(src) || mb != nil {
 		d.mu.Unlock()
 		sc.MigrationsFailed.Add(1)
 		return ErrNotRegistered
 	}
-	d.migrating[teid] = &migBuffer{}
-	d.migrating[ueIP] = &migBuffer{}
+	d.put(up, int32(src), &migBuffer{})
+	d.put(down, int32(src), &migBuffer{})
 	d.mu.Unlock()
 
 	// 2. Extract from the source slice (snapshot + delete). The request
@@ -356,7 +444,7 @@ func (sc *Scheduler) MigrateUser(imsi uint64, src, dst int) error {
 		cs, cnt, lv, err = n.slices[src].ctrl.extract(imsi)
 	})
 	if err != nil {
-		sc.abortMigration(teid, ueIP)
+		sc.endMigration(imsi, up, down, src)
 		sc.MigrationsFailed.Add(1)
 		return err
 	}
@@ -365,88 +453,55 @@ func (sc *Scheduler) MigrateUser(imsi uint64, src, dst int) error {
 	// inter-node transfer would ship.
 	var msg StateTransferMessage
 	msg.IMSI = imsi
-	if _, err := state.MarshalSnapshotLevels(msg.Data[:], &cs, &cnt, &lv); err != nil {
-		sc.abortMigration(teid, ueIP)
-		sc.MigrationsFailed.Add(1)
-		return err
-	}
 	var cs2 state.ControlState
 	var cnt2 state.CounterState
 	var lv2 state.QoSLevels
-	if err := state.UnmarshalSnapshotLevels(msg.Data[:], &cs2, &cnt2, &lv2); err != nil {
-		sc.abortMigration(teid, ueIP)
-		sc.MigrationsFailed.Add(1)
-		return err
+	if _, err = state.MarshalSnapshotLevels(msg.Data[:], &cs, &cnt, &lv); err == nil {
+		err = state.UnmarshalSnapshotLevels(msg.Data[:], &cs2, &cnt2, &lv2)
 	}
 
 	// 3. Install into the target slice (on its control thread).
-	var instErr error
-	n.slices[dst].ctrl.exec(func() {
-		instErr = n.slices[dst].ctrl.installLevels(cs2, cnt2, lv2, sim.Now())
-	})
-	if instErr != nil {
-		sc.abortMigration(teid, ueIP)
+	if err == nil {
+		n.slices[dst].ctrl.exec(func() {
+			err = n.slices[dst].ctrl.installLevels(cs2, cnt2, lv2, sim.Now())
+		})
+	}
+	if err != nil {
+		// The user has left the source: put it back, QoS levels and all,
+		// before its buffered packets replay there; err, which stopped
+		// the migration, is the error to report.
+		n.slices[src].ctrl.exec(func() {
+			_ = n.slices[src].ctrl.installLevels(cs, cnt, lv, sim.Now())
+		})
+		sc.endMigration(imsi, up, down, src)
 		sc.MigrationsFailed.Add(1)
 		return err
 	}
 
 	// 4. Remap the demux and drain the buffered packets to the new
 	// slice.
-	d.mu.Lock()
-	d.byTEID[teid] = dst
-	d.byIP[ueIP] = dst
-	d.byIMSI[imsi] = dst
-	bufUp := d.migrating[teid]
-	bufDown := d.migrating[ueIP]
-	delete(d.migrating, teid)
-	delete(d.migrating, ueIP)
-	d.mu.Unlock()
-
-	target := n.slices[dst]
-	if bufUp != nil {
-		for _, b := range bufUp.pkts {
-			if !target.enqueue(b, true) {
-				b.Free()
-			}
-		}
-	}
-	if bufDown != nil {
-		for _, b := range bufDown.pkts {
-			if !target.enqueue(b, false) {
-				b.Free()
-			}
-		}
-	}
+	sc.endMigration(imsi, up, down, dst)
 	sc.Migrations.Add(1)
 	return nil
 }
 
-// abortMigration cancels buffering and replays buffered packets to the
-// (unchanged) owner.
-func (sc *Scheduler) abortMigration(teid, ueIP uint32) {
+// endMigration routes a migrating user to slice — the target once the
+// transfer is done, the source when it failed — and replays the packets
+// buffered meanwhile there.
+func (sc *Scheduler) endMigration(imsi uint64, up, down demuxKey, slice int) {
 	d := sc.n.demux
 	d.mu.Lock()
-	bufUp := d.migrating[teid]
-	bufDown := d.migrating[ueIP]
-	delete(d.migrating, teid)
-	delete(d.migrating, ueIP)
-	up, upOK := d.byTEID[teid]
-	down, downOK := d.byIP[ueIP]
+	d.byIMSI[imsi] = slice
+	old := [2]*route{d.put(up, int32(slice), nil), d.put(down, int32(slice), nil)}
 	d.mu.Unlock()
-	if bufUp != nil {
-		for _, b := range bufUp.pkts {
-			if upOK && sc.n.slices[up].enqueue(b, true) {
-				continue
-			}
-			b.Free()
+	for i, r := range old {
+		if r == nil || r.buf == nil {
+			continue
 		}
-	}
-	if bufDown != nil {
-		for _, b := range bufDown.pkts {
-			if downOK && sc.n.slices[down].enqueue(b, false) {
-				continue
+		for _, b := range r.buf.pkts {
+			if !sc.n.slices[slice].enqueue(b, i == 0) {
+				b.Free()
 			}
-			b.Free()
 		}
 	}
 }
@@ -486,16 +541,6 @@ func (sc *Scheduler) ExportUser(imsi uint64, src int) (StateTransferMessage, err
 	if n.Slice(src) == nil {
 		return msg, ErrSliceRange
 	}
-	ue := n.slices[src].ctrl.Lookup(imsi)
-	if ue == nil {
-		sc.MigrationsFailed.Add(1)
-		return msg, ErrUserUnknown
-	}
-	var teid, ueIP uint32
-	ue.ReadCtrl(func(c *state.ControlState) {
-		teid = c.UplinkTEID
-		ueIP = c.UEAddr
-	})
 	var cs state.ControlState
 	var cnt state.CounterState
 	var lv state.QoSLevels
@@ -507,7 +552,7 @@ func (sc *Scheduler) ExportUser(imsi uint64, src int) (StateTransferMessage, err
 		sc.MigrationsFailed.Add(1)
 		return msg, err
 	}
-	n.demux.Unregister(teid, ueIP, imsi)
+	n.demux.Unregister(cs.UplinkTEID, cs.UEAddr, imsi)
 	msg.IMSI = imsi
 	if _, err := state.MarshalSnapshotLevels(msg.Data[:], &cs, &cnt, &lv); err != nil {
 		sc.MigrationsFailed.Add(1)
@@ -554,11 +599,7 @@ func (n *Node) DetachUser(sliceIdx int, imsi uint64) error {
 	if ue == nil {
 		return ErrUserUnknown
 	}
-	var teid, ueIP uint32
-	ue.ReadCtrl(func(c *state.ControlState) {
-		teid = c.UplinkTEID
-		ueIP = c.UEAddr
-	})
+	teid, ueIP := ueKeys(ue)
 	var err error
 	s.ctrl.exec(func() { err = s.ctrl.Detach(imsi) })
 	if err != nil {

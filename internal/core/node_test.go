@@ -136,9 +136,7 @@ func TestMigrationBuffersInFlightPackets(t *testing.T) {
 
 	// Manually enter the buffering phase, steer packets, then finish.
 	d := n.Demux()
-	d.mu.Lock()
-	d.migrating[res.UplinkTEID] = &migBuffer{}
-	d.mu.Unlock()
+	end := markMigrating(d, res.UplinkTEID, 0)
 
 	pool := pkt.NewPool(2048, 128)
 	for i := 0; i < 3; i++ {
@@ -152,12 +150,7 @@ func TestMigrationBuffersInFlightPackets(t *testing.T) {
 	}
 	// Complete the buffering phase by hand: remap + drain, as
 	// MigrateUser does.
-	d.mu.Lock()
-	buf := d.migrating[res.UplinkTEID]
-	delete(d.migrating, res.UplinkTEID)
-	d.byTEID[res.UplinkTEID] = 1
-	d.mu.Unlock()
-	for _, b := range buf.pkts {
+	for _, b := range end(1) {
 		n.Slice(1).Uplink.Enqueue(b)
 	}
 	if n.Slice(1).Uplink.Len() != 3 {
@@ -515,12 +508,18 @@ func TestInterNodeMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node A no longer serves or steers the user.
+	// Node A no longer serves the user: the TEID still steers to its home
+	// slice there, which misses it and forwards nothing.
 	if nodeA.Slice(0).Control().Lookup(99) != nil {
 		t.Fatal("user still on node A")
 	}
-	if _, ok := nodeA.Demux().LookupSlice(res.UplinkTEID); ok {
-		t.Fatal("node A demux still maps the user")
+	nodeA.Slice(0).Data().SyncUpdates()
+	nodeA.SteerUplink(buildUplink(pool, res.UplinkTEID, res.UEAddr, 5, nodeA.Slice(0).Config().CoreAddr, 80))
+	stale := make([]*pkt.Buf, 1)
+	nodeA.Slice(0).Uplink.DequeueBatch(stale)
+	nodeA.Slice(0).Data().ProcessUplinkBatch(stale, sim.Now())
+	if dp := nodeA.Slice(0).Data(); dp.Missed.Load() != 1 || dp.Forwarded.Load() != 7 {
+		t.Fatalf("node A after export: missed %d forwarded %d, want 1 and 7", dp.Missed.Load(), dp.Forwarded.Load())
 	}
 
 	if err := nodeB.Scheduler().ImportUser(msg, 0); err != nil {

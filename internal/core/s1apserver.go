@@ -355,11 +355,7 @@ func (srv *S1APServer) onContextRelease(pdu *s1ap.PDU) error {
 	if srv.registrar != nil {
 		ue := srv.cp.Lookup(imsi)
 		if ue != nil {
-			var teid, ueIP uint32
-			ue.ReadCtrl(func(c *state.ControlState) {
-				teid = c.UplinkTEID
-				ueIP = c.UEAddr
-			})
+			teid, ueIP := ueKeys(ue)
 			srv.registrar(teid, ueIP, imsi, false)
 		}
 	}

@@ -221,11 +221,7 @@ func (cp *ControlPlane) detachBatch(run []SigEvent) {
 		if ue == nil {
 			continue
 		}
-		var teid, ueAddr uint32
-		ue.ReadCtrl(func(c *state.ControlState) {
-			teid = c.UplinkTEID
-			ueAddr = c.UEAddr
-		})
+		teid, ueAddr := ueKeys(ue)
 		if cp.s.tl != nil {
 			cp.s.tl.RemoveSecondary(teid, ueAddr)
 		}

@@ -46,8 +46,8 @@ const (
 
 // SliceConfig parameterizes a PEPC slice.
 type SliceConfig struct {
-	// ID distinguishes slices within a node and seeds identifier
-	// allocation (TEIDs, UE addresses).
+	// ID distinguishes slices within a node (0..MaxSliceID) and is the
+	// prefix of the identifiers it allocates (HomeTEID, HomeUEAddr).
 	ID int
 	// TableMode selects single vs two-level state storage.
 	TableMode TableMode

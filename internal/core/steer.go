@@ -9,17 +9,15 @@ import (
 // plane: it takes a burst of raw wire datagrams (as the vectorized rx
 // path lands them), classifies each exactly once — a GTP-U outer parse
 // whose validated result is recorded in the packet metadata, or the
-// downlink inner-flow parse — resolves every packet's owning slice under
-// a single demux read lock, and enqueues runs of consecutive packets for
-// the same (slice, direction) with one ring operation per run. It
-// replaces the daemon's old peek-then-steer loop, which walked the outer
-// headers twice per uplink packet and took the demux lock once per
-// packet.
+// downlink inner-flow parse — resolves every packet's owning slice from
+// its key (the demux's home table, or its exception; no lock), and
+// enqueues runs of consecutive packets for the same (slice, direction)
+// with one ring operation per run.
 //
 // Packets caught mid-migration fall back to the per-packet steer slow
 // path (which handles the buffering handshake); everything else stays on
 // the batch path. Single goroutine (one lane per WireSteer); the demux
-// lock makes concurrent WireSteers over one node safe.
+// is safe to read from concurrent WireSteers over one node.
 //
 // Rx-queue ↔ worker affinity contract: in the multi-queue wire data
 // plane (sockio.Group, pepcd -rxqueues) each rx queue owns exactly one
@@ -40,12 +38,11 @@ type WireSteer struct {
 	cache *pkt.PoolCache
 
 	live  []*pkt.Buf
-	keys  []uint32
-	up    []bool
+	keys  []demuxKey
 	slice []int32
 }
 
-// Slice indices in WireSteer.slice with special meaning.
+// Slice indices with special meaning in the demux's lookups.
 const (
 	steerUnknown   int32 = -1
 	steerMigrating int32 = -2
@@ -96,8 +93,7 @@ func (ws *WireSteer) ensure(n int) {
 		return
 	}
 	ws.live = make([]*pkt.Buf, 0, n)
-	ws.keys = make([]uint32, n)
-	ws.up = make([]bool, n)
+	ws.keys = make([]demuxKey, n)
 	ws.slice = make([]int32, n)
 }
 
@@ -116,13 +112,14 @@ func (ws *WireSteer) Steer(bufs []*pkt.Buf) {
 	d := ws.n.demux
 	ws.ensure(len(bufs))
 
-	// Stage 1: parse once and compact. GTP-U envelopes steer by TEID
-	// with the validated outer parse recorded for the slice's decap;
-	// everything else is downlink plain IP steering by destination UE
-	// address. Non-G-PDU GTP messages and unparsable packets drop here,
-	// as the per-packet path did. A packet already classified upstream
-	// (the cluster steerer parses once for the whole fleet) is trusted
-	// via its metadata rather than re-walked.
+	// Stage 1: parse once, compact and resolve each owner by the demux's
+	// per-packet rule. GTP-U envelopes steer by TEID with the validated
+	// outer parse recorded for the slice's decap; everything else is
+	// downlink plain IP steering by destination UE address. Non-G-PDU GTP
+	// messages and unparsable packets drop here, as the per-packet path
+	// did. A packet already classified upstream (the cluster steerer
+	// parses once for the whole fleet) is trusted via its metadata rather
+	// than re-walked.
 	live := ws.live[:0]
 	var unknown uint64
 	for _, b := range bufs {
@@ -132,35 +129,13 @@ func (ws *WireSteer) Steer(bufs []*pkt.Buf) {
 			ws.free(b)
 			continue
 		}
-		ws.keys[len(live)] = key
-		ws.up[len(live)] = up
+		k := keyOf(key, up)
+		ws.keys[len(live)] = k
+		ws.slice[len(live)] = d.lookup(k)
 		live = append(live, b)
 	}
 
-	// Stage 2: resolve owners under one demux read lock for the whole
-	// burst instead of one per packet.
-	d.mu.RLock()
-	for i := range live {
-		if d.migrating[ws.keys[i]] != nil {
-			ws.slice[i] = steerMigrating
-			continue
-		}
-		var s int
-		var ok bool
-		if ws.up[i] {
-			s, ok = d.byTEID[ws.keys[i]]
-		} else {
-			s, ok = d.byIP[ws.keys[i]]
-		}
-		if !ok {
-			ws.slice[i] = steerUnknown
-			continue
-		}
-		ws.slice[i] = int32(s)
-	}
-	d.mu.RUnlock()
-
-	// Stage 3: enqueue maximal runs of consecutive packets bound for the
+	// Stage 2: enqueue maximal runs of consecutive packets bound for the
 	// same slice and direction with one ring operation per run — wire
 	// bursts from one eNodeB are exactly such runs.
 	var steered uint64
@@ -173,18 +148,19 @@ func (ws *WireSteer) Steer(bufs []*pkt.Buf) {
 			i++
 			continue
 		case steerMigrating:
-			// Slow path: re-resolves and buffers under the write lock.
-			ws.n.steer(ws.keys[i], live[i], ws.up[i])
+			// Slow path: re-resolves and buffers under the demux lock.
+			ws.n.steer(ws.keys[i], live[i])
 			i++
 			continue
 		}
+		up := ws.keys[i].uplink()
 		j := i + 1
-		for j < len(live) && ws.slice[j] == ws.slice[i] && ws.up[j] == ws.up[i] {
+		for j < len(live) && ws.slice[j] == ws.slice[i] && ws.keys[j].uplink() == up {
 			j++
 		}
 		s := ws.n.slices[ws.slice[i]]
 		var acc int
-		if ws.up[i] {
+		if up {
 			acc = s.Uplink.EnqueueBatch(live[i:j])
 		} else {
 			acc = s.Downlink.EnqueueBatch(live[i:j])

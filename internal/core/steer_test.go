@@ -89,6 +89,23 @@ func TestWireSteerDropsIntoCache(t *testing.T) {
 	b.Free()
 }
 
+// markMigrating puts an uplink TEID mid-migration away from slice src by
+// hand, as MigrateUser's first step does, so packets hit the buffering
+// window deterministically. The returned end routes the TEID to slice
+// dst, as the migration's end does, and hands back the packets buffered
+// meanwhile.
+func markMigrating(d *Demux, teid uint32, src int) (end func(dst int) []*pkt.Buf) {
+	k := keyOf(teid, true)
+	d.mu.Lock()
+	d.put(k, int32(src), &migBuffer{})
+	d.mu.Unlock()
+	return func(dst int) []*pkt.Buf {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return d.put(k, int32(dst), nil).buf.pkts
+	}
+}
+
 func TestWireSteerMigratingFallsBackToBuffering(t *testing.T) {
 	n := newTestNode(t, 2)
 	res, err := n.AttachUser(0, AttachSpec{IMSI: 100, ENBAddr: 1, DownlinkTEID: 11})
@@ -97,12 +114,8 @@ func TestWireSteerMigratingFallsBackToBuffering(t *testing.T) {
 	}
 	n.Slice(0).Data().SyncUpdates()
 
-	// Mark the user mid-migration by hand, as MigrateUser's first phase
-	// does, so the burst hits the buffering window deterministically.
 	d := n.Demux()
-	d.mu.Lock()
-	d.migrating[res.UplinkTEID] = &migBuffer{}
-	d.mu.Unlock()
+	end := markMigrating(d, res.UplinkTEID, 0)
 
 	pool := pkt.NewPool(2048, 128)
 	ws := n.NewWireSteer(4, nil)
@@ -117,13 +130,9 @@ func TestWireSteerMigratingFallsBackToBuffering(t *testing.T) {
 	if got := n.Slice(0).Uplink.Len(); got != 0 {
 		t.Fatalf("uplink ring has %d packets during migration, want 0", got)
 	}
-	d.mu.Lock()
-	mb := d.migrating[res.UplinkTEID]
-	for _, b := range mb.pkts {
+	for _, b := range end(0) {
 		b.Free()
 	}
-	delete(d.migrating, res.UplinkTEID)
-	d.mu.Unlock()
 }
 
 func TestWireSteerRingFullTailDrop(t *testing.T) {
@@ -169,6 +178,63 @@ func TestWireSteerRingFullTailDrop(t *testing.T) {
 		for i := 0; i < k; i++ {
 			batch[i].Free()
 		}
+	}
+}
+
+// TestSteerZeroAlloc guards the per-packet demux: SteerUplink and
+// SteerDownlink allocate nothing, with the exception table empty (the
+// home prefix alone decides) and with entries in it (a user migrated off
+// its home, looked up beside one still on it).
+func TestSteerZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts only meaningful without -race")
+	}
+	n := newTestNode(t, 2)
+	pool := pkt.NewPool(2048, 128)
+	one := make([]*pkt.Buf, 1)
+	steer := func(res AttachResult, slice int) float64 {
+		s := n.Slice(slice)
+		up := buildUplink(pool, res.UplinkTEID, res.UEAddr, 1, s.Config().CoreAddr, 80)
+		down := buildDownlink(pool, res.UEAddr, 80)
+		round := func() {
+			n.SteerUplink(up)
+			n.SteerDownlink(down)
+			if s.Uplink.DequeueBatch(one) != 1 {
+				t.Fatalf("uplink not steered to slice %d", slice)
+			}
+			up = one[0]
+			if s.Downlink.DequeueBatch(one) != 1 {
+				t.Fatalf("downlink not steered to slice %d", slice)
+			}
+			down = one[0]
+		}
+		round()
+		return testing.AllocsPerRun(200, round)
+	}
+	var res [2]AttachResult
+	for i := range res {
+		var err error
+		if res[i], err = n.AttachUser(0, AttachSpec{IMSI: uint64(i + 1), ENBAddr: 1, DownlinkTEID: 11}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n.Demux().excN.Load() != 0 {
+		t.Fatal("home attaches created exceptions")
+	}
+	if a := steer(res[0], 0); a != 0 {
+		t.Fatalf("steering by home prefix allocates %.1f/round", a)
+	}
+	if err := n.Scheduler().MigrateUser(2, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n.Demux().excN.Load() != 2 {
+		t.Fatalf("%d exceptions after a migration off home, want 2", n.Demux().excN.Load())
+	}
+	if a := steer(res[1], 1); a != 0 {
+		t.Fatalf("steering by exception allocates %.1f/round", a)
+	}
+	if a := steer(res[0], 0); a != 0 {
+		t.Fatalf("steering by home past a non-empty exception table allocates %.1f/round", a)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"pepc/internal/pkt"
@@ -132,6 +133,72 @@ func TestTransferConservesQoSAndCharging(t *testing.T) {
 	afterLv := ueB.Hot().Priv.Limiter.ExportLevels(sim.Now())
 	if afterLv.AMBRUp > dstLv.AMBRUp+400 {
 		t.Fatalf("rebuild reset seeded tokens: %d → %d", dstLv.AMBRUp, afterLv.AMBRUp)
+	}
+}
+
+// TestMigrationOntoTakenIMSIKeepsUser: with the IMSI already attached on
+// the target, installing there fails after the user has left the source.
+// MigrateUser must report ErrUserExists and put the user back on the
+// source, still forwarding, with its charging counters and the token
+// levels it had spent down to — not report success with the user served
+// nowhere.
+func TestMigrationOntoTakenIMSIKeepsUser(t *testing.T) {
+	n := NewNode(SliceConfig{ID: 1, UserHint: 64}, SliceConfig{ID: 2, UserHint: 64})
+	res, err := n.AttachUser(0, AttachSpec{IMSI: 7, ENBAddr: 5, DownlinkTEID: 0x700,
+		AMBRUplink: 8000, AMBRDownlink: 8000}) // 1000 B/s refill, 3000-byte burst
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := n.Slice(0)
+	src.Data().SyncUpdates()
+	pool := pkt.NewPool(2048, 128)
+	for i := 0; i < 20; i++ {
+		b := buildUplink(pool, res.UplinkTEID, res.UEAddr, 5, src.Config().CoreAddr, 80)
+		src.Data().ProcessUplinkBatch([]*pkt.Buf{b}, sim.Now())
+	}
+	drainEgress(src)
+	ue := src.Control().Lookup(7)
+	lv := ue.Hot().Priv.Limiter.ExportLevels(sim.Now())
+	var cnt state.CounterState
+	ue.ReadCounters(func(c *state.CounterState) { cnt = *c })
+
+	if _, err := n.Slice(1).Control().Attach(AttachSpec{IMSI: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Scheduler().MigrateUser(7, 0, 1); !errors.Is(err, ErrUserExists) {
+		t.Fatalf("migration onto a taken IMSI: %v, want ErrUserExists", err)
+	}
+	if ok, failed := n.Scheduler().Migrations.Load(), n.Scheduler().MigrationsFailed.Load(); ok != 0 || failed != 1 {
+		t.Fatalf("migrations %d, failed %d; want 0 and 1", ok, failed)
+	}
+
+	back := src.Control().Lookup(7)
+	if back == nil {
+		t.Fatal("user lost: on neither slice")
+	}
+	var cntBack state.CounterState
+	back.ReadCounters(func(c *state.CounterState) { cntBack = *c })
+	if cntBack != cnt || cnt.UplinkPackets != 20 {
+		t.Fatalf("counters not conserved:\n before %+v\n after  %+v", cnt, cntBack)
+	}
+	// The levels can exceed what the user left with only by refill
+	// (500 bytes is half a second), never by a reset to the full burst.
+	lvBack := back.Hot().Priv.Limiter.ExportLevels(sim.Now())
+	if lvBack.AMBRUp < lv.AMBRUp || lvBack.AMBRUp > lv.AMBRUp+500 || lvBack.AMBRDown < lv.AMBRDown || lvBack.AMBRDown > lv.AMBRDown+500 {
+		t.Fatalf("token levels not conserved: %+v → %+v", lv, lvBack)
+	}
+
+	// The demux still steers the user to the source, which forwards.
+	src.Data().SyncUpdates()
+	n.SteerUplink(buildUplink(pool, res.UplinkTEID, res.UEAddr, 5, src.Config().CoreAddr, 80))
+	one := make([]*pkt.Buf, 1)
+	if src.Uplink.DequeueBatch(one) != 1 {
+		t.Fatal("uplink not steered to the source")
+	}
+	src.Data().ProcessUplinkBatch(one, sim.Now())
+	drainEgress(src)
+	if got := src.Data().Forwarded.Load(); got != 21 {
+		t.Fatalf("source forwarded %d, want 21", got)
 	}
 }
 

@@ -240,9 +240,6 @@ func sockioQueueSetup(queues, nUsers, batch int) ([]*sockioQueueLane, func(), bo
 		if err != nil {
 			return nil, nil, false, err
 		}
-		for _, u := range users {
-			node.Demux().Register(u.UplinkTEID, u.UEAddr, u.IMSI, s)
-		}
 		// Lane s sources only flows the steering program sends to queue
 		// s: sequential TEID allocation spans every residue class, so
 		// the subset with TEID ≡ s (mod queues) is about 1/queues of the
@@ -394,14 +391,11 @@ func sockioQueueRun(queues, total, nUsers int, mode string) (laneRate, bool, int
 func sockioNode(nUsers int) (*core.Node, *workload.TrafficGen, error) {
 	node := core.NewNode(core.SliceConfig{ID: 1, UserHint: nUsers})
 	s := node.Slice(0)
+	// The bulk attach registers with the slice only; the node demux
+	// steers its users by their identifiers' home prefix.
 	users, err := attachPopulation(s, nUsers, 1)
 	if err != nil {
 		return nil, nil, err
-	}
-	// Re-register through the node demux so steering resolves (the bulk
-	// attach path registers with the slice only).
-	for _, u := range users {
-		node.Demux().Register(u.UplinkTEID, u.UEAddr, u.IMSI, 0)
 	}
 	gen := workload.NewTrafficGen(workload.TrafficConfig{
 		ENBAddr:    pkt.IPv4Addr(192, 168, 0, 1),

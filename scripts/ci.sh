@@ -21,6 +21,12 @@ go test ./...
 echo "== go test -race internal/core internal/lane internal/state internal/sockio internal/hdr internal/pfcp"
 go test -race ./internal/core/ ./internal/lane/ ./internal/state/ ./internal/sockio/ ./internal/hdr/ ./internal/pfcp/
 
+# The demux's route read takes no lock, so steering races migrations,
+# registrations and exception-table writes by design: the window tests,
+# the route model and the migration tests, 20 times under the detector.
+echo "== steer vs migration x20 (-race)"
+go test -race -run 'TestSteer|TestDemuxRoutes|TestMigration' -count=20 ./internal/core/
+
 # Cluster e2e under the race detector: a 2-node cluster taking an attach
 # storm and live steering concurrently with add/remove/kill/recover
 # membership changes, plus the checkpoint-restore conservation drill —
@@ -76,12 +82,16 @@ go test -run 'Fuzz' -count=1 ./internal/gtp/ ./internal/pfcp/ ./internal/state/
 # ablation knobs only it exercised are gone, and so are the daemon's rx
 # loop, egress loop, idle park and linger clock (the lane replaced them)
 # and the in-process worker package with its dequeue budget (the slice's
-# data pass replaced them); nothing outside the project history (and the
-# config test proving the JSON keys are rejected) may still name them.
+# data pass replaced them), and the demux's per-user TEID/address maps
+# (arithmetic steering replaced them; the state table's and the legacy
+# baseline's maps of the same names are not meant); nothing outside the
+# project history (and the config test proving the JSON keys are
+# rejected) may still name them.
 echo "== dangling-reference guard"
 retired='benchdiff|BENCHDIFF_|bench/baseline|encap_mode|-fig8 pktsize'
 retired="$retired|idlePark|IdlePark|runQueueEgress|runGTPURx|FlushExpired|-linger"
 retired="$retired|internal/nf|nf\.Worker|HousekeepEvery|batch_size"
+retired="$retired|d\.(byTEID|byIP)\b|demux\.(byTEID|byIP)\b"
 if grep -rnE -e "$retired" --include='*.go' --include='*.sh' --include='*.md' --include=Makefile \
 	--exclude-dir=.git --exclude-dir=.bench_build . |
 	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:|^\./scripts/ci\.sh:|^\./internal/core/config_test\.go:'; then
