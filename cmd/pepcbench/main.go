@@ -44,7 +44,6 @@ func parseArgs(args []string, stderr io.Writer) (names []string, sc pepc.Experim
 	packets := fs.Int("packets", 0, "override measured packets per point")
 	events := fs.Int("events", 0, "override measured signaling events per point")
 	lanes := fs.String("lanes", "auto", "multi-lane sweeps (fig 7 cores, sockio queues, cluster nodes): auto, parallel (concurrent lanes) or sum (measure-and-sum, marked derived)")
-	fig14Mode := fs.String("fig14", "paper", "figure 14 sweep: paper (always-on fraction) or population (pointer vs handle state layout)")
 	faultSeed := fs.Uint64("faultseed", 0, "faults experiment: injector seed (0 = default)")
 	faultEpochs := fs.Int("faultepochs", 0, "faults experiment: chaos soak epochs (0 = default)")
 	list := fs.Bool("list", false, "list available experiments")
@@ -78,12 +77,6 @@ func parseArgs(args []string, stderr io.Writer) (names []string, sc pepc.Experim
 		return fail("-lanes must be auto, parallel or sum (got %q)", *lanes)
 	}
 	sc.Lanes = *lanes
-	switch *fig14Mode {
-	case "paper", "population":
-	default:
-		return fail("-fig14 must be paper or population (got %q)", *fig14Mode)
-	}
-	sc.Fig14Mode = *fig14Mode
 	sc.FaultSeed = *faultSeed
 	sc.FaultEpochs = *faultEpochs
 

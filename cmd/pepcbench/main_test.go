@@ -9,7 +9,7 @@ import (
 // knobs must fail with the flag package's standard error, not be
 // silently accepted.
 func TestRemovedFlagsRejected(t *testing.T) {
-	for _, f := range []string{"-json", "-fig5", "-fig6", "-fig7", "-fig8", "-sockioq", "-clustermode"} {
+	for _, f := range []string{"-json", "-fig5", "-fig6", "-fig7", "-fig8", "-sockioq", "-clustermode", "-fig14"} {
 		var stderr strings.Builder
 		_, _, err := parseArgs([]string{"-fig", "7", f, "x"}, &stderr)
 		if err == nil || !strings.Contains(stderr.String(), "flag provided but not defined: "+f) {

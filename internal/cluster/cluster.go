@@ -88,8 +88,6 @@ type Config struct {
 	SlicesPerNode int
 	// UserHint sizes each slice's tables.
 	UserHint int
-	// StateLayout selects pointer vs handle per-user state storage.
-	StateLayout core.StateLayout
 	// TableSize is the Maglev table size (0 → lb.DefaultTableSize).
 	// Must comfortably exceed the expected user population for the
 	// disruption bound to hold per-key.
@@ -202,7 +200,6 @@ func (c *Cluster) sliceConfigs() []core.SliceConfig {
 		cfgs[i] = core.SliceConfig{
 			ID:            i + 1,
 			UserHint:      c.cfg.UserHint,
-			StateLayout:   c.cfg.StateLayout,
 			RecordLatency: c.cfg.RecordLatency,
 		}
 	}

@@ -30,10 +30,6 @@ type SliceSpec struct {
 	Users int `json:"users,omitempty"`
 	// TwoLevelTable selects the primary/secondary state storage.
 	TwoLevelTable bool `json:"two_level_table,omitempty"`
-	// StateLayout selects per-user state storage: "" or "pointer" for
-	// key→*UE indexes, "handle" for pointer-free key→handle indexes over
-	// slab-allocated hot state (DESIGN.md §4.10).
-	StateLayout string `json:"state_layout,omitempty"`
 	// PrimarySize hints the two-level primary table capacity.
 	PrimarySize int `json:"primary_size,omitempty"`
 	// SyncEvery overrides the data plane's update batching interval.
@@ -118,13 +114,6 @@ func BuildNode(cfg OperatorConfig) (*Node, error) {
 		}
 		if sp.TwoLevelTable {
 			sc.TableMode = TableTwoLevel
-		}
-		switch sp.StateLayout {
-		case "", "pointer":
-		case "handle":
-			sc.StateLayout = LayoutHandle
-		default:
-			return nil, fmt.Errorf("core: slice %d: unknown state_layout %q", sp.ID, sp.StateLayout)
 		}
 		if sp.IoTPoolSize > 0 {
 			sc.IoTTEIDBase = 0xE000_0000 | uint32(sp.ID)<<20

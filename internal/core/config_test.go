@@ -97,6 +97,11 @@ func TestLoadOperatorConfigRejectsBatchSize(t *testing.T) {
 	rejectsRetired(t, strings.Replace(sampleConfig, `"sync_every": 16,`, `"sync_every": 16, "batch_size": 8,`, 1), "batch_size")
 }
 
+// The retired handle state layout: every slice runs the one layout.
+func TestLoadOperatorConfigRejectsStateLayout(t *testing.T) {
+	rejectsRetired(t, `{"slices": [{"id": 1, "state_layout": "handle"}]}`, "state_layout")
+}
+
 func TestBuildNodeFromConfig(t *testing.T) {
 	cfg, err := LoadOperatorConfig(strings.NewReader(sampleConfig))
 	if err != nil {

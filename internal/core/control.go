@@ -261,7 +261,6 @@ func (cp *ControlPlane) Attach(spec AttachSpec) (AttachResult, error) {
 		}
 		teid, ueAddr = spec.AssignedUplinkTEID, spec.AssignedUEAddr
 		ue = &state.UE{}
-		cp.bindHot(ue)
 	} else if ue, teid, ueAddr, err = cp.allocUE(); err != nil {
 		return res, err
 	}
@@ -384,7 +383,6 @@ func (cp *ControlPlane) allocUE() (*state.UE, uint32, uint32, error) {
 			cp.retLen--
 			r.ue.Recycle()
 			cp.Recycles.Add(1)
-			cp.bindHot(r.ue)
 			return r.ue, r.teid, r.ueAddr, nil
 		}
 	}
@@ -392,17 +390,7 @@ func (cp *ControlPlane) allocUE() (*state.UE, uint32, uint32, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	ue := &state.UE{}
-	cp.bindHot(ue)
-	return ue, teid, ueAddr, nil
-}
-
-// bindHot binds a context to an arena hot slot in the handle layout
-// (no-op in the pointer layout, where the inline hot half serves).
-func (cp *ControlPlane) bindHot(ue *state.UE) {
-	if cp.s.arena != nil {
-		cp.s.arena.Alloc(ue, cp.s.data.syncSeq.Load())
-	}
+	return &state.UE{}, teid, ueAddr, nil
 }
 
 // retire parks a detached context on the free list, stamped with the
@@ -558,9 +546,6 @@ func (cp *ControlPlane) Detach(imsi uint64) error {
 	if cp.proxy != nil {
 		_ = cp.proxy.TerminateGxSession(imsi)
 	}
-	if cp.s.arena != nil {
-		cp.s.arena.Retire(ue.Handle(), cp.s.data.syncSeq.Load())
-	}
 	cp.retire(ue, teid, ueAddr)
 	cp.Detaches.Add(1)
 	return nil
@@ -712,9 +697,6 @@ func (cp *ControlPlane) extract(imsi uint64) (state.ControlState, state.CounterS
 			lv.Levels = l.ExportLevels(sim.Now())
 		}
 	}
-	if cp.s.arena != nil {
-		cp.s.arena.Retire(ue.Handle(), cp.s.data.syncSeq.Load())
-	}
 	cp.collector.Forget(imsi)
 	return cs, cnt, lv, nil
 }
@@ -735,7 +717,6 @@ func (cp *ControlPlane) installLevels(cs state.ControlState, cnt state.CounterSt
 		return ErrUserExists
 	}
 	ue := &state.UE{}
-	cp.bindHot(ue)
 	ue.Restore(cs, cnt)
 	if lv.Valid {
 		cp.seedLimiter(ue, &cs, lv)

@@ -50,10 +50,9 @@ type RecoveryReport struct {
 //
 // Invariants on return: the new slice shares no *UE with the crashed
 // one (contexts are snapshotted, then reinstalled through the normal
-// attach path, so arena handles cannot leak across slices); counters of
-// every user referenced by the surviving queue are exact, and counters
-// of untouched users are stale by at most the checkpoint age — the
-// paper's per-user crash consistency (§8).
+// attach path); counters of every user referenced by the surviving
+// queue are exact, and counters of untouched users are stale by at most
+// the checkpoint age — the paper's per-user crash consistency (§8).
 func (s *Slice) RecoverFrom(r io.Reader, crashed *Slice) (RecoveryReport, error) {
 	var rep RecoveryReport
 	restored, err := s.RestoreCheckpoint(r)
@@ -145,8 +144,7 @@ func (s *Slice) reconcileSurvivors(crashed *Slice, rep *RecoveryReport) {
 
 // dropUser removes a restored user again (its detach completed before
 // the crash, or its identifiers changed), unwinding everything install
-// set up: control store entry, data-plane keys, arena binding, charging
-// baseline.
+// set up: control store entry, data-plane keys, charging baseline.
 func (s *Slice) dropUser(imsi uint64) {
 	ue, err := s.cp.Remove(imsi)
 	if err != nil {
@@ -157,9 +155,6 @@ func (s *Slice) dropUser(imsi uint64) {
 		teid, addr = c.UplinkTEID, c.UEAddr
 	})
 	s.ctrl.notifyDelete(teid, addr)
-	if s.arena != nil {
-		s.arena.Retire(ue.Handle(), s.data.syncSeq.Load())
-	}
 	s.ctrl.collector.Forget(imsi)
 }
 
@@ -226,16 +221,11 @@ func (s *Slice) DrainUsers(fn func(StateTransferMessage) bool) (int, error) {
 	return drained, nil
 }
 
-// ArenaLive returns the number of live hot-state slots in the slice's
-// arena, the leak invariant crash recovery and the chaos soak assert
-// against Users(). Pointer-layout slices have no arena; -1 signals
-// "not applicable".
-func (s *Slice) ArenaLive() int {
-	if s.arena == nil {
-		return -1
-	}
-	return s.arena.Len()
-}
+// ArenaLive returns -1: no slice has an arena, because every user's hot
+// state is embedded in its context. It survives only for bench/pepcmark,
+// whose caller already skips -1; delete both when that harness next
+// changes.
+func (s *Slice) ArenaLive() int { return -1 }
 
 // SetFaults arms fault injection across the slice: the signaling ring
 // consults fault.RingOverflow on every enqueue (injected backpressure,

@@ -35,12 +35,10 @@ func crashScenario(t *testing.T, cfg SliceConfig, n int) (*Slice, *bytes.Buffer)
 // The tentpole recovery invariant: a slice rebuilt from its checkpoint
 // plus the surviving update queue loses no post-checkpoint attach, no
 // completed detach, and no counter written to a queue-referenced user —
-// and, in the handle layout, leaks no arena slot (live hot slots ==
-// attached users).
+// and keeps no stale per-user state (a user detached before the crash
+// misses on the data path).
 func TestRecoverFromCheckpointPlusQueue(t *testing.T) {
-	src, ckp := crashScenario(t, SliceConfig{
-		ID: 1, UserHint: 256, StateLayout: LayoutHandle,
-	}, 50)
+	src, ckp := crashScenario(t, SliceConfig{ID: 1, UserHint: 256}, 50)
 
 	// Post-checkpoint churn, never synced to the data plane: the update
 	// queue still holds all of it when the slice "crashes".
@@ -51,7 +49,10 @@ func TestRecoverFromCheckpointPlusQueue(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var detached [5][2]uint32 // users 1-5's TEID and UE address
 	for i := 1; i <= 5; i++ {
+		teid, addr := ueKeys(src.Control().Lookup(uint64(i)))
+		detached[i-1] = [2]uint32{teid, addr}
 		if err := src.Control().Detach(uint64(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func TestRecoverFromCheckpointPlusQueue(t *testing.T) {
 	}
 
 	// Crash: the slice stops being driven; its heap survives.
-	dst := NewSlice(SliceConfig{ID: 1, UserHint: 256, StateLayout: LayoutHandle})
+	dst := NewSlice(SliceConfig{ID: 1, UserHint: 256})
 	rep, err := dst.RecoverFrom(bytes.NewReader(ckp.Bytes()), src)
 	if err != nil {
 		t.Fatal(err)
@@ -86,10 +87,17 @@ func TestRecoverFromCheckpointPlusQueue(t *testing.T) {
 		}
 	}
 
-	// No leaked arena handles: every live hot slot belongs to an
-	// attached user.
-	if live := dst.ArenaLive(); live != dst.Users() {
-		t.Fatalf("arena live = %d, users = %d", live, dst.Users())
+	// No stale per-user state: after a sync, the detached users' keys
+	// miss in both directions.
+	dst.Data().SyncUpdates()
+	pool := pkt.NewPool(2048, 128)
+	for _, k := range detached {
+		up := buildUplink(pool, k[0], k[1], 1, dst.Config().CoreAddr, 80)
+		dst.Data().ProcessUplinkBatch([]*pkt.Buf{up}, sim.Now())
+		dst.Data().ProcessDownlinkBatch([]*pkt.Buf{buildDownlink(pool, k[1], 443)}, sim.Now())
+	}
+	if m, f := dst.Data().Missed.Load(), dst.Data().Forwarded.Load(); m != 2*uint64(len(detached)) || f != 0 {
+		t.Fatalf("detached users: missed=%d forwarded=%d, want %d and 0", m, f, 2*len(detached))
 	}
 
 	// No aliasing: the recovered context is a fresh snapshot install,
@@ -109,7 +117,6 @@ func TestRecoverFromCheckpointPlusQueue(t *testing.T) {
 	// A post-checkpoint attach is immediately forwardable.
 	var cs state.ControlState
 	dst.Control().Lookup(57).ReadCtrl(func(c *state.ControlState) { cs = *c })
-	pool := pkt.NewPool(2048, 128)
 	b := buildUplink(pool, cs.UplinkTEID, cs.UEAddr, 1, dst.Config().CoreAddr, 80)
 	dst.Data().ProcessUplinkBatch([]*pkt.Buf{b}, sim.Now())
 	if dst.Data().Forwarded.Load() != 1 {

@@ -227,12 +227,6 @@ func (cp *ControlPlane) detachBatch(run []SigEvent) {
 		}
 		upd = append(upd, state.Update{Op: state.OpDelete, TEID: teid, UEIP: ueAddr})
 		cp.collector.Forget(run[i].IMSI)
-		// Unbind the hot slot before parking the context (the inline
-		// Detach path does the same): without this the batched path
-		// leaked one arena slot per detach in the handle layout.
-		if cp.s.arena != nil {
-			cp.s.arena.Retire(ue.Handle(), cp.s.data.syncSeq.Load())
-		}
 		cp.retire(ue, teid, ueAddr)
 		// Compact the surviving IMSIs for the batched Gx termination.
 		cp.sigIMSIs[term] = run[i].IMSI

@@ -30,20 +30,6 @@ const (
 	TableTwoLevel
 )
 
-// StateLayout selects how the data-plane indexes store per-user state
-// (DESIGN.md §4.10).
-type StateLayout uint8
-
-const (
-	// LayoutPointer maps key→*UE; each user's hot state is embedded in
-	// its heap-allocated context. The baseline layout.
-	LayoutPointer StateLayout = iota
-	// LayoutHandle maps key→generation+slot handle in pointer-free
-	// indexes, with hot state packed into state.Arena slabs: denser in
-	// cache and invisible to the GC mark phase at large populations.
-	LayoutHandle
-)
-
 // SliceConfig parameterizes a PEPC slice.
 type SliceConfig struct {
 	// ID distinguishes slices within a node (0..MaxSliceID) and is the
@@ -51,9 +37,6 @@ type SliceConfig struct {
 	ID int
 	// TableMode selects single vs two-level state storage.
 	TableMode TableMode
-	// StateLayout selects pointer vs handle state storage for the
-	// data-plane indexes.
-	StateLayout StateLayout
 	// PrimaryHint sizes the two-level primary table (active devices).
 	PrimaryHint int
 	// UserHint pre-sizes tables for the expected population.
@@ -115,10 +98,6 @@ type Slice struct {
 	ix *state.Indexes
 	tl *state.TwoLevel
 
-	// arena backs the handle state layout (nil in pointer layout): UE
-	// hot state in slabs, resolved from the indexes by handle.
-	arena *state.Arena
-
 	// pcefTable is the slice's match-action table (shared, internally
 	// synchronized; installs are control-side, classification data-side).
 	pcefTable *pcef.Table
@@ -166,22 +145,11 @@ func NewSlice(cfg SliceConfig) *Slice {
 		Egress:    ring.MustSPSC[*pkt.Buf](cfg.RingCapacity),
 		ctrlCmds:  make(chan func(), 256),
 	}
-	if cfg.StateLayout == LayoutHandle {
-		s.arena = state.NewArena(cfg.UserHint)
-	}
 	switch cfg.TableMode {
 	case TableTwoLevel:
-		if s.arena != nil {
-			s.tl = state.NewTwoLevelHandles(cfg.PrimaryHint, cfg.UserHint, s.arena)
-		} else {
-			s.tl = state.NewTwoLevel(cfg.PrimaryHint, cfg.UserHint)
-		}
+		s.tl = state.NewTwoLevel(cfg.PrimaryHint, cfg.UserHint)
 	default:
-		if s.arena != nil {
-			s.ix = state.NewHandleIndexes(cfg.UserHint, s.arena)
-		} else {
-			s.ix = state.NewIndexes(cfg.UserHint)
-		}
+		s.ix = state.NewIndexes(cfg.UserHint)
 	}
 	s.ctrl = newControlPlane(s)
 	s.data = newDataPlane(s)

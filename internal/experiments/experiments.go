@@ -76,12 +76,6 @@ type Scale struct {
 	// Derived), and ""/"auto" picks parallel when GOMAXPROCS can host
 	// every lane of the sweep's widest point.
 	Lanes string
-	// Fig14Mode selects the Figure 14 sweep: ""/"paper" reproduces the
-	// paper's always-on-fraction sweep, "population" runs the
-	// population-scaling sweep comparing the pointer and handle state
-	// layouts at a fixed active set as the total population grows
-	// (DESIGN.md §4.10).
-	Fig14Mode string
 	// FaultSeed seeds the "faults" experiment's deterministic injector
 	// (0 means seed 1); the same seed reproduces the same fault stream.
 	FaultSeed uint64

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"pepc/internal/core"
@@ -196,9 +195,6 @@ func Fig13(sc Scale) (Result, error) {
 // over a single table as a function of the always-on device fraction,
 // under low (1%/s) and high (10%/s) churn.
 func Fig14(sc Scale) (Result, error) {
-	if sc.Fig14Mode == "population" {
-		return fig14Population(sc)
-	}
 	r := Result{
 		Figure: "Figure 14",
 		Title:  "Two-level state table improvement over single table (%)",
@@ -328,176 +324,6 @@ func fig14Point(sc Scale, mode core.TableMode, total int, alwaysOn, churnPerSec 
 		return mpps(processed, time.Since(start)), nil
 	}
 	return median3(measure)
-}
-
-// fig14Population is the population-scaling variant of Figure 14
-// (Fig14Mode="population"): throughput of the two-level store at a
-// fixed active set as the total population grows, for both state
-// layouts. The paper's claim behind the two-level table is that state
-// for millions of devices must not tax the per-packet path; this sweep
-// checks what the runtime adds to that story — in the pointer layout
-// every cold device is a heap object the garbage collector marks and
-// an index entry full of pointers it traverses, while the handle
-// layout keeps the population in pointer-free index arrays plus dense
-// arena slabs the collector skips. Forced collections inside the timed
-// window (4 per point, as a steadily-allocating production process
-// would see) charge each layout its real GC bill.
-func fig14Population(sc Scale) (Result, error) {
-	r := Result{
-		Figure: "Figure 14 (population)",
-		Title:  "Population scaling at fixed active set: pointer vs handle layout",
-		XLabel: "total devices",
-		YLabel: "Mpps",
-	}
-	var pops []int
-	for _, p := range []int{10_000, 50_000, 250_000, 1_000_000, 2_000_000} {
-		if p <= sc.MaxUsers {
-			pops = append(pops, p)
-		}
-	}
-	if len(pops) == 0 {
-		pops = []int{sc.MaxUsers}
-	}
-	layouts := []struct {
-		name   string
-		layout core.StateLayout
-	}{
-		{"PEPC pointer layout", core.LayoutPointer},
-		{"PEPC handle layout", core.LayoutHandle},
-	}
-	for _, l := range layouts {
-		var pts []sim.Point
-		for _, total := range pops {
-			v, gcMs, err := fig14PopPoint(sc, l.layout, total)
-			if err != nil {
-				return r, err
-			}
-			gcNow()
-			pts = append(pts, sim.Point{X: float64(total), Y: v})
-			r.Notes = append(r.Notes, fmt.Sprintf("%s @ %s devices: %.3f Mpps, forced-GC pause %.2f ms",
-				l.name, sim.FormatQty(float64(total)), v, gcMs))
-		}
-		r.Series = append(r.Series, sim.Series{Name: l.name, Points: pts})
-	}
-	if len(r.Series) == 2 && len(r.Series[0].Points) > 1 {
-		deg := func(s sim.Series) float64 {
-			last := s.Points[len(s.Points)-1].Y
-			if last <= 0 {
-				return 0
-			}
-			return s.Points[0].Y / last
-		}
-		p := r.Series[0].Points
-		r.Notes = append(r.Notes, fmt.Sprintf("measured degradation %s→%s devices: pointer %.1fx, handle %.1fx",
-			sim.FormatQty(p[0].X), sim.FormatQty(p[len(p)-1].X), deg(r.Series[0]), deg(r.Series[1])))
-	}
-	r.Notes = append(r.Notes,
-		"expected shape: handle layout degrades less than pointer layout from the smallest to the largest population — pointer-free indexes and slab-resident hot state shrink the collector's mark workload (cold contexts stay on the heap in both layouts, so the pause still grows with population)")
-	return r, nil
-}
-
-// fig14PopPoint measures one population point: a two-level slice in the
-// given layout with a fixed 2048-device always-on set and a 1024-slot
-// churn window rotating at one promotion/demotion per kilopacket, so
-// the signaling work is identical across populations and only the
-// resident population varies.
-func fig14PopPoint(sc Scale, layout core.StateLayout, total int) (float64, float64, error) {
-	act, win := 2048, 1024
-	if act > total {
-		act = total
-	}
-	if win > total-act {
-		win = total - act
-	}
-	s := core.NewSlice(core.SliceConfig{
-		ID: 1, TableMode: core.TableTwoLevel, StateLayout: layout,
-		UserHint: total, PrimaryHint: act + win + 16,
-	})
-	pop, err := attachPopulation(s, total, 1)
-	if err != nil {
-		return 0, 0, err
-	}
-	for i := act + win; i < total; i++ {
-		s.Control().Demote(pop[i].IMSI)
-		if i%1024 == 1023 {
-			s.Data().SyncUpdates()
-		}
-	}
-	s.Data().SyncUpdates()
-
-	targets := make([]workload.User, act+win)
-	copy(targets, pop[:act+win])
-	gen := workload.NewTrafficGen(workload.TrafficConfig{CoreAddr: s.Config().CoreAddr}, targets)
-	churnPool := pop[act:]
-	nextIn := win
-	slot := 0
-
-	batch := make([]*pkt.Buf, 0, 32)
-	runtime.GC()
-	for w := 0; w < 4096; w += 32 {
-		batch = batch[:0]
-		for i := 0; i < 32; i++ {
-			batch = append(batch, gen.NextUplink())
-		}
-		s.Data().ProcessUplinkBatch(batch, sim.Now())
-		drainRing(s)
-	}
-
-	gcQuantum := sc.PacketsPerPoint / 4
-	if gcQuantum < 1 {
-		gcQuantum = 1
-	}
-	measure := func() (float64, float64) {
-		processed := 0
-		churnDebt := 0.0
-		var gcPause time.Duration
-		gcs := 0
-		nextGC := gcQuantum
-		start := time.Now()
-		for processed < sc.PacketsPerPoint {
-			batch = batch[:0]
-			for i := 0; i < 32 && processed+len(batch) < sc.PacketsPerPoint; i++ {
-				batch = append(batch, gen.NextUplink())
-			}
-			s.Data().ProcessUplinkBatch(batch, sim.Now())
-			processed += len(batch)
-			drainRing(s)
-			if win > 0 && len(churnPool) > 0 {
-				churnDebt += float64(len(batch)) / 1024.0
-				for churnDebt >= 1 {
-					out := targets[act+slot]
-					in := churnPool[nextIn%len(churnPool)]
-					nextIn++
-					s.Control().Demote(out.IMSI)
-					s.Control().Promote(in.IMSI)
-					targets[act+slot] = in
-					slot = (slot + 1) % win
-					churnDebt--
-				}
-			}
-			if processed >= nextGC {
-				g0 := time.Now()
-				runtime.GC()
-				gcPause += time.Since(g0)
-				gcs++
-				nextGC += gcQuantum
-			}
-		}
-		elapsed := time.Since(start)
-		pause := 0.0
-		if gcs > 0 {
-			pause = gcPause.Seconds() * 1000 / float64(gcs)
-		}
-		return mpps(processed, elapsed), pause
-	}
-	type run struct{ v, gc float64 }
-	var runs []run
-	for i := 0; i < 3; i++ {
-		v, gc := measure()
-		runs = append(runs, run{v, gc})
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].v < runs[j].v })
-	return runs[1].v, runs[1].gc, nil
 }
 
 // Fig15 regenerates Figure 15: the benefit of the stateless-IoT

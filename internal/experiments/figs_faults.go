@@ -164,8 +164,8 @@ type SoakStats struct {
 // across the Diameter proxy, the signaling ring and the data thread,
 // churns the population with attaches, traffic, handovers, detaches and
 // cross-slice migrations, runs a checkpoint/crash/recover cycle, then
-// disarms and validates invariants: user-count conservation, no leaked
-// arena slots, bounded signaling drains, and a drained repair backlog.
+// disarms and validates invariants: user-count conservation, bounded
+// signaling drains, and a drained repair backlog.
 // Returns the violations found (empty on a clean soak).
 func runChaosSoak(seed uint64, epochs, usersPerEpoch int) (SoakStats, []string) {
 	var stats SoakStats
@@ -183,8 +183,8 @@ func runChaosSoak(seed uint64, epochs, usersPerEpoch int) (SoakStats, []string) 
 
 	inj := fault.New(seed)
 	n := core.NewNode(
-		core.SliceConfig{ID: 1, UserHint: 1 << 12, StateLayout: core.LayoutHandle},
-		core.SliceConfig{ID: 2, UserHint: 1 << 12, StateLayout: core.LayoutHandle},
+		core.SliceConfig{ID: 1, UserHint: 1 << 12},
+		core.SliceConfig{ID: 2, UserHint: 1 << 12},
 	)
 	n.AttachProxy(proxy)
 	proxy.SetGxFaults(inj)
@@ -194,7 +194,7 @@ func runChaosSoak(seed uint64, epochs, usersPerEpoch int) (SoakStats, []string) 
 	// A peer node receives cross-node moves (the cluster migration
 	// path), extending the conservation invariants across the node
 	// boundary.
-	peer := core.NewNode(core.SliceConfig{ID: 3, UserHint: 1 << 12, StateLayout: core.LayoutHandle})
+	peer := core.NewNode(core.SliceConfig{ID: 3, UserHint: 1 << 12})
 	peerLive := map[uint64]struct{}{}
 
 	// Slice 0's data thread runs for the whole soak; slice 1 (the
@@ -365,17 +365,8 @@ func runChaosSoak(seed uint64, epochs, usersPerEpoch int) (SoakStats, []string) 
 		if got := s1.Users(); got != want1 {
 			fail("epoch %d: slice1 users = %d, want %d (conservation)", e, got, want1)
 		}
-		if al := s0.ArenaLive(); al != s0.Users() {
-			fail("epoch %d: slice0 arena live = %d, users = %d (leak)", e, al, s0.Users())
-		}
-		if al := s1.ArenaLive(); al != s1.Users() {
-			fail("epoch %d: slice1 arena live = %d, users = %d (leak)", e, al, s1.Users())
-		}
 		if got := peer.Slice(0).Users(); got != len(peerLive) {
 			fail("epoch %d: peer users = %d, want %d (cross-node conservation)", e, got, len(peerLive))
-		}
-		if al := peer.Slice(0).ArenaLive(); al != peer.Slice(0).Users() {
-			fail("epoch %d: peer arena live = %d, users = %d (leak)", e, al, peer.Slice(0).Users())
 		}
 	}
 	stats.SigDrops = s0.Control().SigDrops.Load()
@@ -385,12 +376,12 @@ func runChaosSoak(seed uint64, epochs, usersPerEpoch int) (SoakStats, []string) 
 }
 
 // crashCycle runs one deterministic checkpoint/crash/recover round on a
-// standalone handle-layout slice and verifies the recovery invariants.
+// standalone slice and verifies the recovery invariants.
 // Returns "" on success, a violation description otherwise.
 func crashCycle(seed, epoch uint64) string {
 	const base, ckpUsers, extra, drops = 100_000, 32, 8, 4
 	mk := func() *core.Slice {
-		return core.NewSlice(core.SliceConfig{ID: 3, UserHint: 128, StateLayout: core.LayoutHandle})
+		return core.NewSlice(core.SliceConfig{ID: 3, UserHint: 128})
 	}
 	src := mk()
 	off := base + int(fault.Hash64(seed^epoch)%1000)*64
@@ -429,9 +420,6 @@ func crashCycle(seed, epoch uint64) string {
 	if dst.Users() != want {
 		return fmt.Sprintf("recovered users = %d, want %d (restored=%d replayed=%d detached=%d)",
 			dst.Users(), want, rep.Restored, rep.Replayed, rep.CompletedDetaches)
-	}
-	if al := dst.ArenaLive(); al != dst.Users() {
-		return fmt.Sprintf("recovered arena live = %d, users = %d (leak)", al, dst.Users())
 	}
 	if rep.Replayed != extra || rep.CompletedDetaches != drops {
 		return fmt.Sprintf("recovery report off: %+v", rep)

@@ -9,7 +9,7 @@ import (
 )
 
 // Tests for the cache-conscious store (DESIGN.md §4.10): group-probing
-// index behaviour under churn, the arena's handle/generation protocol,
+// index behaviour under churn, the data-path indexes against a map model,
 // and the zero-allocation guarantees the data path depends on.
 
 // probeGroups32 counts the control-word loads a lookup of key performs
@@ -94,227 +94,117 @@ func TestTombstoneDecayBoundsProbeLength(t *testing.T) {
 	}
 }
 
-func TestH32MapModelProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	m := NewH32Map(4)
-	model := map[uint32]Handle{}
-	for i := 0; i < 50000; i++ {
-		k := uint32(rng.Intn(500) + 1)
-		switch rng.Intn(3) {
-		case 0:
-			h := MakeHandle(uint32(rng.Intn(255)+1), uint32(rng.Intn(1<<20)))
-			m.Put(k, h)
-			model[k] = h
-		case 1:
-			got := m.Delete(k)
-			want := model[k]
-			delete(model, k)
-			if got != want {
-				t.Fatalf("delete(%d): got %#x want %#x", k, got, want)
-			}
-		default:
-			if got, want := m.Get(k), model[k]; got != want {
-				t.Fatalf("get(%d): got %#x want %#x", k, got, want)
-			}
-		}
-	}
-	if m.Len() != len(model) {
-		t.Fatalf("len: %d vs model %d", m.Len(), len(model))
-	}
-}
-
-func TestArenaAllocResolveRetire(t *testing.T) {
-	a := NewArena(4)
-	u := &UE{}
-	h := a.Alloc(u, 0)
-	if h == 0 {
-		t.Fatal("alloc returned the invalid handle")
-	}
-	e := a.At(h)
-	if e == nil || e.U != u || e.Handle() != h {
-		t.Fatal("handle does not resolve to its slot")
-	}
-	if u.Handle() != h {
-		t.Fatal("UE not bound to its handle")
-	}
-	if a.Len() != 1 {
-		t.Fatalf("len = %d", a.Len())
-	}
-	a.Retire(h, 10)
-	if a.At(h) != nil {
-		t.Fatal("retired handle still resolves")
-	}
-	if e.U != u {
-		t.Fatal("back-pointer cleared at retire (in-flight refs need it)")
-	}
-	if u.Hot() == e {
-		t.Fatal("UE still bound to retired slot")
-	}
-	// Double retire of a stale handle is a no-op.
-	a.Retire(h, 11)
-	if a.Len() != 0 {
-		t.Fatalf("len after retire = %d", a.Len())
-	}
-}
-
-func TestArenaRecycleFence(t *testing.T) {
-	a := NewArena(4)
-	u1 := &UE{}
-	h1 := a.Alloc(u1, 0)
-	a.Retire(h1, 5)
-	// Before the fence (syncSeq < stamp+2) the slot must not be reused.
-	h2 := a.Alloc(&UE{}, 6)
-	if h2.slot() == h1.slot() {
-		t.Fatal("slot reused before the sync fence")
-	}
-	// At the fence it is.
-	h3 := a.Alloc(&UE{}, 7)
-	if h3.slot() != h1.slot() {
-		t.Fatalf("slot not reused after the fence: got %d want %d", h3.slot(), h1.slot())
-	}
-	if h3.gen() == h1.gen() {
-		t.Fatal("reused slot kept its generation")
-	}
-	if a.At(h1) != nil {
-		t.Fatal("pre-reuse handle resolves to the new occupant")
-	}
-	if e := a.At(h3); e == nil {
-		t.Fatal("new occupant's handle does not resolve")
-	}
-}
-
-func TestArenaGenerationSkipsZero(t *testing.T) {
-	a := NewArena(1)
-	seq := uint64(0)
-	slot := uint32(0)
-	for cycle := 0; cycle < 300; cycle++ {
-		h := a.Alloc(&UE{}, seq)
-		if h.slot() != slot {
-			t.Fatalf("cycle %d drifted to slot %d", cycle, h.slot())
-		}
-		if h.gen() == 0 {
-			t.Fatalf("cycle %d issued generation 0", cycle)
-		}
-		a.Retire(h, seq)
-		seq += 2
-	}
-}
-
-func TestArenaGrowthConcurrentAt(t *testing.T) {
-	// Slab-directory growth is copy-on-grow behind an atomic pointer;
-	// data-thread At must be safe concurrently (checked under -race).
-	a := NewArena(1)
-	h0 := a.Alloc(&UE{}, 0)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				if a.At(h0) == nil {
-					panic("live handle stopped resolving during growth")
-				}
-			}
-		}
-	}()
-	for i := 0; i < 5000; i++ {
-		a.Alloc(&UE{}, 0)
-	}
-	close(stop)
-	wg.Wait()
-	if a.Slots() < 5001 {
-		t.Fatalf("arena did not grow: %d slots", a.Slots())
-	}
-}
-
-// FuzzHandleStoreModel drives the handle index + arena against a plain
-// Go map model: interleaved insert/delete/rekey/recycle with fence
-// advancement, checking that lookups (single and batched) agree with
-// the model and that every retired handle misses. Inputs are capped so
-// no slot can live through a full 8-bit generation wrap within one run.
-func FuzzHandleStoreModel(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 1, 3, 0, 2, 1, 0, 1, 4, 1})
-	f.Add([]byte{0, 1, 0, 2, 0, 3, 1, 1, 3, 0, 0, 4, 2, 4, 2, 2})
+// FuzzIndexesModel drives the data-path indexes through Apply against
+// plain Go map models: interleaved insert, delete and rekey, with deleted
+// contexts recycled into new users the way the control plane recycles
+// them (UE.Recycle once the two-sync fence has passed). Single (GetUE)
+// and batched (GetHotBatch) lookups must agree with the models in both
+// key domains, and a deleted key must keep missing after its context was
+// recycled into another user, whose counters start from zero.
+func FuzzIndexesModel(f *testing.F) {
+	f.Add([]byte{0, 1, 4, 1, 1, 1, 3, 0, 3, 0, 0, 2, 4, 1, 4, 2})
+	f.Add([]byte{0, 1, 0, 2, 2, 2, 4, 3, 1, 1, 3, 0, 0, 5, 3, 0, 0, 6, 4, 1, 4, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 400 {
 			data = data[:400]
 		}
-		a := NewArena(2)
-		m := NewH32Map(2)
-		model := map[uint32]*UE{}
-		handleOf := map[uint32]Handle{}
-		type staleRef struct{ h Handle }
-		var stale []staleRef
+		ix := NewIndexes(2)
+		byTEID := map[uint32]*UE{}
+		byIP := map[uint32]*UE{}
+		var ips []uint32 // every UE address ever inserted; never reused
+		type retiree struct {
+			ue       *UE
+			teid, ip uint32
+			seq      uint64
+		}
+		var free []retiree
 		var syncSeq uint64
 		for i := 0; i+1 < len(data); i += 2 {
 			op, key := data[i]%5, uint32(data[i+1]%31+1)
+			u := byTEID[key]
 			switch op {
-			case 0: // insert
-				if model[key] == nil {
-					u := &UE{}
-					h := a.Alloc(u, syncSeq)
-					m.Put(key, h)
-					model[key] = u
-					handleOf[key] = h
+			case 0: // insert, reusing the oldest retiree once it cleared the fence
+				if u != nil {
+					break
 				}
-			case 1: // delete + retire
-				if model[key] != nil {
-					h := m.Delete(key)
-					if h != handleOf[key] {
-						t.Fatalf("delete(%d): handle %#x, want %#x", key, h, handleOf[key])
+				var r retiree
+				if len(free) > 0 && syncSeq >= free[0].seq+2 {
+					r, free = free[0], free[1:]
+					r.ue.Recycle()
+					u = r.ue
+					if u.Hot().Counters.UplinkPackets != 0 {
+						t.Fatalf("recycled context kept its counters")
 					}
-					a.Retire(h, syncSeq)
-					stale = append(stale, staleRef{h})
-					delete(model, key)
-					delete(handleOf, key)
+				} else {
+					u = &UE{}
 				}
-			case 2: // rekey
+				ip := 0x0a000000 + uint32(len(ips)+1)
+				ips = append(ips, ip)
+				u.WriteCtrl(func(c *ControlState) { c.UplinkTEID, c.UEAddr = key, ip })
+				ix.Apply(Update{Op: OpInsert, TEID: key, UEIP: ip, UE: u})
+				byTEID[key], byIP[ip] = u, u
+				if r.ue != nil {
+					if byTEID[r.teid] == nil && ix.GetUE(r.teid, true) != nil {
+						t.Fatalf("deleted TEID %d hits after its context was recycled", r.teid)
+					}
+					if ix.GetUE(r.ip, false) != nil {
+						t.Fatalf("deleted address %#x hits after its context was recycled", r.ip)
+					}
+				}
+			case 1: // delete and retire
+				if u == nil {
+					break
+				}
+				ip := u.Ctrl.UEAddr
+				ix.Apply(Update{Op: OpDelete, TEID: key, UEIP: ip})
+				delete(byTEID, key)
+				delete(byIP, ip)
+				free = append(free, retiree{ue: u, teid: key, ip: ip, seq: syncSeq})
+			case 2: // rekey to the next TEID
 				to := key%31 + 1
-				if model[key] != nil && model[to] == nil && to != key {
-					h := m.Delete(key)
-					m.Put(to, h)
-					model[to], handleOf[to] = model[key], h
-					delete(model, key)
-					delete(handleOf, key)
+				if u == nil || byTEID[to] != nil {
+					break
 				}
-			case 3: // advance the data-plane fence
+				u.WriteCtrl(func(c *ControlState) { c.UplinkTEID = to })
+				ix.Apply(Update{Op: OpRekey, OldTEID: key, TEID: to, UE: u})
+				byTEID[to] = u
+				delete(byTEID, key)
+			case 3: // advance the data-plane sync fence
 				syncSeq++
-			default: // lookup
-				e := a.At(m.Get(key))
-				if model[key] == nil {
-					if e != nil {
-						t.Fatalf("lookup(%d): stale hit", key)
+			default: // single lookups; a hit counts a packet like the data plane
+				if got := ix.GetUE(key, true); got != u {
+					t.Fatalf("GetUE(TEID %d) = %p, want %p", key, got, u)
+				}
+				if u != nil {
+					if got := ix.GetUE(u.Ctrl.UEAddr, false); got != u {
+						t.Fatalf("GetUE(address %#x) = %p, want %p", u.Ctrl.UEAddr, got, u)
 					}
-				} else if e == nil || e.U != model[key] {
-					t.Fatalf("lookup(%d): wrong context", key)
+					u.WriteCounters(func(c *CounterState) { c.UplinkPackets++ })
 				}
 			}
 		}
-		// Batched lookups agree with the model over the whole key space.
-		var keys [31]uint32
-		var out [31]*HotUE
-		for i := range keys {
-			keys[i] = uint32(i + 1)
+		// Batched lookups agree with the models over the whole TEID space
+		// and every address ever used.
+		teids := make([]uint32, 31)
+		for i := range teids {
+			teids[i] = uint32(i + 1)
 		}
-		m.GetHotBatch(keys[:], out[:], a)
-		for i, k := range keys {
-			want := model[k]
-			if want == nil {
-				if out[i] != nil {
-					t.Fatalf("batch lookup(%d): stale hit", k)
+		for _, dom := range []struct {
+			keys   []uint32
+			model  map[uint32]*UE
+			uplink bool
+		}{{teids, byTEID, true}, {ips, byIP, false}} {
+			out := make([]*HotUE, len(dom.keys))
+			ix.GetHotBatch(dom.keys, dom.uplink, out)
+			for i, k := range dom.keys {
+				want := dom.model[k]
+				if want == nil {
+					if out[i] != nil {
+						t.Fatalf("batch lookup(%#x, uplink=%v): stale hit", k, dom.uplink)
+					}
+				} else if out[i] != want.Hot() || out[i].U != want {
+					t.Fatalf("batch lookup(%#x, uplink=%v): wrong context", k, dom.uplink)
 				}
-			} else if out[i] == nil || out[i].U != want {
-				t.Fatalf("batch lookup(%d): wrong context", k)
-			}
-		}
-		// Every retired handle must miss, regardless of slot reuse.
-		for _, s := range stale {
-			if a.At(s.h) != nil {
-				t.Fatalf("retired handle %#x resolves", s.h)
 			}
 		}
 	})
@@ -364,13 +254,10 @@ func TestTwoLevelMissesConcurrent(t *testing.T) {
 func TestGetBatchZeroAlloc(t *testing.T) {
 	m := NewU32Map(1024)
 	m64 := NewU64Map(1024)
-	hm := NewH32Map(1024)
-	a := NewArena(1024)
 	for i := uint32(1); i <= 1024; i++ {
 		u := &UE{}
 		m.Put(i, u)
 		m64.Put(uint64(i), u)
-		hm.Put(i, a.Alloc(u, 0))
 	}
 	keys := make([]uint32, 64)
 	keys64 := make([]uint64, 64)
@@ -380,31 +267,18 @@ func TestGetBatchZeroAlloc(t *testing.T) {
 	}
 	out := make([]*UE, 64)
 	out64 := make([]*UE, 64)
-	outH := make([]Handle, 64)
 	if n := testing.AllocsPerRun(100, func() { m.GetBatch(keys, out) }); n != 0 {
 		t.Fatalf("U32Map.GetBatch allocates %.1f/op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { m64.GetBatch(keys64, out64) }); n != 0 {
 		t.Fatalf("U64Map.GetBatch allocates %.1f/op", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { hm.GetBatch(keys, outH) }); n != 0 {
-		t.Fatalf("H32Map.GetBatch allocates %.1f/op", n)
-	}
 }
 
 func TestGetHotBatchZeroAlloc(t *testing.T) {
 	m := NewU32Map(1024)
-	hm := NewH32Map(1024)
-	a := NewArena(1024)
-	var h0 Handle
 	for i := uint32(1); i <= 1024; i++ {
-		u := &UE{}
-		m.Put(i, u)
-		h := a.Alloc(u, 0)
-		hm.Put(i, h)
-		if i == 1 {
-			h0 = h
-		}
+		m.Put(i, &UE{})
 	}
 	keys := make([]uint32, 64)
 	for i := range keys {
@@ -414,50 +288,29 @@ func TestGetHotBatchZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { m.GetHotBatch(keys, out) }); n != 0 {
 		t.Fatalf("U32Map.GetHotBatch allocates %.1f/op", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { hm.GetHotBatch(keys, out, a) }); n != 0 {
-		t.Fatalf("H32Map.GetHotBatch allocates %.1f/op", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { _ = a.At(h0) }); n != 0 {
-		t.Fatalf("Arena.At allocates %.1f/op", n)
-	}
 }
 
 func TestLookupHotBatchZeroAlloc(t *testing.T) {
-	for _, handles := range []bool{false, true} {
-		name := "pointer"
-		if handles {
-			name = "handle"
+	// The subtest is named for the pointer state layout, the only one.
+	t.Run("pointer", func(t *testing.T) {
+		tl := NewTwoLevel(256, 1024)
+		for i := uint32(1); i <= 256; i++ {
+			u := &UE{}
+			tl.InsertSecondary(i, 0, u)
+			tl.Promote(i, 0, u)
 		}
-		t.Run(name, func(t *testing.T) {
-			var tl *TwoLevel
-			var a *Arena
-			if handles {
-				a = NewArena(1024)
-				tl = NewTwoLevelHandles(256, 1024, a)
-			} else {
-				tl = NewTwoLevel(256, 1024)
-			}
-			for i := uint32(1); i <= 256; i++ {
-				u := &UE{}
-				if a != nil {
-					a.Alloc(u, 0)
-				}
-				tl.InsertSecondary(i, 0, u)
-				tl.Promote(i, 0, u)
-			}
-			keys := make([]uint32, 64)
-			for i := range keys {
-				keys[i] = uint32(i + 1)
-			}
-			out := make([]*HotUE, 64)
-			fromSec := make([]bool, 64)
-			if n := testing.AllocsPerRun(100, func() {
-				tl.LookupHotBatch(keys, true, out, fromSec)
-			}); n != 0 {
-				t.Fatalf("LookupHotBatch allocates %.1f/op", n)
-			}
-		})
-	}
+		keys := make([]uint32, 64)
+		for i := range keys {
+			keys[i] = uint32(i + 1)
+		}
+		out := make([]*HotUE, 64)
+		fromSec := make([]bool, 64)
+		if n := testing.AllocsPerRun(100, func() {
+			tl.LookupHotBatch(keys, true, out, fromSec)
+		}); n != 0 {
+			t.Fatalf("LookupHotBatch allocates %.1f/op", n)
+		}
+	})
 }
 
 // BenchmarkGetBatch measures the two-pass batched probe against the
@@ -489,18 +342,4 @@ func BenchmarkGetBatch(b *testing.B) {
 			}
 		}
 	})
-}
-
-func BenchmarkArenaAt(b *testing.B) {
-	a := NewArena(1 << 16)
-	handles := make([]Handle, 1<<16)
-	for i := range handles {
-		handles[i] = a.Alloc(&UE{}, 0)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if a.At(handles[i&(1<<16-1)]) == nil {
-			b.Fatal("miss")
-		}
-	}
 }

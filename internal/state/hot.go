@@ -60,10 +60,8 @@ func (c *ControlState) policed() bool {
 
 // HotUE is the per-user state the data plane touches per packet: the
 // fast-path control view behind its own small seqlock, the data-written
-// counters, and the data-thread-private derived state. In the handle
-// layout these live contiguously in Arena slabs (dense, pointer-light
-// memory the index resolves into); in the pointer layout every UE
-// embeds one inline.
+// counters, and the data-thread-private derived state. Every UE embeds
+// one (UE.Hot).
 //
 // Single-writer split, as on the cold half: the control thread writes
 // Fast (via publish) and reads Counters; the data thread reads Fast
@@ -86,20 +84,9 @@ type HotUE struct {
 
 	// U points back at the owning cold context, for the rare fast-path
 	// escapes (policed-user rebuilds, promotion requests, paging parks).
-	// Set when the slot is bound; left in place on retire so in-flight
-	// data-path references never observe nil.
+	// Set on the first publish and never cleared, so in-flight data-path
+	// references never observe nil.
 	U *UE
-
-	// self is the handle this slot was last bound under (0 for inline
-	// hot state, which is never handle-addressed).
-	self Handle
-
-	// gen is the slot's current generation (1..255, 8 bits significant).
-	// Arena.At validates a handle's generation against it, so handles
-	// retired before a recycle miss instead of aliasing the new
-	// occupant. Atomic because the control thread bumps it while the
-	// data thread resolves handles.
-	gen atomic.Uint32
 }
 
 // ReadFast copies the fast-path control view into dst without blocking
@@ -148,10 +135,6 @@ func (h *HotUE) ReadCounters(fn func(*CounterState)) {
 	fn(&h.Counters)
 	h.cmu.RUnlock()
 }
-
-// Handle returns the handle this hot slot is addressed by (0 when the
-// user lives in the pointer layout).
-func (h *HotUE) Handle() Handle { return h.self }
 
 // reset clears the occupant-specific hot state for reuse. Same caller
 // contract as UE.Recycle: the retire fence guarantees no data-thread

@@ -9,11 +9,7 @@ import (
 // small primary table holding state for active devices, backed by a
 // secondary table holding all devices. Both levels keep per-domain
 // indexes (uplink TEID and UE address), like the flat Indexes, so a
-// lookup probes a table containing only its own key type. Both levels
-// share a storage layout — pointer (NewTwoLevel) or handle
-// (NewTwoLevelHandles); in the handle layout a multi-million-entry
-// secondary is pointer-free arrays plus dense arena slabs instead of
-// millions of GC-scanned heap objects.
+// lookup probes a table containing only its own key type.
 //
 // The data thread reads the primary without any table-level locking (it
 // is the primary's only reader, and structural changes arrive from the
@@ -37,26 +33,14 @@ type TwoLevel struct {
 	misses atomic.Uint64
 }
 
-// NewTwoLevel returns a pointer-layout two-level store sized for
-// primaryHint active and totalHint overall devices.
+// NewTwoLevel returns a two-level store sized for primaryHint active and
+// totalHint overall devices.
 func NewTwoLevel(primaryHint, totalHint int) *TwoLevel {
 	return &TwoLevel{
 		primary:   NewIndexes(primaryHint),
 		secondary: NewIndexes(totalHint),
 	}
 }
-
-// NewTwoLevelHandles returns a handle-layout two-level store resolving
-// into a.
-func NewTwoLevelHandles(primaryHint, totalHint int, a *Arena) *TwoLevel {
-	return &TwoLevel{
-		primary:   NewHandleIndexes(primaryHint, a),
-		secondary: NewHandleIndexes(totalHint, a),
-	}
-}
-
-// Handles reports whether the store uses the handle layout.
-func (t *TwoLevel) Handles() bool { return t.primary.Handles() }
 
 // Lookup finds a user by key in the given domain (uplink=TEID,
 // downlink=UE address). It returns the user and whether it came from the
@@ -119,8 +103,8 @@ func (t *TwoLevel) LookupBatch(keys []uint32, uplink bool, out []*UE, fromSecond
 
 // LookupHotBatch is the data plane's batch lookup: keys[i] resolve to
 // hot halves out[i] (nil on miss), secondary-served entries flagged in
-// fromSecondary. The primary probe uses the layout's software-pipelined
-// batch path (GetHotBatch); secondary fallbacks share one read-lock
+// fromSecondary. The primary probe uses the software-pipelined batch
+// path (GetHotBatch); secondary fallbacks share one read-lock
 // acquisition. Zero allocations.
 func (t *TwoLevel) LookupHotBatch(keys []uint32, uplink bool, out []*HotUE, fromSecondary []bool) {
 	if len(keys) == 0 {
@@ -168,12 +152,12 @@ func (t *TwoLevel) LookupPrimaryOnly(teid uint32) *UE {
 func (t *TwoLevel) Misses() uint64 { return t.misses.Load() }
 
 // PrimaryLen returns the primary-table population (uplink index).
-func (t *TwoLevel) PrimaryLen() int { return t.primary.lenTEID() }
+func (t *TwoLevel) PrimaryLen() int { return t.primary.ByTEID.Len() }
 
 // SecondaryLen returns the secondary-table population (uplink index).
 func (t *TwoLevel) SecondaryLen() int {
 	t.secMu.RLock()
-	n := t.secondary.lenTEID()
+	n := t.secondary.ByTEID.Len()
 	t.secMu.RUnlock()
 	return n
 }
@@ -216,7 +200,7 @@ func (t *TwoLevel) Evict(teid, ip uint32) {
 func (t *TwoLevel) EvictIdle(now, idleNs int64, apply func(teid, ip uint32)) int {
 	type pair struct{ teid, ip uint32 }
 	var idle []pair
-	t.primary.rangeUE(func(teid uint32, ue *UE) bool {
+	t.primary.ByTEID.Range(func(teid uint32, ue *UE) bool {
 		ue.ReadCtrl(func(c *ControlState) {
 			if now-c.LastActive > idleNs {
 				idle = append(idle, pair{teid, c.UEAddr})

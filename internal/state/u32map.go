@@ -63,8 +63,10 @@ func (m *U32Map) GetBatch(keys []uint32, out []*UE) {
 }
 
 // GetHotBatch resolves keys[i] into the users' hot halves (nil on
-// miss). Same pipelining as GetBatch; the *UE→*HotUE hop happens while
-// the chunk's map lines are still warm.
+// miss). Same pipelining as GetBatch, carried one step further: each
+// hit's hot half is loaded here, for the whole chunk at once, so those
+// cache misses overlap instead of stalling the packet stage that reads
+// the hot half next one user at a time.
 func (m *U32Map) GetHotBatch(keys []uint32, out []*HotUE) {
 	if len(keys) == 0 {
 		return
@@ -79,7 +81,9 @@ func (m *U32Map) GetHotBatch(keys []uint32, out []*HotUE) {
 		m.g.getChunk(keys[:c], ues[:c])
 		for i, ue := range ues[:c] {
 			if ue != nil {
-				out[i] = ue.Hot()
+				h := ue.Hot()
+				h.seq.Load() // touch: the seqlock word shares a line with Fast
+				out[i] = h
 			} else {
 				out[i] = nil
 			}
@@ -170,90 +174,3 @@ func (m *U64Map) Delete(key uint64) *UE {
 
 // Range calls fn for each entry until fn returns false.
 func (m *U64Map) Range(fn func(key uint64, v *UE) bool) { m.g.rng(fn) }
-
-// H32Map maps uint32 keys to Arena handles. It is the pointer-free
-// index used by the handle state layout: the key, value and control
-// arrays contain no pointers at all, so a multi-million-entry secondary
-// index is invisible to the garbage collector's mark phase. Handle 0
-// (invalid) plays the role nil plays in U32Map.
-type H32Map struct {
-	g *g32[Handle]
-}
-
-// NewH32Map returns a handle map pre-sized for sizeHint entries.
-func NewH32Map(sizeHint int) *H32Map {
-	return &H32Map{g: newG32[Handle](sizeHint)}
-}
-
-// Len returns the number of live entries.
-func (m *H32Map) Len() int { return m.g.n }
-
-// Cap returns the current slot count.
-func (m *H32Map) Cap() int { return m.g.slots() }
-
-// Get returns the handle for key, or 0.
-func (m *H32Map) Get(key uint32) Handle {
-	if key == 0 || key == tombstone {
-		return 0
-	}
-	h, _ := m.g.get(key)
-	return h
-}
-
-// GetBatch resolves keys[i] into out[i] for all i (0 on miss),
-// software-pipelined like U32Map.GetBatch.
-func (m *H32Map) GetBatch(keys []uint32, out []Handle) {
-	if len(keys) == 0 {
-		return
-	}
-	_ = out[len(keys)-1]
-	for len(keys) > batchChunk {
-		m.g.getChunk(keys[:batchChunk], out[:batchChunk])
-		keys, out = keys[batchChunk:], out[batchChunk:]
-	}
-	m.g.getChunk(keys, out)
-}
-
-// GetHotBatch resolves keys[i] through a into hot slots (nil on miss or
-// stale generation). The handle probe touches only pointer-free arrays;
-// the slab access is the batch's single dependent load.
-func (m *H32Map) GetHotBatch(keys []uint32, out []*HotUE, a *Arena) {
-	if len(keys) == 0 {
-		return
-	}
-	_ = out[len(keys)-1]
-	var hs [batchChunk]Handle
-	for len(keys) > 0 {
-		c := len(keys)
-		if c > batchChunk {
-			c = batchChunk
-		}
-		m.g.getChunk(keys[:c], hs[:c])
-		for i, h := range hs[:c] {
-			out[i] = a.At(h)
-		}
-		keys, out = keys[c:], out[c:]
-	}
-}
-
-// Put inserts or replaces the handle for key. Returns false for
-// reserved keys or the invalid handle.
-func (m *H32Map) Put(key uint32, h Handle) bool {
-	if key == 0 || key == tombstone || h == 0 {
-		return false
-	}
-	m.g.put(key, h)
-	return true
-}
-
-// Delete removes key, returning the previous handle (0 if absent).
-func (m *H32Map) Delete(key uint32) Handle {
-	if key == 0 || key == tombstone {
-		return 0
-	}
-	h, _ := m.g.del(key)
-	return h
-}
-
-// Range calls fn for each entry until fn returns false.
-func (m *H32Map) Range(fn func(key uint32, h Handle) bool) { m.g.rng(fn) }

@@ -107,12 +107,11 @@ type CounterState struct {
 }
 
 // UE is the consolidated per-user state of a PEPC slice, split hot/cold
-// for cache locality (DESIGN.md §4.10): the cold half — the full
-// ControlState plus its locks — lives here; the hot half — the
-// per-packet FastCtrl view, counters and data-private derived state —
-// lives in a HotUE, either embedded inline (pointer layout) or in an
-// Arena slab (handle layout). This mirrors Listing 1's
-// HashMap<id, RwLock<UEContext>> with the single-writer split.
+// for cache locality (DESIGN.md §4.10) inside one heap object: the cold
+// half is the full ControlState plus its locks, the hot half an embedded
+// HotUE holding the per-packet FastCtrl view, counters and data-private
+// derived state. This mirrors Listing 1's HashMap<id, RwLock<UEContext>>
+// with the single-writer split.
 //
 // Locking discipline (§3.2, extended with seqlock publication — see
 // DESIGN.md §4.9):
@@ -137,25 +136,11 @@ type UE struct {
 	ctrlMu sync.RWMutex
 	Ctrl   ControlState
 
-	// hot points at the user's Arena slot in the handle layout; when
-	// unset, hotInline is used. Atomic because the control plane rebinds
-	// recycled contexts while stale data-side references (parked paging
-	// entries) may still call Hot.
-	hot       atomic.Pointer[HotUE]
-	hotInline HotUE
+	hot HotUE
 }
 
-// Hot returns the user's hot half: the Arena slot when bound, the
-// inline hot state otherwise.
-func (u *UE) Hot() *HotUE {
-	if h := u.hot.Load(); h != nil {
-		return h
-	}
-	return &u.hotInline
-}
-
-// Handle returns the user's Arena handle (0 in the pointer layout).
-func (u *UE) Handle() Handle { return u.Hot().self }
+// Hot returns the user's hot half.
+func (u *UE) Hot() *HotUE { return &u.hot }
 
 // DataPriv is the data-thread-private derived state; see HotUE.Priv.
 // The limiter is allocated lazily: unpoliced users (no AMBR/MBR
@@ -210,15 +195,14 @@ func (u *UE) WriteCtrl(fn func(*ControlState)) {
 // publishFast re-derives and publishes the hot FastCtrl view. Caller
 // holds the control write lock.
 func (u *UE) publishFast() {
-	h := u.Hot()
 	var f FastCtrl
 	u.Ctrl.fastView(&f)
-	if h.U == nil {
-		// First publish on an inline hot half: bind the back-pointer
-		// (arena slots are bound by Alloc before any publish).
-		h.U = u
+	if u.hot.U == nil {
+		// First publish: bind the back-pointer (written once, before the
+		// user is indexed, so data-thread readers never race it).
+		u.hot.U = u
 	}
-	h.publish(&f)
+	u.hot.publish(&f)
 }
 
 // ReadCtrl runs fn with shared access to the control half. Control-
@@ -311,13 +295,11 @@ func (u *UE) Restore(cs ControlState, cnt CounterState) {
 // thread holds no reference — in PEPC that means the detach's index
 // delete has been synced through the update queue (the control plane's
 // retire fence). Field-by-field reset keeps the mutexes (both unlocked
-// here by contract) untouched. The hot half is reset too: for an
-// arena-bound context this scrubs the retired slot (rebinding to a
-// fresh slot happens at the next Alloc), for the inline layout it
-// clears the half directly.
+// here by contract) untouched. The hot half is reset too, keeping its
+// back-pointer.
 func (u *UE) Recycle() {
 	u.Ctrl = ControlState{}
-	u.Hot().reset()
+	u.hot.reset()
 	u.seq.Store(0)
 }
 

@@ -39,51 +39,20 @@ type Update struct {
 }
 
 // Indexes are the data-thread-owned lookup structures (Listing 1's
-// dp_state): uplink traffic resolves by TEID, downlink by UE IP. Only the
-// data thread touches them; no locks.
-//
-// Two storage layouts exist behind the same operations. The pointer
-// layout (NewIndexes) maps key→*UE. The handle layout
-// (NewHandleIndexes) maps key→Arena handle in pointer-free maps, with
-// the hot state resolved out of the arena's slabs — the cache- and
-// GC-friendly form (DESIGN.md §4.10). Updates carry *UE either way;
-// the handle is derived from the context's arena binding at apply time.
+// dp_state): uplink traffic resolves by TEID, downlink by UE IP, each
+// map from key to *UE. Only the data thread touches them; no locks.
 type Indexes struct {
 	ByTEID *U32Map
 	ByIP   *U32Map
-
-	// Handle layout (nil in the pointer layout).
-	A       *Arena
-	HByTEID *H32Map
-	HByIP   *H32Map
 }
 
-// NewIndexes returns pointer-layout data-path indexes sized for
-// sizeHint users.
+// NewIndexes returns data-path indexes sized for sizeHint users.
 func NewIndexes(sizeHint int) *Indexes {
 	return &Indexes{ByTEID: NewU32Map(sizeHint), ByIP: NewU32Map(sizeHint)}
 }
 
-// NewHandleIndexes returns handle-layout indexes resolving into a.
-func NewHandleIndexes(sizeHint int, a *Arena) *Indexes {
-	return &Indexes{A: a, HByTEID: NewH32Map(sizeHint), HByIP: NewH32Map(sizeHint)}
-}
-
-// Handles reports whether the indexes use the handle layout.
-func (ix *Indexes) Handles() bool { return ix.A != nil }
-
 // put registers ue under both keys (0 skips a domain).
 func (ix *Indexes) put(teid, ip uint32, ue *UE) {
-	if ix.A != nil {
-		h := ue.Handle()
-		if teid != 0 {
-			ix.HByTEID.Put(teid, h)
-		}
-		if ip != 0 {
-			ix.HByIP.Put(ip, h)
-		}
-		return
-	}
 	if teid != 0 {
 		ix.ByTEID.Put(teid, ue)
 	}
@@ -94,15 +63,6 @@ func (ix *Indexes) put(teid, ip uint32, ue *UE) {
 
 // del removes both keys (0 skips a domain).
 func (ix *Indexes) del(teid, ip uint32) {
-	if ix.A != nil {
-		if teid != 0 {
-			ix.HByTEID.Delete(teid)
-		}
-		if ip != 0 {
-			ix.HByIP.Delete(ip)
-		}
-		return
-	}
 	if teid != 0 {
 		ix.ByTEID.Delete(teid)
 	}
@@ -111,67 +71,23 @@ func (ix *Indexes) del(teid, ip uint32) {
 	}
 }
 
-// lenTEID returns the TEID-domain population.
-func (ix *Indexes) lenTEID() int {
-	if ix.A != nil {
-		return ix.HByTEID.Len()
-	}
-	return ix.ByTEID.Len()
-}
-
-// GetUE resolves one key to the cold context (nil on miss) in either
-// layout.
+// GetUE resolves one key to the user's context (nil on miss).
 func (ix *Indexes) GetUE(key uint32, uplink bool) *UE {
-	if ix.A != nil {
-		var h Handle
-		if uplink {
-			h = ix.HByTEID.Get(key)
-		} else {
-			h = ix.HByIP.Get(key)
-		}
-		if e := ix.A.At(h); e != nil {
-			return e.U
-		}
-		return nil
-	}
 	if uplink {
 		return ix.ByTEID.Get(key)
 	}
 	return ix.ByIP.Get(key)
 }
 
-// GetHotBatch resolves keys[i] into hot slots out[i] (nil on miss) in
-// either layout, using the maps' software-pipelined batch probes. Data
-// thread; zero allocations.
+// GetHotBatch resolves keys[i] into hot halves out[i] (nil on miss),
+// using the maps' software-pipelined batch probes. Data thread; zero
+// allocations.
 func (ix *Indexes) GetHotBatch(keys []uint32, uplink bool, out []*HotUE) {
-	if ix.A != nil {
-		m := ix.HByTEID
-		if !uplink {
-			m = ix.HByIP
-		}
-		m.GetHotBatch(keys, out, ix.A)
-		return
-	}
 	m := ix.ByTEID
 	if !uplink {
 		m = ix.ByIP
 	}
 	m.GetHotBatch(keys, out)
-}
-
-// rangeUE iterates the TEID domain as cold contexts in either layout.
-// Handle entries that went stale mid-scan are skipped.
-func (ix *Indexes) rangeUE(fn func(teid uint32, ue *UE) bool) {
-	if ix.A != nil {
-		ix.HByTEID.Range(func(teid uint32, h Handle) bool {
-			if e := ix.A.At(h); e != nil && e.U != nil {
-				return fn(teid, e.U)
-			}
-			return true
-		})
-		return
-	}
-	ix.ByTEID.Range(fn)
 }
 
 // Apply executes one update against the indexes.

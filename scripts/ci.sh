@@ -55,9 +55,10 @@ go test -run 'TestPepcdN4' -count=20 ./cmd/pepcd/
 echo "== soak smoke (scripts/soak.sh -short)"
 ./scripts/soak.sh -short
 
-# Allocation guards: the per-packet path (batch lookups, arena access,
-# steady-state forwarding, the slice's data pass, recycled signaling, the
-# daemon's lane and the N4 loop's transport) must stay at 0 allocs/op.
+# Allocation guards: the per-packet path (batch lookups, two-level hot
+# lookups, steady-state forwarding, the slice's data pass, recycled
+# signaling, the daemon's lane and the N4 loop's transport) must stay at
+# 0 allocs/op.
 # Run them apart from the main suite with -count=1 so a cached pass can't
 # mask a fresh allocation, and without -race (the race runtime allocates).
 echo "== allocation guards (ZeroAlloc tests)"
@@ -74,7 +75,8 @@ go test -count=3 ./internal/experiments/
 # plain tests (no -fuzz exploration in CI; a failing seed is a
 # regression in the parse-once codec surface). Covers the GTP-U outer
 # parser (incl. the fragmented-outer rejection seeds), the PFCP
-# message/IE/flow-description codecs and the handle store's model check.
+# message/IE/flow-description codecs and the data-path indexes' model
+# check.
 echo "== fuzz seeds"
 go test -run 'Fuzz' -count=1 ./internal/gtp/ ./internal/pfcp/ ./internal/state/
 
@@ -84,14 +86,18 @@ go test -run 'Fuzz' -count=1 ./internal/gtp/ ./internal/pfcp/ ./internal/state/
 # and the in-process worker package with its dequeue budget (the slice's
 # data pass replaced them), and the demux's per-user TEID/address maps
 # (arithmetic steering replaced them; the state table's and the legacy
-# baseline's maps of the same names are not meant); nothing outside the
-# project history (and the config test proving the JSON keys are
+# baseline's maps of the same names are not meant), and the handle state
+# layout with its arena, handle maps, layout knobs and the Figure 14
+# population sweep (the pointer layout is the only one); nothing outside
+# the project history (and the config test proving the JSON keys are
 # rejected) may still name them.
 echo "== dangling-reference guard"
 retired='benchdiff|BENCHDIFF_|bench/baseline|encap_mode|-fig8 pktsize'
 retired="$retired|idlePark|IdlePark|runQueueEgress|runGTPURx|FlushExpired|-linger"
 retired="$retired|internal/nf|nf\.Worker|HousekeepEvery|batch_size"
 retired="$retired|d\.(byTEID|byIP)\b|demux\.(byTEID|byIP)\b"
+retired="$retired|StateLayout|state_layout|LayoutHandle|LayoutPointer|NewArena|H32Map"
+retired="$retired|NewHandleIndexes|NewTwoLevelHandles|Fig14Mode|fig14Population"
 if grep -rnE -e "$retired" --include='*.go' --include='*.sh' --include='*.md' --include=Makefile \
 	--exclude-dir=.git --exclude-dir=.bench_build . |
 	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:|^\./scripts/ci\.sh:|^\./internal/core/config_test\.go:'; then

@@ -3,7 +3,8 @@
 # migration churn plus uplink traffic under seeded randomized faults
 # (Diameter drop/delay/error, ring overflow, worker stalls) with a
 # checkpoint + crash + RecoverFrom cycle every epoch, validating the
-# conservation / arena-leak / bounded-drain invariants at each epoch end.
+# conservation / bounded-drain / repair-backlog invariants at each epoch
+# end.
 #
 # Usage:
 #   scripts/soak.sh -short           time-bounded, race-enabled CI smoke
