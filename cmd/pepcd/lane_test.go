@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pepc"
+	"pepc/internal/core"
 	"pepc/internal/workload"
 )
 
@@ -40,9 +41,11 @@ func woken(t *testing.T, s *pepc.Slice, what string, act func()) time.Duration {
 }
 
 // TestLaneWakeAttachStorm: 40 000 attaches against a lane that is parked
-// with no traffic. Every one pushes an index update; the queue holds
-// 16 K, so a lane that slept through the storm would lose users to the
-// full queue. Afterwards each user's first uplink G-PDU must forward.
+// with no traffic. Each pushes an index update and none wakes the lane on
+// its own: the lane is kicked each time the update queue reaches its wake
+// watermark, so the 16 K queue never fills, and the updates still below
+// the watermark ride the first packets. Each user's first uplink G-PDU
+// must forward.
 func TestLaneWakeAttachStorm(t *testing.T) {
 	n := 40_000
 	if testing.Short() {
@@ -55,7 +58,9 @@ func TestLaneWakeAttachStorm(t *testing.T) {
 	s := d.node.Slice(0)
 
 	users := attachUsers(t, d.node, 0, 1, n)
-	waitFor(t, 10*time.Second, "the storm's updates to sync", func() bool { return !s.DataPending() })
+	if drops := s.Control().Stats().UpdateDrops; drops != 0 {
+		t.Fatalf("the storm shed %d index updates", drops)
+	}
 
 	_, snd := dialGTPU(t, d)
 	defer snd.Close()
@@ -82,13 +87,16 @@ func TestLaneWakeAttachStorm(t *testing.T) {
 	}
 }
 
-// TestLaneWake covers every producer that must reach a parked lane: a
-// control→data update, a packet handed to the slice's ring from outside
-// its lane, and a migration (whose extract fence waits for two syncs and
+// TestLaneWake covers what must and must not reach a parked lane. A lone
+// control→data update must not: it stays queued, and the user's first
+// packet, handed to the slice's ring, brings the lane, which syncs before
+// the lookup. These must: a packet handed to the ring from outside the
+// lane, and a migration (whose extract fence waits for two syncs and
 // gives up — losing the user's QoS levels — after 50 ms). Each must wake
 // the lane well inside 20 ms at least once in three tries (a loaded host
 // may slow one try; a lost wake-up fails them all, as a hang), and 1 000
-// park/kick cycles must never hang.
+// update batches at the wake watermark, each racing the lane's park, must
+// never hang.
 func TestLaneWake(t *testing.T) {
 	cfg := testConfig(2, 2, netip.AddrPort{})
 	cfg.subscribers = 2000
@@ -108,19 +116,25 @@ func TestLaneWake(t *testing.T) {
 		t.Errorf("%s: a parked lane took %v to react on its best of three tries, want at most %v", what, took, prompt)
 	}
 
-	var users []workload.User
-	best("update push", func(i int) time.Duration {
-		time.Sleep(2 * time.Millisecond) // let the lane park
-		return woken(t, s0, "an update push", func() { users = append(users, attachUsers(t, node, 0, 1+i, 1)...) })
-	})
-
+	time.Sleep(2 * time.Millisecond) // let the lane park
+	users := attachUsers(t, node, 0, 1, 1)
+	time.Sleep(2 * time.Millisecond)
+	if !s0.DataPending() {
+		t.Fatal("a lone attach's update was synced: it woke the parked lane")
+	}
 	gen := workload.NewTrafficGen(workload.TrafficConfig{ENBAddr: 0xC0A83201}, users)
+	dp := s0.Data()
+	woken(t, s0, "the first packet after an attach", func() { node.SteerUplink(gen.UplinkFor(users[0])) })
+	if dp.Forwarded.Load() != 1 || dp.Missed.Load() != 0 {
+		t.Fatalf("first packet after a parked attach: forwarded=%d missed=%d", dp.Forwarded.Load(), dp.Missed.Load())
+	}
+
 	best("ring hand-off", func(int) time.Duration {
 		time.Sleep(2 * time.Millisecond)
-		f0 := s0.Data().Forwarded.Load()
+		f0 := dp.Forwarded.Load()
 		took := woken(t, s0, "a packet handed to its ring", func() { node.SteerUplink(gen.UplinkFor(users[0])) })
-		if s0.Data().Forwarded.Load() != f0+1 {
-			t.Fatalf("the handed-off packet was not forwarded (forwarded %d → %d)", f0, s0.Data().Forwarded.Load())
+		if dp.Forwarded.Load() != f0+1 {
+			t.Fatalf("the handed-off packet was not forwarded (forwarded %d → %d)", f0, dp.Forwarded.Load())
 		}
 		return took
 	})
@@ -135,8 +149,17 @@ func TestLaneWake(t *testing.T) {
 		return time.Since(t0)
 	})
 
+	// One drain of a full signaling batch — 256 attach events, the update
+	// queue's wake watermark — pushes its 256 index updates in one call.
+	imsi := attachUsers(t, node, 0, 100, 1)[0].IMSI
+	cp := s0.Control()
 	for i := 0; i < 1000; i++ {
-		woken(t, s0, "an update push", func() { attachUsers(t, node, 0, 100+i, 1) })
+		woken(t, s0, "a drain at the wake watermark", func() {
+			for j := 0; j < 256; j++ {
+				cp.EnqueueSignal(core.SigEvent{Kind: core.SigAttachEvent, IMSI: imsi})
+			}
+			cp.DrainSignaling(0)
+		})
 	}
 }
 

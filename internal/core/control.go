@@ -40,8 +40,8 @@ type ControlPlane struct {
 
 	// retired is the UE-context free list (control-thread-only): detached
 	// contexts parked until the data plane provably holds no reference,
-	// then recycled by the next attach together with their TEID/address
-	// pair. Recycling the identifiers matters as much as the memory: it
+	// then recycled by the next attach, an allocator attach together with
+	// their TEID/address pair. Recycling the identifiers matters as much as the memory: it
 	// keeps the allocator's sequence space from draining under churn and
 	// lets the index maps reuse tombstoned slots instead of growing.
 	// Ring buffer: retHead is the oldest entry, retLen the population.
@@ -84,6 +84,9 @@ type ControlPlane struct {
 	// SigDrops counts signaling events rejected because sigQ was full
 	// (the control plane's backpressure toward the RAN).
 	SigDrops atomic.Uint64
+	// UpdateDrops counts index updates shed because the update queue was
+	// full and no data thread was bound to wait for.
+	UpdateDrops atomic.Uint64
 	// Recycles counts attaches served from the context free list.
 	Recycles atomic.Uint64
 	// DegradedAttaches counts attaches completed with the default-bearer
@@ -155,6 +158,7 @@ type CtrlStats struct {
 	PromoteDrops     uint64
 	Evictions        uint64
 	SigDrops         uint64
+	UpdateDrops      uint64
 	Recycles         uint64
 	DegradedAttaches uint64
 	Repairs          uint64
@@ -172,6 +176,7 @@ func (cp *ControlPlane) Stats() CtrlStats {
 		PromoteDrops:     cp.PromoteDrops.Load(),
 		Evictions:        cp.Evictions.Load(),
 		SigDrops:         cp.SigDrops.Load(),
+		UpdateDrops:      cp.UpdateDrops.Load(),
 		Recycles:         cp.Recycles.Load(),
 		DegradedAttaches: cp.DegradedAttaches.Load(),
 		Repairs:          cp.Repairs.Load(),
@@ -202,9 +207,9 @@ type AttachSpec struct {
 	// slice's identifier allocator: the caller owns the identifier space
 	// and has derived the pair itself (the cluster layer embeds its
 	// global user key in both, so the Maglev steering key is recoverable
-	// from either identifier on the wire). The free-list recycle path is
-	// skipped — parked contexts are bound to allocator-owned pairs —
-	// and uniqueness across attaches is the caller's contract. Setting
+	// from either identifier on the wire). Only the context may come from
+	// the free list, never a parked identifier pair, and uniqueness
+	// across attaches is the caller's contract. Setting
 	// only one of the two is an error (ErrBadAssignment).
 	AssignedUplinkTEID uint32
 	AssignedUEAddr     uint32
@@ -252,17 +257,16 @@ func (cp *ControlPlane) Attach(spec AttachSpec) (AttachResult, error) {
 		}
 	}
 
-	var ue *state.UE
-	var teid, ueAddr uint32
-	var err error
-	if spec.AssignedUplinkTEID != 0 || spec.AssignedUEAddr != 0 {
-		if spec.AssignedUplinkTEID == 0 || spec.AssignedUEAddr == 0 {
-			return res, ErrBadAssignment
-		}
-		teid, ueAddr = spec.AssignedUplinkTEID, spec.AssignedUEAddr
-		ue = &state.UE{}
-	} else if ue, teid, ueAddr, err = cp.allocUE(); err != nil {
+	assigned := spec.AssignedUplinkTEID != 0 || spec.AssignedUEAddr != 0
+	if assigned && (spec.AssignedUplinkTEID == 0 || spec.AssignedUEAddr == 0) {
+		return res, ErrBadAssignment
+	}
+	ue, teid, ueAddr, err := cp.allocUE(assigned)
+	if err != nil {
 		return res, err
+	}
+	if assigned {
+		teid, ueAddr = spec.AssignedUplinkTEID, spec.AssignedUEAddr
 	}
 	guti := spec.IMSI ^ 0x00ff_feed_0000_0000
 
@@ -370,14 +374,19 @@ func (cp *ControlPlane) RepairDegraded(max int) int {
 	return repaired
 }
 
-// allocUE produces a context plus its identifier pair for an attach:
-// from the free list when the oldest retiree has cleared the data-plane
-// fence (zero-alloc steady state), from the heap and the sequence
-// allocator otherwise.
-func (cp *ControlPlane) allocUE() (*state.UE, uint32, uint32, error) {
+// allocUE produces a context for an attach, with an identifier pair
+// unless the caller assigned one: from the free list when the oldest
+// retiree has cleared the data-plane fence (zero-alloc steady state),
+// from the heap and the sequence allocator otherwise. An assigned attach
+// takes only the context, and skips a retiree whose pair this slice's
+// allocator issued, leaving it to an allocator attach so no issued pair
+// is lost.
+func (cp *ControlPlane) allocUE(assigned bool) (*state.UE, uint32, uint32, error) {
 	if cp.retLen > 0 {
 		r := cp.retired[cp.retHead]
-		if cp.s.data.syncSeq.Load() >= r.seq+2 {
+		seq := r.teid & seqMask
+		issued := seq != 0 && seq <= cp.nextSeq && r.teid == HomeTEID(cp.s.cfg.ID, seq) && r.ueAddr == HomeUEAddr(cp.s.cfg.ID, seq)
+		if cp.s.data.syncSeq.Load() >= r.seq+2 && !(assigned && issued) {
 			cp.retired[cp.retHead] = retiree{}
 			cp.retHead = (cp.retHead + 1) & (len(cp.retired) - 1)
 			cp.retLen--
@@ -385,6 +394,9 @@ func (cp *ControlPlane) allocUE() (*state.UE, uint32, uint32, error) {
 			cp.Recycles.Add(1)
 			return r.ue, r.teid, r.ueAddr, nil
 		}
+	}
+	if assigned {
+		return &state.UE{}, 0, 0, nil
 	}
 	teid, ueAddr, err := cp.allocate()
 	if err != nil {
@@ -450,10 +462,10 @@ func (cp *ControlPlane) notifyInsert(teid, ueAddr uint32, ue *state.UE) {
 	if cp.s.tl != nil {
 		cp.s.tl.InsertSecondary(teid, ueAddr, ue)
 		// A freshly attached device is active: promote now.
-		cp.s.pushUpdate(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
+		cp.s.pushUpdates(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
 		return
 	}
-	cp.s.pushUpdate(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
+	cp.s.pushUpdates(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
 }
 
 // ueKeys reads a user's data keys: its uplink TEID and UE address.
@@ -466,7 +478,7 @@ func (cp *ControlPlane) notifyDelete(teid, ueAddr uint32) {
 	if cp.s.tl != nil {
 		cp.s.tl.RemoveSecondary(teid, ueAddr)
 	}
-	cp.s.pushUpdate(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ueAddr})
+	cp.s.pushUpdates(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ueAddr})
 }
 
 // installRules installs PCC rules into the slice PCEF and records their
@@ -594,7 +606,7 @@ func (cp *ControlPlane) Promote(imsi uint64) error {
 		return ErrUserUnknown
 	}
 	teid, ueAddr := ueKeys(ue)
-	cp.s.pushUpdate(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
+	cp.s.pushUpdates(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
 	cp.Promotions.Add(1)
 	return nil
 }
@@ -610,7 +622,7 @@ func (cp *ControlPlane) Demote(imsi uint64) error {
 		return ErrUserUnknown
 	}
 	teid, ueAddr := ueKeys(ue)
-	cp.s.pushUpdate(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ueAddr})
+	cp.s.pushUpdates(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ueAddr})
 	cp.Evictions.Add(1)
 	return nil
 }
@@ -637,13 +649,13 @@ func (cp *ControlPlane) Maintain(now, idleNs int64) int {
 			break
 		}
 		teid, ueAddr := ueKeys(req.ue)
-		cp.s.pushUpdate(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: req.ue})
+		cp.s.pushUpdates(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: req.ue})
 		cp.Promotions.Add(1)
 		actions++
 	}
 	if cp.s.tl != nil && idleNs > 0 {
 		n := cp.s.tl.EvictIdle(now, idleNs, func(teid, ip uint32) {
-			cp.s.pushUpdate(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ip})
+			cp.s.pushUpdates(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ip})
 			cp.Evictions.Add(1)
 		})
 		actions += n

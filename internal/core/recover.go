@@ -127,7 +127,7 @@ func (s *Slice) reconcileSurvivors(crashed *Slice, rep *RecoveryReport) {
 				// recycled key, superseded by the re-insert that follows
 				// it in the queue — skip.
 				if s.tl != nil {
-					s.pushUpdate(u)
+					s.pushUpdates(u)
 					rep.EvictionsReplayed++
 				}
 				return

@@ -52,11 +52,12 @@ func waitParked(t *testing.T, s *Slice) {
 }
 
 // TestRunDataWake is the channel waker's counterpart of pepcd's
-// TestLaneWake: a parked RunData must wake for every producer — an
-// attach's index update, a steered packet, the extract fence of a
-// migration (which gives up after 50 ms, losing the user's QoS levels)
-// and the hand-off of the packets a migration buffered — and 1 000
-// park/kick cycles must never hang.
+// TestLaneWake: a parked RunData stays parked for an attach's lone index
+// update and wakes for the user's first packet, which finds the user; it
+// wakes for a steered packet, the extract fence of a migration (which
+// gives up after 50 ms, losing the user's QoS levels) and the hand-off of
+// the packets a migration buffered; and 1 000 batches that fill the
+// update queue to updateWakeAt while it races its park never hang.
 func TestRunDataWake(t *testing.T) {
 	n := NewNode(SliceConfig{ID: 1, UserHint: 2048}, SliceConfig{ID: 2, UserHint: 2048})
 	s0, s1 := n.Slice(0), n.Slice(1)
@@ -64,16 +65,27 @@ func TestRunDataWake(t *testing.T) {
 	startRunData(t, s1)
 	pool := pkt.NewPool(2048, 128)
 
+	time.Sleep(time.Millisecond) // let the parked thread reach its receive
 	res, err := n.AttachUser(0, AttachSpec{IMSI: 1, ENBAddr: 1, DownlinkTEID: 2,
 		AMBRUplink: 100e6, AMBRDownlink: 100e6}) // policed: the data thread builds a limiter
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "an attach's update to sync", func() bool { return !s0.DataPending() })
+	time.Sleep(time.Millisecond)
+	if q := s0.updates.Len(); q != 1 {
+		t.Fatalf("%d updates queued after a lone attach, want it still waiting for the first packet", q)
+	}
+	n.SteerUplink(buildUplink(pool, res.UplinkTEID, res.UEAddr, 1, s0.Config().CoreAddr, 80))
+	waitUntil(t, "the first packet to be accounted for", func() bool {
+		return s0.Data().Forwarded.Load()+s0.Data().Dropped.Load() > 0
+	})
+	if f, m := s0.Data().Forwarded.Load(), s0.Data().Missed.Load(); f != 1 || m != 0 {
+		t.Fatalf("first packet after a parked attach: forwarded=%d missed=%d", f, m)
+	}
 
 	waitParked(t, s0)
 	n.SteerUplink(buildUplink(pool, res.UplinkTEID, res.UEAddr, 1, s0.Config().CoreAddr, 80))
-	waitUntil(t, "a steered packet to forward", func() bool { return s0.Data().Forwarded.Load() == 1 })
+	waitUntil(t, "a steered packet to forward", func() bool { return s0.Data().Forwarded.Load() == 2 })
 
 	// The fence held iff the source's limiter levels travelled: the
 	// target then starts with them seeded, before it sees a packet.
@@ -102,14 +114,9 @@ func TestRunDataWake(t *testing.T) {
 	if err := <-migrated; err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "the handed-off packet to forward", func() bool { return s0.Data().Forwarded.Load() == 2 })
+	waitUntil(t, "the handed-off packet to forward", func() bool { return s0.Data().Forwarded.Load() == 3 })
 
-	for i := 0; i < 1000; i++ {
-		if _, err := n.AttachUser(0, AttachSpec{IMSI: uint64(100 + i), ENBAddr: 1, DownlinkTEID: uint32(100 + i)}); err != nil {
-			t.Fatal(err)
-		}
-		waitUntil(t, "an attach's update to sync", func() bool { return !s0.DataPending() })
-	}
+	pushAtWatermark(t, s0, 1000)
 	drainEgress(s0)
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-
 	"pepc/internal/sim"
 	"pepc/internal/state"
 )
@@ -102,20 +100,6 @@ func (cp *ControlPlane) DrainSignaling(max int) int {
 	return n
 }
 
-// pushUpdates hands a drain's accumulated index operations to the data
-// plane in one call. When the queue is full and a data thread is bound,
-// it wakes it and yields until it syncs; without one the remainder is
-// dropped, as in pushUpdate.
-func (cp *ControlPlane) pushUpdates(us []state.Update) {
-	pushed := cp.s.updates.PushBatch(us)
-	for pushed < len(us) && cp.s.data.running.Load() {
-		cp.s.wakeData()
-		runtime.Gosched()
-		pushed += cp.s.updates.PushBatch(us[pushed:])
-	}
-	cp.s.wakeData()
-}
-
 // attachEventBatch executes a run of attach events: one batched IMSI
 // lookup, per-user control writes, one batched update push.
 func (cp *ControlPlane) attachEventBatch(run []SigEvent) {
@@ -147,7 +131,7 @@ func (cp *ControlPlane) attachEventBatch(run []SigEvent) {
 		upd = append(upd, state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
 		done++
 	}
-	cp.pushUpdates(upd)
+	cp.s.pushUpdates(upd...)
 	cp.updScratch = upd[:0]
 	cp.Attaches.Add(uint64(done))
 }
@@ -232,7 +216,7 @@ func (cp *ControlPlane) detachBatch(run []SigEvent) {
 		cp.sigIMSIs[term] = run[i].IMSI
 		term++
 	}
-	cp.pushUpdates(upd)
+	cp.s.pushUpdates(upd...)
 	cp.updScratch = upd[:0]
 	if cp.proxy != nil && term > 0 {
 		_ = cp.proxy.TerminateGxSessionBatch(cp.sigIMSIs[:term])

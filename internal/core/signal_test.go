@@ -191,6 +191,46 @@ func TestAttachRecyclesDetachedContext(t *testing.T) {
 	}
 }
 
+// TestAssignedAttachRecyclesContextOnly: an attach with caller-assigned
+// identifiers (N4, the cluster) reuses a retired context but never a
+// parked identifier pair, and leaves a retiree whose pair the slice's own
+// allocator issued for the next allocator attach, which gets that pair
+// back.
+func TestAssignedAttachRecyclesContextOnly(t *testing.T) {
+	s := NewSlice(SliceConfig{ID: 1, UserHint: 64})
+	cp := s.Control()
+	assigned := func(imsi uint64, teid uint32) {
+		t.Helper()
+		res, err := cp.Attach(AttachSpec{IMSI: imsi, ENBAddr: 1, DownlinkTEID: 2,
+			AssignedUplinkTEID: teid, AssignedUEAddr: pkt.IPv4Addr(45, 0, 0, byte(imsi))})
+		if err != nil || res.UplinkTEID != teid {
+			t.Fatalf("assigned attach %d: teid %#x, err %v", imsi, res.UplinkTEID, err)
+		}
+		s.Data().SyncUpdates()
+	}
+	fence := func() { s.Data().SyncUpdates(); s.Data().SyncUpdates() }
+
+	assigned(1, 0x5E00_0001)
+	cp.Detach(1)
+	fence()
+	assigned(2, 0x5E00_0002)
+	if got := cp.Stats().Recycles; got != 1 {
+		t.Fatalf("Recycles = %d after an assigned attach behind an assigned detach, want 1", got)
+	}
+
+	issued := attachOne(t, s, 3)
+	cp.Detach(3)
+	fence()
+	assigned(4, 0x5E00_0004)
+	if got := cp.Stats().Recycles; got != 1 {
+		t.Fatalf("Recycles = %d: an assigned attach took a retiree whose pair the allocator issued", got)
+	}
+	if res := attachOne(t, s, 5); res.UplinkTEID != issued.UplinkTEID || res.UEAddr != issued.UEAddr {
+		t.Fatalf("allocator attach got %#x/%#x, want the parked pair %#x/%#x back",
+			res.UplinkTEID, res.UEAddr, issued.UplinkTEID, issued.UEAddr)
+	}
+}
+
 // TestPromoteDropsCounted: overflowing the promotion queue is not silent —
 // requestPromotion counts discarded requests and Stats surfaces them.
 func TestPromoteDropsCounted(t *testing.T) {

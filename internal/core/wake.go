@@ -15,13 +15,13 @@ import (
 // of polling its rings (pepcd's lane parks in its socket read, RunData in
 // a channel receive). The owner stores Parked, re-checks
 // Slice.DataPending, and only then blocks; producers — another lane's
-// steering, a migration drain, a paging resume, a control→data update,
-// the extract fence — enqueue first and then call Slice.wakeData, which
-// kicks iff Parked. Go atomics are sequentially consistent, so either the
-// producer sees Parked or the owner's re-check sees the item: no wake-up
-// is lost, and a kick that lands on an owner already awake costs one
-// empty pass. One Waker may serve every slice of a lane. DESIGN.md §4.13
-// has the long form.
+// steering, a migration drain, a paging resume, the update queue
+// reaching updateWakeAt, the extract fence — enqueue first and then call
+// Slice.wakeData, which kicks iff Parked. Go atomics are sequentially
+// consistent, so either the producer sees Parked or the owner's re-check
+// sees the item: no wake-up is lost, and a kick that lands on an owner
+// already awake costs one empty pass. One Waker may serve every slice of
+// a lane. DESIGN.md §4.13 has the long form.
 type Waker struct {
 	Parked atomic.Bool
 	// Kick makes the owner's blocking call return, now or on its next
@@ -139,14 +139,30 @@ func (s *Slice) enqueue(b *pkt.Buf, uplink bool) bool {
 	return ok
 }
 
-// pushUpdate queues one index change for the data thread. While one is
-// bound, a full queue waits for its next sync rather than dropping the
-// update (a dropped insert is a user the data plane never finds); with
-// none the caller drives both planes and the push stays best effort.
-func (s *Slice) pushUpdate(u state.Update) {
-	for !s.updates.Push(u) && s.data.running.Load() {
+// updateWakeAt is the update-queue depth at which a push wakes a parked
+// data thread. Below it an update rides the next packet: RunPass syncs
+// after it dequeues and before it looks anything up, so the packet that
+// needs an update brings the thread that applies it. The watermark keeps
+// the queue from filling and keeps syncs, and with them the context free
+// list's two-sync fence, advancing while no packet comes.
+const updateWakeAt = 256
+
+// pushUpdates queues index changes for the data thread. While one is
+// bound, a full queue wakes it and waits for its next sync rather than
+// dropping (a dropped insert is a user the data plane never finds); with
+// none the caller drives both planes, and what does not fit is dropped
+// and counted in UpdateDrops.
+func (s *Slice) pushUpdates(us ...state.Update) {
+	pushed := s.updates.PushBatch(us)
+	for pushed < len(us) && s.data.running.Load() {
 		s.wakeData()
 		runtime.Gosched()
+		pushed += s.updates.PushBatch(us[pushed:])
 	}
-	s.wakeData()
+	if pushed < len(us) {
+		s.ctrl.UpdateDrops.Add(uint64(len(us) - pushed))
+	}
+	if s.updates.Len() >= updateWakeAt {
+		s.wakeData()
+	}
 }

@@ -43,6 +43,13 @@ go test -race -run 'TestClusterConcurrentChurn|TestKillRecoverConservation' -cou
 echo "== pepcd under -race (lanes, wake, shutdown drain, N4)"
 go test -race -count=1 ./cmd/pepcd/
 
+# Update pushes race the data thread's park: a batch at the wake
+# watermark must always reach a parked thread, a lone update must leave it
+# parked, and N4 churn must kick it only once per watermark — 20 times
+# under the detector.
+echo "== update wake watermark x20 (-race)"
+go test -race -run 'TestWakerNoLostWakeup|TestRunDataWake|TestN4ChurnLeavesDataThreadParked' -count=20 ./internal/core/
+
 # Sync-before-process is a race the N4 test must win every time: the
 # first burst after an establishment and the first probe after a
 # modification, 20 times over.
@@ -75,10 +82,11 @@ go test -count=3 ./internal/experiments/
 # plain tests (no -fuzz exploration in CI; a failing seed is a
 # regression in the parse-once codec surface). Covers the GTP-U outer
 # parser (incl. the fragmented-outer rejection seeds), the PFCP
-# message/IE/flow-description codecs and the data-path indexes' model
-# check.
+# message/IE/flow-description codecs, the data-path indexes' model check
+# and the S1-MME parsers pepcd exposes: SCTP packets and chunks, S1AP
+# PDUs and NAS messages.
 echo "== fuzz seeds"
-go test -run 'Fuzz' -count=1 ./internal/gtp/ ./internal/pfcp/ ./internal/state/
+go test -run 'Fuzz' -count=1 ./internal/gtp/ ./internal/pfcp/ ./internal/state/ ./internal/sctp/ ./internal/s1ap/ ./internal/nas/
 
 # Dangling references: the second benchmark system, its ratchets and the
 # ablation knobs only it exercised are gone, and so are the daemon's rx
