@@ -120,8 +120,7 @@ func main() {
 
 	lat := hdr.New()
 	for i := 0; i < 2; i++ {
-		lat.Merge(node.Slice(i).Data().LatencyUplink())
-		lat.Merge(node.Slice(i).Data().LatencyDownlink())
+		node.Slice(i).Data().MergeLatency(lat)
 	}
 	fmt.Printf("per-packet latency: %s\n", lat.Summary())
 	fmt.Println("(latencies here include ring queueing on a shared CPU; Figure 9's")

@@ -28,13 +28,14 @@ func main() {
 	// real mutual authentication (AKA challenge/response).
 	enbWire, coreWire := pepc.SCTPPipe(1024)
 	acceptDone := make(chan error, 1)
+	var srv *pepc.S1APServer
 	go func() {
 		assoc, err := pepc.SCTPAccept(coreWire, pepc.SCTPConfig{Tag: 2})
 		if err != nil {
 			acceptDone <- err
 			return
 		}
-		srv, err := node.ServeS1AP(0, assoc)
+		srv, err = node.ServeS1AP(0, assoc)
 		if err != nil {
 			acceptDone <- err
 			return
@@ -54,6 +55,16 @@ func main() {
 	ue := pepc.NewUE(310_150_000_000_001)
 	if err := base.Attach(ue); err != nil {
 		log.Fatalf("attach: %v", err)
+	}
+	// The eNodeB returns once it has sent its last message; the core
+	// records the downlink tunnel from the context-setup response, which
+	// precedes AttachComplete on the same ordered association. Wait for
+	// the core's side of the attach before sending downlink traffic.
+	for deadline := time.Now().Add(2 * time.Second); srv.AttachesCompleted.Load() != 1; {
+		if time.Now().After(deadline) {
+			log.Fatal("attach not completed by the core")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	fmt.Printf("UE %d attached: GUTI=%#x IP=%s uplink TEID=%#x\n",
 		ue.IMSI, ue.GUTI, pkt.FormatIPv4(ue.UEAddr), ue.UplinkTEID)

@@ -459,9 +459,7 @@ func (c *Cluster) Latency() *hdr.Histogram {
 			continue
 		}
 		for i := 0; i < mb.node.NumSlices(); i++ {
-			dp := mb.node.Slice(i).Data()
-			m.Merge(dp.LatencyUplink())
-			m.Merge(dp.LatencyDownlink())
+			mb.node.Slice(i).Data().MergeLatency(m)
 		}
 	}
 	return m

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -13,60 +14,115 @@ import (
 
 // TestBatchEquivalentToPacketAtATime feeds the same bursty, QoS-policed
 // packet sequence through one slice as whole batches and through another
-// one packet at a time. Flow-run coalescing must be an optimization, not
-// a semantic change: forwarded/dropped totals and the per-user counters
-// must match exactly, including the partial-run fallback where the
-// aggregate token-bucket check fails mid-burst.
+// one packet at a time, in each direction. Flow-run coalescing must be an
+// optimization, not a semantic change: forwarded/dropped/paged totals,
+// the per-user counters and the egress bytes in order (the downlink GTP-U
+// envelope included) must match exactly, including the partial-run
+// fallback where the aggregate token-bucket check fails mid-burst and,
+// for an idle user, the paging path.
 func TestBatchEquivalentToPacketAtATime(t *testing.T) {
-	build := func() (*Slice, AttachResult) {
-		s := NewSlice(SliceConfig{ID: 21, UserHint: 64})
-		res, err := s.Control().Attach(AttachSpec{
-			IMSI: 21, ENBAddr: 1, DownlinkTEID: 2,
-			AMBRUplink: 8 * 3000, // tiny: the burst admits ~50 packets, then partial runs
+	for _, tc := range []struct {
+		name         string
+		uplink, idle bool
+	}{
+		{"uplink", true, false},
+		{"downlink", false, false},
+		{"downlink-idle", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// 8-packet bursts per "user instant", 128 packets total: well
+			// past the policing burst so runs start failing the aggregate
+			// check.
+			const runLen, total = 8, 128
+			pool := pkt.NewPool(4096, 128)
+			now := sim.Now()
+			feed := func(single bool) (*Slice, [][]byte) {
+				s := NewSlice(SliceConfig{ID: 21, UserHint: 64})
+				res, err := s.Control().Attach(AttachSpec{
+					IMSI: 21, ENBAddr: 1, DownlinkTEID: 2,
+					// Tiny: the burst admits ~50 packets, then partial runs.
+					AMBRUplink: 8 * 3000, AMBRDownlink: 8 * 3000,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.idle {
+					if err := s.Control().ReleaseAccess(21); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.Data().SyncUpdates()
+				process := s.Data().ProcessDownlinkBatch
+				if tc.uplink {
+					process = s.Data().ProcessUplinkBatch
+				}
+				var egress [][]byte
+				batch := make([]*pkt.Buf, runLen)
+				for i := 0; i < total; i += runLen {
+					for k := range batch {
+						if tc.uplink {
+							batch[k] = buildUplink(pool, res.UplinkTEID, res.UEAddr, 1, s.Config().CoreAddr, 80)
+						} else {
+							batch[k] = buildDownlink(pool, res.UEAddr, 80)
+						}
+					}
+					if single {
+						for _, b := range batch {
+							process([]*pkt.Buf{b}, now)
+						}
+					} else {
+						process(batch, now)
+					}
+					for {
+						b, ok := s.Egress.Dequeue()
+						if !ok {
+							break
+						}
+						egress = append(egress, append([]byte(nil), b.Bytes()...))
+						b.Free()
+					}
+				}
+				return s, egress
+			}
+			sBatch, eBatch := feed(false)
+			sSingle, eSingle := feed(true)
+			dBatch, dSingle := sBatch.Data(), sSingle.Data()
+
+			if f1, f2 := dBatch.Forwarded.Load(), dSingle.Forwarded.Load(); f1 != f2 {
+				t.Fatalf("forwarded: batch=%d single=%d", f1, f2)
+			}
+			if d1, d2 := dBatch.Dropped.Load(), dSingle.Dropped.Load(); d1 != d2 {
+				t.Fatalf("dropped: batch=%d single=%d", d1, d2)
+			}
+			if p1, p2 := dBatch.PagedPackets.Load(), dSingle.PagedPackets.Load(); p1 != p2 {
+				t.Fatalf("paged: batch=%d single=%d", p1, p2)
+			}
+			var c1, c2 state.CounterState
+			sBatch.Control().Lookup(21).ReadCounters(func(c *state.CounterState) { c1 = *c })
+			sSingle.Control().Lookup(21).ReadCounters(func(c *state.CounterState) { c2 = *c })
+			if c1 != c2 {
+				t.Fatalf("counters diverge:\nbatch:  %+v\nsingle: %+v", c1, c2)
+			}
+			if len(eBatch) != len(eSingle) {
+				t.Fatalf("egress packets: batch=%d single=%d", len(eBatch), len(eSingle))
+			}
+			for i := range eBatch {
+				if !bytes.Equal(eBatch[i], eSingle[i]) {
+					t.Fatalf("egress packet %d differs:\nbatch:  %x\nsingle: %x", i, eBatch[i], eSingle[i])
+				}
+			}
+
+			switch {
+			case tc.idle:
+				if p := dBatch.PagedPackets.Load(); p != total {
+					t.Fatalf("paged %d of %d packets for an idle user", p, total)
+				}
+			case c1.DroppedPackets == 0 || c1.UplinkPackets+c1.DownlinkPackets == 0:
+				t.Fatalf("test exercised no policing boundary: %+v", c1)
+			case !tc.uplink && len(eBatch[0]) <= pkt.IPv4HeaderLen+pkt.UDPHeaderLen+32:
+				t.Fatalf("downlink egress not encapsulated: %d bytes", len(eBatch[0]))
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Data().SyncUpdates()
-		return s, res
-	}
-	sBatch, resBatch := build()
-	sSingle, resSingle := build()
-	pool := pkt.NewPool(4096, 128)
-	now := sim.Now()
-
-	// 8-packet bursts per "user instant", 128 packets total: well past the
-	// policing burst so runs start failing the aggregate check.
-	const runLen, total = 8, 128
-	var batch []*pkt.Buf
-	for i := 0; i < total; i += runLen {
-		batch = batch[:0]
-		for k := 0; k < runLen; k++ {
-			batch = append(batch, buildUplink(pool, resBatch.UplinkTEID, resBatch.UEAddr, 1, sBatch.Config().CoreAddr, 80))
-		}
-		sBatch.Data().ProcessUplinkBatch(batch, now)
-		drainEgress(sBatch)
-		for k := 0; k < runLen; k++ {
-			b := buildUplink(pool, resSingle.UplinkTEID, resSingle.UEAddr, 1, sSingle.Config().CoreAddr, 80)
-			sSingle.Data().ProcessUplinkBatch([]*pkt.Buf{b}, now)
-		}
-		drainEgress(sSingle)
-	}
-
-	if f1, f2 := sBatch.Data().Forwarded.Load(), sSingle.Data().Forwarded.Load(); f1 != f2 {
-		t.Fatalf("forwarded: batch=%d single=%d", f1, f2)
-	}
-	if d1, d2 := sBatch.Data().Dropped.Load(), sSingle.Data().Dropped.Load(); d1 != d2 {
-		t.Fatalf("dropped: batch=%d single=%d", d1, d2)
-	}
-	var c1, c2 state.CounterState
-	sBatch.Control().Lookup(21).ReadCounters(func(c *state.CounterState) { c1 = *c })
-	sSingle.Control().Lookup(21).ReadCounters(func(c *state.CounterState) { c2 = *c })
-	if c1 != c2 {
-		t.Fatalf("counters diverge:\nbatch:  %+v\nsingle: %+v", c1, c2)
-	}
-	if c1.DroppedPackets == 0 || c1.UplinkPackets == 0 {
-		t.Fatalf("test exercised no policing boundary: %+v", c1)
 	}
 }
 

@@ -201,12 +201,12 @@ type DataPlane struct {
 	// planes) and is skipped.
 	running atomic.Bool
 
-	// Per-direction latency histograms (data-thread written; any thread
-	// may merge or query them live — hdr records are atomic). Recording
-	// is gated by cfg.RecordLatency and a packet carrying Meta.TSNanos;
-	// the clock is read once per batch by the caller, not per packet.
-	latUp hdr.Histogram
-	latDn hdr.Histogram
+	// Per-direction latency histograms, indexed like latPend
+	// (data-thread written; any thread may merge them live with
+	// MergeLatency — hdr records are atomic). Recording is gated by
+	// cfg.RecordLatency and a packet carrying Meta.TSNanos; the clock is
+	// read once per batch by the caller, not per packet.
+	lat [2]hdr.Histogram
 
 	// latPend accumulates the current same-valued latency run per
 	// direction (0 = downlink, 1 = uplink): packets of one batch share
@@ -231,10 +231,9 @@ type DataPlane struct {
 	sinceSync int
 
 	// scratch holds the staged pipeline's preallocated per-stage arrays.
-	// Batch processing is single-threaded: ProcessUplinkBatch and
-	// ProcessDownlinkBatch share the scratch and must be called from one
-	// goroutine (the data thread), as RunPass and the paper's
-	// run-to-completion model already require.
+	// Batch processing is single-threaded: both directions share the
+	// scratch and must be driven from one goroutine (the data thread), as
+	// RunPass and the paper's run-to-completion model already require.
 	scratch dpScratch
 }
 
@@ -247,7 +246,7 @@ type dpScratch struct {
 	flows   []pkt.Flow     // parsed inner 5-tuple
 	plens   []int          // inner byte length for accounting
 	runOf   []int32        // packet index → key-run index
-	allowed []bool         // per-packet policing verdict (fallback path)
+	allowed []bool         // per-packet policing verdict, then forward mask
 	runKeys []uint32       // distinct consecutive keys of the batch
 	runHot  []*state.HotUE // resolved hot state, one per key run
 	runSec  []bool         // two-level: run resolved from the secondary
@@ -286,29 +285,13 @@ func newDataPlane(s *Slice) *DataPlane {
 	return dp
 }
 
-// Latency returns a merged snapshot of both directions' latency
-// histograms. Safe while the data thread is recording (lock-free
-// merge); allocates the snapshot, so it is a readout call, not a
-// fast-path one.
-func (dp *DataPlane) Latency() *hdr.Histogram {
-	m := hdr.New()
-	m.Merge(&dp.latUp)
-	m.Merge(&dp.latDn)
-	return m
-}
-
-// LatencyUplink returns the live uplink latency histogram (valid when
-// RecordLatency is set). Merge it elsewhere rather than mutating it.
-func (dp *DataPlane) LatencyUplink() *hdr.Histogram { return &dp.latUp }
-
-// LatencyDownlink is LatencyUplink for the downlink direction.
-func (dp *DataPlane) LatencyDownlink() *hdr.Histogram { return &dp.latDn }
-
-// ResetLatency clears both directions' histograms; call between
-// measurement runs with the data thread quiesced.
-func (dp *DataPlane) ResetLatency() {
-	dp.latUp.Reset()
-	dp.latDn.Reset()
+// MergeLatency merges both directions' latency histograms (recorded
+// when RecordLatency is set) into into. Safe while the data thread is
+// recording: hdr records are atomic and the merge takes no lock.
+func (dp *DataPlane) MergeLatency(into *hdr.Histogram) {
+	for i := range dp.lat {
+		into.Merge(&dp.lat[i])
+	}
 }
 
 // SyncUpdates drains the control→data update queue into the data-plane
@@ -325,63 +308,97 @@ func (dp *DataPlane) SyncUpdates() int {
 	return n
 }
 
-// lookup resolves a user by data-path key. For two-level mode a
-// secondary hit requests promotion through the control plane.
-func (dp *DataPlane) lookup(key uint32, uplink bool) *state.UE {
-	if dp.s.ix != nil {
-		return dp.s.ix.GetUE(key, uplink)
-	}
-	ue, fromSecondary := dp.s.tl.Lookup(key, uplink)
-	if fromSecondary {
-		dp.s.ctrl.requestPromotion(ue)
-	}
-	return ue
-}
+// ProcessUplinkBatch runs the uplink pipeline (see process) over a batch
+// of GTP-U packets from eNodeBs, keyed by TEID. Inline mode for
+// benchmarks; RunPass wraps it for data threads.
+func (dp *DataPlane) ProcessUplinkBatch(batch []*pkt.Buf, now int64) { dp.process(batch, now, true) }
 
-// ProcessUplinkBatch runs the uplink pipeline over a batch stage by
-// stage rather than packet by packet: (1) a parse stage decapsulates
-// GTP-U, serves the echo and stateless-IoT fast paths, decodes the inner
-// IPv4 header and extracts the TEID key for every packet; (2) a lookup
-// stage groups the batch into key runs — maximal stretches of
-// consecutive packets for the same user, as eNodeBs and traffic
-// generators emit them — and resolves each run with one table probe
-// through the state layer's batched lookups; (3) a verdict stage
-// classifies, polices and counts each run with one PCEF match, one
-// control-state read, one aggregate token-bucket operation and one
-// counter write per run instead of per packet. The batch is segmented at
-// SyncEvery boundaries so control-update sync keeps its exact per-packet
-// granularity (§7.2, Figure 13). Inline mode for benchmarks; RunPass
-// wraps it for data threads. Single data thread only (see dpScratch).
-func (dp *DataPlane) ProcessUplinkBatch(batch []*pkt.Buf, now int64) {
+// ProcessDownlinkBatch runs the downlink pipeline (see process) over a
+// batch of IP packets toward users, keyed by UE address.
+func (dp *DataPlane) ProcessDownlinkBatch(batch []*pkt.Buf, now int64) { dp.process(batch, now, false) }
+
+// process runs one direction's pipeline over a batch stage by stage
+// rather than packet by packet: (1) a parse stage extracts the lookup
+// key and inner 5-tuple of every packet (uplink also decapsulates GTP-U
+// and serves the echo and stateless-IoT fast paths); (2) a lookup stage
+// groups the batch into key runs — maximal stretches of consecutive
+// packets for the same user, as eNodeBs and traffic generators emit
+// them — and resolves each run with one table probe through the state
+// layer's batched lookups; (3) a verdict stage classifies, polices and
+// counts each run with one PCEF match, one control-state read, one
+// aggregate token-bucket operation and one counter write per run instead
+// of per packet (downlink also encapsulates toward the user's eNodeB, or
+// parks the run for paging). The batch is segmented at SyncEvery
+// boundaries so control-update sync keeps its exact per-packet
+// granularity (§7.2, Figure 13). Single data thread only (see
+// dpScratch).
+func (dp *DataPlane) process(batch []*pkt.Buf, now int64, uplink bool) {
 	for len(batch) > 0 {
-		chunk := dp.s.cfg.SyncEvery - dp.sinceSync
-		if chunk > len(batch) {
-			chunk = len(batch)
+		n := dp.s.cfg.SyncEvery - dp.sinceSync
+		if n > len(batch) {
+			n = len(batch)
 		}
-		dp.uplinkChunk(batch[:chunk], now)
-		dp.sinceSync += chunk
+		dp.chunk(batch[:n], now, uplink)
+		dp.sinceSync += n
 		if dp.sinceSync >= dp.s.cfg.SyncEvery {
 			dp.SyncUpdates()
 			dp.sinceSync = 0
 		}
-		batch = batch[chunk:]
+		batch = batch[n:]
 	}
 	if dp.s.cfg.RecordLatency {
 		dp.flushLat()
 	}
 }
 
-// uplinkChunk processes one sync-interval's worth of uplink packets
-// through the three stages. No update sync happens inside a chunk, so
-// every lookup observes the same index state the packet-at-a-time loop
-// would have.
-func (dp *DataPlane) uplinkChunk(batch []*pkt.Buf, now int64) {
+// chunk processes one sync-interval's worth of packets through the three
+// stages. No update sync happens inside a chunk, so every lookup
+// observes the same index state the packet-at-a-time loop would have.
+func (dp *DataPlane) chunk(batch []*pkt.Buf, now int64, uplink bool) {
 	sc := &dp.scratch
 	n := len(batch)
 	sc.ensure(n)
 	sc.rules = dp.s.pcefTable.Snapshot()
 
-	// Stage 1: decap, fast paths, inner parse, key extraction.
+	// Stage 1: parse and key extraction.
+	if uplink {
+		dp.parseUplink(batch, now)
+	} else {
+		dp.parseDownlink(batch)
+	}
+
+	// Stage 2: one state lookup per key run.
+	dp.lookupRuns(batch, uplink)
+
+	// Stage 3: verdict/forward, one run at a time. A run extends while
+	// the key run and the 5-tuple both repeat, so classification, bearer
+	// selection and policing are provably identical for every packet in
+	// it.
+	for i := 0; i < n; {
+		if !sc.live[i] {
+			i++
+			continue
+		}
+		hot := sc.runHot[sc.runOf[i]]
+		if hot == nil {
+			dp.Missed.Add(1)
+			dp.drop(batch[i])
+			i++
+			continue
+		}
+		j := i + 1
+		for j < n && sc.live[j] && sc.runOf[j] == sc.runOf[i] && sc.flows[j] == sc.flows[i] {
+			j++
+		}
+		dp.run(batch, i, j, hot, now, uplink)
+		i = j
+	}
+}
+
+// parseUplink is the uplink parse stage: decap, the echo and
+// stateless-IoT fast paths, inner parse and TEID key for every packet.
+func (dp *DataPlane) parseUplink(batch []*pkt.Buf, now int64) {
+	sc := &dp.scratch
 	for i, b := range batch {
 		sc.live[i] = false
 		teid, err := gtp.DecapGPDU(b)
@@ -425,32 +442,36 @@ func (dp *DataPlane) uplinkChunk(batch []*pkt.Buf, now int64) {
 		sc.flows[i] = flow
 		sc.plens[i] = plen
 	}
+}
 
-	// Stage 2: one state lookup per key run.
-	dp.lookupRuns(batch, true)
-
-	// Stage 3: verdict/forward, one run at a time. A run extends while
-	// the key run and the 5-tuple both repeat, so classification, bearer
-	// selection and policing are provably identical for every packet in
-	// it.
-	for i := 0; i < n; {
-		if !sc.live[i] {
-			i++
-			continue
+// parseDownlink is the downlink parse stage: inner parse and UE-address
+// key for every packet. The demux's steering parse is reused when
+// present (Meta.FlowParsed), so no inner header byte is decoded twice
+// between ingress and verdict.
+func (dp *DataPlane) parseDownlink(batch []*pkt.Buf) {
+	sc := &dp.scratch
+	for i, b := range batch {
+		sc.live[i] = false
+		var flow pkt.Flow
+		var plen int
+		if b.Meta.FlowParsed {
+			flow, plen = b.Meta.Flow, b.Len()
+			b.Meta.FlowParsed = false
+		} else {
+			var ok bool
+			flow, plen, ok = parseInner(b)
+			if !ok {
+				dp.drop(b)
+				continue
+			}
+			b.Meta.Flow = flow
 		}
-		hot := sc.runHot[sc.runOf[i]]
-		if hot == nil {
-			dp.Missed.Add(1)
-			dp.drop(batch[i])
-			i++
-			continue
-		}
-		j := i + 1
-		for j < n && sc.live[j] && sc.runOf[j] == sc.runOf[i] && sc.flows[j] == sc.flows[i] {
-			j++
-		}
-		dp.uplinkRun(batch, i, j, hot, now)
-		i = j
+		b.Meta.UEIP = flow.Dst
+		b.Meta.Uplink = false
+		sc.live[i] = true
+		sc.keys[i] = flow.Dst
+		sc.flows[i] = flow
+		sc.plens[i] = plen
 	}
 }
 
@@ -489,15 +510,16 @@ func (dp *DataPlane) lookupRuns(batch []*pkt.Buf, uplink bool) {
 	}
 }
 
-// uplinkRun applies classification, policing, charging and forwarding to
+// run applies classification, policing, charging and forwarding to
 // batch[lo:hi], a run of packets from one user sharing one 5-tuple. The
 // run costs one PCEF match, one seqlock fast-view snapshot (~44 bytes,
 // not the whole control state), one aggregate token-bucket call and one
 // WriteCounters; when the aggregate bucket check cannot admit the whole
 // run it consumes nothing and the run falls back to per-packet policing
 // against the same snapshot, reproducing the packet-at-a-time semantics
-// exactly.
-func (dp *DataPlane) uplinkRun(batch []*pkt.Buf, lo, hi int, hot *state.HotUE, now int64) {
+// exactly. Downlink adds the tunnel-endpoint read (paging when the user
+// is idle) and per-packet GTP-U encapsulation before the counter write.
+func (dp *DataPlane) run(batch []*pkt.Buf, lo, hi int, hot *state.HotUE, now int64, uplink bool) {
 	sc := &dp.scratch
 	flow := sc.flows[lo]
 	count := uint64(hi - lo)
@@ -515,8 +537,6 @@ func (dp *DataPlane) uplinkRun(batch []*pkt.Buf, lo, hi int, hot *state.HotUE, n
 		total += uint64(sc.plens[k])
 	}
 	ruleSlot := -1
-	allowedAll := true
-	partial := false
 	f := &sc.fast
 	hot.ReadFast(f)
 	if f.Epoch != hot.Priv.Epoch {
@@ -528,25 +548,37 @@ func (dp *DataPlane) uplinkRun(batch []*pkt.Buf, lo, hi int, hot *state.HotUE, n
 			break
 		}
 	}
-	if hot.Priv.Limiter != nil {
+	// partial: the aggregate check failed and sc.allowed holds each
+	// packet's own verdict.
+	allowedAll, partial := true, false
+	if lim := hot.Priv.Limiter; lim != nil {
 		bearer := hot.Priv.SelectBearer(flow)
 		if count == 1 {
-			allowedAll = hot.Priv.Limiter.AllowUplink(now, bearer, total)
-		} else if !hot.Priv.Limiter.AllowUplinkRun(now, bearer, total) {
-			allowedAll = false
-			partial = true
+			allowedAll = lim.Allow(now, uplink, bearer, total)
+		} else if !lim.AllowRun(now, uplink, bearer, total) {
+			allowedAll, partial = false, true
 			for k := lo; k < hi; k++ {
-				sc.allowed[k] = hot.Priv.Limiter.AllowUplink(now, bearer, uint64(sc.plens[k]))
+				sc.allowed[k] = lim.Allow(now, uplink, bearer, uint64(sc.plens[k]))
 			}
 		}
 	}
-
-	if !partial {
-		if !allowedAll { // single-packet run, denied
-			dp.countDrop(hot)
-			dp.drop(batch[lo])
-			return
+	if !uplink && f.DownlinkTEID == 0 {
+		// Idle user (S1 released): park the whole run for paging rather
+		// than drop.
+		for k := lo; k < hi; k++ {
+			dp.parkForPaging(batch[k], hot.U)
 		}
+		return
+	}
+	if !partial && !allowedAll { // single-packet run, denied
+		dp.countDrop(hot)
+		dp.drop(batch[lo])
+		return
+	}
+	if uplink && !partial {
+		// Nothing to do per packet: the whole run leaves as it is. The
+		// per-packet pass below would cost ~60 ns per uplink packet at
+		// 250K users (EXPERIMENTS.md "One stage for both directions").
 		hot.WriteCounters(func(c *state.CounterState) {
 			c.UplinkPackets += count
 			c.UplinkBytes += total
@@ -560,209 +592,45 @@ func (dp *DataPlane) uplinkRun(batch []*pkt.Buf, lo, hi int, hot *state.HotUE, n
 		return
 	}
 
-	// Mixed verdicts from the per-packet fallback: aggregate both sides
-	// into one counter write, then forward/drop per packet.
-	var nAllowed, bytesAllowed uint64
-	for k := lo; k < hi; k++ {
-		if sc.allowed[k] {
-			nAllowed++
-			bytesAllowed += uint64(sc.plens[k])
-		}
+	// Per packet: drop what policing denied and, downlink, encap the
+	// rest; then settle the run's counters in one write and forward.
+	// sc.allowed becomes the forward mask. The envelope is the template
+	// cached in hot state (rebuilt above if the epoch moved, so it matches
+	// this run's snapshot); field-by-field gtp.EncapGPDU is only the
+	// fallback for a template that is not valid for this run.
+	useTmpl := false
+	if !uplink {
+		useTmpl = hot.Priv.Encap.Valid() && hot.Priv.Encap.TEID() == f.DownlinkTEID
 	}
-	hot.WriteCounters(func(c *state.CounterState) {
-		c.UplinkPackets += nAllowed
-		c.UplinkBytes += bytesAllowed
-		if ruleSlot >= 0 {
-			c.RuleBytes[ruleSlot] += bytesAllowed
-		}
-		c.DroppedPackets += count - nAllowed
-	})
-	for k := lo; k < hi; k++ {
-		if sc.allowed[k] {
-			dp.forward(batch[k], now)
-		} else {
-			dp.drop(batch[k])
-		}
-	}
-}
-
-// ProcessDownlinkBatch runs the downlink pipeline stage by stage: parse
-// and key extraction, run-coalesced lookup by UE address, then per-run
-// classification, policing, GTP-U encapsulation toward the user's
-// current eNodeB, counters and forward. Segmentation and threading rules
-// are as in ProcessUplinkBatch.
-func (dp *DataPlane) ProcessDownlinkBatch(batch []*pkt.Buf, now int64) {
-	for len(batch) > 0 {
-		chunk := dp.s.cfg.SyncEvery - dp.sinceSync
-		if chunk > len(batch) {
-			chunk = len(batch)
-		}
-		dp.downlinkChunk(batch[:chunk], now)
-		dp.sinceSync += chunk
-		if dp.sinceSync >= dp.s.cfg.SyncEvery {
-			dp.SyncUpdates()
-			dp.sinceSync = 0
-		}
-		batch = batch[chunk:]
-	}
-	if dp.s.cfg.RecordLatency {
-		dp.flushLat()
-	}
-}
-
-func (dp *DataPlane) downlinkChunk(batch []*pkt.Buf, now int64) {
-	sc := &dp.scratch
-	n := len(batch)
-	sc.ensure(n)
-	sc.rules = dp.s.pcefTable.Snapshot()
-
-	// Stage 1: parse, key extraction. The demux's steering parse is
-	// reused when present (Meta.FlowParsed), so no inner header byte is
-	// decoded twice between ingress and verdict.
-	for i, b := range batch {
-		sc.live[i] = false
-		var flow pkt.Flow
-		var plen int
-		if b.Meta.FlowParsed {
-			flow, plen = b.Meta.Flow, b.Len()
-			b.Meta.FlowParsed = false
-		} else {
-			var ok bool
-			flow, plen, ok = parseInner(b)
-			if !ok {
-				dp.drop(b)
-				continue
-			}
-			b.Meta.Flow = flow
-		}
-		b.Meta.UEIP = flow.Dst
-		b.Meta.Uplink = false
-		sc.live[i] = true
-		sc.keys[i] = flow.Dst
-		sc.flows[i] = flow
-		sc.plens[i] = plen
-	}
-
-	// Stage 2: one state lookup per key run.
-	dp.lookupRuns(batch, false)
-
-	// Stage 3: verdict/encap/forward per run.
-	for i := 0; i < n; {
-		if !sc.live[i] {
-			i++
-			continue
-		}
-		hot := sc.runHot[sc.runOf[i]]
-		if hot == nil {
-			dp.Missed.Add(1)
-			dp.drop(batch[i])
-			i++
-			continue
-		}
-		j := i + 1
-		for j < n && sc.live[j] && sc.runOf[j] == sc.runOf[i] && sc.flows[j] == sc.flows[i] {
-			j++
-		}
-		dp.downlinkRun(batch, i, j, hot, now)
-		i = j
-	}
-}
-
-// downlinkRun is uplinkRun for the downlink direction, adding the
-// tunnel-endpoint read (paging when the user is idle) and per-packet
-// GTP-U encapsulation before the aggregated counter write.
-func (dp *DataPlane) downlinkRun(batch []*pkt.Buf, lo, hi int, hot *state.HotUE, now int64) {
-	sc := &dp.scratch
-	flow := sc.flows[lo]
-	count := uint64(hi - lo)
-	verdict := sc.rules.ClassifyFlow(flow)
-	if verdict.Action == pcef.ActionDrop {
-		hot.WriteCounters(func(c *state.CounterState) { c.DroppedPackets += count })
-		for k := lo; k < hi; k++ {
-			dp.drop(batch[k])
-		}
-		return
-	}
-
-	var total uint64
-	for k := lo; k < hi; k++ {
-		total += uint64(sc.plens[k])
-	}
-	ruleSlot := -1
-	allowedAll := true
-	partial := false
-	f := &sc.fast
-	hot.ReadFast(f)
-	if f.Epoch != hot.Priv.Epoch {
-		dp.rebuildPriv(hot, f)
-	}
-	teid, enbAddr := f.DownlinkTEID, f.ENBAddr
-	for i := 0; i < int(f.RuleCount); i++ {
-		if f.RuleIDs[i] == verdict.RuleID {
-			ruleSlot = i
-			break
-		}
-	}
-	if hot.Priv.Limiter != nil {
-		bearer := hot.Priv.SelectBearer(flow)
-		if count == 1 {
-			allowedAll = hot.Priv.Limiter.AllowDownlink(now, bearer, total)
-		} else if !hot.Priv.Limiter.AllowDownlinkRun(now, bearer, total) {
-			allowedAll = false
-			partial = true
-			for k := lo; k < hi; k++ {
-				sc.allowed[k] = hot.Priv.Limiter.AllowDownlink(now, bearer, uint64(sc.plens[k]))
-			}
-		}
-	}
-	if teid == 0 {
-		// Idle user (S1 released): park the whole run for paging rather
-		// than drop.
-		for k := lo; k < hi; k++ {
-			dp.parkForPaging(batch[k], hot.U)
-		}
-		return
-	}
-	if !partial && !allowedAll { // single-packet run, denied
-		dp.countDrop(hot)
-		dp.drop(batch[lo])
-		return
-	}
-
-	// Encap each admitted packet, then settle the run's counters in one
-	// write and forward. sc.allowed doubles as the forward mask here.
-	// The envelope is the template cached in hot state (rebuilt above if
-	// the epoch moved, so it matches this run's teid/enbAddr snapshot);
-	// field-by-field gtp.EncapGPDU is only the fallback for a template
-	// that is not valid for this run.
-	tmpl := &hot.Priv.Encap
-	useTmpl := tmpl.Valid() && tmpl.TEID() == teid
 	var nFwd, bytesFwd, nDrop uint64
 	for k := lo; k < hi; k++ {
-		if partial && !sc.allowed[k] {
+		ok := !partial || sc.allowed[k]
+		if ok && !uplink {
+			var err error
+			if useTmpl {
+				err = hot.Priv.Encap.Apply(batch[k])
+			} else {
+				err = gtp.EncapGPDU(batch[k], f.DownlinkTEID, dp.s.cfg.CoreAddr, f.ENBAddr)
+			}
+			ok = err == nil
+		}
+		sc.allowed[k] = ok
+		if !ok {
 			nDrop++
 			dp.drop(batch[k])
 			continue
 		}
-		var err error
-		if useTmpl {
-			err = tmpl.Apply(batch[k])
-		} else {
-			err = gtp.EncapGPDU(batch[k], teid, dp.s.cfg.CoreAddr, enbAddr)
-		}
-		if err != nil {
-			sc.allowed[k] = false
-			nDrop++
-			dp.drop(batch[k])
-			continue
-		}
-		sc.allowed[k] = true
 		nFwd++
 		bytesFwd += uint64(sc.plens[k])
 	}
 	hot.WriteCounters(func(c *state.CounterState) {
-		c.DownlinkPackets += nFwd
-		c.DownlinkBytes += bytesFwd
+		if uplink {
+			c.UplinkPackets += nFwd
+			c.UplinkBytes += bytesFwd
+		} else {
+			c.DownlinkPackets += nFwd
+			c.DownlinkBytes += bytesFwd
+		}
 		if ruleSlot >= 0 {
 			c.RuleBytes[ruleSlot] += bytesFwd
 		}
@@ -807,16 +675,9 @@ func (dp *DataPlane) recordLat(uplink bool, v int64) {
 		return
 	}
 	if p.n > 0 {
-		dp.histFor(idx).RecordN(p.v, p.n)
+		dp.lat[idx].RecordN(p.v, p.n)
 	}
 	p.v, p.n = v, 1
-}
-
-func (dp *DataPlane) histFor(idx int) *hdr.Histogram {
-	if idx == 1 {
-		return &dp.latUp
-	}
-	return &dp.latDn
 }
 
 // flushLat settles both directions' pending latency runs into the
@@ -825,7 +686,7 @@ func (dp *DataPlane) histFor(idx int) *hdr.Histogram {
 func (dp *DataPlane) flushLat() {
 	for idx := range dp.latPend {
 		if p := &dp.latPend[idx]; p.n > 0 {
-			dp.histFor(idx).RecordN(p.v, p.n)
+			dp.lat[idx].RecordN(p.v, p.n)
 			p.n = 0
 		}
 	}
@@ -858,7 +719,7 @@ func (dp *DataPlane) rebuildPriv(hot *state.HotUE, f *state.FastCtrl) {
 	}
 	// Policed: everything derived — template included — comes from one
 	// cold snapshot so the recorded epoch matches what was cached (the
-	// snapshot may be newer than f; downlinkRun re-checks the template's
+	// snapshot may be newer than f; run re-checks the template's
 	// TEID against its own view).
 	c := &dp.scratch.cold
 	hot.U.ReadCtrlSnapshot(c)

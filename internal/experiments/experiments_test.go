@@ -38,6 +38,19 @@ func yAt(t *testing.T, s sim.Series, x float64) float64 {
 	return 0
 }
 
+// timingRatios reports whether a figure test asserts its timing ratios
+// (who is faster, by how much). The race detector slows code paths
+// unevenly — under it LatFig's injected-stall tail fell below 4x the
+// baseline's p99 — so with -race the figures still run and their
+// structural checks still hold, but the ratios are not asserted.
+func timingRatios(t *testing.T) bool {
+	t.Helper()
+	if raceEnabled {
+		t.Log("race detector on: timing-ratio assertions skipped")
+	}
+	return !raceEnabled
+}
+
 func seriesNonEmpty(t *testing.T, r Result) {
 	t.Helper()
 	checkSeries(t, r, false)
@@ -107,6 +120,9 @@ func TestFig4Smoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	seriesNonEmpty(t, r)
+	if !timingRatios(t) {
+		return
+	}
 	pepcRate := r.Series[0].Points[0].Y
 	for _, s := range r.Series[1:] {
 		margin := 3.0
@@ -139,6 +155,9 @@ func TestFig5Smoke(t *testing.T) {
 	if len(pepc.Points) != 4 || len(ind1.Points) != 4 {
 		t.Fatalf("populations swept: PEPC %d, Industrial#1 %d, want 4", len(pepc.Points), len(ind1.Points))
 	}
+	if !timingRatios(t) {
+		return
+	}
 	for _, p := range ind1.Points {
 		if v := yAt(t, pepc, p.X); v <= p.Y {
 			t.Errorf("Industrial#1 (%.2f) >= PEPC (%.2f) at %s users", p.Y, v, sim.FormatQty(p.X))
@@ -157,15 +176,17 @@ func TestFig6Smoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	seriesNonEmpty(t, r)
-	// PEPC throughput must fall as the signaling ratio rises toward 1:1
-	// and remain above Industrial#1 at 1:1.
-	first := r.Series[0]
-	if first.Points[0].Y <= first.Points[len(first.Points)-1].Y {
-		t.Fatalf("PEPC did not degrade with signaling: %v", first.Points)
-	}
-	last := r.Series[len(r.Series)-1] // Industrial#1
+	first, last := r.Series[0], r.Series[len(r.Series)-1] // last: Industrial#1
 	if !strings.Contains(last.Name, "Industrial") {
 		t.Fatalf("series order changed: %s", last.Name)
+	}
+	if !timingRatios(t) {
+		return
+	}
+	// PEPC throughput must fall as the signaling ratio rises toward 1:1
+	// and remain above Industrial#1 at 1:1.
+	if first.Points[0].Y <= first.Points[len(first.Points)-1].Y {
+		t.Fatalf("PEPC did not degrade with signaling: %v", first.Points)
 	}
 	if last.Points[len(last.Points)-1].Y >= first.Points[len(first.Points)-1].Y {
 		t.Fatal("Industrial#1 not worse than PEPC at 1:1")
@@ -194,6 +215,9 @@ func TestFig7Smoke(t *testing.T) {
 	}
 	if !r.Series[0].Derived || !strings.Contains(r.Render(), "derived (measure-and-sum)") {
 		t.Fatalf("summed series not labelled derived:\n%s", r.Render())
+	}
+	if !timingRatios(t) {
+		return
 	}
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Y <= pts[i-1].Y {
@@ -233,6 +257,9 @@ func TestFig8Smoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	seriesNonEmpty(t, r)
+	if !timingRatios(t) {
+		return
+	}
 	pts := r.Series[0].Points
 	// Throughput at the highest migration rate must be below baseline.
 	if pts[len(pts)-1].Y >= pts[0].Y {
@@ -355,9 +382,6 @@ func TestClusterSmoke(t *testing.T) {
 	if len(agg) != 3 {
 		t.Fatalf("node-count points = %d", len(agg))
 	}
-	if agg[2].Y < 2*agg[0].Y {
-		t.Fatalf("4-node aggregate %.2f < 2x 1-node %.2f", agg[2].Y, agg[0].Y)
-	}
 	// One membership change moves a bounded fraction of the population
 	// (Maglev remap bound; the experiment itself errors past the bound,
 	// this guards gross regressions).
@@ -365,6 +389,12 @@ func TestClusterSmoke(t *testing.T) {
 		if p.Y <= 0 || p.Y > 60 {
 			t.Fatalf("rebalance moved %.1f%% of users", p.Y)
 		}
+	}
+	if !timingRatios(t) {
+		return
+	}
+	if agg[2].Y < 2*agg[0].Y {
+		t.Fatalf("4-node aggregate %.2f < 2x 1-node %.2f", agg[2].Y, agg[0].Y)
 	}
 }
 
@@ -407,6 +437,9 @@ func TestLatFigSmoke(t *testing.T) {
 			t.Fatalf("scenario %d: quantiles not ordered: p50=%f p99=%f p99.9=%f",
 				i+1, p50[i].Y, p99[i].Y, p999[i].Y)
 		}
+	}
+	if !timingRatios(t) {
+		return
 	}
 	if p999[faults].Y < 4*p99[baseline].Y {
 		t.Errorf("faults p99.9 %.1fµs < 4x baseline p99 %.1fµs", p999[faults].Y, p99[baseline].Y)

@@ -127,12 +127,12 @@ func fig12Point(tb *state.Table, ues []*state.UE, packets, updates int) float64 
 	start := time.Now()
 	updaterDone := false
 	for processed < packets || !updaterDone {
-		// Deliberately per-access (DataPathTEID, not DataPathTEIDBatch):
-		// this figure isolates the cost of the locking discipline per state
-		// access. The batched entry point takes the giant lock once per
-		// batch, which amortizes exactly the contention under test and
-		// would mask the collapse the paper demonstrates; the slice fast
-		// path uses the batched form, this figure measures the primitive.
+		// Deliberately per-access: this figure isolates the cost of the
+		// locking discipline per state access. A batched access would
+		// take the giant lock once per batch, which amortizes exactly the
+		// contention under test and would mask the collapse the paper
+		// demonstrates; the slice fast path batches, this figure measures
+		// the primitive.
 		for i := 0; i < 256; i++ {
 			teid := uint32((processed+i)%users + 1)
 			tb.DataPathTEID(teid, func(_ *state.ControlState, cnt *state.CounterState) {

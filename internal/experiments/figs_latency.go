@@ -133,8 +133,7 @@ func latRun(sc Scale, sn latScenario, record bool) (float64, *hdr.Histogram, err
 	elapsed := time.Since(start)
 	_ = ballast
 	lat := hdr.New()
-	lat.Merge(s.Data().LatencyUplink())
-	lat.Merge(s.Data().LatencyDownlink())
+	s.Data().MergeLatency(lat)
 	return mpps(processed, elapsed), lat, nil
 }
 

@@ -92,8 +92,7 @@ func migrationRun(sc Scale, users int, migrationsPerKPackets float64, recordLate
 	elapsed := time.Since(start)
 	lat := hdr.New()
 	for i := 0; i < 2; i++ {
-		lat.Merge(n.Slice(i).Data().LatencyUplink())
-		lat.Merge(n.Slice(i).Data().LatencyDownlink())
+		n.Slice(i).Data().MergeLatency(lat)
 	}
 	return mpps(processed, elapsed), lat, nil
 }

@@ -43,6 +43,9 @@ func TestPFCPFigSmoke(t *testing.T) {
 	if full.Name != "establish+modify+delete" || nomod.Name != "establish+delete" {
 		t.Fatalf("unexpected series names %q, %q", full.Name, nomod.Name)
 	}
+	if !timingRatios(t) {
+		return
+	}
 	for i, p := range full.Points {
 		if nomod.Points[i].Y < 0.6*p.Y {
 			t.Errorf("establish+delete (%.0f/s) < 0.6x the full cycle (%.0f/s) at %v workers",

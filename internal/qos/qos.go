@@ -209,23 +209,24 @@ func (tb *TokenBucket) seed(tokens uint64, now int64) {
 	tb.last = now
 }
 
+// configureBits polices at a bits/s rate with the default burst; 0
+// disables the bucket.
+func (tb *TokenBucket) configureBits(bits uint64) {
+	if bits == 0 {
+		tb.rate = 0
+		return
+	}
+	r := BitsPerSecond(bits)
+	tb.configurePreserving(r, DefaultBurstBytes(r))
+}
+
 // ConfigureUser initializes the limiter from AMBR values in bits/s.
 // Zero-valued rates disable the corresponding bucket (no policing).
 // Reapplying an unchanged configuration preserves token levels (see
 // configurePreserving).
 func (ul *UserLimiter) ConfigureUser(ambrUpBits, ambrDownBits uint64) {
-	if ambrUpBits > 0 {
-		r := BitsPerSecond(ambrUpBits)
-		ul.AMBRUp.configurePreserving(r, DefaultBurstBytes(r))
-	} else {
-		ul.AMBRUp.rate = 0
-	}
-	if ambrDownBits > 0 {
-		r := BitsPerSecond(ambrDownBits)
-		ul.AMBRDown.configurePreserving(r, DefaultBurstBytes(r))
-	} else {
-		ul.AMBRDown.rate = 0
-	}
+	ul.AMBRUp.configureBits(ambrUpBits)
+	ul.AMBRDown.configureBits(ambrDownBits)
 	ul.configured = true
 }
 
@@ -235,94 +236,67 @@ func (ul *UserLimiter) ConfigureBearer(i int, mbrUpBits, mbrDownBits uint64) {
 	if i < 0 || i >= len(ul.BearerUp) {
 		return
 	}
-	if mbrUpBits > 0 {
-		r := BitsPerSecond(mbrUpBits)
-		ul.BearerUp[i].configurePreserving(r, DefaultBurstBytes(r))
-	} else {
-		ul.BearerUp[i].rate = 0
-	}
-	if mbrDownBits > 0 {
-		r := BitsPerSecond(mbrDownBits)
-		ul.BearerDown[i].configurePreserving(r, DefaultBurstBytes(r))
-	} else {
-		ul.BearerDown[i].rate = 0
-	}
+	ul.BearerUp[i].configureBits(mbrUpBits)
+	ul.BearerDown[i].configureBits(mbrDownBits)
 }
 
-// AllowUplink polices an uplink packet of n bytes on bearer i.
-func (ul *UserLimiter) AllowUplink(now int64, i int, n uint64) bool {
-	if ul.AMBRUp.rate > 0 && !ul.AMBRUp.Allow(now, n) {
+// buckets returns the buckets policing a packet on bearer i in the given
+// direction: the AMBR and bearer i's MBR, each nil when it does not
+// police (rate 0, or i out of range).
+func (ul *UserLimiter) buckets(uplink bool, i int) (ambr, bearer *TokenBucket) {
+	ambr, bearers := &ul.AMBRDown, &ul.BearerDown
+	if uplink {
+		ambr, bearers = &ul.AMBRUp, &ul.BearerUp
+	}
+	if ambr.rate == 0 {
+		ambr = nil
+	}
+	if i >= 0 && i < len(bearers) && bearers[i].rate > 0 {
+		bearer = &bearers[i]
+	}
+	return ambr, bearer
+}
+
+// Allow polices one packet of n bytes on bearer i in the given
+// direction. The AMBR is debited even when the bearer bucket then denies.
+func (ul *UserLimiter) Allow(now int64, uplink bool, i int, n uint64) bool {
+	ambr, bearer := ul.buckets(uplink, i)
+	if ambr != nil && !ambr.Allow(now, n) {
 		return false
 	}
-	if i >= 0 && i < len(ul.BearerUp) && ul.BearerUp[i].rate > 0 && !ul.BearerUp[i].Allow(now, n) {
-		return false
+	return bearer == nil || bearer.Allow(now, n)
+}
+
+// AllowRun polices a run of packets totalling n bytes on bearer i in one
+// aggregate operation, all or nothing: when both buckets hold n tokens
+// the whole run conforms and n is debited from each, matching what
+// per-packet policing would have done; when either bucket is short
+// NOTHING is consumed and the caller must fall back to per-packet Allow,
+// which reproduces the exact partial-consumption semantics.
+func (ul *UserLimiter) AllowRun(now int64, uplink bool, i int, n uint64) bool {
+	ambr, bearer := ul.buckets(uplink, i)
+	if ambr != nil {
+		ambr.refill(now)
+		if ambr.tokens < n {
+			return false
+		}
+	}
+	if bearer != nil {
+		bearer.refill(now)
+		if bearer.tokens < n {
+			return false
+		}
+	}
+	if ambr != nil {
+		ambr.tokens -= n
+	}
+	if bearer != nil {
+		bearer.tokens -= n
 	}
 	return true
 }
 
-// AllowDownlink polices a downlink packet of n bytes on bearer i.
-func (ul *UserLimiter) AllowDownlink(now int64, i int, n uint64) bool {
-	if ul.AMBRDown.rate > 0 && !ul.AMBRDown.Allow(now, n) {
-		return false
-	}
-	if i >= 0 && i < len(ul.BearerDown) && ul.BearerDown[i].rate > 0 && !ul.BearerDown[i].Allow(now, n) {
-		return false
-	}
-	return true
-}
-
-// AllowUplinkRun polices a run of uplink packets totalling n bytes on
-// bearer i in one aggregate operation, all or nothing: when both buckets
-// hold n tokens the whole run conforms and n is debited from each,
-// matching what per-packet policing would have done; when either bucket
-// is short NOTHING is consumed and the caller must fall back to
-// per-packet AllowUplink, which reproduces the exact partial-consumption
-// semantics (AMBR debited even when the bearer bucket denies).
+// AllowUplinkRun is AllowRun for the uplink direction.
 func (ul *UserLimiter) AllowUplinkRun(now int64, i int, n uint64) bool {
-	ambr := ul.AMBRUp.rate > 0
-	bearer := i >= 0 && i < len(ul.BearerUp) && ul.BearerUp[i].rate > 0
-	if ambr {
-		ul.AMBRUp.refill(now)
-		if ul.AMBRUp.tokens < n {
-			return false
-		}
-	}
-	if bearer {
-		ul.BearerUp[i].refill(now)
-		if ul.BearerUp[i].tokens < n {
-			return false
-		}
-	}
-	if ambr {
-		ul.AMBRUp.tokens -= n
-	}
-	if bearer {
-		ul.BearerUp[i].tokens -= n
-	}
-	return true
-}
-
-// AllowDownlinkRun is AllowUplinkRun for the downlink direction.
-func (ul *UserLimiter) AllowDownlinkRun(now int64, i int, n uint64) bool {
-	ambr := ul.AMBRDown.rate > 0
-	bearer := i >= 0 && i < len(ul.BearerDown) && ul.BearerDown[i].rate > 0
-	if ambr {
-		ul.AMBRDown.refill(now)
-		if ul.AMBRDown.tokens < n {
-			return false
-		}
-	}
-	if bearer {
-		ul.BearerDown[i].refill(now)
-		if ul.BearerDown[i].tokens < n {
-			return false
-		}
-	}
-	if ambr {
-		ul.AMBRDown.tokens -= n
-	}
-	if bearer {
-		ul.BearerDown[i].tokens -= n
-	}
-	return true
+	return ul.AllowRun(now, true, i, n)
 }

@@ -145,10 +145,10 @@ func TestUserLimiterDirectionsIndependent(t *testing.T) {
 	ul.ConfigureUser(8_000 /* 1000 B/s up */, 80_000 /* 10 KB/s down */)
 	now := int64(0)
 	// Drain uplink completely.
-	for ul.AllowUplink(now, 0, 1000) {
+	for ul.Allow(now, true, 0, 1000) {
 	}
 	// Downlink must still be open.
-	if !ul.AllowDownlink(now, 0, 1000) {
+	if !ul.Allow(now, false, 0, 1000) {
 		t.Fatal("downlink starved by uplink policing")
 	}
 }
@@ -159,23 +159,23 @@ func TestUserLimiterBearerMBR(t *testing.T) {
 	ul.ConfigureBearer(0, 8_000, 8_000)
 	ul.ConfigureBearer(1, 0, 0) // unpoliced bearer
 	now := int64(0)
-	for ul.AllowUplink(now, 0, 500) {
+	for ul.Allow(now, true, 0, 500) {
 	}
-	if ul.AllowUplink(now, 0, 500) {
+	if ul.Allow(now, true, 0, 500) {
 		t.Fatal("bearer 0 not policed")
 	}
-	if !ul.AllowUplink(now, 1, 500) {
+	if !ul.Allow(now, true, 1, 500) {
 		t.Fatal("unpoliced bearer rejected")
 	}
 	// Out-of-range bearer index falls back to AMBR-only policing.
-	if !ul.AllowUplink(now, 99, 500) {
+	if !ul.Allow(now, true, 99, 500) {
 		t.Fatal("out-of-range bearer rejected")
 	}
 }
 
 func TestUserLimiterUnconfiguredAllowsAll(t *testing.T) {
 	var ul UserLimiter
-	if !ul.AllowUplink(0, 0, 1<<20) || !ul.AllowDownlink(0, 0, 1<<20) {
+	if !ul.Allow(0, true, 0, 1<<20) || !ul.Allow(0, false, 0, 1<<20) {
 		t.Fatal("zero-value limiter must not police")
 	}
 }
@@ -207,6 +207,6 @@ func BenchmarkUserLimiterUplink(b *testing.B) {
 	now := int64(0)
 	for i := 0; i < b.N; i++ {
 		now += 100
-		ul.AllowUplink(now, 0, 64)
+		ul.Allow(now, true, 0, 64)
 	}
 }

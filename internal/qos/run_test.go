@@ -2,43 +2,66 @@ package qos
 
 import "testing"
 
+// directions runs fn once per direction, as a subtest.
+func directions(t *testing.T, fn func(t *testing.T, uplink bool)) {
+	for _, d := range []struct {
+		name   string
+		uplink bool
+	}{{"uplink", true}, {"downlink", false}} {
+		t.Run(d.name, func(t *testing.T) { fn(t, d.uplink) })
+	}
+}
+
+// configure applies an AMBR and one bearer's MBR (bits/s) to the given
+// direction only; the other direction stays unpoliced.
+func configure(ul *UserLimiter, uplink bool, ambr uint64, bearer int, mbr uint64) {
+	if uplink {
+		ul.ConfigureUser(ambr, 0)
+		ul.ConfigureBearer(bearer, mbr, 0)
+	} else {
+		ul.ConfigureUser(0, ambr)
+		ul.ConfigureBearer(bearer, 0, mbr)
+	}
+}
+
 // TestAllowRunAllOrNothing: the aggregate run check either admits the
 // whole run (debiting every governing bucket) or consumes nothing at all,
 // so the caller's per-packet fallback starts from an untouched state.
 func TestAllowRunAllOrNothing(t *testing.T) {
-	var ul UserLimiter
-	ul.ConfigureUser(8*100_000, 8*100_000) // 100 KB/s → 3000 B burst floor
-	now := int64(0)
+	directions(t, func(t *testing.T, uplink bool) {
+		var ul UserLimiter
+		configure(&ul, uplink, 8*100_000, 0, 0) // 100 KB/s → 3000 B burst floor
+		ambr, _ := ul.buckets(uplink, -1)
+		now := int64(0)
 
-	if !ul.AllowUplinkRun(now, -1, 3000) {
-		t.Fatal("run within burst denied")
-	}
-	if got := ul.AMBRUp.Tokens(now); got != 0 {
-		t.Fatalf("tokens after admitted run = %d, want 0", got)
-	}
+		if !ul.AllowRun(now, uplink, -1, 3000) {
+			t.Fatal("run within burst denied")
+		}
+		if got := ambr.Tokens(now); got != 0 {
+			t.Fatalf("tokens after admitted run = %d, want 0", got)
+		}
 
-	// Fresh limiter: reapplying an unchanged configuration deliberately
-	// does NOT refill (see configurePreserving).
-	ul = UserLimiter{}
-	ul.ConfigureUser(8*100_000, 8*100_000)
-	if ul.AllowUplinkRun(now, -1, 3001) {
-		t.Fatal("run beyond burst admitted")
-	}
-	if got := ul.AMBRUp.Tokens(now); got != 3000 {
-		t.Fatalf("denied run consumed tokens: %d left, want 3000", got)
-	}
-	// Downlink mirrors the uplink behaviour.
-	if ul.AllowDownlinkRun(now, -1, 3001) {
-		t.Fatal("downlink run beyond burst admitted")
-	}
-	if got := ul.AMBRDown.Tokens(now); got != 3000 {
-		t.Fatalf("denied downlink run consumed tokens: %d left", got)
-	}
-	// Unconfigured limiter admits everything.
-	var free UserLimiter
-	if !free.AllowUplinkRun(now, 0, 1<<40) || !free.AllowDownlinkRun(now, 0, 1<<40) {
-		t.Fatal("unpoliced run denied")
-	}
+		// Fresh limiter: reapplying an unchanged configuration deliberately
+		// does NOT refill (see configurePreserving).
+		ul = UserLimiter{}
+		configure(&ul, uplink, 8*100_000, 0, 0)
+		ambr, _ = ul.buckets(uplink, -1)
+		if ul.AllowRun(now, uplink, -1, 3001) {
+			t.Fatal("run beyond burst admitted")
+		}
+		if got := ambr.Tokens(now); got != 3000 {
+			t.Fatalf("denied run consumed tokens: %d left, want 3000", got)
+		}
+		// The other direction is unpoliced.
+		if !ul.AllowRun(now, !uplink, -1, 1<<40) {
+			t.Fatal("unpoliced direction denied")
+		}
+		// Unconfigured limiter admits everything.
+		var free UserLimiter
+		if !free.AllowRun(now, uplink, 0, 1<<40) {
+			t.Fatal("unpoliced run denied")
+		}
+	})
 }
 
 // TestConfigurePreservesTokens: reapplying an unchanged QoS profile
@@ -51,7 +74,7 @@ func TestConfigurePreservesTokens(t *testing.T) {
 	ul.ConfigureUser(8*100_000, 0) // 100 KB/s → 3000 B burst floor
 	ul.ConfigureBearer(0, 8*100_000, 0)
 	now := int64(0)
-	if !ul.AllowUplink(now, 0, 2000) {
+	if !ul.Allow(now, true, 0, 2000) {
 		t.Fatal("packet within burst denied")
 	}
 	// Same profile again — as rebuildPriv does after e.g. a handover.
@@ -74,65 +97,75 @@ func TestConfigurePreservesTokens(t *testing.T) {
 // exactly the state N per-packet Allow calls would, for both the AMBR and
 // a bearer MBR bucket.
 func TestAllowRunMatchesPerPacket(t *testing.T) {
-	mk := func() *UserLimiter {
-		var ul UserLimiter
-		ul.ConfigureUser(8*1_000_000, 0) // 1 MB/s → 20 KB burst
-		ul.ConfigureBearer(1, 8*500_000, 0)
-		return &ul
-	}
-	run, pp := mk(), mk()
-	now := int64(0)
-	const n, size = 10, 700
-
-	if !run.AllowUplinkRun(now, 1, n*size) {
-		t.Fatal("aggregate run denied")
-	}
-	for i := 0; i < n; i++ {
-		if !pp.AllowUplink(now, 1, size) {
-			t.Fatalf("per-packet call %d denied", i)
+	directions(t, func(t *testing.T, uplink bool) {
+		mk := func() *UserLimiter {
+			var ul UserLimiter
+			configure(&ul, uplink, 8*1_000_000, 1, 8*500_000) // 20 KB and 10 KB bursts
+			return &ul
 		}
-	}
-	if a, b := run.AMBRUp.Tokens(now), pp.AMBRUp.Tokens(now); a != b {
-		t.Fatalf("AMBR diverges: run=%d per-packet=%d", a, b)
-	}
-	if a, b := run.BearerUp[1].Tokens(now), pp.BearerUp[1].Tokens(now); a != b {
-		t.Fatalf("bearer MBR diverges: run=%d per-packet=%d", a, b)
-	}
+		run, pp := mk(), mk()
+		now := int64(0)
+		const n, size = 10, 700
+
+		if !run.AllowRun(now, uplink, 1, n*size) {
+			t.Fatal("aggregate run denied")
+		}
+		for i := 0; i < n; i++ {
+			if !pp.Allow(now, uplink, 1, size) {
+				t.Fatalf("per-packet call %d denied", i)
+			}
+		}
+		runAMBR, runMBR := run.buckets(uplink, 1)
+		ppAMBR, ppMBR := pp.buckets(uplink, 1)
+		if a, b := runAMBR.Tokens(now), ppAMBR.Tokens(now); a != b || a == 20000 {
+			t.Fatalf("AMBR: run=%d per-packet=%d (burst 20000)", a, b)
+		}
+		if a, b := runMBR.Tokens(now), ppMBR.Tokens(now); a != b || a == 10000 {
+			t.Fatalf("bearer MBR: run=%d per-packet=%d (burst 10000)", a, b)
+		}
+	})
 }
 
 // TestAllowRunBearerShortfallConsumesNothing pins the asymmetry the
-// all-or-nothing contract exists for: per-packet AllowUplink debits the
-// AMBR even when the bearer bucket then denies, so a failed aggregate
-// check must leave BOTH buckets untouched for the fallback to reproduce
-// that exact partial-consumption behaviour.
+// all-or-nothing contract exists for: per-packet Allow debits the AMBR
+// even when the bearer bucket then denies, so a failed aggregate check
+// must leave BOTH buckets untouched for the fallback to reproduce that
+// exact partial-consumption behaviour.
 func TestAllowRunBearerShortfallConsumesNothing(t *testing.T) {
-	var ul UserLimiter
-	ul.ConfigureUser(8*1_000_000, 0)     // AMBR burst 20000 B — plenty
-	ul.ConfigureBearer(0, 8*100_000, 0)  // bearer burst 3000 B — the bottleneck
-	now := int64(0)
-
-	if ul.AllowUplinkRun(now, 0, 5000) {
-		t.Fatal("run beyond bearer burst admitted")
-	}
-	if got := ul.AMBRUp.Tokens(now); got != 20000 {
-		t.Fatalf("AMBR debited on failed run: %d left, want 20000", got)
-	}
-	if got := ul.BearerUp[0].Tokens(now); got != 3000 {
-		t.Fatalf("bearer debited on failed run: %d left, want 3000", got)
-	}
-	// The fallback path then behaves exactly like pure per-packet
-	// policing: each denied packet still costs AMBR tokens.
-	var ref UserLimiter
-	ref.ConfigureUser(8*1_000_000, 0)
-	ref.ConfigureBearer(0, 8*100_000, 0)
-	for i := 0; i < 5; i++ {
-		a := ul.AllowUplink(now, 0, 1000)
-		b := ref.AllowUplink(now, 0, 1000)
-		if a != b {
-			t.Fatalf("packet %d: fallback=%v reference=%v", i, a, b)
+	directions(t, func(t *testing.T, uplink bool) {
+		mk := func() *UserLimiter {
+			var ul UserLimiter
+			// AMBR burst 20000 B — plenty; bearer burst 3000 B — the
+			// bottleneck.
+			configure(&ul, uplink, 8*1_000_000, 0, 8*100_000)
+			return &ul
 		}
-	}
-	if a, b := ul.AMBRUp.Tokens(now), ref.AMBRUp.Tokens(now); a != b {
-		t.Fatalf("AMBR state diverges after fallback: %d vs %d", a, b)
-	}
+		ul := mk()
+		ambr, mbr := ul.buckets(uplink, 0)
+		now := int64(0)
+
+		if ul.AllowRun(now, uplink, 0, 5000) {
+			t.Fatal("run beyond bearer burst admitted")
+		}
+		if got := ambr.Tokens(now); got != 20000 {
+			t.Fatalf("AMBR debited on failed run: %d left, want 20000", got)
+		}
+		if got := mbr.Tokens(now); got != 3000 {
+			t.Fatalf("bearer debited on failed run: %d left, want 3000", got)
+		}
+		// The fallback path then behaves exactly like pure per-packet
+		// policing: each denied packet still costs AMBR tokens.
+		ref := mk()
+		refAMBR, _ := ref.buckets(uplink, 0)
+		for i := 0; i < 5; i++ {
+			a := ul.Allow(now, uplink, 0, 1000)
+			b := ref.Allow(now, uplink, 0, 1000)
+			if a != b {
+				t.Fatalf("packet %d: fallback=%v reference=%v", i, a, b)
+			}
+		}
+		if a, b := ambr.Tokens(now), refAMBR.Tokens(now); a != b || a != 15000 {
+			t.Fatalf("AMBR state after fallback: %d vs reference %d, want 15000", a, b)
+		}
+	})
 }

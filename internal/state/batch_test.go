@@ -10,82 +10,16 @@ func TestU32MapGetBatch(t *testing.T) {
 		m.Put(uint32(i+1), ues[i])
 	}
 	keys := []uint32{2, 99, 1, 1, 4}
-	out := make([]*UE, len(keys))
-	m.GetBatch(keys, out)
-	want := []*UE{ues[1], nil, ues[0], ues[0], ues[3]}
+	out := make([]*HotUE, len(keys))
+	m.GetHotBatch(keys, out)
+	want := []*HotUE{ues[1].Hot(), nil, ues[0].Hot(), ues[0].Hot(), ues[3].Hot()}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Fatalf("out[%d] = %p, want %p", i, out[i], want[i])
 		}
 	}
 	// Empty batch is a no-op, not a panic.
-	m.GetBatch(nil, nil)
-}
-
-// TestDataPathBatchAllModes checks the batched data-path entry against
-// its per-key equivalent for every lock mode: same visit counts, same
-// found totals, repeated keys served (the fine-grained modes reuse the
-// previous lookup), misses skipped.
-func TestDataPathBatchAllModes(t *testing.T) {
-	for _, mode := range []LockMode{LockModePEPC, LockModeDatapathWriter, LockModeGiant} {
-		t.Run(mode.String(), func(t *testing.T) {
-			tb := NewTable(mode, 16)
-			for i := 1; i <= 3; i++ {
-				ue := &UE{}
-				ue.WriteCtrl(func(c *ControlState) {
-					c.IMSI = uint64(i)
-					c.UplinkTEID = uint32(i)
-					c.UEAddr = 0x0a000000 + uint32(i)
-				})
-				if err := tb.Insert(ue); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Runs with repeats, a miss in the middle, and an IMSI check to
-			// prove fn sees the right user for each index.
-			keys := []uint32{1, 1, 1, 404, 2, 3, 3}
-			visited := make([]uint64, len(keys))
-			found := tb.DataPathTEIDBatch(keys, func(i int, c *ControlState, cnt *CounterState) {
-				visited[i] = c.IMSI
-				cnt.UplinkPackets++
-			})
-			if found != 6 {
-				t.Fatalf("found = %d, want 6", found)
-			}
-			wantIMSI := []uint64{1, 1, 1, 0, 2, 3, 3}
-			for i, want := range wantIMSI {
-				if visited[i] != want {
-					t.Fatalf("visited[%d] = %d, want %d", i, visited[i], want)
-				}
-			}
-			// Per-user counter totals match what per-key calls would give.
-			counts := map[uint32]uint64{1: 3, 2: 1, 3: 2}
-			for teid, want := range counts {
-				var got uint64
-				if !tb.DataPathTEID(teid, func(_ *ControlState, cnt *CounterState) { got = cnt.UplinkPackets }) {
-					t.Fatalf("teid %d vanished", teid)
-				}
-				// The verification read itself did not bump anything.
-				if got != want {
-					t.Fatalf("teid %d counted %d, want %d", teid, got, want)
-				}
-			}
-			// The IP-keyed variant resolves through the other index.
-			ipKeys := []uint32{0x0a000002, 0x0a000002}
-			n := tb.DataPathIPBatch(ipKeys, func(i int, c *ControlState, _ *CounterState) {
-				if c.IMSI != 2 {
-					t.Fatalf("ip batch visited imsi %d", c.IMSI)
-				}
-			})
-			if n != 2 {
-				t.Fatalf("ip batch found = %d", n)
-			}
-			// Empty batch.
-			if got := tb.DataPathTEIDBatch(nil, nil); got != 0 {
-				t.Fatalf("empty batch found %d", got)
-			}
-		})
-	}
+	m.GetHotBatch(nil, nil)
 }
 
 // TestTwoLevelLookupBatch covers the batched two-level probe: primary
@@ -100,20 +34,20 @@ func TestTwoLevelLookupBatch(t *testing.T) {
 	tl.Promote(1, 0x0a000001, prim) // only user 1 is active
 
 	keys := []uint32{1, 2, 404, 1}
-	out := make([]*UE, len(keys))
+	out := make([]*HotUE, len(keys))
 	fromSec := make([]bool, len(keys))
-	tl.LookupBatch(keys, true, out, fromSec)
+	tl.LookupHotBatch(keys, true, out, fromSec)
 
-	if out[0] != prim || fromSec[0] {
+	if out[0] != prim.Hot() || fromSec[0] {
 		t.Fatalf("primary hit: %p fromSec=%v", out[0], fromSec[0])
 	}
-	if out[1] != sec || !fromSec[1] {
+	if out[1] != sec.Hot() || !fromSec[1] {
 		t.Fatalf("secondary hit: %p fromSec=%v", out[1], fromSec[1])
 	}
 	if out[2] != nil || fromSec[2] {
 		t.Fatalf("miss resolved: %p fromSec=%v", out[2], fromSec[2])
 	}
-	if out[3] != prim || fromSec[3] {
+	if out[3] != prim.Hot() || fromSec[3] {
 		t.Fatalf("repeated primary hit: %p fromSec=%v", out[3], fromSec[3])
 	}
 	if tl.Misses() != 1 {
@@ -121,15 +55,15 @@ func TestTwoLevelLookupBatch(t *testing.T) {
 	}
 	// Downlink domain goes through the IP indexes.
 	ipKeys := []uint32{0x0a000002}
-	tl.LookupBatch(ipKeys, false, out[:1], fromSec[:1])
-	if out[0] != sec || !fromSec[0] {
+	tl.LookupHotBatch(ipKeys, false, out[:1], fromSec[:1])
+	if out[0] != sec.Hot() || !fromSec[0] {
 		t.Fatalf("ip-domain secondary hit: %p fromSec=%v", out[0], fromSec[0])
 	}
 	// All-primary batch takes the early return (no secondary lock).
-	tl.LookupBatch([]uint32{1, 1}, true, out[:2], fromSec[:2])
-	if out[0] != prim || out[1] != prim {
+	tl.LookupHotBatch([]uint32{1, 1}, true, out[:2], fromSec[:2])
+	if out[0] != prim.Hot() || out[1] != prim.Hot() {
 		t.Fatal("all-primary batch failed")
 	}
 	// Empty batch is a no-op.
-	tl.LookupBatch(nil, true, nil, nil)
+	tl.LookupHotBatch(nil, true, nil, nil)
 }

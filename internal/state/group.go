@@ -62,7 +62,7 @@ func hasEmpty(w uint64) bool {
 // any byte with the full bit clear). Exact.
 func matchFree(w uint64) uint64 { return ^w & swarMSB }
 
-// batchChunk is the software-pipelining width of GetBatch: hashes and
+// batchChunk is the software-pipelining width of GetHotBatch: hashes and
 // home-group control words for a chunk are computed before any probe
 // resolves, so the group loads overlap instead of serializing.
 const batchChunk = 32
@@ -149,7 +149,7 @@ func (g *g32[V]) get(key uint32) (V, bool) {
 }
 
 // getHinted finishes a probe whose hash and home-group control word
-// were computed ahead of time (the two-pass GetBatch).
+// were computed ahead of time (the two-pass GetHotBatch).
 func (g *g32[V]) getHinted(key uint32, h, w uint64) (V, bool) {
 	fp := fpOf(h)
 	gi := h & g.gmask
@@ -169,7 +169,7 @@ func (g *g32[V]) getHinted(key uint32, h, w uint64) (V, bool) {
 	}
 }
 
-// getChunk is one software-pipelined GetBatch pass: hash + home-group
+// getChunk is one software-pipelined GetHotBatch pass: hash + home-group
 // control word for every key first, then resolve the probes.
 func (g *g32[V]) getChunk(keys []uint32, out []V) {
 	var hs [batchChunk]uint64
@@ -324,24 +324,6 @@ func (g *g64[V]) getHinted(key, h, w uint64) (V, bool) {
 		}
 		gi = (gi + step) & g.gmask
 		w = g.word(gi)
-	}
-}
-
-func (g *g64[V]) getChunk(keys []uint64, out []V) {
-	var hs [batchChunk]uint64
-	var ws [batchChunk]uint64
-	for i, k := range keys {
-		h := pkt.HashUint64(k)
-		hs[i] = h
-		ws[i] = g.word(h & g.gmask)
-	}
-	for i, k := range keys {
-		if k == 0 || k == tombstone64 {
-			var zero V
-			out[i] = zero
-			continue
-		}
-		out[i], _ = g.getHinted(k, hs[i], ws[i])
 	}
 }
 

@@ -184,8 +184,7 @@ func (t *Table) LookupIMSI(imsi uint64) *UE {
 // LookupIMSIBatch resolves a batch of IMSIs under a single index-lock
 // acquisition, storing the result (nil where absent) in out[i] and
 // returning the found count. The batched signaling path uses it to
-// amortize index locking across a drain of procedures, mirroring what
-// DataPathTEIDBatch does for packets.
+// amortize index locking across a drain of procedures.
 func (t *Table) LookupIMSIBatch(imsis []uint64, out []*UE) int {
 	found := 0
 	t.lockIdxR()
@@ -293,84 +292,6 @@ func (t *Table) dataPath(key uint32, idx *U32Map, fn func(*ControlState, *Counte
 		h.cmu.Unlock()
 		return true
 	}
-}
-
-// DataPathTEIDBatch performs one data-path access per key over a whole
-// batch, calling fn(i, ctrl, counters) for each key found and returning
-// the found count. It is the batched analogue of DataPathTEID: in
-// giant-lock mode the entire batch — lookups, control reads, counter
-// writes — runs under a single table-level read-lock acquisition, so the
-// lock cost amortizes over the batch exactly as the per-user lock cost
-// does in the fine-grained modes; the relative ordering of the three
-// designs (Figure 12) is preserved while every mode gets the batching
-// benefit.
-func (t *Table) DataPathTEIDBatch(keys []uint32, fn func(i int, c *ControlState, cnt *CounterState)) int {
-	return t.dataPathBatch(keys, t.byTEID, fn)
-}
-
-// DataPathIPBatch is DataPathTEIDBatch keyed by UE IP address (downlink).
-func (t *Table) DataPathIPBatch(keys []uint32, fn func(i int, c *ControlState, cnt *CounterState)) int {
-	return t.dataPathBatch(keys, t.byIP, fn)
-}
-
-func (t *Table) dataPathBatch(keys []uint32, idx *U32Map, fn func(i int, c *ControlState, cnt *CounterState)) int {
-	found := 0
-	switch t.mode {
-	case LockModeGiant:
-		t.giantMu.RLock()
-		for i, key := range keys {
-			ue := idx.Get(key)
-			if ue == nil {
-				continue
-			}
-			fn(i, &ue.Ctrl, &ue.Hot().Counters)
-			found++
-		}
-		t.giantMu.RUnlock()
-	case LockModeDatapathWriter:
-		var prev *UE
-		prevKey := uint32(0)
-		for i, key := range keys {
-			ue := prev
-			if ue == nil || key != prevKey {
-				ue = idx.Get(key)
-				prev, prevKey = ue, key
-			}
-			if ue == nil {
-				continue
-			}
-			ue.ctrlMu.Lock()
-			fn(i, &ue.Ctrl, &ue.Hot().Counters)
-			ue.ctrlMu.Unlock()
-			found++
-		}
-	default: // LockModePEPC
-		var prev *UE
-		prevKey := uint32(0)
-		for i, key := range keys {
-			ue := prev
-			reuse := ue != nil && key == prevKey
-			if !reuse {
-				ue = idx.Get(key)
-				prev, prevKey = ue, key
-			}
-			if ue == nil {
-				continue
-			}
-			// Snapshot once per run of identical keys: a repeated key
-			// reuses the previous seqlock copy, amortizing the read the
-			// same way the lock acquisitions amortize in the other modes.
-			if !reuse {
-				ue.ReadCtrlSnapshot(&t.dpCtrl)
-			}
-			h := ue.Hot()
-			h.cmu.Lock()
-			fn(i, &t.dpCtrl, &h.Counters)
-			h.cmu.Unlock()
-			found++
-		}
-	}
-	return found
 }
 
 // CtrlWrite performs a control-plane write to a user's control state under

@@ -60,47 +60,6 @@ func (t *TwoLevel) Lookup(key uint32, uplink bool) (ue *UE, fromSecondary bool) 
 	return ue, ue != nil
 }
 
-// LookupBatch resolves keys[i] into out[i] (nil on miss) and sets
-// fromSecondary[i] for entries served by the secondary table. Primary
-// probes are lock-free as in Lookup; all primary misses of the batch are
-// then resolved under a single secondary read lock instead of one lock
-// acquisition per miss. Data-thread only; callers request promotion for
-// each fromSecondary hit as with Lookup.
-func (t *TwoLevel) LookupBatch(keys []uint32, uplink bool, out []*UE, fromSecondary []bool) {
-	if len(keys) == 0 {
-		return
-	}
-	_ = out[len(keys)-1]
-	_ = fromSecondary[len(keys)-1]
-	missed := 0
-	for i, k := range keys {
-		out[i] = t.primary.GetUE(k, uplink)
-		fromSecondary[i] = false
-		if out[i] == nil {
-			missed++
-		}
-	}
-	if missed == 0 {
-		return
-	}
-	served := uint64(0)
-	t.secMu.RLock()
-	for i, k := range keys {
-		if out[i] != nil {
-			continue
-		}
-		if ue := t.secondary.GetUE(k, uplink); ue != nil {
-			out[i] = ue
-			fromSecondary[i] = true
-			served++
-		}
-	}
-	t.secMu.RUnlock()
-	if served != 0 {
-		t.misses.Add(served)
-	}
-}
-
 // LookupHotBatch is the data plane's batch lookup: keys[i] resolve to
 // hot halves out[i] (nil on miss), secondary-served entries flagged in
 // fromSecondary. The primary probe uses the software-pipelined batch

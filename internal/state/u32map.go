@@ -45,28 +45,13 @@ func (m *U32Map) Get(key uint32) *UE {
 	return v
 }
 
-// GetBatch resolves keys[i] into out[i] for all i (nil on miss). The
-// batch is processed in two passes per chunk — hash and home-group
-// control word for every key first, then the probes — so the group
-// loads are software-pipelined instead of serializing behind each
-// probe's cache miss.
-func (m *U32Map) GetBatch(keys []uint32, out []*UE) {
-	if len(keys) == 0 {
-		return
-	}
-	_ = out[len(keys)-1]
-	for len(keys) > batchChunk {
-		m.g.getChunk(keys[:batchChunk], out[:batchChunk])
-		keys, out = keys[batchChunk:], out[batchChunk:]
-	}
-	m.g.getChunk(keys, out)
-}
-
 // GetHotBatch resolves keys[i] into the users' hot halves (nil on
-// miss). Same pipelining as GetBatch, carried one step further: each
-// hit's hot half is loaded here, for the whole chunk at once, so those
-// cache misses overlap instead of stalling the packet stage that reads
-// the hot half next one user at a time.
+// miss). The batch is processed in two passes per chunk — hash and
+// home-group control word for every key first, then the probes — so the
+// group loads are software-pipelined instead of serializing behind each
+// probe's cache miss; each hit's hot half is then loaded for the whole
+// chunk at once, so those misses overlap too instead of stalling the
+// packet stage that reads the hot half next one user at a time.
 func (m *U32Map) GetHotBatch(keys []uint32, out []*HotUE) {
 	if len(keys) == 0 {
 		return
@@ -138,20 +123,6 @@ func (m *U64Map) Get(key uint64) *UE {
 	}
 	v, _ := m.g.get(key)
 	return v
-}
-
-// GetBatch resolves keys[i] into out[i] for all i (nil on miss),
-// software-pipelined like U32Map.GetBatch.
-func (m *U64Map) GetBatch(keys []uint64, out []*UE) {
-	if len(keys) == 0 {
-		return
-	}
-	_ = out[len(keys)-1]
-	for len(keys) > batchChunk {
-		m.g.getChunk(keys[:batchChunk], out[:batchChunk])
-		keys, out = keys[batchChunk:], out[batchChunk:]
-	}
-	m.g.getChunk(keys, out)
 }
 
 // Put inserts or replaces the value for key.

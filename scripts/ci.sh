@@ -88,6 +88,13 @@ go test -count=3 ./internal/experiments/
 echo "== fuzz seeds"
 go test -run 'Fuzz' -count=1 ./internal/gtp/ ./internal/pfcp/ ./internal/state/ ./internal/sctp/ ./internal/s1ap/ ./internal/nas/
 
+# Examples: every program under examples/ runs once and must exit 0.
+echo "== examples"
+for ex in examples/*/; do
+	echo "-- $ex"
+	go run "./$ex" >/dev/null
+done
+
 # Dangling references: the second benchmark system, its ratchets and the
 # ablation knobs only it exercised are gone, and so are the daemon's rx
 # loop, egress loop, idle park and linger clock (the lane replaced them)
@@ -96,9 +103,13 @@ go test -run 'Fuzz' -count=1 ./internal/gtp/ ./internal/pfcp/ ./internal/state/ 
 # (arithmetic steering replaced them; the state table's and the legacy
 # baseline's maps of the same names are not meant), and the handle state
 # layout with its arena, handle maps, layout knobs and the Figure 14
-# population sweep (the pointer layout is the only one); nothing outside
-# the project history (and the config test proving the JSON keys are
-# rejected) may still name them.
+# population sweep (the pointer layout is the only one), and the
+# mirrored per-direction data-path stages, limiter methods and latency
+# accessors (one direction-parameterised stage replaced them) with the
+# batch lookups the hot-half lookups superseded; nothing outside the
+# project history (and the config test proving the JSON keys are
+# rejected, and one comment in the benchmark, which is frozen) may still
+# name them.
 echo "== dangling-reference guard"
 retired='benchdiff|BENCHDIFF_|bench/baseline|encap_mode|-fig8 pktsize'
 retired="$retired|idlePark|IdlePark|runQueueEgress|runGTPURx|FlushExpired|-linger"
@@ -106,9 +117,12 @@ retired="$retired|internal/nf|nf\.Worker|HousekeepEvery|batch_size"
 retired="$retired|d\.(byTEID|byIP)\b|demux\.(byTEID|byIP)\b"
 retired="$retired|StateLayout|state_layout|LayoutHandle|LayoutPointer|NewArena|H32Map"
 retired="$retired|NewHandleIndexes|NewTwoLevelHandles|Fig14Mode|fig14Population"
+retired="$retired|uplinkChunk|downlinkChunk|uplinkRun|downlinkRun|\bAllowUplink\b|\bAllowDownlink(Run)?\b"
+retired="$retired|DataPath(TEID|IP)Batch|\.LookupBatch\b|U(32|64)Map\.GetBatch|LatencyUplink|LatencyDownlink|ResetLatency"
 if grep -rnE -e "$retired" --include='*.go' --include='*.sh' --include='*.md' --include=Makefile \
 	--exclude-dir=.git --exclude-dir=.bench_build . |
-	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:|^\./scripts/ci\.sh:|^\./internal/core/config_test\.go:'; then
+	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:|^\./scripts/ci\.sh:|^\./internal/core/config_test\.go:' |
+	grep -vE '^\./bench/pepcmark/probes\.go:[0-9]+:.*as uplinkRun makes'; then
 	echo "retired surfaces still referenced (lines above)" >&2
 	exit 1
 fi
