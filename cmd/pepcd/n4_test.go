@@ -1,13 +1,17 @@
 package main
 
 import (
+	"net"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
+	"pepc"
 	"pepc/internal/gtp"
 	"pepc/internal/pfcp"
 	"pepc/internal/pkt"
+	"pepc/internal/sctp"
 	"pepc/internal/workload"
 )
 
@@ -193,5 +197,138 @@ func TestPepcdN4(t *testing.T) {
 	waitFor(t, 10*time.Second, "the post-delete burst to be accounted for", func() bool { return settled() >= before+8 })
 	if got := node.Demux().Unknown.Load() - unknown0; got != 8 {
 		t.Fatalf("uplink for a deleted session: %d of 8 unknown at the demux", got)
+	}
+}
+
+// TestPepcdConcurrentControl drives one slice from five control
+// producers at once, over real sockets: four eNodeB associations (one
+// UDP socket each) attach, path-switch and release their own UEs while
+// an SMF establishes, modifies and deletes sessions against the same
+// slice. It passes on what the wire shows: every S1AP procedure
+// completes, every PFCP reply is accepted, one uplink packet per UE
+// still attached comes out forwarded, and the slice holds exactly the
+// live UEs plus the live sessions.
+func TestPepcdConcurrentControl(t *testing.T) {
+	const (
+		enbs        = 4
+		uesPerENB   = 12
+		sessions    = 24
+		sessionTEID = 0x5E40_0000
+	)
+	_, sgi := sgiSink(t)
+	cfg := testConfig(1, 1, sgi)
+	cfg.n4 = "127.0.0.1:0"
+	d := startDaemon(t, cfg)
+	node := d.node
+
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		live []workload.User
+	)
+	for e := 0; e < enbs; e++ {
+		conn, err := net.Dial("udp", d.s1ap.LocalAddr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		assoc, err := pepc.SCTPDial(sctp.NewUDPWire(conn), pepc.SCTPConfig{Tag: uint32(0x200 + e)})
+		if err != nil {
+			t.Fatalf("eNodeB %d: sctp dial: %v", e, err)
+		}
+		defer assoc.Close()
+		base := pepc.NewENB(0xC0A83201+uint32(e), 1, uint32(0x10+e), assoc)
+		wg.Add(1)
+		go func(e int) {
+			defer wg.Done()
+			for i := 0; i < uesPerENB; i++ {
+				ue := pepc.NewUE(uint64(e*uesPerENB + i + 1))
+				if err := base.Attach(ue); err != nil {
+					t.Errorf("eNodeB %d: attach %d: %v", e, ue.IMSI, err)
+					return
+				}
+				if err := base.PathSwitch(ue); err != nil {
+					t.Errorf("eNodeB %d: path switch %d: %v", e, ue.IMSI, err)
+					return
+				}
+				if i%2 == 1 {
+					if err := base.Release(ue); err != nil {
+						t.Errorf("eNodeB %d: release %d: %v", e, ue.IMSI, err)
+					}
+					continue
+				}
+				mu.Lock()
+				live = append(live, workload.User{IMSI: ue.IMSI, UplinkTEID: ue.UplinkTEID, UEAddr: ue.UEAddr})
+				mu.Unlock()
+			}
+		}(e)
+	}
+
+	smf, err := pfcp.Dial(d.n4.LocalAddrPort().String(), pkt.IPv4Addr(10, 255, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer smf.Close()
+	smf.SetRetransmit(time.Second, 5)
+	if err := smf.Associate(); err != nil {
+		t.Fatalf("associate: %v", err)
+	}
+	liveSessions := 0
+	for i := 0; i < sessions; i++ {
+		teid := uint32(sessionTEID + i + 1)
+		seid, err := smf.Establish(sessionRequest(teid, pkt.IPv4Addr(45, 4, 0, byte(i+1)), 0xD000_0000+uint32(i), 0xC0A83301, 50_000, 100_000))
+		if err != nil {
+			t.Fatalf("establish %d: %v", i, err)
+		}
+		if err := smf.Modify(&pfcp.SessionRequest{
+			SEID: seid,
+			UpdateFARs: []pfcp.FAR{{ID: 1, DestinationInterface: pfcp.InterfaceAccess,
+				OuterHeaderCreation: true, TEID: 0xD100_0000 + uint32(i), Addr: 0xC0A83301}},
+			UpdateQERs: []pfcp.QER{{ID: 1, MBRUplinkKbps: 20_000, MBRDownlinkKbps: 40_000}},
+		}); err != nil {
+			t.Fatalf("modify %d: %v", i, err)
+		}
+		if i%2 == 1 {
+			if err := smf.Delete(seid); err != nil {
+				t.Fatalf("delete %d: %v", i, err)
+			}
+			continue
+		}
+		liveSessions++
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// A release has no reply on the wire; the population settles once the
+	// last one is processed.
+	s := node.Slice(0)
+	want := len(live) + liveSessions
+	waitFor(t, 10*time.Second, "the releases to settle", func() bool { return s.Users() == want })
+	if got := d.upf.Sessions(); got != liveSessions {
+		t.Fatalf("UPF sessions = %d, want %d", got, liveSessions)
+	}
+
+	// One uplink packet per UE still attached, each forwarded.
+	_, snd := dialGTPU(t, d)
+	defer snd.Close()
+	gen := workload.NewTrafficGen(workload.TrafficConfig{ENBAddr: 0xC0A83201}, live)
+	for _, u := range live {
+		if err := snd.Queue(gen.UplinkFor(u), netip.AddrPort{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := snd.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dp := s.Data()
+	settled := func() uint64 {
+		return dp.Forwarded.Load() + dp.Dropped.Load() + dp.Missed.Load() + node.Demux().Unknown.Load()
+	}
+	waitFor(t, 10*time.Second, "the uplink to be accounted for", func() bool { return settled() >= uint64(len(live)) })
+	if f := dp.Forwarded.Load(); f != uint64(len(live)) {
+		t.Fatalf("forwarded %d of %d (dropped=%d missed=%d unknown=%d)", f, len(live),
+			dp.Dropped.Load(), dp.Missed.Load(), node.Demux().Unknown.Load())
 	}
 }

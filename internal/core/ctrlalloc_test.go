@@ -10,36 +10,55 @@ import (
 // TestAttachDetachCycleZeroAlloc: once the free list is warm, a full
 // attach→detach cycle (including the data-plane sync that applies both
 // index updates) allocates nothing — the context, its identifiers and
-// the index slots are all recycled.
+// the index slots are all recycled. The node's entries add the slice's
+// control lock and the demux registration, and allocate nothing either.
 func TestAttachDetachCycleZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	s := NewSlice(SliceConfig{ID: 1, UserHint: 64})
 	spec := AttachSpec{
 		IMSI: 7, ENBAddr: pkt.IPv4Addr(192, 168, 0, 1), DownlinkTEID: 9,
 		ECGI: 7, TAI: 3, AMBRUplink: 8 * 10_000_000,
 	}
-	cycle := func() {
-		if _, err := s.Control().Attach(spec); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Control().Detach(7); err != nil {
-			t.Fatal(err)
-		}
-		s.Data().SyncUpdates()
-	}
-	// Warm: first cycles allocate the context, the free list backing
-	// array and map growth; the fence needs two syncs before reuse kicks
-	// in.
-	for i := 0; i < 64; i++ {
-		cycle()
-	}
-	if got := s.Control().Stats().Recycles; got == 0 {
-		t.Fatal("free list inactive after warmup")
-	}
-	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Fatalf("attach→detach cycle allocates %.1f allocs/op, want 0", avg)
+	for _, tc := range []struct {
+		name   string
+		attach func(*Node) error
+		detach func(*Node) error
+	}{
+		{"slice", func(n *Node) error {
+			_, err := n.Slice(0).Control().Attach(spec)
+			return err
+		}, func(n *Node) error { return n.Slice(0).Control().Detach(7) }},
+		{"node", func(n *Node) error {
+			_, err := n.AttachUser(0, spec)
+			return err
+		}, func(n *Node) error { return n.DetachUser(0, 7) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := NewNode(SliceConfig{ID: 1, UserHint: 64})
+			s := n.Slice(0)
+			cycle := func() {
+				if err := tc.attach(n); err != nil {
+					t.Fatal(err)
+				}
+				if err := tc.detach(n); err != nil {
+					t.Fatal(err)
+				}
+				s.Data().SyncUpdates()
+			}
+			// Warm: first cycles allocate the context, the free list
+			// backing array and map growth; the fence needs two syncs
+			// before reuse kicks in.
+			for i := 0; i < 64; i++ {
+				cycle()
+			}
+			if got := s.Control().Stats().Recycles; got == 0 {
+				t.Fatal("free list inactive after warmup")
+			}
+			if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+				t.Fatalf("attach→detach cycle allocates %.1f allocs/op, want 0", avg)
+			}
+		})
 	}
 }
 

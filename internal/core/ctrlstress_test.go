@@ -157,3 +157,70 @@ func TestSeqlockStressConcurrentSignaling(t *testing.T) {
 		t.Fatalf("free list never recycled a context: %+v", st)
 	}
 }
+
+// TestControlEntriesSerialize: four goroutines attach users to one slice
+// through Node.AttachUser at once, each removing every second user it
+// attached with Node.DetachUser. The entries serialize on the slice's
+// control lock, so the allocator never issues one identifier pair twice,
+// the free list never loses or duplicates a context, and the population
+// and event counters come out exact.
+func TestControlEntriesSerialize(t *testing.T) {
+	const writers = 4
+	perWriter := 200_000
+	if raceEnabled || testing.Short() {
+		perWriter = 5_000
+	}
+	n := NewNode(SliceConfig{ID: 1, UserHint: writers * perWriter / 2})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				imsi := uint64(w*perWriter + i + 1)
+				if _, err := n.AttachUser(0, AttachSpec{IMSI: imsi, ENBAddr: 1, DownlinkTEID: uint32(i + 1)}); err != nil {
+					t.Errorf("attach %d: %v", imsi, err)
+					return
+				}
+				if i%2 == 1 {
+					if err := n.DetachUser(0, imsi); err != nil {
+						t.Errorf("detach %d: %v", imsi, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	s := n.Slice(0)
+	teids := make(map[uint32]uint64, writers*perWriter/2)
+	addrs := make(map[uint32]uint64, writers*perWriter/2)
+	var dupTEID, dupAddr int
+	s.cp.Range(func(ue *state.UE) bool {
+		var cs state.ControlState
+		ue.ReadCtrlSnapshot(&cs)
+		if _, dup := teids[cs.UplinkTEID]; dup {
+			dupTEID++
+		}
+		if _, dup := addrs[cs.UEAddr]; dup {
+			dupAddr++
+		}
+		teids[cs.UplinkTEID] = cs.IMSI
+		addrs[cs.UEAddr] = cs.IMSI
+		return true
+	})
+	if dupTEID != 0 || dupAddr != 0 {
+		t.Fatalf("live users sharing identifiers: %d uplink TEIDs, %d UE addresses", dupTEID, dupAddr)
+	}
+	attaches, detaches := uint64(writers*perWriter), uint64(writers*perWriter/2)
+	if got, want := s.Users(), int(attaches-detaches); got != want {
+		t.Fatalf("users = %d, want %d attached minus detached", got, want)
+	}
+	if st := s.Control().Stats(); st.Attaches != attaches || st.Detaches != detaches {
+		t.Fatalf("stats: attaches=%d detaches=%d, want %d and %d", st.Attaches, st.Detaches, attaches, detaches)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"pepc/internal/fault"
 	"pepc/internal/gtp"
 	"pepc/internal/pfcp"
 	"pepc/internal/pkt"
@@ -359,5 +360,53 @@ func TestN4BatchedModifications(t *testing.T) {
 				t.Fatalf("session %d tunnel not rewritten: %#x", i, c.DownlinkTEID)
 			}
 		})
+	}
+}
+
+// TestN4RingRefusalStillApplies: a request the signaling ring refuses
+// (here every enqueue, by injected overflow) is applied in order on the
+// spot rather than lost, so the "accepted" the SMF reads is true: the
+// modification rewrites the tunnel and the rate, the deletion removes
+// the user.
+func TestN4RingRefusalStillApplies(t *testing.T) {
+	node := NewNode(SliceConfig{ID: 1, UserHint: 64})
+	u := NewUPF(node, pkt.IPv4Addr(127, 0, 0, 1))
+	s := node.Slice(0)
+	n4Associate(t, u)
+	r := n4Exchange(t, u, pfcp.BuildSessionEstablishment(2,
+		n4SessionReq(7, 0x5E30_0001, pkt.IPv4Addr(45, 3, 0, 1), pkt.IPv4Addr(192, 168, 50, 1), 0xD000_0001)))
+	sr, _ := pfcp.ParseSessionResponse(&r)
+	if sr.Cause != pfcp.CauseAccepted {
+		t.Fatalf("establishment: cause %d", sr.Cause)
+	}
+	seid := sr.FSEID
+
+	inj := fault.New(1)
+	inj.Arm(fault.RingOverflow, fault.RateMax)
+	s.SetFaults(inj)
+	accepted := func(what string, m pfcp.Message) {
+		t.Helper()
+		r := n4Exchange(t, u, m)
+		u.Flush()
+		if sr, _ := pfcp.ParseSessionResponse(&r); sr.Cause != pfcp.CauseAccepted {
+			t.Fatalf("%s: cause %d", what, sr.Cause)
+		}
+	}
+
+	accepted("modification", pfcp.BuildSessionModification(3, &pfcp.SessionRequest{
+		SEID: seid,
+		UpdateFARs: []pfcp.FAR{{ID: 1, DestinationInterface: pfcp.InterfaceAccess,
+			OuterHeaderCreation: true, TEID: 0xD000_0002, Addr: pkt.IPv4Addr(192, 168, 51, 1)}},
+		UpdateQERs: []pfcp.QER{{ID: 1, MBRUplinkKbps: 64, MBRDownlinkKbps: 128}},
+	}))
+	s.Control().Lookup(n4IMSIBase | 1).ReadCtrl(func(c *state.ControlState) {
+		if c.DownlinkTEID != 0xD000_0002 || c.AMBRUplink != 64_000 || c.AMBRDownlink != 128_000 {
+			t.Fatalf("accepted modification not applied: dlteid %#x ambr %d/%d", c.DownlinkTEID, c.AMBRUplink, c.AMBRDownlink)
+		}
+	})
+
+	accepted("deletion", pfcp.BuildSessionDeletion(4, seid))
+	if got := s.Users(); got != 0 {
+		t.Fatalf("users = %d after an accepted deletion, want 0", got)
 	}
 }
