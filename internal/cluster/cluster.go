@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"pepc/internal/core"
-	"pepc/internal/hdr"
 	"pepc/internal/lb"
 )
 
@@ -96,10 +95,6 @@ type Config struct {
 	// (default 256); between chunks the target slices sync their update
 	// queues so migrated users become steerable promptly.
 	MigrateChunk int
-	// RecordLatency arms per-packet latency recording on every slice's
-	// verdict stage (see core.SliceConfig.RecordLatency); pair it with
-	// Steerer ingress stamping and read the merged tail via Latency.
-	RecordLatency bool
 }
 
 func (cfg Config) withDefaults() Config {
@@ -125,9 +120,11 @@ func (cfg Config) withDefaults() Config {
 type member struct {
 	name string
 	node *core.Node
-	// attachMu serializes control-plane entry points (attach, detach,
-	// import/export) per node, preserving the single-control-writer
-	// discipline the slices assume without a control loop running.
+	// attachMu is the barrier between the node's control entry points
+	// (attach, detach, import/export) and membership changes: a reshape
+	// takes it to wait out every entry in flight. It no longer keeps the
+	// slices' writers apart; each slice serializes its own (the node's
+	// entries run under the slice's control lock, taken after attachMu).
 	attachMu sync.Mutex
 	dead     atomic.Bool
 	// checkpoints holds the last CheckpointAll capture, one stream per
@@ -197,11 +194,7 @@ func (c *Cluster) newMember(name string) *member {
 func (c *Cluster) sliceConfigs() []core.SliceConfig {
 	cfgs := make([]core.SliceConfig, c.cfg.SlicesPerNode)
 	for i := range cfgs {
-		cfgs[i] = core.SliceConfig{
-			ID:            i + 1,
-			UserHint:      c.cfg.UserHint,
-			RecordLatency: c.cfg.RecordLatency,
-		}
+		cfgs[i] = core.SliceConfig{ID: i + 1, UserHint: c.cfg.UserHint}
 	}
 	return cfgs
 }
@@ -440,29 +433,6 @@ func (c *Cluster) Stats() Stats {
 		st.Unknown += m.node.Demux().Unknown.Load()
 	}
 	return st
-}
-
-// Latency merges ingress-to-verdict latency histograms from every live
-// member's slices into one cluster-wide readout snapshot (populated
-// when Config.RecordLatency is set and the feeding Steerers stamp
-// ingress). Lock-free against running data workers — each slice's
-// per-direction recorders are merged atomically; dead members are
-// skipped, so a readout spanning a failure reflects only what survivors
-// measured.
-func (c *Cluster) Latency() *hdr.Histogram {
-	c.mu.RLock()
-	members := append([]*member(nil), c.members...)
-	c.mu.RUnlock()
-	m := hdr.New()
-	for _, mb := range members {
-		if mb.dead.Load() {
-			continue
-		}
-		for i := 0; i < mb.node.NumSlices(); i++ {
-			mb.node.Slice(i).Data().MergeLatency(m)
-		}
-	}
-	return m
 }
 
 // TotalAttached sums Users() over every live node's slices — the

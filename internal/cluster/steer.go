@@ -3,7 +3,6 @@ package cluster
 import (
 	"pepc/internal/core"
 	"pepc/internal/pkt"
-	"pepc/internal/sim"
 )
 
 // Steerer is the cluster's batched steering hot path: one rx burst is
@@ -31,7 +30,6 @@ type Steerer struct {
 	live  []*pkt.Buf
 	keys  []uint64
 	picks []int32
-	stamp bool
 
 	// Drops counts packets freed here: unparsable, or no backend.
 	Drops uint64
@@ -48,12 +46,6 @@ func (c *Cluster) NewSteerer(batch int, cache *pkt.PoolCache) *Steerer {
 	st.ensure(batch)
 	return st
 }
-
-// StampIngress enables cluster-ingress timestamping: every classified
-// packet of a Steer burst gets Meta.TSNanos from one clock read per
-// burst, arming the owning slice's verdict-stage latency recording
-// (Config.RecordLatency). Read the merged result via Cluster.Latency.
-func (st *Steerer) StampIngress(on bool) { st.stamp = on }
 
 func (st *Steerer) ensure(n int) {
 	if cap(st.live) >= n {
@@ -104,15 +96,6 @@ func (st *Steerer) Steer(bufs []*pkt.Buf) {
 	}
 	if len(live) == 0 {
 		return
-	}
-	if st.stamp {
-		// One clock read stamps the whole classified burst; the owning
-		// node's verdict stage records now−stamp, so the measured span
-		// covers cluster steer + demux + ring residency + processing.
-		now := sim.Now()
-		for _, b := range live {
-			b.Meta.TSNanos = now
-		}
 	}
 
 	// Stage 2: one Maglev batch lookup under the membership read lock;

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,8 +18,18 @@ import (
 // (attach, handover, detach), owns every write to per-user control state,
 // manages primary/secondary table residency, talks to the HSS/PCRF
 // through the node proxy, and services state-migration requests.
+//
+// The control thread is whoever holds mu. Call the methods from one
+// goroutine (tests, figures and in-process rigs drive a slice that way),
+// or through exec from any number of them: the node's entries, the S1AP
+// associations and the N4 loop all do, so each slice has one control
+// writer at a time however many producers share it. The data thread
+// never takes mu.
 type ControlPlane struct {
 	s *Slice
+
+	// mu serializes the slice's control writers; see exec.
+	mu sync.Mutex
 
 	// Identifier allocation (HomeTEID, HomeUEAddr).
 	nextSeq uint32
@@ -35,9 +46,6 @@ type ControlPlane struct {
 
 	collector *charging.Collector
 
-	// loopRunning reports whether RunCtrl is active, steering exec().
-	loopRunning atomic.Bool
-
 	// retired is the UE-context free list (control-thread-only): detached
 	// contexts parked until the data plane provably holds no reference,
 	// then recycled by the next attach, an allocator attach together with
@@ -50,12 +58,11 @@ type ControlPlane struct {
 	retLen  int
 
 	// sigQ is the signaling event ring: producers (workload generators,
-	// the node demux) enqueue procedure requests, the control thread
-	// drains them in batches (DrainSignaling). sigNotify carries a
-	// wakeup token to RunCtrl; sigScratch/sigUEs/sigIMSIs/updScratch are
-	// the drain's preallocated working set (control-thread-only).
+	// the N4 loop) enqueue procedure requests, the control thread drains
+	// them in batches (DrainSignaling). sigScratch/sigUEs/sigIMSIs/
+	// updScratch are the drain's preallocated working set
+	// (control-thread-only).
 	sigQ       *ring.MPSC[SigEvent]
-	sigNotify  chan struct{}
 	sigScratch []SigEvent
 	sigUEs     []*state.UE
 	sigIMSIs   []uint64
@@ -140,7 +147,6 @@ func newControlPlane(s *Slice) *ControlPlane {
 		promoteQ:   ring.MustMPSC[promoteReq](1 << 12),
 		collector:  charging.NewCollector(),
 		sigQ:       ring.MustMPSC[SigEvent](sigRingCap),
-		sigNotify:  make(chan struct{}, 1),
 		sigScratch: make([]SigEvent, sigDrainBatch),
 		sigUEs:     make([]*state.UE, sigDrainBatch),
 		sigIMSIs:   make([]uint64, sigDrainBatch),
@@ -506,24 +512,7 @@ func (cp *ControlPlane) installRules(ue *state.UE, rules []pcef.Rule) {
 // distributed over existing devices): the control thread rewrites the
 // user's QoS/policy and tunnel state and (re)notifies the data plane.
 func (cp *ControlPlane) AttachEvent(imsi uint64) error {
-	ue := cp.s.cp.LookupIMSI(imsi)
-	if ue == nil {
-		return ErrUserUnknown
-	}
-	var teid, ueAddr uint32
-	ue.WriteCtrl(func(c *state.ControlState) {
-		c.Attached = true
-		c.LastActive = sim.Now()
-		// Refresh QoS/policy as the real event installs it anew.
-		c.Bearers[0].QCI = 9
-		c.TAIList[0] = c.TAI
-		c.TAICount = 1
-		teid = c.UplinkTEID
-		ueAddr = c.UEAddr
-	})
-	cp.notifyInsert(teid, ueAddr, ue)
-	cp.Attaches.Add(1)
-	return nil
+	return cp.apply(SigEvent{Kind: SigAttachEvent, IMSI: imsi})
 }
 
 // S1Handover applies an S1-based handover (paper §4.2: "S1-based
@@ -532,35 +521,13 @@ func (cp *ControlPlane) AttachEvent(imsi uint64) error {
 // new base-station"). Only control state changes; the data plane reads
 // the new tunnel on its next packet.
 func (cp *ControlPlane) S1Handover(imsi uint64, newENBAddr, newDownlinkTEID, newECGI uint32) error {
-	ue := cp.s.cp.LookupIMSI(imsi)
-	if ue == nil {
-		return ErrUserUnknown
-	}
-	ue.WriteCtrl(func(c *state.ControlState) {
-		c.ENBAddr = newENBAddr
-		c.DownlinkTEID = newDownlinkTEID
-		c.ECGI = newECGI
-		c.LastActive = sim.Now()
-	})
-	cp.Handovers.Add(1)
-	return nil
+	return cp.apply(SigEvent{Kind: SigS1Handover, IMSI: imsi,
+		ENBAddr: newENBAddr, DownlinkTEID: newDownlinkTEID, ECGI: newECGI})
 }
 
 // Detach removes a user entirely.
 func (cp *ControlPlane) Detach(imsi uint64) error {
-	ue, err := cp.s.cp.Remove(imsi)
-	if err != nil {
-		return ErrUserUnknown
-	}
-	teid, ueAddr := ueKeys(ue)
-	cp.notifyDelete(teid, ueAddr)
-	cp.collector.Forget(imsi)
-	if cp.proxy != nil {
-		_ = cp.proxy.TerminateGxSession(imsi)
-	}
-	cp.retire(ue, teid, ueAddr)
-	cp.Detaches.Add(1)
-	return nil
+	return cp.apply(SigEvent{Kind: SigDetach, IMSI: imsi})
 }
 
 // AllocateIoT hands out a TEID/address pair from the stateless-IoT pool
@@ -640,7 +607,7 @@ func (cp *ControlPlane) requestPromotion(ue *state.UE) {
 // Maintain performs one round of control-thread housekeeping: drains
 // promotion requests into data-plane updates and evicts idle users from
 // the primary table. Returns the number of actions taken. Call it
-// periodically from the control loop.
+// periodically as the control thread.
 func (cp *ControlPlane) Maintain(now, idleNs int64) int {
 	actions := 0
 	for {
@@ -756,51 +723,15 @@ func (cp *ControlPlane) seedLimiter(ue *state.UE, cs *state.ControlState, lv sta
 	ue.Hot().Priv.Limiter = l
 }
 
-// exec runs fn on the control thread when the control loop is active
-// (preserving the single-control-writer discipline for scheduler-
-// initiated work such as state transfers); otherwise it runs fn inline,
-// which is safe because all control-state mutation is lock-protected and
-// callers in that mode are the only control-plane driver.
+// exec runs fn as the slice's control thread: under mu, so it is the
+// slice's only control writer while it runs. Every path that reaches a
+// slice's control state from a goroutine of its own goes through here.
+// mu is not reentrant: fn must not call exec on the same slice. Lock
+// order is the cluster's attachMu, then mu, then the demux's mu.
 func (cp *ControlPlane) exec(fn func()) {
-	if cp.loopRunning.Load() {
-		done := make(chan struct{})
-		select {
-		case cp.s.ctrlCmds <- func() { fn(); close(done) }:
-			<-done
-			return
-		default:
-			// Command queue full: fall through to inline execution.
-		}
-	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
 	fn()
-}
-
-// RunCtrl runs the slice control loop until stop closes: it services
-// scheduler commands (state transfers) and performs periodic maintenance
-// (promotions, idle eviction with the given idle threshold).
-func (cp *ControlPlane) RunCtrl(stop <-chan struct{}, maintainEvery time.Duration, idleNs int64) {
-	cp.loopRunning.Store(true)
-	defer cp.loopRunning.Store(false)
-	if maintainEvery <= 0 {
-		maintainEvery = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(maintainEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case cmd := <-cp.s.ctrlCmds:
-			cmd()
-		case <-cp.sigNotify:
-			for cp.DrainSignaling(sigDrainBatch) > 0 {
-			}
-		case <-tick.C:
-			cp.Maintain(sim.Now(), idleNs)
-			for cp.DrainSignaling(sigDrainBatch) > 0 {
-			}
-		}
-	}
 }
 
 // AddDedicatedBearer establishes a dedicated bearer for a user with its

@@ -62,7 +62,7 @@ func TestAttachDetachCycleZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMaintainZeroAlloc: the control loop's periodic housekeeping —
+// TestMaintainZeroAlloc: the control thread's periodic housekeeping —
 // draining promotion requests into data-plane updates and applying them
 // — is allocation-free in steady state.
 func TestMaintainZeroAlloc(t *testing.T) {

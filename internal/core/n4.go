@@ -38,7 +38,9 @@ import (
 // modifications cost one grouped procedure batch, not N table walks.
 //
 // The UPF is single-goroutine (the N4 listener); only the Stats counters
-// are cross-thread.
+// are cross-thread. Its slices may have other control producers (S1AP
+// associations), so every state change it makes runs through the slice's
+// exec, one procedure or one drain at a time, never a whole burst.
 
 // n4IMSIBase is the synthetic identity space for PFCP sessions. PFCP
 // carries no IMSI — the SMF owns subscriber identity — but every slice
@@ -172,8 +174,10 @@ func (u *UPF) Flush() {
 		}
 		u.dirty[i] = false
 		cp := u.node.Slice(i).Control()
-		for cp.DrainSignaling(0) > 0 {
-		}
+		cp.exec(func() {
+			for cp.DrainSignaling(0) > 0 {
+			}
+		})
 	}
 	u.dirtyAny = false
 }
@@ -230,15 +234,18 @@ func (u *UPF) Serve(conn *sockio.Conn) error {
 	}
 }
 
-// enqueue submits ev to slice idx's control ring, draining inline once
-// if the ring is full (backpressure cannot be surfaced mid-burst: the
-// request was already validated and will be answered accepted).
+// enqueue submits ev to slice idx's control ring. A ring that refuses
+// it cannot push back mid-burst (the request was already validated and
+// will be answered accepted), so the slice drains what is queued and
+// applies ev itself, in order, before the answer leaves.
 func (u *UPF) enqueue(idx int, ev SigEvent) {
 	cp := u.node.Slice(idx).Control()
-	if !cp.EnqueueSignal(ev) {
-		for cp.DrainSignaling(0) > 0 {
-		}
-		cp.EnqueueSignal(ev)
+	if !cp.sigQ.Enqueue(ev) {
+		cp.exec(func() {
+			for cp.DrainSignaling(0) > 0 {
+			}
+			_ = cp.apply(ev)
+		})
 	}
 	u.dirty[idx] = true
 	u.dirtyAny = true
@@ -369,7 +376,8 @@ func (u *UPF) handleEstablishment(m *pfcp.Message, dst []byte) []byte {
 			b.MBRUplink = q.MBRUplinkKbps * 1000
 			b.MBRDownlink = q.MBRDownlinkKbps * 1000
 		}
-		if err := cp.AddDedicatedBearer(imsi, b); err != nil {
+		cp.exec(func() { err = cp.AddDedicatedBearer(imsi, b) })
+		if err != nil {
 			u.teardown(s)
 			return u.sessionReject(resp, m.Seq, req.FSEID, pfcp.CauseRequestRejected, dst)
 		}

@@ -92,18 +92,21 @@ func (n *Node) Scheduler() *Scheduler { return n.sched }
 func (n *Node) Proxy() *Proxy { return n.proxy }
 
 // AttachUser runs the attach procedure on slice sliceIdx and registers
-// the resulting identifiers with the demux.
+// the resulting identifiers with the demux, both as the slice's control
+// thread (any goroutine may call it).
 func (n *Node) AttachUser(sliceIdx int, spec AttachSpec) (AttachResult, error) {
 	s := n.Slice(sliceIdx)
 	if s == nil {
 		return AttachResult{}, fmt.Errorf("core: no slice %d", sliceIdx)
 	}
-	res, err := s.ctrl.Attach(spec)
-	if err != nil {
-		return res, err
-	}
-	n.demux.Register(res.UplinkTEID, res.UEAddr, spec.IMSI, sliceIdx)
-	return res, nil
+	var res AttachResult
+	var err error
+	s.ctrl.exec(func() {
+		if res, err = s.ctrl.Attach(spec); err == nil {
+			n.demux.Register(res.UplinkTEID, res.UEAddr, spec.IMSI, sliceIdx)
+		}
+	})
+	return res, err
 }
 
 // ServeS1AP binds an S1AP server to slice sliceIdx with demux
@@ -433,9 +436,8 @@ func (sc *Scheduler) MigrateUser(imsi uint64, src, dst int) error {
 	d.put(down, int32(src), &migBuffer{})
 	d.mu.Unlock()
 
-	// 2. Extract from the source slice (snapshot + delete). The request
-	// executes on the source control thread when its loop is running, so
-	// the single-writer rule holds.
+	// 2. Extract from the source slice (snapshot + delete), as the source
+	// slice's control thread.
 	var cs state.ControlState
 	var cnt state.CounterState
 	var lv state.QoSLevels
@@ -460,7 +462,7 @@ func (sc *Scheduler) MigrateUser(imsi uint64, src, dst int) error {
 		err = state.UnmarshalSnapshotLevels(msg.Data[:], &cs2, &cnt2, &lv2)
 	}
 
-	// 3. Install into the target slice (on its control thread).
+	// 3. Install into the target slice, as its control thread.
 	if err == nil {
 		n.slices[dst].ctrl.exec(func() {
 			err = n.slices[dst].ctrl.installLevels(cs2, cnt2, lv2, sim.Now())
@@ -595,16 +597,16 @@ func (n *Node) DetachUser(sliceIdx int, imsi uint64) error {
 	if s == nil {
 		return ErrSliceRange
 	}
-	ue := s.ctrl.Lookup(imsi)
-	if ue == nil {
-		return ErrUserUnknown
-	}
-	teid, ueIP := ueKeys(ue)
-	var err error
-	s.ctrl.exec(func() { err = s.ctrl.Detach(imsi) })
-	if err != nil {
-		return err
-	}
-	n.demux.Unregister(teid, ueIP, imsi)
-	return nil
+	err := ErrUserUnknown
+	s.ctrl.exec(func() {
+		ue := s.ctrl.Lookup(imsi)
+		if ue == nil {
+			return
+		}
+		teid, ueIP := ueKeys(ue)
+		if err = s.ctrl.Detach(imsi); err == nil {
+			n.demux.Unregister(teid, ueIP, imsi)
+		}
+	})
+	return err
 }

@@ -167,17 +167,6 @@ func (p *Proxy) SetPolicy(pol CallPolicy) {
 	p.policy.Store(&pol)
 }
 
-// ClearPolicy reverts to the legacy unbounded path.
-func (p *Proxy) ClearPolicy() { p.policy.Store(nil) }
-
-// Policy returns the active policy (zero value when none).
-func (p *Proxy) Policy() CallPolicy {
-	if pol := p.policy.Load(); pol != nil {
-		return *pol
-	}
-	return CallPolicy{}
-}
-
 // SetS6aFaults installs a fault injector on the HSS path (nil removes).
 func (p *Proxy) SetS6aFaults(inj *fault.Injector) { p.s6aFaults.Store(inj) }
 
@@ -187,9 +176,6 @@ func (p *Proxy) SetGxFaults(inj *fault.Injector) { p.gxFaults.Store(inj) }
 // GxAvailable reports whether the Gx breaker admits calls — the control
 // thread's gate for repairing degraded attaches after a PCRF outage.
 func (p *Proxy) GxAvailable() bool { return !p.gxBreaker.open() }
-
-// S6aAvailable reports whether the S6a breaker admits calls.
-func (p *Proxy) S6aAvailable() bool { return !p.s6aBreaker.open() }
 
 // ProxyStats is a snapshot of the proxy's robustness counters.
 type ProxyStats struct {

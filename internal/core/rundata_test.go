@@ -97,20 +97,22 @@ func TestRunDataWake(t *testing.T) {
 		t.Fatal("QoS levels not carried: the extract fence timed out on a parked data thread")
 	}
 
-	// Back to slice 0, serving its control command by hand so a packet
-	// can be steered while the user is in flight: it waits in the
-	// migration buffer and is handed to slice 0's ring after the install.
+	// Back to slice 0 while the test holds slice 0's control lock, so
+	// the user is in flight — extracted from slice 1, its install waiting
+	// for the lock — when a packet is steered: it waits in the migration
+	// buffer and is handed to slice 0's ring after the install.
 	waitParked(t, s0)
-	s0.ctrl.loopRunning.Store(true)
+	s0.ctrl.mu.Lock()
 	migrated := make(chan error, 1)
 	go func() { migrated <- n.Scheduler().MigrateUser(1, 1, 0) }()
-	install := <-s0.ctrlCmds
+	waitUntil(t, "the user to leave slice 1", func() bool {
+		return n.Demux().lookup(keyOf(res.UplinkTEID, true)) == steerMigrating && s1.Control().Lookup(1) == nil
+	})
 	n.SteerUplink(buildUplink(pool, res.UplinkTEID, res.UEAddr, 1, s0.Config().CoreAddr, 80))
 	if got := n.Demux().Buffered.Load(); got != 1 {
 		t.Fatalf("buffered = %d, want the in-flight packet", got)
 	}
-	install()
-	s0.ctrl.loopRunning.Store(false)
+	s0.ctrl.mu.Unlock()
 	if err := <-migrated; err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,9 @@ import (
 // ... and NAS messages ... We presently only have support for handling
 // the attach procedure over S1AP/NAS"), plus X2 path switch and UE
 // context release, which map onto the control plane's handover and
-// detach operations.
+// detach operations. Several associations may share a slice: each state
+// change runs through the slice's exec, and each reply leaves after it,
+// outside the lock.
 type S1APServer struct {
 	cp    *ControlPlane
 	assoc *sctp.Assoc
@@ -216,10 +218,16 @@ func (srv *S1APServer) onUplinkNAS(pdu *s1ap.PDU) error {
 	case hdr.Type == nas.MsgSecurityModeComplete && sess.state == awaitingSecurityMode:
 		// Security established: create the consolidated user state and
 		// set up the eNodeB context (attach accept rides inside).
-		res, err := srv.cp.Attach(AttachSpec{
-			IMSI: sess.imsi,
-			TAI:  sess.tai,
-			ECGI: sess.ecgi,
+		var res AttachResult
+		srv.cp.exec(func() {
+			res, err = srv.cp.Attach(AttachSpec{
+				IMSI: sess.imsi,
+				TAI:  sess.tai,
+				ECGI: sess.ecgi,
+			})
+			if err == nil && srv.registrar != nil {
+				srv.registrar(res.UplinkTEID, res.UEAddr, sess.imsi, true)
+			}
 		})
 		if err != nil {
 			delete(srv.sessions, m.ENBUEID)
@@ -228,9 +236,6 @@ func (srv *S1APServer) onUplinkNAS(pdu *s1ap.PDU) error {
 		}
 		sess.res = res
 		sess.state = awaitingContextSetup
-		if srv.registrar != nil {
-			srv.registrar(res.UplinkTEID, res.UEAddr, sess.imsi, true)
-		}
 		esm := (&nas.ActivateDefaultBearerRequest{
 			EBI: 5, QCI: 9, UEAddr: res.UEAddr,
 		}).Marshal()
@@ -269,15 +274,22 @@ func (srv *S1APServer) onContextSetupResponse(pdu *s1ap.PDU) error {
 	if !ok || sess.state != awaitingContextSetup {
 		return fmt.Errorf("core: unexpected context setup response for %d", m.ENBUEID)
 	}
-	ue := srv.cp.Lookup(sess.imsi)
-	if ue == nil {
-		return ErrUserUnknown
-	}
-	ue.WriteCtrl(func(c *state.ControlState) {
-		c.DownlinkTEID = m.DownlinkTEID
-		c.ENBAddr = m.ENBAddr
-		c.LastActive = sim.Now()
+	err = ErrUserUnknown
+	srv.cp.exec(func() {
+		ue := srv.cp.Lookup(sess.imsi)
+		if ue == nil {
+			return
+		}
+		ue.WriteCtrl(func(c *state.ControlState) {
+			c.DownlinkTEID = m.DownlinkTEID
+			c.ENBAddr = m.ENBAddr
+			c.LastActive = sim.Now()
+		})
+		err = nil
 	})
+	if err != nil {
+		return err
+	}
 	sess.state = awaitingAttachComplete
 	return nil
 }
@@ -292,7 +304,8 @@ func (srv *S1APServer) onPathSwitch(pdu *s1ap.PDU) error {
 	if !ok {
 		return fmt.Errorf("core: path switch for unknown MME UE id %d", m.MMEUEID)
 	}
-	if err := srv.cp.S1Handover(imsi, m.ENBAddr, m.DownlinkTEID, m.ECGI); err != nil {
+	srv.cp.exec(func() { err = srv.cp.S1Handover(imsi, m.ENBAddr, m.DownlinkTEID, m.ECGI) })
+	if err != nil {
 		return err
 	}
 	ack := &s1ap.PathSwitchAck{MMEUEID: m.MMEUEID, ENBUEID: m.ENBUEID}
@@ -334,7 +347,8 @@ func (srv *S1APServer) onHandoverNotify(pdu *s1ap.PDU) error {
 	if !ok {
 		return fmt.Errorf("core: handover notify for unknown MME UE id %d", m.MMEUEID)
 	}
-	return srv.cp.S1Handover(imsi, m.ENBAddr, m.DownlinkTEID, m.ECGI)
+	srv.cp.exec(func() { err = srv.cp.S1Handover(imsi, m.ENBAddr, m.DownlinkTEID, m.ECGI) })
+	return err
 }
 
 func be32(v uint32) []byte {
@@ -352,12 +366,12 @@ func (srv *S1APServer) onContextRelease(pdu *s1ap.PDU) error {
 		return fmt.Errorf("core: release for unknown MME UE id %d", m.MMEUEID)
 	}
 	delete(srv.imsiByMME, m.MMEUEID)
-	if srv.registrar != nil {
-		ue := srv.cp.Lookup(imsi)
-		if ue != nil {
+	srv.cp.exec(func() {
+		if ue := srv.cp.Lookup(imsi); ue != nil && srv.registrar != nil {
 			teid, ueIP := ueKeys(ue)
 			srv.registrar(teid, ueIP, imsi, false)
 		}
-	}
-	return srv.cp.Detach(imsi)
+		err = srv.cp.Detach(imsi)
+	})
+	return err
 }

@@ -13,7 +13,9 @@ import (
 // the group — the control-plane mirror of the data plane's staged batch
 // pipeline. Grouping only coalesces *consecutive* runs of one kind, so
 // the per-user ordering of mixed procedures (attach before handover
-// before detach) is preserved exactly as submitted.
+// before detach) is preserved exactly as submitted. A procedure called
+// directly (AttachEvent, S1Handover, Detach) runs the same code as a run
+// of one event (apply), so each procedure's state writes exist once.
 
 // SigKind identifies a batched signaling procedure.
 type SigKind uint8
@@ -48,16 +50,13 @@ type SigEvent struct {
 }
 
 // EnqueueSignal submits a signaling event to the control thread's ring,
-// waking the control loop. Any thread may call it. Returns false (and
-// counts the drop) when the ring is full — backpressure toward the RAN.
+// where it waits for the next DrainSignaling. Any thread may call it.
+// Returns false (and counts the drop) when the ring is full —
+// backpressure toward the RAN.
 func (cp *ControlPlane) EnqueueSignal(ev SigEvent) bool {
 	if !cp.sigQ.Enqueue(ev) {
 		cp.SigDrops.Add(1)
 		return false
-	}
-	select {
-	case cp.sigNotify <- struct{}{}:
-	default:
 	}
 	return true
 }
@@ -84,25 +83,43 @@ func (cp *ControlPlane) DrainSignaling(max int) int {
 		for j < n && evs[j].Kind == evs[i].Kind {
 			j++
 		}
-		run := evs[i:j]
-		switch evs[i].Kind {
-		case SigAttachEvent:
-			cp.attachEventBatch(run)
-		case SigS1Handover:
-			cp.s1HandoverBatch(run)
-		case SigDetach:
-			cp.detachBatch(run)
-		case SigQoSUpdate:
-			cp.qosUpdateBatch(run)
-		}
+		cp.run(evs[i:j])
 		i = j
 	}
 	return n
 }
 
+// apply executes one event on the spot, as a run of one: the entry of
+// the procedures called directly. It returns ErrUserUnknown when the
+// event's user is not on the slice. Control thread only.
+func (cp *ControlPlane) apply(ev SigEvent) error {
+	evs := cp.sigScratch[:1]
+	evs[0] = ev
+	if cp.run(evs) == 0 {
+		return ErrUserUnknown
+	}
+	return nil
+}
+
+// run executes a run of events of one kind as one grouped procedure and
+// returns how many of their users it found.
+func (cp *ControlPlane) run(evs []SigEvent) int {
+	switch evs[0].Kind {
+	case SigAttachEvent:
+		return cp.attachEventBatch(evs)
+	case SigS1Handover:
+		return cp.s1HandoverBatch(evs)
+	case SigDetach:
+		return cp.detachBatch(evs)
+	case SigQoSUpdate:
+		return cp.qosUpdateBatch(evs)
+	}
+	return 0
+}
+
 // attachEventBatch executes a run of attach events: one batched IMSI
 // lookup, per-user control writes, one batched update push.
-func (cp *ControlPlane) attachEventBatch(run []SigEvent) {
+func (cp *ControlPlane) attachEventBatch(run []SigEvent) int {
 	for i := range run {
 		cp.sigIMSIs[i] = run[i].IMSI
 	}
@@ -134,12 +151,13 @@ func (cp *ControlPlane) attachEventBatch(run []SigEvent) {
 	cp.s.pushUpdates(upd...)
 	cp.updScratch = upd[:0]
 	cp.Attaches.Add(uint64(done))
+	return done
 }
 
 // s1HandoverBatch executes a run of S1 handovers: one batched IMSI
 // lookup, then per-user tunnel rewrites. Handovers touch no index, so
 // there is nothing to push.
-func (cp *ControlPlane) s1HandoverBatch(run []SigEvent) {
+func (cp *ControlPlane) s1HandoverBatch(run []SigEvent) int {
 	for i := range run {
 		cp.sigIMSIs[i] = run[i].IMSI
 	}
@@ -161,13 +179,14 @@ func (cp *ControlPlane) s1HandoverBatch(run []SigEvent) {
 		done++
 	}
 	cp.Handovers.Add(uint64(done))
+	return done
 }
 
 // qosUpdateBatch executes a run of QoS updates: one batched IMSI
 // lookup, then per-user AMBR rewrites. Like handovers these touch no
 // index; the control-write epoch bump makes the data plane rebuild the
 // user's token buckets from the new bounds at its next packet.
-func (cp *ControlPlane) qosUpdateBatch(run []SigEvent) {
+func (cp *ControlPlane) qosUpdateBatch(run []SigEvent) int {
 	for i := range run {
 		cp.sigIMSIs[i] = run[i].IMSI
 	}
@@ -188,12 +207,13 @@ func (cp *ControlPlane) qosUpdateBatch(run []SigEvent) {
 		done++
 	}
 	cp.QoSUpdates.Add(uint64(done))
+	return done
 }
 
 // detachBatch executes a run of detaches: one batched index removal,
 // one batched update push, one batched Gx termination toward the PCRF,
 // and the contexts parked on the free list for recycling.
-func (cp *ControlPlane) detachBatch(run []SigEvent) {
+func (cp *ControlPlane) detachBatch(run []SigEvent) int {
 	for i := range run {
 		cp.sigIMSIs[i] = run[i].IMSI
 	}
@@ -222,4 +242,5 @@ func (cp *ControlPlane) detachBatch(run []SigEvent) {
 		_ = cp.proxy.TerminateGxSessionBatch(cp.sigIMSIs[:term])
 	}
 	cp.Detaches.Add(uint64(term))
+	return term
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // applyInline executes a signaling event through the per-procedure entry
-// points (the pre-batching path).
+// points, one event at a time.
 func applyInline(cp *ControlPlane, ev SigEvent) {
 	switch ev.Kind {
 	case SigAttachEvent:

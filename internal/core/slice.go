@@ -121,13 +121,6 @@ type Slice struct {
 	// waker reaches a data thread that blocks when idle (nil while the
 	// data thread polls or the caller drives both planes); see Waker.
 	waker atomic.Pointer[Waker]
-
-	// ctrlCmds is the migration/command channel between the node
-	// scheduler and the slice control thread (Listing 1's
-	// from_node_sched/to_node_sched pair): when the control loop runs,
-	// scheduler-initiated work (state transfers) executes on the control
-	// thread through it.
-	ctrlCmds chan func()
 }
 
 // NewSlice builds a slice. The returned slice is passive: drive the data
@@ -143,7 +136,6 @@ func NewSlice(cfg SliceConfig) *Slice {
 		Uplink:    ring.MustMPSC[*pkt.Buf](cfg.RingCapacity),
 		Downlink:  ring.MustMPSC[*pkt.Buf](cfg.RingCapacity),
 		Egress:    ring.MustSPSC[*pkt.Buf](cfg.RingCapacity),
-		ctrlCmds:  make(chan func(), 256),
 	}
 	switch cfg.TableMode {
 	case TableTwoLevel:

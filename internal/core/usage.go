@@ -1,18 +1,15 @@
 package core
 
 import (
-	"time"
-
 	"pepc/internal/charging"
-	"pepc/internal/sim"
 	"pepc/internal/state"
 )
 
-// Periodic usage reporting (§3.2: the control thread "communicat[es]
-// usage statistics back to the PCRF (this involves reading the user's
-// counter state)"). The reporter walks the slice's users in rounds,
-// closing each user's charging interval and emitting a CDR; when a proxy
-// is attached, busy intervals also produce Gx usage updates. Reading
+// Usage reporting (§3.2: the control thread "communicat[es] usage
+// statistics back to the PCRF (this involves reading the user's counter
+// state)"). A collection round walks the slice's users, closing each
+// user's charging interval and emitting a CDR; when a proxy is attached,
+// busy intervals also produce Gx usage updates. Reading
 // counters takes only the per-user read lock, so the data thread is
 // never stalled — the isolation property the lock split buys.
 
@@ -46,26 +43,4 @@ func (cp *ControlPlane) CollectAllUsage(now int64) []UsageReport {
 		return true
 	})
 	return out
-}
-
-// RunUsageReporting runs periodic collection until stop closes, invoking
-// sink with each round's busy CDRs. It is typically run alongside
-// RunCtrl on the control core.
-func (cp *ControlPlane) RunUsageReporting(stop <-chan struct{}, every time.Duration, sink func([]UsageReport)) {
-	if every <= 0 {
-		every = time.Second
-	}
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-			reports := cp.CollectAllUsage(sim.Now())
-			if sink != nil && len(reports) > 0 {
-				sink(reports)
-			}
-		}
-	}
 }

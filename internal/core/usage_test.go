@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"pepc/internal/hss"
 	"pepc/internal/pcrf"
@@ -51,35 +50,4 @@ func TestCollectAllUsage(t *testing.T) {
 	if reports := s.Control().CollectAllUsage(sim.Now()); len(reports) != 0 {
 		t.Fatalf("idle round produced %d reports", len(reports))
 	}
-}
-
-func TestRunUsageReporting(t *testing.T) {
-	s := NewSlice(SliceConfig{ID: 2, UserHint: 16})
-	res, err := s.Control().Attach(AttachSpec{IMSI: 9, ENBAddr: 1, DownlinkTEID: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Data().SyncUpdates()
-	pool := pkt.NewPool(2048, 128)
-	b := buildUplink(pool, res.UplinkTEID, res.UEAddr, 1, s.Config().CoreAddr, 80)
-	s.Data().ProcessUplinkBatch([]*pkt.Buf{b}, sim.Now())
-	drainEgress(s)
-
-	stop := make(chan struct{})
-	got := make(chan []UsageReport, 4)
-	go s.Control().RunUsageReporting(stop, 5*time.Millisecond, func(r []UsageReport) {
-		select {
-		case got <- r:
-		default:
-		}
-	})
-	select {
-	case reports := <-got:
-		if reports[0].CDR.Delta.UplinkPackets != 1 {
-			t.Fatalf("reported: %+v", reports[0].CDR.Delta)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no usage report emitted")
-	}
-	close(stop)
 }

@@ -9,20 +9,20 @@ import (
 type runner func(Scale) (Result, error)
 
 var registry = map[string]runner{
-	"table1": func(Scale) (Result, error) { return Table1(), nil },
-	"table2": func(Scale) (Result, error) { return Table2(), nil },
-	"fig4":   Fig4,
-	"fig5":   Fig5,
-	"fig6":   Fig6,
-	"fig7":   Fig7,
-	"fig8":   Fig8,
-	"fig9":   Fig9,
-	"fig10":  Fig10,
-	"fig11":  Fig11,
-	"fig12":  Fig12,
-	"fig13":  Fig13,
-	"fig14":  Fig14,
-	"fig15":  Fig15,
+	"table1":  func(Scale) (Result, error) { return Table1(), nil },
+	"table2":  func(Scale) (Result, error) { return Table2(), nil },
+	"fig4":    Fig4,
+	"fig5":    Fig5,
+	"fig6":    Fig6,
+	"fig7":    Fig7,
+	"fig8":    Fig8,
+	"fig9":    Fig9,
+	"fig10":   Fig10,
+	"fig11":   Fig11,
+	"fig12":   Fig12,
+	"fig13":   Fig13,
+	"fig14":   Fig14,
+	"fig15":   Fig15,
 	"faults":  Faults,
 	"sockio":  Sockio,
 	"cluster": ClusterFig,

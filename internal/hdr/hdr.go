@@ -172,27 +172,6 @@ func (h *Histogram) Max() uint64 {
 	return 0
 }
 
-// Mean returns the average in nanoseconds, reconstructed from bucket
-// midpoints (error bounded by half a bucket width, i.e. ≤1/32
-// relative).
-func (h *Histogram) Mean() float64 {
-	var n uint64
-	var sum float64
-	for i := range h.counts {
-		c := atomic.LoadUint64(&h.counts[i])
-		if c == 0 {
-			continue
-		}
-		n += c
-		mid := float64(BucketLow(i)) + float64(BucketHigh(i)-BucketLow(i))/2
-		sum += float64(c) * mid
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // Percentile returns the value at or below which p percent (0–100) of
 // samples fall, as the upper edge of the rank-holding bucket. Zero
 // when empty.

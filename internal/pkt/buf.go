@@ -317,9 +317,6 @@ func NewPool(size, headroom int) *Pool {
 	}
 }
 
-// BufSize returns the pool's buffer capacity in bytes.
-func (pl *Pool) BufSize() int { return pl.size }
-
 func (pl *Pool) newBuf() *Buf {
 	b := NewBuf(pl.size, pl.headroom)
 	b.pool = pl

@@ -148,19 +148,6 @@ func lookup(s Series, x float64) (float64, bool) {
 	return 0, false
 }
 
-// FormatPoints renders a point list as "x=y x=y ..." for notes that
-// carry a secondary series (e.g. a Gbps view of an Mpps sweep).
-func FormatPoints(pts []Point) string {
-	var b strings.Builder
-	for i, p := range pts {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%.3f", FormatQty(p.X), p.Y)
-	}
-	return b.String()
-}
-
 // FormatQty renders 1500000 as "1.5M" etc. for axis labels.
 func FormatQty(v float64) string {
 	switch {

@@ -61,15 +61,15 @@ type sockFprog struct {
 func flowSteerProg(n int) []sockFilter {
 	k := uint32(n)
 	return []sockFilter{
-		{code: bpfLdBAbs, k: 0},                     // A = version|IHL
-		{code: bpfJmpJeqK, jt: 0, jf: 4, k: 0x45},   // option-free IPv4? : dst branch
-		{code: bpfLdBAbs, k: 9},                     // A = protocol
-		{code: bpfJmpJeqK, jt: 0, jf: 2, k: 17},     // UDP? : dst branch
-		{code: bpfLdHAbs, k: 22},                    // A = outer UDP dst port
-		{code: bpfJmpJeqK, jt: 2, jf: 0, k: 2152},   // GTP-U? TEID branch : dst branch
-		{code: bpfLdWAbs, k: 16},                    // A = IPv4 dst addr
-		{code: bpfJmpJA, k: 1},                      // skip TEID load
-		{code: bpfLdWAbs, k: 32},                    // A = outer TEID
+		{code: bpfLdBAbs, k: 0},                   // A = version|IHL
+		{code: bpfJmpJeqK, jt: 0, jf: 4, k: 0x45}, // option-free IPv4? : dst branch
+		{code: bpfLdBAbs, k: 9},                   // A = protocol
+		{code: bpfJmpJeqK, jt: 0, jf: 2, k: 17},   // UDP? : dst branch
+		{code: bpfLdHAbs, k: 22},                  // A = outer UDP dst port
+		{code: bpfJmpJeqK, jt: 2, jf: 0, k: 2152}, // GTP-U? TEID branch : dst branch
+		{code: bpfLdWAbs, k: 16},                  // A = IPv4 dst addr
+		{code: bpfJmpJA, k: 1},                    // skip TEID load
+		{code: bpfLdWAbs, k: 32},                  // A = outer TEID
 		{code: bpfAluModK, k: k},
 		{code: bpfRetA},
 	}

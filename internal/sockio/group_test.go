@@ -20,13 +20,13 @@ func gtpPayload(teid uint32, tail byte) []byte {
 	p[0] = 0x45
 	binary.BigEndian.PutUint16(p[2:4], uint16(len(p)))
 	p[9] = pkt.ProtoUDP
-	binary.BigEndian.PutUint32(p[12:16], 0xC0A83201)             // outer src (eNB)
-	binary.BigEndian.PutUint32(p[16:20], 0x0A000001)             // outer dst (core)
-	binary.BigEndian.PutUint16(p[20:22], 2152)                   // UDP src port
-	binary.BigEndian.PutUint16(p[22:24], 2152)                   // UDP dst port (GTP-U)
+	binary.BigEndian.PutUint32(p[12:16], 0xC0A83201) // outer src (eNB)
+	binary.BigEndian.PutUint32(p[16:20], 0x0A000001) // outer dst (core)
+	binary.BigEndian.PutUint16(p[20:22], 2152)       // UDP src port
+	binary.BigEndian.PutUint16(p[22:24], 2152)       // UDP dst port (GTP-U)
 	binary.BigEndian.PutUint16(p[24:26], uint16(len(p)-pkt.IPv4HeaderLen))
-	p[28] = 0x30                                                 // GTP-U v1 flags
-	p[29] = 0xff                                                 // G-PDU
+	p[28] = 0x30 // GTP-U v1 flags
+	p[29] = 0xff // G-PDU
 	binary.BigEndian.PutUint16(p[30:32], 4)
 	binary.BigEndian.PutUint32(p[32:36], teid)
 	p[len(p)-1] = tail

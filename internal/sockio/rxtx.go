@@ -64,8 +64,9 @@ func (r *Receiver) StampRx(on bool) { r.stamp = on }
 // next Recv are recycled. Blocks per the conn's read deadline.
 func (r *Receiver) Recv() (int, error) { return r.recv(true) }
 
-// Poll is Recv that never waits (Conn.PollBatch): 0 datagrams and a nil
-// error mean the socket is empty right now.
+// Poll is Recv that never waits: 0 datagrams and a nil error mean the
+// socket is empty right now. The portable substrate cannot poll and
+// always reports nothing queued.
 func (r *Receiver) Poll() (int, error) { return r.recv(false) }
 
 func (r *Receiver) recv(wait bool) (int, error) {

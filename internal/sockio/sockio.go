@@ -61,7 +61,8 @@ type StatsSnapshot struct {
 }
 
 // Conn is a UDP socket with vectorized batch I/O. At most one goroutine
-// may read (ReadBatch/PollBatch) and one WriteBatch concurrently;
+// may read (ReadBatch, or a Receiver's Recv/Poll) and one WriteBatch
+// concurrently;
 // WriteBatch itself is internally serialized so several senders may
 // share one socket.
 type Conn struct {
@@ -119,11 +120,6 @@ func (c *Conn) Close() error { return c.uc.Close() }
 // returns the count; ms[i].N and ms[i].Addr describe each datagram.
 // Allocation free in the steady state.
 func (c *Conn) ReadBatch(ms []Message) (int, error) { return c.read(ms, true) }
-
-// PollBatch is ReadBatch that never waits: with nothing queued it
-// returns (0, nil) at once, for a loop with other work pending. The
-// portable substrate cannot poll and always reports nothing queued.
-func (c *Conn) PollBatch(ms []Message) (int, error) { return c.read(ms, false) }
 
 func (c *Conn) read(ms []Message, wait bool) (int, error) {
 	if len(ms) == 0 {

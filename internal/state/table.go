@@ -80,9 +80,6 @@ func NewTable(mode LockMode, sizeHint int) *Table {
 	}
 }
 
-// Mode returns the table's lock mode.
-func (t *Table) Mode() LockMode { return t.mode }
-
 // Len returns the number of users in the table.
 func (t *Table) Len() int {
 	t.lockIdxR()

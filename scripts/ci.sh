@@ -1,6 +1,6 @@
 #!/bin/sh
 # ci.sh — the checks every PR must pass, in the order they fail fastest:
-# build, vet, the full test suite, then the race detector over the
+# formatting, build, vet, the full test suite, then the race detector over the
 # packages that carry the single-writer lock discipline (internal/core's
 # data/control split and parked data thread, internal/lane's socket loop
 # and internal/state's table modes), so a concurrency regression is
@@ -8,6 +8,16 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# Formatting: every Go file is gofmt-clean (the benchmark's build
+# directory holds no source of ours and is skipped).
+echo "== gofmt -l ."
+unformatted=$(gofmt -l . | grep -v '^\.bench_build/' || true)
+if [ -n "$unformatted" ]; then
+	echo "$unformatted"
+	echo "files above are not gofmt-clean" >&2
+	exit 1
+fi
 
 echo "== go build ./..."
 go build ./...
@@ -26,6 +36,14 @@ go test -race ./internal/core/ ./internal/lane/ ./internal/state/ ./internal/soc
 # the route model and the migration tests, 20 times under the detector.
 echo "== steer vs migration x20 (-race)"
 go test -race -run 'TestSteer|TestDemuxRoutes|TestMigration' -count=20 ./internal/core/
+
+# One control writer per slice: four goroutines attach and detach through
+# the node's entries on one slice (the allocator, free list and counters
+# must come out exact), and the daemon takes four eNodeB associations and
+# an SMF against one slice at once — 20 and 5 times under the detector.
+echo "== concurrent control producers (-race)"
+go test -race -run 'TestControlEntriesSerialize' -count=20 ./internal/core/
+go test -race -run 'TestPepcdConcurrentControl' -count=5 ./cmd/pepcd/
 
 # Cluster e2e under the race detector: a 2-node cluster taking an attach
 # storm and live steering concurrently with add/remove/kill/recover
@@ -106,7 +124,11 @@ done
 # population sweep (the pointer layout is the only one), and the
 # mirrored per-direction data-path stages, limiter methods and latency
 # accessors (one direction-parameterised stage replaced them) with the
-# batch lookups the hot-half lookups superseded; nothing outside the
+# batch lookups the hot-half lookups superseded, and the slice control
+# loop nobody started with its command channel and usage ticker (the
+# slice's control lock replaced them) and the exported API nothing
+# called (cluster ingress stamping, non-blocking batch reads, proxy
+# policy readback and S6a breaker probe, point-list formatting); nothing outside the
 # project history (and the config test proving the JSON keys are
 # rejected, and one comment in the benchmark, which is frozen) may still
 # name them.
@@ -119,6 +141,7 @@ retired="$retired|StateLayout|state_layout|LayoutHandle|LayoutPointer|NewArena|H
 retired="$retired|NewHandleIndexes|NewTwoLevelHandles|Fig14Mode|fig14Population"
 retired="$retired|uplinkChunk|downlinkChunk|uplinkRun|downlinkRun|\bAllowUplink\b|\bAllowDownlink(Run)?\b"
 retired="$retired|DataPath(TEID|IP)Batch|\.LookupBatch\b|U(32|64)Map\.GetBatch|LatencyUplink|LatencyDownlink|ResetLatency"
+retired="$retired|RunCtrl|ctrlCmds|loopRunning|RunUsageReporting|StampIngress|PollBatch|ClearPolicy|S6aAvailable|FormatPoints"
 if grep -rnE -e "$retired" --include='*.go' --include='*.sh' --include='*.md' --include=Makefile \
 	--exclude-dir=.git --exclude-dir=.bench_build . |
 	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:|^\./scripts/ci\.sh:|^\./internal/core/config_test\.go:' |
