@@ -443,26 +443,6 @@ func (p *Proxy) ReportUsage(imsi uint64, totalBytes uint64) error {
 	return nil
 }
 
-// TerminateGxSession closes a user's Gx session at detach.
-func (p *Proxy) TerminateGxSession(imsi uint64) error {
-	if p.pcrfHandler == nil {
-		return nil
-	}
-	p.Requests.Add(1)
-	hbh, e2e := p.ids()
-	req := diameter.NewRequest(diameter.CmdCreditControl, diameter.AppGx, hbh, e2e,
-		diameter.U64AVP(diameter.AVPUserName, imsi),
-		diameter.U32AVP(diameter.AVPCCRequestType, pcrf.CCRTermination))
-	ans, err := p.callGx(req)
-	if err != nil {
-		return err
-	}
-	if ans.ResultCode() != diameter.ResultSuccess {
-		return ErrBackendFail
-	}
-	return nil
-}
-
 // TerminateGxSessionBatch closes the Gx sessions of a detach batch in
 // one CCR-T round-trip carrying one User-Name AVP per user.
 func (p *Proxy) TerminateGxSessionBatch(imsis []uint64) error {

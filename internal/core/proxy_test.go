@@ -65,7 +65,7 @@ func TestProxyNoBackends(t *testing.T) {
 	if err := p.ReportUsage(1, 100); err != nil {
 		t.Fatalf("usage without pcrf: %v", err)
 	}
-	if err := p.TerminateGxSession(1); err != nil {
+	if err := p.TerminateGxSessionBatch([]uint64{1}); err != nil {
 		t.Fatalf("terminate without pcrf: %v", err)
 	}
 }
@@ -145,7 +145,7 @@ func TestProxyGxLifecycle(t *testing.T) {
 	if err := p.ReportUsage(2, 12345); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.TerminateGxSession(2); err != nil {
+	if err := p.TerminateGxSessionBatch([]uint64{2}); err != nil {
 		t.Fatal(err)
 	}
 	if policy.ActiveSessions() != 0 {

@@ -79,7 +79,8 @@ func NewS1APServer(cp *ControlPlane, assoc *sctp.Assoc) *S1APServer {
 	}
 }
 
-// SetRegistrar installs the demux registration callback.
+// SetRegistrar installs the demux registration callback. It runs under
+// the slice's control lock, so it must not call back into the slice.
 func (srv *S1APServer) SetRegistrar(fn func(teid, ueIP uint32, imsi uint64, register bool)) {
 	srv.registrar = fn
 }
@@ -274,21 +275,18 @@ func (srv *S1APServer) onContextSetupResponse(pdu *s1ap.PDU) error {
 	if !ok || sess.state != awaitingContextSetup {
 		return fmt.Errorf("core: unexpected context setup response for %d", m.ENBUEID)
 	}
-	err = ErrUserUnknown
+	var ue *state.UE
 	srv.cp.exec(func() {
-		ue := srv.cp.Lookup(sess.imsi)
-		if ue == nil {
-			return
+		if ue = srv.cp.Lookup(sess.imsi); ue != nil {
+			ue.WriteCtrl(func(c *state.ControlState) {
+				c.DownlinkTEID = m.DownlinkTEID
+				c.ENBAddr = m.ENBAddr
+				c.LastActive = sim.Now()
+			})
 		}
-		ue.WriteCtrl(func(c *state.ControlState) {
-			c.DownlinkTEID = m.DownlinkTEID
-			c.ENBAddr = m.ENBAddr
-			c.LastActive = sim.Now()
-		})
-		err = nil
 	})
-	if err != nil {
-		return err
+	if ue == nil {
+		return ErrUserUnknown
 	}
 	sess.state = awaitingAttachComplete
 	return nil

@@ -128,10 +128,10 @@ done
 # loop nobody started with its command channel and usage ticker (the
 # slice's control lock replaced them) and the exported API nothing
 # called (cluster ingress stamping, non-blocking batch reads, proxy
-# policy readback and S6a breaker probe, point-list formatting); nothing outside the
-# project history (and the config test proving the JSON keys are
-# rejected, and one comment in the benchmark, which is frozen) may still
-# name them.
+# policy readback and S6a breaker probe, point-list formatting); nothing
+# outside the project history (and the config test proving the JSON keys
+# are rejected, and one comment in the benchmark, which is frozen) may
+# still name them.
 echo "== dangling-reference guard"
 retired='benchdiff|BENCHDIFF_|bench/baseline|encap_mode|-fig8 pktsize'
 retired="$retired|idlePark|IdlePark|runQueueEgress|runGTPURx|FlushExpired|-linger"
