@@ -122,9 +122,9 @@ type member struct {
 	node *core.Node
 	// attachMu is the barrier between the node's control entry points
 	// (attach, detach, import/export) and membership changes: a reshape
-	// takes it to wait out every entry in flight. It no longer keeps the
-	// slices' writers apart; each slice serializes its own (the node's
-	// entries run under the slice's control lock, taken after attachMu).
+	// takes it to wait out every entry in flight. Each slice serializes
+	// its own writers: the node's entries run under the slice's control
+	// lock, taken after attachMu.
 	attachMu sync.Mutex
 	dead     atomic.Bool
 	// checkpoints holds the last CheckpointAll capture, one stream per
