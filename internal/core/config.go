@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/netip"
 
-	"pepc/internal/bpf"
 	"pepc/internal/pcef"
 	"pepc/internal/pkt"
 )
@@ -164,7 +163,7 @@ func (rs RuleSpec) rule() (pcef.Rule, error) {
 	default:
 		return r, fmt.Errorf("unknown action %q", rs.Action)
 	}
-	var f bpf.FilterSpec
+	var f pcef.FilterSpec
 	switch rs.Proto {
 	case "":
 	case "tcp":
@@ -192,11 +191,8 @@ func (rs RuleSpec) rule() (pcef.Rule, error) {
 	}
 	f.SrcPortLo, f.SrcPortHi = rs.SrcPortLo, rs.SrcPortHi
 	f.DstPortLo, f.DstPortHi = rs.DstPortLo, rs.DstPortHi
-	if f.SrcPortLo > f.SrcPortHi || f.DstPortLo > f.DstPortHi {
-		return r, fmt.Errorf("port range lo > hi")
-	}
 	r.Filter = f
-	return r, nil
+	return r, f.Validate()
 }
 
 // parseIPv4 parses a dotted-quad address into host order.

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pepc/internal/bpf"
 	"pepc/internal/pcef"
 	"pepc/internal/pfcp"
 	"pepc/internal/sockio"
@@ -49,7 +48,8 @@ import (
 const n4IMSIBase uint64 = 0x5F50 << 48
 
 // n4RuleBase keys the PCEF rules the UPF installs for QER gates, clear
-// of the PCRF's rule-id space.
+// of the PCRF's rule-id space: gate slot g owns n4RuleBase+2g (uplink)
+// and n4RuleBase+2g+1 (downlink).
 const n4RuleBase uint32 = 0x5F50_0000
 
 // n4Session is one PFCP session's binding onto a slice user.
@@ -60,8 +60,9 @@ type n4Session struct {
 	slice     int
 	teid      uint32 // uplink F-TEID, registered with the demux
 	ueAddr    uint32
-	bearers   uint8 // dedicated bearers installed from SDF filters
-	gateUL    bool  // PCEF drop rules currently installed
+	bearers   uint8  // dedicated bearers installed from SDF filters
+	gate      uint32 // gate-rule slot, 0 until a gate first closes
+	gateUL    bool   // PCEF drop rules currently installed
 	gateDL    bool
 }
 
@@ -87,6 +88,8 @@ type UPF struct {
 
 	nextSEID  uint64
 	nextSlice int
+	nextGate  uint32   // highest gate-rule slot handed out
+	freeGates []uint32 // slots released by deleted sessions
 	sessions  map[uint64]*n4Session
 	assoc     map[uint32]uint32 // SMF node id -> its recovery stamp
 
@@ -386,7 +389,10 @@ func (u *UPF) handleEstablishment(m *pfcp.Message, dst []byte) []byte {
 
 	// QER gates -> PCEF drop rules on the UE address.
 	if agg != nil {
-		u.setGates(s, agg.GateClosedUL, agg.GateClosedDL)
+		if err := u.setGates(s, agg.GateClosedUL, agg.GateClosedDL); err != nil {
+			u.teardown(s)
+			return u.sessionReject(resp, m.Seq, req.FSEID, pfcp.CauseRequestRejected, dst)
+		}
 	}
 
 	u.sessions[seid] = s
@@ -425,7 +431,9 @@ func (u *UPF) handleModification(m *pfcp.Message, dst []byte) []byte {
 			AMBRUplink:   q.MBRUplinkKbps * 1000,
 			AMBRDownlink: q.MBRDownlinkKbps * 1000,
 		})
-		u.setGates(s, q.GateClosedUL, q.GateClosedDL)
+		if err := u.setGates(s, q.GateClosedUL, q.GateClosedDL); err != nil {
+			return u.sessionReject(resp, m.Seq, s.smfSEID, pfcp.CauseRequestRejected, dst)
+		}
 	}
 	u.modified.Add(1)
 	r := pfcp.BuildSessionResponse(resp, m.Seq, s.smfSEID, pfcp.CauseAccepted, 0, 0)
@@ -452,6 +460,9 @@ func (u *UPF) handleDeletion(m *pfcp.Message, dst []byte) []byte {
 // steer to a user queued for removal.
 func (u *UPF) teardown(s *n4Session) {
 	u.setGates(s, false, false)
+	if s.gate != 0 {
+		u.freeGates = append(u.freeGates, s.gate)
+	}
 	u.node.Demux().Unregister(s.teid, s.ueAddr, s.imsi)
 	u.enqueue(s.slice, SigEvent{Kind: SigDetach, IMSI: s.imsi})
 }
@@ -459,16 +470,33 @@ func (u *UPF) teardown(s *n4Session) {
 // setGates reconciles the session's QER gate state with the slice PCEF:
 // a closed gate is a drop rule on the UE's address in that direction
 // (uplink inner packets source it, downlink packets are addressed to it).
-func (u *UPF) setGates(s *n4Session, closeUL, closeDL bool) {
+// The session takes a gate-rule slot the first time a gate closes and
+// keeps it until teardown, so no two live sessions share a rule id. A
+// rule the PCEF refuses leaves that gate open and is returned, for the
+// caller to reject the request.
+func (u *UPF) setGates(s *n4Session, closeUL, closeDL bool) error {
+	if s.gate == 0 {
+		if !closeUL && !closeDL {
+			return nil
+		}
+		if n := len(u.freeGates); n > 0 {
+			s.gate, u.freeGates = u.freeGates[n-1], u.freeGates[:n-1]
+		} else {
+			u.nextGate++
+			s.gate = u.nextGate
+		}
+	}
 	t := u.node.Slice(s.slice).PCEF()
-	ulID := n4RuleBase | uint32(s.localSEID)<<1
-	dlID := ulID | 1
+	ulID := n4RuleBase + s.gate<<1
+	dlID := ulID + 1
 	if closeUL != s.gateUL {
 		if closeUL {
-			t.Install(pcef.Rule{
+			if err := t.Install(pcef.Rule{
 				ID: ulID, Precedence: 1, Action: pcef.ActionDrop,
-				Filter: bpf.FilterSpec{SrcAddr: s.ueAddr, SrcPrefix: 32},
-			})
+				Filter: pcef.FilterSpec{SrcAddr: s.ueAddr, SrcPrefix: 32},
+			}); err != nil {
+				return err
+			}
 		} else {
 			t.Remove(ulID)
 		}
@@ -476,15 +504,18 @@ func (u *UPF) setGates(s *n4Session, closeUL, closeDL bool) {
 	}
 	if closeDL != s.gateDL {
 		if closeDL {
-			t.Install(pcef.Rule{
+			if err := t.Install(pcef.Rule{
 				ID: dlID, Precedence: 1, Action: pcef.ActionDrop,
-				Filter: bpf.FilterSpec{DstAddr: s.ueAddr, DstPrefix: 32},
-			})
+				Filter: pcef.FilterSpec{DstAddr: s.ueAddr, DstPrefix: 32},
+			}); err != nil {
+				return err
+			}
 		} else {
 			t.Remove(dlID)
 		}
 		s.gateDL = closeDL
 	}
+	return nil
 }
 
 // findQER returns the QER with the given id, the first QER when id is
@@ -504,11 +535,11 @@ func findQER(qers []pfcp.QER, id uint32) *pfcp.QER {
 	return nil
 }
 
-// filterFromFlowSpec converts a parsed SDF flow description to the bpf
-// filter the TFT machinery compiles. The grammar is downlink-oriented
-// (Src remote, Dst UE); mirror swaps the sides for uplink-detection
-// PDRs, and Assigned endpoints resolve to the session's UE address.
-func filterFromFlowSpec(fs *pfcp.FlowSpec, ueAddr uint32, mirror bool) bpf.FilterSpec {
+// filterFromFlowSpec converts a parsed SDF flow description to a bearer
+// TFT. The grammar is downlink-oriented (Src remote, Dst UE); mirror
+// swaps the sides for uplink-detection PDRs, and Assigned endpoints
+// resolve to the session's UE address.
+func filterFromFlowSpec(fs *pfcp.FlowSpec, ueAddr uint32, mirror bool) pcef.FilterSpec {
 	src, srcPfx := fs.SrcAddr, fs.SrcPrefix
 	if fs.SrcAssigned {
 		src = ueAddr
@@ -517,7 +548,7 @@ func filterFromFlowSpec(fs *pfcp.FlowSpec, ueAddr uint32, mirror bool) bpf.Filte
 	if fs.DstAssigned {
 		dst = ueAddr
 	}
-	f := bpf.FilterSpec{
+	f := pcef.FilterSpec{
 		Proto:     fs.Proto,
 		SrcAddr:   src,
 		SrcPrefix: srcPfx,

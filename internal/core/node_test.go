@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"pepc/internal/bpf"
 	"pepc/internal/enb"
 	"pepc/internal/hss"
 	"pepc/internal/pcef"
@@ -301,7 +300,7 @@ func TestFullS1APAttachOverSCTP(t *testing.T) {
 	policy := pcrf.New()
 	policy.SetDefaultRules([]pcef.Rule{{
 		ID: 1, Precedence: 1, Action: pcef.ActionDrop,
-		Filter: bpf.FilterSpec{Proto: pkt.ProtoTCP, DstPortLo: 25, DstPortHi: 25},
+		Filter: pcef.FilterSpec{Proto: pkt.ProtoTCP, DstPortLo: 25, DstPortHi: 25},
 	}})
 
 	n := NewNode(SliceConfig{ID: 1, UserHint: 64})
@@ -458,7 +457,7 @@ func TestPolicyPushReachesOwningSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 	rule := pcef.Rule{ID: 99, Precedence: 1, Action: pcef.ActionDrop,
-		Filter: bpf.FilterSpec{Proto: pkt.ProtoTCP, DstPortLo: 25, DstPortHi: 25}}
+		Filter: pcef.FilterSpec{Proto: pkt.ProtoTCP, DstPortLo: 25, DstPortHi: 25}}
 	if err := policy.Push(5, []pcef.Rule{rule}); err != nil {
 		t.Fatal(err)
 	}

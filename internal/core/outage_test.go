@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"pepc/internal/bpf"
 	"pepc/internal/fault"
 	"pepc/internal/hss"
 	"pepc/internal/pcef"
@@ -18,7 +17,7 @@ import (
 func outageRules() []pcef.Rule {
 	return []pcef.Rule{{
 		ID: 1, Precedence: 1, Action: pcef.ActionDrop,
-		Filter: bpf.FilterSpec{Proto: pkt.ProtoTCP, DstPortLo: 25, DstPortHi: 25},
+		Filter: pcef.FilterSpec{Proto: pkt.ProtoTCP, DstPortLo: 25, DstPortHi: 25},
 	}}
 }
 

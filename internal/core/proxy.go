@@ -35,10 +35,9 @@ type Proxy struct {
 	// no-deadline path. Swappable at runtime (tests flip it mid-storm).
 	policy atomic.Pointer[CallPolicy]
 
-	// s6aFaults/gxFaults optionally wrap the respective backend with a
-	// fault injector (drop/delay/error-answer per request).
-	s6aFaults atomic.Pointer[fault.Injector]
-	gxFaults  atomic.Pointer[fault.Injector]
+	// gxFaults optionally wraps the PCRF backend with a fault injector
+	// (drop/delay/error-answer per request).
+	gxFaults atomic.Pointer[fault.Injector]
 
 	// Per-backend breaker state.
 	s6aBreaker breaker
@@ -167,9 +166,6 @@ func (p *Proxy) SetPolicy(pol CallPolicy) {
 	p.policy.Store(&pol)
 }
 
-// SetS6aFaults installs a fault injector on the HSS path (nil removes).
-func (p *Proxy) SetS6aFaults(inj *fault.Injector) { p.s6aFaults.Store(inj) }
-
 // SetGxFaults installs a fault injector on the PCRF path (nil removes).
 func (p *Proxy) SetGxFaults(inj *fault.Injector) { p.gxFaults.Store(inj) }
 
@@ -296,7 +292,7 @@ func (p *Proxy) roundTrip(h diameter.Handler, br *breaker, inj *fault.Injector, 
 
 // callS6a runs one exchange against the HSS under the active policy.
 func (p *Proxy) callS6a(req *diameter.Message) (*diameter.Message, error) {
-	return p.roundTrip(p.hssHandler, &p.s6aBreaker, p.s6aFaults.Load(), req)
+	return p.roundTrip(p.hssHandler, &p.s6aBreaker, nil, req)
 }
 
 // callGx runs one exchange against the PCRF under the active policy.

@@ -231,8 +231,8 @@ func (s *Slice) ArenaLive() int { return -1 }
 // consults fault.RingOverflow on every enqueue (injected backpressure,
 // surfacing as SigDrops) and every RunPass consults fault.WorkerStall
 // before it dequeues. Call before the planes run; a nil injector
-// disarms. The Diameter-side faults are armed separately on the Proxy
-// (SetS6aFaults/SetGxFaults).
+// disarms. The Gx-side faults are armed separately on the Proxy
+// (SetGxFaults).
 func (s *Slice) SetFaults(inj *fault.Injector) {
 	s.faults = inj
 	if inj == nil {
@@ -241,6 +241,3 @@ func (s *Slice) SetFaults(inj *fault.Injector) {
 	}
 	s.ctrl.sigQ.FaultHook = func() bool { return inj.Fire(fault.RingOverflow) }
 }
-
-// Faults returns the slice's injector (nil when none is armed).
-func (s *Slice) Faults() *fault.Injector { return s.faults }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"pepc/internal/bpf"
 	"pepc/internal/core"
 	"pepc/internal/fault"
 	"pepc/internal/hss"
@@ -44,7 +43,7 @@ const soakDrainBudget = 250 * time.Millisecond
 func soakRules() []pcef.Rule {
 	return []pcef.Rule{{
 		ID: 1, Precedence: 1, Action: pcef.ActionDrop,
-		Filter: bpf.FilterSpec{Proto: pkt.ProtoTCP, DstPortLo: 25, DstPortHi: 25},
+		Filter: pcef.FilterSpec{Proto: pkt.ProtoTCP, DstPortLo: 25, DstPortHi: 25},
 	}}
 }
 

@@ -1,8 +1,10 @@
 // Package pcef implements the Policy and Charging Enforcement Function:
 // "a match-action table, consisting of BPF programs over the 5-tuple and
-// operator specified actions" (paper §4.2). Rules are installed by the
-// PCRF through the node proxy onto the slice control thread; the data
-// thread classifies each packet against the table and applies the first
+// operator specified actions" (paper §4.2). Here the programs are direct
+// 5-tuple filters (FilterSpec) evaluated on the flow the parse stage has
+// already extracted. Rules are installed by the PCRF through the node
+// proxy (or by the UPF for QER gates) onto the slice control side; the
+// data thread takes one Snapshot per batch and applies the first
 // matching rule's action.
 package pcef
 
@@ -12,9 +14,96 @@ import (
 	"sort"
 	"sync"
 
-	"pepc/internal/bpf"
 	"pepc/internal/pkt"
 )
+
+// FilterSpec describes a 5-tuple match over an inner IPv4 flow (the
+// packet as seen after GTP-U decapsulation). Zero-valued fields are
+// wildcards. Addresses use CIDR-style prefix lengths; ports use inclusive
+// ranges. The same type is a PCC rule's filter and a bearer's TFT.
+type FilterSpec struct {
+	// SrcAddr/DstAddr with prefix lengths; a prefix length of 0 matches
+	// any address.
+	SrcAddr   uint32
+	SrcPrefix uint8
+	DstAddr   uint32
+	DstPrefix uint8
+
+	// Proto of 0 matches any protocol.
+	Proto uint8
+
+	// Port ranges; a range of [0,0] matches any port. A port range only
+	// matches TCP or UDP flows.
+	SrcPortLo, SrcPortHi uint16
+	DstPortLo, DstPortHi uint16
+}
+
+// Filter validation errors.
+var (
+	ErrBadPrefix    = errors.New("pcef: prefix length must be 0..32")
+	ErrBadPortRange = errors.New("pcef: port range lo > hi")
+)
+
+// Validate rejects a prefix longer than 32 bits and a port range whose
+// low end exceeds its high end.
+func (spec FilterSpec) Validate() error {
+	if spec.SrcPrefix > 32 || spec.DstPrefix > 32 {
+		return ErrBadPrefix
+	}
+	if spec.SrcPortLo > spec.SrcPortHi || spec.DstPortLo > spec.DstPortHi {
+		return ErrBadPortRange
+	}
+	return nil
+}
+
+// MatchFlow reports whether the parsed 5-tuple f matches the spec.
+func (spec FilterSpec) MatchFlow(f pkt.Flow) bool {
+	if spec.Proto != 0 && f.Proto != spec.Proto {
+		return false
+	}
+	needsPorts := spec.SrcPortLo != 0 || spec.SrcPortHi != 0 || spec.DstPortLo != 0 || spec.DstPortHi != 0
+	if needsPorts && f.Proto != pkt.ProtoTCP && f.Proto != pkt.ProtoUDP {
+		return false
+	}
+	if spec.SrcPrefix > 0 {
+		mask := prefixMask(spec.SrcPrefix)
+		if f.Src&mask != spec.SrcAddr&mask {
+			return false
+		}
+	}
+	if spec.DstPrefix > 0 {
+		mask := prefixMask(spec.DstPrefix)
+		if f.Dst&mask != spec.DstAddr&mask {
+			return false
+		}
+	}
+	if spec.SrcPortLo != 0 || spec.SrcPortHi != 0 {
+		if f.SrcPort < spec.SrcPortLo || f.SrcPort > spec.SrcPortHi {
+			return false
+		}
+	}
+	if spec.DstPortLo != 0 || spec.DstPortHi != 0 {
+		if f.DstPort < spec.DstPortLo || f.DstPort > spec.DstPortHi {
+			return false
+		}
+	}
+	return true
+}
+
+// String renders the spec for diagnostics.
+func (spec FilterSpec) String() string {
+	return fmt.Sprintf("src=%s/%d dst=%s/%d proto=%d sport=%d-%d dport=%d-%d",
+		pkt.FormatIPv4(spec.SrcAddr), spec.SrcPrefix,
+		pkt.FormatIPv4(spec.DstAddr), spec.DstPrefix,
+		spec.Proto, spec.SrcPortLo, spec.SrcPortHi, spec.DstPortLo, spec.DstPortHi)
+}
+
+func prefixMask(bits uint8) uint32 {
+	if bits == 0 {
+		return 0
+	}
+	return ^uint32(0) << (32 - bits)
+}
 
 // Action is what a matching rule does to a packet.
 type Action uint8
@@ -50,7 +139,7 @@ func (a Action) String() string {
 type Rule struct {
 	ID         uint32
 	Precedence uint16 // lower evaluates first, like 3GPP PCC precedence
-	Filter     bpf.FilterSpec
+	Filter     FilterSpec
 	Action     Action
 
 	// RateBitsPerSec applies to ActionRateLimit.
@@ -60,8 +149,6 @@ type Rule struct {
 	// ChargingKey groups usage for offline charging (maps to the UE's
 	// RuleBytes slot via the slice's rule installation).
 	ChargingKey uint32
-
-	prog *bpf.Program // compiled at install time
 }
 
 // Verdict is the classification result for one packet.
@@ -81,43 +168,26 @@ var (
 )
 
 // Table is a PCEF match-action table. Installation happens on the control
-// side under a write lock; classification happens on the data side under a
-// read lock over an immutable rule slice, so the fast path takes one
-// RLock and no allocation.
+// side under a write lock over a copy-on-write rule slice; the data side
+// classifies against a lock-free Snapshot. With no rule matched, the
+// verdict is the zero Verdict: allow, unmatched, charging key 0.
 type Table struct {
 	mu    sync.RWMutex
 	rules []*Rule // sorted by precedence, then id
 	byID  map[uint32]*Rule
-	// defaultVerdict applies when no rule matches; operators typically
-	// configure allow-with-default-charging.
-	defaultVerdict Verdict
 }
 
-// NewTable returns an empty table whose default (no-match) verdict allows
-// traffic with charging key 0.
+// NewTable returns an empty table.
 func NewTable() *Table {
-	return &Table{
-		byID:           make(map[uint32]*Rule),
-		defaultVerdict: Verdict{Action: ActionAllow},
-	}
+	return &Table{byID: make(map[uint32]*Rule)}
 }
 
-// SetDefault replaces the no-match verdict.
-func (t *Table) SetDefault(v Verdict) {
-	t.mu.Lock()
-	v.Matched = false
-	t.defaultVerdict = v
-	t.mu.Unlock()
-}
-
-// Install compiles and adds a rule. The rule is evaluated in precedence
+// Install validates and adds a rule. The rule is evaluated in precedence
 // order relative to existing rules.
 func (t *Table) Install(r Rule) error {
-	prog, err := bpf.Compile(r.Filter)
-	if err != nil {
-		return fmt.Errorf("pcef: compiling rule %d: %w", r.ID, err)
+	if err := r.Filter.Validate(); err != nil {
+		return fmt.Errorf("pcef: rule %d: %w", r.ID, err)
 	}
-	r.prog = prog
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, dup := t.byID[r.ID]; dup {
@@ -164,23 +234,6 @@ func (t *Table) Len() int {
 	return len(t.rules)
 }
 
-// ClassifyFlow matches a parsed 5-tuple against the table (the fast path:
-// the parse stage already extracted the flow, so the direct evaluation is
-// used; the compiled BPF programs are behaviourally identical, which
-// bpf's tests verify).
-func (t *Table) ClassifyFlow(f pkt.Flow) Verdict {
-	t.mu.RLock()
-	rules := t.rules
-	def := t.defaultVerdict
-	t.mu.RUnlock()
-	for _, r := range rules {
-		if r.Filter.MatchFlow(f) {
-			return verdictFor(r)
-		}
-	}
-	return def
-}
-
 // RuleSet is an immutable point-in-time view of the table. The rule
 // slice is copy-on-write (Install/Remove replace it wholesale), so a
 // snapshot stays valid indefinitely and classifies without any locking —
@@ -188,41 +241,25 @@ func (t *Table) ClassifyFlow(f pkt.Flow) Verdict {
 // RLock per packet.
 type RuleSet struct {
 	rules []*Rule
-	def   Verdict
 }
 
-// Snapshot captures the current rules and default verdict.
+// Snapshot captures the current rules.
 func (t *Table) Snapshot() RuleSet {
 	t.mu.RLock()
-	rs := RuleSet{rules: t.rules, def: t.defaultVerdict}
+	rs := RuleSet{rules: t.rules}
 	t.mu.RUnlock()
 	return rs
 }
 
-// ClassifyFlow matches a parsed 5-tuple against the snapshot, lock-free.
+// ClassifyFlow matches a parsed 5-tuple against the snapshot, lock-free:
+// the first matching rule's verdict, or the zero Verdict when none does.
 func (rs RuleSet) ClassifyFlow(f pkt.Flow) Verdict {
 	for _, r := range rs.rules {
 		if r.Filter.MatchFlow(f) {
 			return verdictFor(r)
 		}
 	}
-	return rs.def
-}
-
-// ClassifyPacket matches raw inner-IPv4 packet bytes by running the
-// compiled BPF programs — the general path for packets the parse stage
-// could not pre-digest (unusual protocols, options).
-func (t *Table) ClassifyPacket(data []byte) Verdict {
-	t.mu.RLock()
-	rules := t.rules
-	def := t.defaultVerdict
-	t.mu.RUnlock()
-	for _, r := range rules {
-		if r.prog.Run(data) != 0 {
-			return verdictFor(r)
-		}
-	}
-	return def
+	return Verdict{}
 }
 
 func verdictFor(r *Rule) Verdict {
@@ -234,16 +271,4 @@ func verdictFor(r *Rule) Verdict {
 		RateBitsPerSec: r.RateBitsPerSec,
 		Matched:        true,
 	}
-}
-
-// Rules returns a snapshot of installed rules in evaluation order, for
-// diagnostics and the epcctl tool.
-func (t *Table) Rules() []Rule {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]Rule, len(t.rules))
-	for i, r := range t.rules {
-		out[i] = *r
-	}
-	return out
 }

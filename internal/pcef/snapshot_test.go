@@ -3,7 +3,6 @@ package pcef
 import (
 	"testing"
 
-	"pepc/internal/bpf"
 	"pepc/internal/pkt"
 )
 
@@ -15,7 +14,7 @@ func TestSnapshotIsStableView(t *testing.T) {
 	tb := NewTable()
 	if err := tb.Install(Rule{
 		ID: 1, Precedence: 10, Action: ActionDrop,
-		Filter: bpf.FilterSpec{Proto: pkt.ProtoUDP, DstPortLo: 53, DstPortHi: 53},
+		Filter: FilterSpec{Proto: pkt.ProtoUDP, DstPortLo: 53, DstPortHi: 53},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -33,31 +32,26 @@ func TestSnapshotIsStableView(t *testing.T) {
 	// Mutate the table: the snapshot must not move.
 	if err := tb.Install(Rule{
 		ID: 2, Precedence: 1, Action: ActionDrop,
-		Filter: bpf.FilterSpec{Proto: pkt.ProtoTCP, DstPortLo: 80, DstPortHi: 80},
+		Filter: FilterSpec{Proto: pkt.ProtoTCP, DstPortLo: 80, DstPortHi: 80},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.Remove(1); err != nil {
 		t.Fatal(err)
 	}
-	tb.SetDefault(Verdict{Action: ActionDrop})
 
 	if v := snap.ClassifyFlow(dns); !v.Matched || v.RuleID != 1 {
 		t.Fatalf("snapshot lost its rule after table mutation: %+v", v)
 	}
 	if v := snap.ClassifyFlow(web); v.Matched || v.Action != ActionAllow {
-		t.Fatalf("snapshot saw later install or default change: %+v", v)
+		t.Fatalf("snapshot saw a later install: %+v", v)
 	}
 	// A fresh snapshot sees the new state.
 	snap2 := tb.Snapshot()
 	if v := snap2.ClassifyFlow(web); !v.Matched || v.RuleID != 2 {
 		t.Fatalf("fresh snapshot verdict = %+v", v)
 	}
-	if v := snap2.ClassifyFlow(dns); v.Matched || v.Action != ActionDrop {
-		t.Fatalf("fresh snapshot default = %+v", v)
-	}
-	// Snapshot and live table agree when taken at the same instant.
-	if a, b := snap2.ClassifyFlow(web), tb.ClassifyFlow(web); a != b {
-		t.Fatalf("snapshot %+v vs table %+v", a, b)
+	if v := snap2.ClassifyFlow(dns); v != (Verdict{}) {
+		t.Fatalf("fresh snapshot no-match verdict = %+v", v)
 	}
 }

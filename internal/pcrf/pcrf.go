@@ -11,7 +11,6 @@ import (
 	"errors"
 	"sync"
 
-	"pepc/internal/bpf"
 	"pepc/internal/diameter"
 	"pepc/internal/pcef"
 )
@@ -240,7 +239,7 @@ func ParseRuleInstallsAppend(m *diameter.Message, rules []pcef.Rule) ([]pcef.Rul
 // marshalFilter serializes a filter spec + action compactly (the
 // Flow-Description AVP is free text IPFilterRule in the standard; a
 // binary layout keeps the proxy paths allocation-light).
-func marshalFilter(f bpf.FilterSpec, action pcef.Action, rate uint64, dscp uint8) []byte {
+func marshalFilter(f pcef.FilterSpec, action pcef.Action, rate uint64, dscp uint8) []byte {
 	b := make([]byte, 33)
 	be := binary.BigEndian
 	be.PutUint32(b[0:], f.SrcAddr)
@@ -252,15 +251,15 @@ func marshalFilter(f bpf.FilterSpec, action pcef.Action, rate uint64, dscp uint8
 	be.PutUint16(b[13:], f.SrcPortHi)
 	be.PutUint16(b[15:], f.DstPortLo)
 	be.PutUint16(b[17:], f.DstPortHi)
-	be.PutUint32(b[19:], f.Ret)
+	be.PutUint32(b[19:], 0) // reserved, ignored on read
 	b[23] = uint8(action)
 	be.PutUint64(b[24:], rate)
 	b[32] = dscp
 	return b
 }
 
-func unmarshalFilter(b []byte) (bpf.FilterSpec, pcef.Action, uint64, uint8, error) {
-	var f bpf.FilterSpec
+func unmarshalFilter(b []byte) (pcef.FilterSpec, pcef.Action, uint64, uint8, error) {
+	var f pcef.FilterSpec
 	if len(b) != 33 {
 		return f, 0, 0, 0, diameter.ErrAVP
 	}
@@ -274,6 +273,5 @@ func unmarshalFilter(b []byte) (bpf.FilterSpec, pcef.Action, uint64, uint8, erro
 	f.SrcPortHi = be.Uint16(b[13:])
 	f.DstPortLo = be.Uint16(b[15:])
 	f.DstPortHi = be.Uint16(b[17:])
-	f.Ret = be.Uint32(b[19:])
 	return f, pcef.Action(b[23]), be.Uint64(b[24:]), b[32], nil
 }

@@ -1,9 +1,9 @@
 package pcrf
 
 import (
+	"encoding/hex"
 	"testing"
 
-	"pepc/internal/bpf"
 	"pepc/internal/diameter"
 	"pepc/internal/pcef"
 )
@@ -11,9 +11,9 @@ import (
 func sampleRules() []pcef.Rule {
 	return []pcef.Rule{
 		{ID: 1, Precedence: 10, Action: pcef.ActionDrop,
-			Filter: bpf.FilterSpec{Proto: 6, DstPortLo: 25, DstPortHi: 25}},
+			Filter: pcef.FilterSpec{Proto: 6, DstPortLo: 25, DstPortHi: 25}},
 		{ID: 2, Precedence: 20, Action: pcef.ActionRateLimit, RateBitsPerSec: 2e6, ChargingKey: 7,
-			Filter: bpf.FilterSpec{Proto: 17}},
+			Filter: pcef.FilterSpec{Proto: 17}},
 	}
 }
 
@@ -117,8 +117,8 @@ func TestHandleRejectsWrongApp(t *testing.T) {
 }
 
 func TestFilterMarshalRoundTrip(t *testing.T) {
-	f := bpf.FilterSpec{SrcAddr: 1, SrcPrefix: 8, DstAddr: 2, DstPrefix: 24,
-		Proto: 6, SrcPortLo: 1, SrcPortHi: 2, DstPortLo: 3, DstPortHi: 4, Ret: 5}
+	f := pcef.FilterSpec{SrcAddr: 1, SrcPrefix: 8, DstAddr: 2, DstPrefix: 24,
+		Proto: 6, SrcPortLo: 1, SrcPortHi: 2, DstPortLo: 3, DstPortHi: 4}
 	b := marshalFilter(f, pcef.ActionMark, 999, 0x2e)
 	got, action, rate, dscp, err := unmarshalFilter(b)
 	if err != nil {
@@ -129,5 +129,21 @@ func TestFilterMarshalRoundTrip(t *testing.T) {
 	}
 	if _, _, _, _, err := unmarshalFilter(b[:10]); err == nil {
 		t.Fatal("short filter accepted")
+	}
+}
+
+// TestFilterAVPGolden pins the 33-byte Gx filter layout byte for byte;
+// bytes 19-22 are reserved: written zero and ignored on decode.
+func TestFilterAVPGolden(t *testing.T) {
+	f := pcef.FilterSpec{SrcAddr: 0x0a010203, SrcPrefix: 24, DstAddr: 0xc0a80001, DstPrefix: 16,
+		Proto: 17, SrcPortLo: 1000, SrcPortHi: 2000, DstPortLo: 5000, DstPortHi: 6000}
+	const golden = "0a01020318c0a80001101103e807d013881770000000000200000000001e84802e"
+	b := marshalFilter(f, pcef.ActionRateLimit, 2_000_000, 0x2e)
+	if got := hex.EncodeToString(b); got != golden {
+		t.Fatalf("filter AVP encoding changed:\n got %s\nwant %s", got, golden)
+	}
+	b[19], b[20], b[21], b[22] = 0xff, 0xff, 0xff, 0xff
+	if got, _, _, _, err := unmarshalFilter(b); err != nil || got != f {
+		t.Fatalf("reserved bytes not ignored: %+v %v", got, err)
 	}
 }

@@ -2,9 +2,9 @@ package pkt
 
 import "fmt"
 
-// Flow is the inner 5-tuple of a user packet, used by the PCEF classifier
-// and the demux stages. It is a comparable value type so it can key maps
-// and be hashed without allocation.
+// Flow is the inner 5-tuple of a user packet, extracted once by the parse
+// stage and matched by the PCEF classifier and bearer TFTs. It is a
+// comparable value type.
 type Flow struct {
 	Src     uint32 // host order
 	Dst     uint32
@@ -13,56 +13,9 @@ type Flow struct {
 	Proto   uint8
 }
 
-// Reverse returns the flow with endpoints swapped.
-func (f Flow) Reverse() Flow {
-	return Flow{Src: f.Dst, Dst: f.Src, SrcPort: f.DstPort, DstPort: f.SrcPort, Proto: f.Proto}
-}
-
-// FastHash returns a 64-bit non-cryptographic hash of the flow. It is
-// symmetric — a flow and its reverse hash identically — so both directions
-// of a connection land on the same worker, mirroring gopacket's Flow
-// contract for load balancing.
-func (f Flow) FastHash() uint64 {
-	// Order the endpoints so hash(A->B) == hash(B->A).
-	a := uint64(f.Src)<<16 | uint64(f.SrcPort)
-	b := uint64(f.Dst)<<16 | uint64(f.DstPort)
-	if a > b {
-		a, b = b, a
-	}
-	h := fnv64Offset
-	h = fnvMix(h, a)
-	h = fnvMix(h, b)
-	h = fnvMix(h, uint64(f.Proto))
-	return h
-}
-
-// Hash returns a direction-sensitive 64-bit hash of the flow, for exact
-// per-direction classification tables.
-func (f Flow) Hash() uint64 {
-	h := fnv64Offset
-	h = fnvMix(h, uint64(f.Src)<<16|uint64(f.SrcPort))
-	h = fnvMix(h, uint64(f.Dst)<<16|uint64(f.DstPort))
-	h = fnvMix(h, uint64(f.Proto))
-	return h
-}
-
 // String implements fmt.Stringer.
 func (f Flow) String() string {
 	return fmt.Sprintf("%s:%d -> %s:%d/%d", FormatIPv4(f.Src), f.SrcPort, FormatIPv4(f.Dst), f.DstPort, f.Proto)
-}
-
-const (
-	fnv64Offset uint64 = 14695981039346656037
-	fnv64Prime  uint64 = 1099511628211
-)
-
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnv64Prime
-		v >>= 8
-	}
-	return h
 }
 
 // HashUint32 hashes a 32-bit key (TEID, IPv4 address) to 64 bits using a

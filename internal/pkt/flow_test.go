@@ -1,37 +1,6 @@
 package pkt
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestFlowReverse(t *testing.T) {
-	f := Flow{Src: 1, Dst: 2, SrcPort: 10, DstPort: 20, Proto: ProtoTCP}
-	r := f.Reverse()
-	if r.Src != 2 || r.Dst != 1 || r.SrcPort != 20 || r.DstPort != 10 || r.Proto != ProtoTCP {
-		t.Fatalf("reverse = %+v", r)
-	}
-	if r.Reverse() != f {
-		t.Fatal("double reverse is not identity")
-	}
-}
-
-func TestFastHashSymmetry(t *testing.T) {
-	f := func(src, dst uint32, sp, dp uint16, proto uint8) bool {
-		a := Flow{Src: src, Dst: dst, SrcPort: sp, DstPort: dp, Proto: proto}
-		return a.FastHash() == a.Reverse().FastHash()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDirectionalHashDiffers(t *testing.T) {
-	a := Flow{Src: 1, Dst: 2, SrcPort: 10, DstPort: 20, Proto: ProtoUDP}
-	if a.Hash() == a.Reverse().Hash() {
-		t.Fatal("directional hashes of asymmetric flow collide")
-	}
-}
+import "testing"
 
 func TestHashUint32Distribution(t *testing.T) {
 	// Sequential TEIDs must spread across buckets; count collisions into
@@ -109,16 +78,6 @@ func TestPseudoHeaderChecksumVerifies(t *testing.T) {
 	if got := PseudoHeaderChecksum(ProtoUDP, src, dst, seg); got != 0 {
 		t.Fatalf("re-checksum with checksum in place = %#04x, want 0", got)
 	}
-}
-
-func BenchmarkFlowFastHash(b *testing.B) {
-	f := Flow{Src: 0x0a000001, Dst: 0x08080808, SrcPort: 1234, DstPort: 53, Proto: ProtoUDP}
-	b.ReportAllocs()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += f.FastHash()
-	}
-	_ = sink
 }
 
 func BenchmarkHashUint32(b *testing.B) {

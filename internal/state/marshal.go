@@ -18,7 +18,7 @@ const snapshotVersion = 2
 var ErrBadSnapshot = errors.New("state: bad snapshot encoding")
 
 const bearerWireLen = 3 + 8*4 + filterWireLen
-const filterWireLen = 4 + 1 + 4 + 1 + 1 + 2*4 + 4
+const filterWireLen = 4 + 1 + 4 + 1 + 1 + 2*4 + 4 // the last 4 are reserved
 const ctrlFixedLen = 8 + 8 + 4 + 4 + 2 + 16 + 1 + 4 + 4 + 4 + 1 + 8 + 8 + 4*4 + 1 + 1 + 1 + 8 + 32 + 8 + 4
 const counterWireLen = 8*5 + 8*4
 const levelsWireLen = 1 + 8*2 + 8*int(MaxBearers)*2
@@ -121,7 +121,7 @@ func MarshalSnapshotLevels(dst []byte, cs *ControlState, cnt *CounterState, lv *
 		le.PutUint16(dst[o+13:], f.SrcPortHi)
 		le.PutUint16(dst[o+15:], f.DstPortLo)
 		le.PutUint16(dst[o+17:], f.DstPortHi)
-		le.PutUint32(dst[o+19:], f.Ret)
+		le.PutUint32(dst[o+19:], 0) // reserved, ignored on read
 		o += filterWireLen
 	}
 	le.PutUint64(dst[o:], cnt.UplinkBytes)
@@ -229,7 +229,6 @@ func UnmarshalSnapshotLevels(src []byte, cs *ControlState, cnt *CounterState, lv
 		f.SrcPortHi = le.Uint16(src[o+13:])
 		f.DstPortLo = le.Uint16(src[o+15:])
 		f.DstPortHi = le.Uint16(src[o+17:])
-		f.Ret = le.Uint32(src[o+19:])
 		o += filterWireLen
 	}
 	cnt.UplinkBytes = le.Uint64(src[o:])

@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"pepc/internal/bpf"
+	"pepc/internal/pcef"
 	"pepc/internal/pkt"
 )
 
@@ -359,6 +359,6 @@ func pktFlow(dport uint16) pkt.Flow {
 	return pkt.Flow{Src: 1, Dst: 2, SrcPort: 999, DstPort: dport, Proto: pkt.ProtoUDP}
 }
 
-func bearerFilter(lo, hi uint16) bpf.FilterSpec {
-	return bpf.FilterSpec{Proto: pkt.ProtoUDP, DstPortLo: lo, DstPortHi: hi}
+func bearerFilter(lo, hi uint16) pcef.FilterSpec {
+	return pcef.FilterSpec{Proto: pkt.ProtoUDP, DstPortLo: lo, DstPortHi: hi}
 }

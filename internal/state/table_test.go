@@ -1,11 +1,14 @@
 package state
 
 import (
+	"bytes"
+	"encoding/hex"
 	"math/rand"
-	"pepc/internal/bpf"
 	"sync"
 	"testing"
 	"time"
+
+	"pepc/internal/pcef"
 )
 
 func TestTableInsertLookupRemove(t *testing.T) {
@@ -294,7 +297,7 @@ func TestSnapshotMarshalRoundTrip(t *testing.T) {
 		c.LastActive = 424242
 		c.KASME = [32]byte{1, 2, 3}
 		c.NextSQN = 17
-		c.Bearers[0].TFT = bpfFilter()
+		c.Bearers[0].TFT = webFilter()
 	})
 	ue.WriteCounters(func(c *CounterState) {
 		c.UplinkBytes = 1
@@ -342,13 +345,50 @@ func TestSnapshotRejectsBadInput(t *testing.T) {
 	}
 }
 
-func bpfFilter() bpf.FilterSpec {
-	return bpf.FilterSpec{
+func webFilter() pcef.FilterSpec {
+	return pcef.FilterSpec{
 		DstAddr:   0x0a000000,
 		DstPrefix: 8,
 		Proto:     6,
 		DstPortLo: 80, DstPortHi: 80,
-		Ret: 1,
+	}
+}
+
+// TestSnapshotFilterGolden pins a bearer TFT's place and bytes in the
+// snapshot and SnapshotSize itself: the filter's last 4 bytes are
+// reserved (written zero, ignored on decode) and nothing else is set.
+func TestSnapshotFilterGolden(t *testing.T) {
+	var cs ControlState
+	var cnt CounterState
+	cs.Bearers[0].TFT = pcef.FilterSpec{SrcAddr: 0x0a010203, SrcPrefix: 24, DstAddr: 0xc0a80001, DstPrefix: 16,
+		Proto: 17, SrcPortLo: 1000, SrcPortHi: 2000, DstPortLo: 5000, DstPortHi: 6000}
+	const size, off, golden = 529, 179, "0302010a180100a8c01011e803d0078813701700000000"
+	if SnapshotSize != size {
+		t.Fatalf("SnapshotSize = %d, want %d", SnapshotSize, size)
+	}
+	buf := make([]byte, SnapshotSize)
+	for i := range buf {
+		buf[i] = 0xee // stale bytes from an earlier use must be overwritten
+	}
+	if _, err := MarshalSnapshot(buf, &cs, &cnt); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := hex.DecodeString(golden)
+	if !bytes.Equal(buf[off:off+len(want)], want) {
+		t.Fatalf("TFT encoding changed:\n got %x\nwant %s", buf[off:off+len(want)], golden)
+	}
+	for i, b := range buf {
+		if (i < off || i >= off+len(want)) && b != 0 && i != 0 {
+			t.Fatalf("byte %d = %#x outside the filter, want 0", i, b)
+		}
+	}
+	for i := off + len(want) - 4; i < off+len(want); i++ {
+		buf[i] = 0xff
+	}
+	var cs2 ControlState
+	var cnt2 CounterState
+	if err := UnmarshalSnapshot(buf, &cs2, &cnt2); err != nil || cs2 != cs {
+		t.Fatalf("reserved bytes not ignored: %+v %v", cs2.Bearers[0].TFT, err)
 	}
 }
 

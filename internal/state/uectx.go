@@ -10,8 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pepc/internal/bpf"
 	"pepc/internal/gtp"
+	"pepc/internal/pcef"
 	"pepc/internal/pkt"
 	"pepc/internal/qos"
 )
@@ -49,7 +49,7 @@ type Bearer struct {
 	GBRDownlink uint64
 
 	// TFT is the traffic flow template mapping packets to this bearer.
-	TFT bpf.FilterSpec
+	TFT pcef.FilterSpec
 }
 
 // ControlState is the per-user state written ONLY by the control thread
@@ -155,7 +155,7 @@ type DataPriv struct {
 	// Cached dedicated-bearer TFTs (indexes 1..NTFT-1 of Bearers; slot 0
 	// unused) copied from the control state at rebuild.
 	NTFT uint8
-	TFTs [MaxBearers]bpf.FilterSpec
+	TFTs [MaxBearers]pcef.FilterSpec
 	// Encap is the precomputed downlink GTP-U envelope for the user's
 	// current tunnel (DownlinkTEID/ENBAddr), rebuilt on the same epoch
 	// bump: downlink encapsulation becomes one template copy plus three

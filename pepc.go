@@ -115,8 +115,8 @@ type (
 	// N4Stats snapshots the UPF's PFCP message counters.
 	N4Stats = core.N4Stats
 	// FaultInjector is the deterministic, seedable fault injector the
-	// chaos soak drives; arm it on a Proxy (SetS6aFaults/SetGxFaults) or
-	// a Slice (SetFaults).
+	// chaos soak drives; arm it on a Proxy (SetGxFaults) or a Slice
+	// (SetFaults).
 	FaultInjector = fault.Injector
 	// FaultKind identifies one injectable failure class.
 	FaultKind = fault.Kind

@@ -2,9 +2,11 @@
 # ci.sh — the checks every PR must pass, in the order they fail fastest:
 # formatting, build, vet, the full test suite, then the race detector over the
 # packages that carry the single-writer lock discipline (internal/core's
-# data/control split and parked data thread, internal/lane's socket loop
-# and internal/state's table modes), so a concurrency regression is
-# machine-caught rather than review-caught.
+# data/control split and parked data thread, internal/lane's socket loop,
+# internal/state's table modes and internal/pcef's copy-on-write rule
+# table, installed by the control side while the data thread classifies
+# snapshots), so a concurrency regression is machine-caught rather than
+# review-caught.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,8 +30,8 @@ go vet ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race internal/core internal/lane internal/state internal/sockio internal/hdr internal/pfcp"
-go test -race ./internal/core/ ./internal/lane/ ./internal/state/ ./internal/sockio/ ./internal/hdr/ ./internal/pfcp/
+echo "== go test -race internal/core internal/lane internal/state internal/sockio internal/hdr internal/pfcp internal/pcef"
+go test -race ./internal/core/ ./internal/lane/ ./internal/state/ ./internal/sockio/ ./internal/hdr/ ./internal/pfcp/ ./internal/pcef/
 
 # The demux's route read takes no lock, so steering races migrations,
 # registrations and exception-table writes by design: the window tests,
@@ -128,7 +130,10 @@ done
 # loop nobody started with its command channel and usage ticker (the
 # slice's control lock replaced them) and the exported API nothing
 # called (cluster ingress stamping, non-blocking batch reads, proxy
-# policy readback and S6a breaker probe, point-list formatting); nothing
+# policy readback and S6a breaker probe, point-list formatting), and the
+# PCEF's filter VM and compiler (the direct 5-tuple filter in pcef is the
+# only matcher; sockio's cBPF flow steering is unrelated and not meant)
+# with the S6a fault hook and flow hashes nothing called; nothing
 # outside the project history (and the config test proving the JSON keys
 # are rejected, and one comment in the benchmark, which is frozen) may
 # still name them.
@@ -142,6 +147,7 @@ retired="$retired|NewHandleIndexes|NewTwoLevelHandles|Fig14Mode|fig14Population"
 retired="$retired|uplinkChunk|downlinkChunk|uplinkRun|downlinkRun|\bAllowUplink\b|\bAllowDownlink(Run)?\b"
 retired="$retired|DataPath(TEID|IP)Batch|\.LookupBatch\b|U(32|64)Map\.GetBatch|LatencyUplink|LatencyDownlink|ResetLatency"
 retired="$retired|RunCtrl|ctrlCmds|loopRunning|RunUsageReporting|StampIngress|PollBatch|ClearPolicy|S6aAvailable|FormatPoints"
+retired="$retired|internal/bpf|\bbpf\.|ClassifyPacket|(^|[^.[:alnum:]_])MustCompile|SetS6aFaults|FastHash"
 if grep -rnE -e "$retired" --include='*.go' --include='*.sh' --include='*.md' --include=Makefile \
 	--exclude-dir=.git --exclude-dir=.bench_build . |
 	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:|^\./scripts/ci\.sh:|^\./internal/core/config_test\.go:' |
