@@ -8,7 +8,6 @@ import (
 
 	"pepc/internal/charging"
 	"pepc/internal/pcef"
-	"pepc/internal/qos"
 	"pepc/internal/ring"
 	"pepc/internal/sim"
 	"pepc/internal/state"
@@ -671,7 +670,7 @@ func (cp *ControlPlane) extract(imsi uint64) (state.ControlState, state.CounterS
 	// limiter full — budget-conserving transfer is best effort, exact
 	// whenever the fence holds (always, absent a stalled data thread).
 	if fenced {
-		if l := ue.Hot().Priv.Limiter; l != nil {
+		if l := &ue.Hot().Priv.Limiter; l.Configured() {
 			lv.Valid = true
 			lv.Levels = l.ExportLevels(sim.Now())
 		}
@@ -714,13 +713,12 @@ func (cp *ControlPlane) installLevels(cs state.ControlState, cnt state.CounterSt
 // to the data plane (table insert + update sync), so the single-owner
 // rule on Priv holds.
 func (cp *ControlPlane) seedLimiter(ue *state.UE, cs *state.ControlState, lv state.QoSLevels) {
-	l := &qos.UserLimiter{}
+	l := &ue.Hot().Priv.Limiter
 	l.ConfigureUser(cs.AMBRUplink, cs.AMBRDownlink)
 	for i := 0; i < int(cs.BearerCount); i++ {
 		l.ConfigureBearer(i, cs.Bearers[i].MBRUplink, cs.Bearers[i].MBRDownlink)
 	}
 	l.SeedLevels(lv.Levels, sim.Now())
-	ue.Hot().Priv.Limiter = l
 }
 
 // exec runs fn as the slice's control thread: under mu, so it is the

@@ -62,6 +62,47 @@ func TestAttachDetachCycleZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPolicedFirstPacketZeroAlloc: the limiter lives in the recycled
+// context, so a policed user's first packet (which builds it) allocates
+// nothing either. Each cycle attaches an AMBR-policed user from the warm
+// free list, forwards its first downlink packet and detaches it.
+func TestPolicedFirstPacketZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s := NewSlice(SliceConfig{ID: 1, UserHint: 64})
+	pool := pkt.NewPool(2048, 128)
+	batch := make([]*pkt.Buf, 1)
+	cycle := func() {
+		res, err := s.Control().Attach(AttachSpec{
+			IMSI: 7, ENBAddr: pkt.IPv4Addr(192, 168, 0, 1), DownlinkTEID: 9,
+			ECGI: 7, TAI: 3, AMBRDownlink: 8 * 10_000_000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Data().SyncUpdates()
+		batch[0] = buildDownlink(pool, res.UEAddr, 80)
+		s.Data().ProcessDownlinkBatch(batch, sim.Now())
+		if drainEgress(s) != 1 {
+			t.Fatal("first packet not forwarded")
+		}
+		if err := s.Control().Detach(7); err != nil {
+			t.Fatal(err)
+		}
+		s.Data().SyncUpdates()
+	}
+	for i := 0; i < 64; i++ {
+		cycle()
+	}
+	if got := s.Control().Stats().Recycles; got == 0 {
+		t.Fatal("free list inactive after warmup")
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("policed attach→first packet→detach allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
 // TestMaintainZeroAlloc: the control thread's periodic housekeeping —
 // draining promotion requests into data-plane updates and applying them
 // — is allocation-free in steady state.

@@ -93,7 +93,7 @@ func TestRunDataWake(t *testing.T) {
 	if err := n.Scheduler().MigrateUser(1, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if s1.Control().Lookup(1).Hot().Priv.Limiter == nil {
+	if !s1.Control().Lookup(1).Hot().Priv.Limiter.Configured() {
 		t.Fatal("QoS levels not carried: the extract fence timed out on a parked data thread")
 	}
 

@@ -246,7 +246,7 @@ type dpScratch struct {
 
 	// fast receives the seqlock snapshot of the current run's fast-path
 	// control view (see state.HotUE.ReadFast): the verdict stage works
-	// on this stable ~44-byte copy instead of holding a per-user lock or
+	// on this stable 32-byte copy instead of holding a per-user lock or
 	// copying the whole control state, so a concurrent control write
 	// never stalls the run and the copy stays within a cache line.
 	fast state.FastCtrl
@@ -504,7 +504,7 @@ func (dp *DataPlane) lookupRuns(batch []*pkt.Buf, uplink bool) {
 
 // run applies classification, policing, charging and forwarding to
 // batch[lo:hi], a run of packets from one user sharing one 5-tuple. The
-// run costs one PCEF match, one seqlock fast-view snapshot (~44 bytes,
+// run costs one PCEF match, one seqlock fast-view snapshot (32 bytes,
 // not the whole control state), one aggregate token-bucket call and one
 // WriteCounters; when the aggregate bucket check cannot admit the whole
 // run it consumes nothing and the run falls back to per-packet policing
@@ -540,10 +540,19 @@ func (dp *DataPlane) run(batch []*pkt.Buf, lo, hi int, hot *state.HotUE, now int
 			break
 		}
 	}
+	if !uplink && f.DownlinkTEID == 0 {
+		// Idle user (S1 released): park the whole run for paging rather
+		// than drop. It is policed when ResumeAccess brings it back
+		// through here, once.
+		for k := lo; k < hi; k++ {
+			dp.parkForPaging(batch[k], hot.U)
+		}
+		return
+	}
 	// partial: the aggregate check failed and sc.allowed holds each
 	// packet's own verdict.
 	allowedAll, partial := true, false
-	if lim := hot.Priv.Limiter; lim != nil {
+	if lim := &hot.Priv.Limiter; lim.Configured() {
 		bearer := hot.Priv.SelectBearer(flow)
 		if count == 1 {
 			allowedAll = lim.Allow(now, uplink, bearer, total)
@@ -553,14 +562,6 @@ func (dp *DataPlane) run(batch []*pkt.Buf, lo, hi int, hot *state.HotUE, now int
 				sc.allowed[k] = lim.Allow(now, uplink, bearer, uint64(sc.plens[k]))
 			}
 		}
-	}
-	if !uplink && f.DownlinkTEID == 0 {
-		// Idle user (S1 released): park the whole run for paging rather
-		// than drop.
-		for k := lo; k < hi; k++ {
-			dp.parkForPaging(batch[k], hot.U)
-		}
-		return
 	}
 	if !partial && !allowedAll { // single-packet run, denied
 		dp.countDrop(hot)
@@ -626,7 +627,9 @@ func (dp *DataPlane) run(batch []*pkt.Buf, lo, hi int, hot *state.HotUE, now int
 		if ruleSlot >= 0 {
 			c.RuleBytes[ruleSlot] += bytesFwd
 		}
-		c.DroppedPackets += nDrop
+		if nDrop != 0 { // DroppedPackets is off the touched lines
+			c.DroppedPackets += nDrop
+		}
 	})
 	for k := lo; k < hi; k++ {
 		if sc.allowed[k] {
@@ -704,7 +707,7 @@ func (dp *DataPlane) countDrop(hot *state.HotUE) {
 func (dp *DataPlane) rebuildPriv(hot *state.HotUE, f *state.FastCtrl) {
 	if !f.Policed {
 		hot.Priv.Encap.Init(f.DownlinkTEID, dp.s.cfg.CoreAddr, f.ENBAddr)
-		hot.Priv.Limiter = nil
+		hot.Priv.Limiter = qos.UserLimiter{}
 		hot.Priv.NTFT = 0
 		hot.Priv.Epoch = f.Epoch
 		return
@@ -716,9 +719,6 @@ func (dp *DataPlane) rebuildPriv(hot *state.HotUE, f *state.FastCtrl) {
 	c := &dp.scratch.cold
 	hot.U.ReadCtrlSnapshot(c)
 	hot.Priv.Encap.Init(c.DownlinkTEID, dp.s.cfg.CoreAddr, c.ENBAddr)
-	if hot.Priv.Limiter == nil {
-		hot.Priv.Limiter = &qos.UserLimiter{}
-	}
 	hot.Priv.Limiter.ConfigureUser(c.AMBRUplink, c.AMBRDownlink)
 	for i := 0; i < int(c.BearerCount); i++ {
 		hot.Priv.Limiter.ConfigureBearer(i, c.Bearers[i].MBRUplink, c.Bearers[i].MBRDownlink)

@@ -445,6 +445,50 @@ func TestAddDedicatedBearerErrors(t *testing.T) {
 	}
 }
 
+// TestPagedPacketPolicedOnce: a downlink packet for a policed idle user
+// is parked for paging without being policed, and policed exactly once
+// when it is delivered after the service request — the user's AMBR
+// bucket falls by the packet's length, not twice that.
+func TestPagedPacketPolicedOnce(t *testing.T) {
+	s := NewSlice(SliceConfig{ID: 16, UserHint: 64})
+	res, err := s.Control().Attach(AttachSpec{
+		IMSI: 17, ENBAddr: pkt.IPv4Addr(192, 168, 0, 1), DownlinkTEID: 0x117,
+		ECGI: 7, TAI: 3, AMBRDownlink: 8 * 1_000_000, // 1 MB/s → 20000 B burst
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Data().SyncUpdates()
+	if err := s.Control().ReleaseAccess(17); err != nil {
+		t.Fatal(err)
+	}
+	pool := pkt.NewPool(2048, 128)
+	b := buildDownlink(pool, res.UEAddr, 80)
+	plen := uint64(b.Len())
+	const now = int64(1_000_000_000) // one clock for every step: no refill
+	s.Data().ProcessDownlinkBatch([]*pkt.Buf{b}, now)
+	if got := s.Data().PagedPackets.Load(); got != 1 {
+		t.Fatalf("paged = %d, want 1", got)
+	}
+	if err := s.Control().ResumeAccess(17, pkt.IPv4Addr(192, 168, 0, 77), 0x7700); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]*pkt.Buf, 8)
+	n := s.Downlink.DequeueBatch(batch)
+	if n != 1 {
+		t.Fatalf("requeued packets = %d, want 1", n)
+	}
+	s.Data().ProcessDownlinkBatch(batch[:n], now)
+	if got := drainEgress(s); got != 1 {
+		t.Fatalf("delivered %d packets after resume, want 1", got)
+	}
+	ue := s.Control().Lookup(17)
+	if got, want := ue.Hot().Priv.Limiter.ExportLevels(now).AMBRDown, 20000-plen; got != want {
+		t.Fatalf("AMBR down level %d after one %d-byte packet, want %d (policed %d times)",
+			got, plen, want, (20000-got)/plen)
+	}
+}
+
 func TestIdleModePagingCycle(t *testing.T) {
 	s := NewSlice(SliceConfig{ID: 16, UserHint: 64})
 	res := attachOne(t, s, 16)

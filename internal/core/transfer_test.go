@@ -219,7 +219,7 @@ func TestTransferWithoutLevelsStartsFull(t *testing.T) {
 	if ueB == nil {
 		t.Fatal("user not installed")
 	}
-	if ueB.Hot().Priv.Limiter != nil {
+	if ueB.Hot().Priv.Limiter.Configured() {
 		t.Fatal("limiter pre-seeded from an invalid levels section")
 	}
 	// Data path builds the limiter lazily with a full bucket.

@@ -64,6 +64,9 @@ func (tb *TokenBucket) Tokens(now int64) uint64 {
 	return tb.tokens
 }
 
+// Rate reports the bucket's rate in bytes/s; 0 means it does not police.
+func (tb *TokenBucket) Rate() uint64 { return tb.rate }
+
 func (tb *TokenBucket) refill(now int64) {
 	if now <= tb.last {
 		return
@@ -121,16 +124,30 @@ func IsGBR(qci uint8) bool { return qci >= 1 && qci <= 4 }
 
 // UserLimiter bundles the per-user policing state the data thread keeps
 // alongside each UE: aggregate (AMBR) buckets per direction plus one MBR
-// bucket per bearer. Sized for the fast path: fixed arrays, no maps.
+// bucket per bearer. Sized for the fast path: fixed arrays, no maps. The
+// AMBR pair is inline, so a limiter embedded in per-user state is policed
+// without a pointer chase; the per-bearer buckets, which few users
+// configure, sit behind a pointer allocated by the first ConfigureBearer
+// with a non-zero MBR. The zero value polices nothing.
 type UserLimiter struct {
-	AMBRUp   TokenBucket
-	AMBRDown TokenBucket
-	// Per-bearer MBR buckets indexed like the UE's bearer array (the
-	// state package's MaxBearers; asserted equal by tests).
-	BearerUp   [4]TokenBucket
-	BearerDown [4]TokenBucket
+	// configured is set by ConfigureUser; the data plane skips policing
+	// while it is clear. It and bearers lead the struct so an embedding
+	// can place both on the cache line before the AMBR pair.
 	configured bool
+	bearers    *bearerBuckets
+	AMBRUp     TokenBucket
+	AMBRDown   TokenBucket
 }
+
+// bearerBuckets are the per-bearer MBR buckets, indexed like the UE's
+// bearer array (sized as the state package's MaxBearers).
+type bearerBuckets struct {
+	up, down [4]TokenBucket
+}
+
+// Configured reports whether ConfigureUser has run since the limiter was
+// zeroed.
+func (ul *UserLimiter) Configured() bool { return ul.configured }
 
 // DefaultBurstBytes sizes bucket depth when the operator does not
 // configure one: 20 ms at line rate, a common policing default.
@@ -169,35 +186,35 @@ type Levels struct {
 	BearerDown [4]uint64
 }
 
-// ExportLevels refills every bucket at now and returns the levels.
+// ExportLevels refills every bucket at now and returns the levels; a
+// bearer bucket that was never configured reports 0.
 // Owning thread only (migration extract runs after the data-plane
 // fence).
 func (ul *UserLimiter) ExportLevels(now int64) Levels {
-	return Levels{
-		AMBRUp:   ul.AMBRUp.Tokens(now),
-		AMBRDown: ul.AMBRDown.Tokens(now),
-		BearerUp: [4]uint64{
-			ul.BearerUp[0].Tokens(now), ul.BearerUp[1].Tokens(now),
-			ul.BearerUp[2].Tokens(now), ul.BearerUp[3].Tokens(now),
-		},
-		BearerDown: [4]uint64{
-			ul.BearerDown[0].Tokens(now), ul.BearerDown[1].Tokens(now),
-			ul.BearerDown[2].Tokens(now), ul.BearerDown[3].Tokens(now),
-		},
+	lv := Levels{AMBRUp: ul.AMBRUp.Tokens(now), AMBRDown: ul.AMBRDown.Tokens(now)}
+	if b := ul.bearers; b != nil {
+		for i := range b.up {
+			lv.BearerUp[i] = b.up[i].Tokens(now)
+			lv.BearerDown[i] = b.down[i].Tokens(now)
+		}
 	}
+	return lv
 }
 
 // SeedLevels overwrites every bucket's token level (clamped to its
 // configured depth) and stamps its refill clock to now, so a seeded
 // bucket resumes accruing from the seed rather than treating the epoch
 // gap as elapsed time and instantly refilling. Call after Configure*
-// on the owning thread, before the limiter serves packets.
+// on the owning thread, before the limiter serves packets. Bearer levels
+// are ignored when no bearer MBR is configured: those buckets hold 0.
 func (ul *UserLimiter) SeedLevels(lv Levels, now int64) {
 	ul.AMBRUp.seed(lv.AMBRUp, now)
 	ul.AMBRDown.seed(lv.AMBRDown, now)
-	for i := range ul.BearerUp {
-		ul.BearerUp[i].seed(lv.BearerUp[i], now)
-		ul.BearerDown[i].seed(lv.BearerDown[i], now)
+	if b := ul.bearers; b != nil {
+		for i := range b.up {
+			b.up[i].seed(lv.BearerUp[i], now)
+			b.down[i].seed(lv.BearerDown[i], now)
+		}
 	}
 }
 
@@ -231,28 +248,41 @@ func (ul *UserLimiter) ConfigureUser(ambrUpBits, ambrDownBits uint64) {
 }
 
 // ConfigureBearer sets bearer i's MBR policing in bits/s (0 disables).
-// Reapplying an unchanged configuration preserves token levels.
+// Reapplying an unchanged configuration preserves token levels. The
+// per-bearer buckets are allocated on the first non-zero MBR.
 func (ul *UserLimiter) ConfigureBearer(i int, mbrUpBits, mbrDownBits uint64) {
-	if i < 0 || i >= len(ul.BearerUp) {
+	if i < 0 || i >= len(bearerBuckets{}.up) {
 		return
 	}
-	ul.BearerUp[i].configureBits(mbrUpBits)
-	ul.BearerDown[i].configureBits(mbrDownBits)
+	if ul.bearers == nil {
+		if mbrUpBits == 0 && mbrDownBits == 0 {
+			return
+		}
+		ul.bearers = &bearerBuckets{}
+	}
+	ul.bearers.up[i].configureBits(mbrUpBits)
+	ul.bearers.down[i].configureBits(mbrDownBits)
 }
 
 // buckets returns the buckets policing a packet on bearer i in the given
 // direction: the AMBR and bearer i's MBR, each nil when it does not
 // police (rate 0, or i out of range).
 func (ul *UserLimiter) buckets(uplink bool, i int) (ambr, bearer *TokenBucket) {
-	ambr, bearers := &ul.AMBRDown, &ul.BearerDown
+	ambr = &ul.AMBRDown
 	if uplink {
-		ambr, bearers = &ul.AMBRUp, &ul.BearerUp
+		ambr = &ul.AMBRUp
 	}
 	if ambr.rate == 0 {
 		ambr = nil
 	}
-	if i >= 0 && i < len(bearers) && bearers[i].rate > 0 {
-		bearer = &bearers[i]
+	if b := ul.bearers; b != nil && i >= 0 && i < len(b.up) {
+		bearer = &b.down[i]
+		if uplink {
+			bearer = &b.up[i]
+		}
+		if bearer.rate == 0 {
+			bearer = nil
+		}
 	}
 	return ambr, bearer
 }

@@ -210,3 +210,50 @@ func BenchmarkUserLimiterUplink(b *testing.B) {
 		ul.Allow(now, true, 0, 64)
 	}
 }
+
+// TestLazyBearerBuckets: an MBR on bearer 2 alone allocates the
+// per-bearer buckets, its levels round-trip exactly through
+// ExportLevels/SeedLevels while every other bearer reads 0, and setting
+// the MBR back to 0 stops policing that bearer. An AMBR-only profile
+// allocates nothing.
+func TestLazyBearerBuckets(t *testing.T) {
+	var plain UserLimiter
+	if avg := testing.AllocsPerRun(10, func() {
+		plain.ConfigureUser(8_000_000, 8_000_000)
+		plain.ConfigureBearer(0, 0, 0)
+	}); avg != 0 || plain.bearers != nil {
+		t.Fatalf("AMBR-only profile: %.1f allocs, bearers %p", avg, plain.bearers)
+	}
+
+	var ul UserLimiter
+	ul.ConfigureUser(8*1_000_000, 8*1_000_000)  // 20000 B AMBR bursts
+	ul.ConfigureBearer(2, 8*500_000, 8*200_000) // 10000 B up, 4000 B down
+	now := int64(1_000_000_000)
+	if !ul.Allow(now, true, 2, 1234) || !ul.Allow(now, false, 2, 567) {
+		t.Fatal("packets within burst denied")
+	}
+	lv := ul.ExportLevels(now)
+	want := Levels{
+		AMBRUp: 20000 - 1234, AMBRDown: 20000 - 567,
+		BearerUp: [4]uint64{2: 10000 - 1234}, BearerDown: [4]uint64{2: 4000 - 567},
+	}
+	if lv != want {
+		t.Fatalf("exported %+v, want %+v", lv, want)
+	}
+	var dst UserLimiter
+	dst.ConfigureUser(8*1_000_000, 8*1_000_000)
+	dst.ConfigureBearer(2, 8*500_000, 8*200_000)
+	dst.SeedLevels(lv, now)
+	if got := dst.ExportLevels(now); got != want {
+		t.Fatalf("seeded %+v, want %+v", got, want)
+	}
+
+	// The bearer bucket is what denies here: AMBR has room.
+	if dst.Allow(now, false, 2, 4000) {
+		t.Fatal("bearer 2 MBR not policed")
+	}
+	dst.ConfigureBearer(2, 0, 0)
+	if !dst.Allow(now, false, 2, 4000) || !dst.AllowRun(now, true, 2, 9000) {
+		t.Fatal("bearer 2 still policed after its MBR was set to 0")
+	}
+}

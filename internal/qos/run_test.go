@@ -83,7 +83,7 @@ func TestConfigurePreservesTokens(t *testing.T) {
 	if got := ul.AMBRUp.Tokens(now); got != 1000 {
 		t.Fatalf("AMBR tokens after unchanged reconfigure = %d, want 1000", got)
 	}
-	if got := ul.BearerUp[0].Tokens(now); got != 1000 {
+	if got := ul.ExportLevels(now).BearerUp[0]; got != 1000 {
 		t.Fatalf("bearer tokens after unchanged reconfigure = %d, want 1000", got)
 	}
 	// A genuine rate change starts the bucket full at the new depth.

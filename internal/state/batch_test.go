@@ -11,7 +11,7 @@ func TestU32MapGetBatch(t *testing.T) {
 	}
 	keys := []uint32{2, 99, 1, 1, 4}
 	out := make([]*HotUE, len(keys))
-	m.GetHotBatch(keys, out)
+	m.GetHotBatch(keys, true, out)
 	want := []*HotUE{ues[1].Hot(), nil, ues[0].Hot(), ues[0].Hot(), ues[3].Hot()}
 	for i := range want {
 		if out[i] != want[i] {
@@ -19,7 +19,7 @@ func TestU32MapGetBatch(t *testing.T) {
 		}
 	}
 	// Empty batch is a no-op, not a panic.
-	m.GetHotBatch(nil, nil)
+	m.GetHotBatch(nil, true, nil)
 }
 
 // TestTwoLevelLookupBatch covers the batched two-level probe: primary

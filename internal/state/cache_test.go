@@ -261,7 +261,7 @@ func TestGetHotBatchZeroAlloc(t *testing.T) {
 		keys[i] = uint32(i + 1)
 	}
 	out := make([]*HotUE, 64)
-	if n := testing.AllocsPerRun(100, func() { m.GetHotBatch(keys, out) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { m.GetHotBatch(keys, true, out) }); n != 0 {
 		t.Fatalf("U32Map.GetHotBatch allocates %.1f/op", n)
 	}
 }
@@ -307,7 +307,7 @@ func BenchmarkGetBatch(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.GetHotBatch(keys, out)
+			m.GetHotBatch(keys, true, out)
 		}
 	})
 	b.Run("single", func(b *testing.B) {

@@ -3,6 +3,8 @@ package state
 import (
 	"sync"
 	"testing"
+
+	"pepc/internal/qos"
 )
 
 // TestSeqlockParity pins the sequence protocol: even when quiescent,
@@ -26,6 +28,8 @@ func TestSeqlockParity(t *testing.T) {
 	if cs.IMSI != 9 {
 		t.Fatalf("snapshot IMSI = %d, want 9", cs.IMSI)
 	}
+	ue.Hot().Priv.Limiter.ConfigureUser(8_000_000, 8_000_000)
+	ue.Hot().Priv.Limiter.ConfigureBearer(1, 8_000_000, 0)
 	ue.Recycle()
 	if got := ue.CtrlSeq(); got != 0 {
 		t.Fatalf("seq after Recycle = %d, want 0", got)
@@ -34,7 +38,7 @@ func TestSeqlockParity(t *testing.T) {
 	if cs.IMSI != 0 || cs.Epoch != 0 {
 		t.Fatalf("recycled control state not zeroed: %+v", cs)
 	}
-	if ue.Hot().Priv.Limiter != nil || ue.Hot().Priv.Epoch != 0 {
+	if lim := &ue.Hot().Priv.Limiter; lim.Configured() || *lim != (qos.UserLimiter{}) || ue.Hot().Priv.Epoch != 0 {
 		t.Fatalf("recycled Priv not zeroed: %+v", ue.Hot().Priv)
 	}
 	_, cnt := ue.Snapshot()

@@ -14,6 +14,8 @@ package state
 // in a table-level lock instead.
 type U32Map struct {
 	g *g32[*UE]
+	// sink keeps GetHotBatch's touch loads live; never read.
+	sink uint32
 }
 
 const u32MapMinCap = 16
@@ -49,15 +51,17 @@ func (m *U32Map) Get(key uint32) *UE {
 // miss). The batch is processed in two passes per chunk — hash and
 // home-group control word for every key first, then the probes — so the
 // group loads are software-pipelined instead of serializing behind each
-// probe's cache miss; each hit's hot half is then loaded for the whole
-// chunk at once, so those misses overlap too instead of stalling the
-// packet stage that reads the hot half next one user at a time.
-func (m *U32Map) GetHotBatch(keys []uint32, out []*HotUE) {
+// probe's cache miss; each hit's hot lines for a run in the given
+// direction are then loaded for the whole chunk at once (HotUE.touch),
+// so those misses overlap too instead of stalling the verdict stage
+// that reads and writes them next one user at a time.
+func (m *U32Map) GetHotBatch(keys []uint32, uplink bool, out []*HotUE) {
 	if len(keys) == 0 {
 		return
 	}
 	_ = out[len(keys)-1]
 	var ues [batchChunk]*UE
+	var sink uint32
 	for len(keys) > 0 {
 		c := len(keys)
 		if c > batchChunk {
@@ -67,7 +71,7 @@ func (m *U32Map) GetHotBatch(keys []uint32, out []*HotUE) {
 		for i, ue := range ues[:c] {
 			if ue != nil {
 				h := ue.Hot()
-				h.seq.Load() // touch: the seqlock word shares a line with Fast
+				sink += h.touch(uplink)
 				out[i] = h
 			} else {
 				out[i] = nil
@@ -75,6 +79,7 @@ func (m *U32Map) GetHotBatch(keys []uint32, out []*HotUE) {
 		}
 		keys, out = keys[c:], out[c:]
 	}
+	m.sink = sink
 }
 
 // Put inserts or replaces the value for key. Returns false for reserved

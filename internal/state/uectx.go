@@ -126,41 +126,52 @@ type CounterState struct {
 //
 // Use the accessor methods, which encode the discipline, rather than the
 // locks directly.
+//
+// Field order places the hot half on a cache-line boundary (see HotUE's
+// line map). A UE holds pointers and is over 512 bytes, so the Go
+// allocator places it 8 bytes into a slot of the 896-byte size class,
+// after a type header, and those slots start on line boundaries; Ctrl
+// and ctrlMu fill the 440 bytes from there to the hot half.
 type UE struct {
+	Ctrl   ControlState
+	ctrlMu sync.RWMutex
+
+	hot HotUE
+
 	// seq is the control-state sequence counter: odd while a control
 	// write is in progress, even otherwise. Data-path readers copy Ctrl
 	// optimistically and validate against it (ReadCtrlSnapshot), so a
 	// control write never blocks the forwarding path.
 	seq atomic.Uint32
-
-	ctrlMu sync.RWMutex
-	Ctrl   ControlState
-
-	hot HotUE
 }
 
 // Hot returns the user's hot half.
 func (u *UE) Hot() *HotUE { return &u.hot }
 
 // DataPriv is the data-thread-private derived state; see HotUE.Priv.
-// The limiter is allocated lazily: unpoliced users (no AMBR/MBR
-// configured) carry no limiter, keeping the common-case context
-// compact. TFTs are cached here at rebuild so bearer classification for
-// policed users stays inside the hot half.
+// The limiter is inline, so policing a user loads no second object: its
+// AMBR pair shares the hot half with the rest of the verdict stage's
+// working set, and only the per-bearer MBR buckets, which few users
+// configure, are allocated (by the first non-zero bearer MBR). An
+// unpoliced user's limiter is the zero value, which polices nothing.
+// TFTs are cached here at rebuild so bearer classification for policed
+// users stays inside the hot half. Field order is part of HotUE's line
+// map.
 type DataPriv struct {
-	Limiter *qos.UserLimiter
 	// Epoch records which control-state epoch the derived state was
 	// built from; a mismatch tells the data thread to rebuild.
 	Epoch uint32
-	// Cached dedicated-bearer TFTs (indexes 1..NTFT-1 of Bearers; slot 0
-	// unused) copied from the control state at rebuild.
-	NTFT uint8
-	TFTs [MaxBearers]pcef.FilterSpec
+	// NTFT counts the cached bearer TFTs below.
+	NTFT    uint8
+	Limiter qos.UserLimiter
 	// Encap is the precomputed downlink GTP-U envelope for the user's
 	// current tunnel (DownlinkTEID/ENBAddr), rebuilt on the same epoch
 	// bump: downlink encapsulation becomes one template copy plus three
 	// length stores instead of field-by-field serialization.
 	Encap gtp.EncapTemplate
+	// Cached dedicated-bearer TFTs (indexes 1..NTFT-1 of Bearers; slot 0
+	// unused) copied from the control state at rebuild.
+	TFTs [MaxBearers]pcef.FilterSpec
 }
 
 // SelectBearer maps a flow to a bearer index using the cached TFTs,

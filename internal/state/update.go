@@ -87,7 +87,7 @@ func (ix *Indexes) GetHotBatch(keys []uint32, uplink bool, out []*HotUE) {
 	if !uplink {
 		m = ix.ByIP
 	}
-	m.GetHotBatch(keys, out)
+	m.GetHotBatch(keys, uplink, out)
 }
 
 // Apply executes one update against the indexes.

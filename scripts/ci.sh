@@ -84,12 +84,12 @@ echo "== soak smoke (scripts/soak.sh -short)"
 
 # Allocation guards: the per-packet path (batch lookups, two-level hot
 # lookups, steady-state forwarding, the slice's data pass, recycled
-# signaling, the daemon's lane and the N4 loop's transport) must stay at
-# 0 allocs/op.
+# signaling, the daemon's lane and the N4 loop's transport, the Maglev
+# batch pick and the cluster's steer) must stay at 0 allocs/op.
 # Run them apart from the main suite with -count=1 so a cached pass can't
 # mask a fresh allocation, and without -race (the race runtime allocates).
 echo "== allocation guards (ZeroAlloc tests)"
-go test -run 'ZeroAlloc' -count=1 ./internal/pkt/ ./internal/gtp/ ./internal/core/ ./internal/state/ ./internal/sockio/ ./internal/hdr/ ./internal/lane/
+go test -run 'ZeroAlloc' -count=1 ./internal/pkt/ ./internal/gtp/ ./internal/core/ ./internal/state/ ./internal/sockio/ ./internal/hdr/ ./internal/lane/ ./internal/lb/ ./internal/cluster/
 
 # Figure shapes: internal/experiments asserts the paper's relative
 # claims (who wins, which way a curve bends) on regenerated figures; the
