@@ -170,6 +170,8 @@ type DataPlane struct {
 	s *Slice
 
 	// Stats (data-thread written; atomic so other threads may read).
+	// Forwarded counts what the egress ring accepted; a packet it
+	// refuses is counted in Dropped only.
 	Forwarded atomic.Uint64
 	Dropped   atomic.Uint64
 	Missed    atomic.Uint64 // no user state found
@@ -242,6 +244,7 @@ type dpScratch struct {
 	runKeys []uint32       // distinct consecutive keys of the batch
 	runHot  []*state.HotUE // resolved hot state, one per key run
 	runSec  []bool         // two-level: run resolved from the secondary
+	out     []*pkt.Buf     // the chunk's forwarded packets, in order
 	rules   pcef.RuleSet
 
 	// fast receives the seqlock snapshot of the current run's fast-path
@@ -269,6 +272,7 @@ func (sc *dpScratch) ensure(n int) {
 	sc.runKeys = make([]uint32, n)
 	sc.runHot = make([]*state.HotUE, n)
 	sc.runSec = make([]bool, n)
+	sc.out = make([]*pkt.Buf, 0, n)
 }
 
 func newDataPlane(s *Slice) *DataPlane {
@@ -346,11 +350,13 @@ func (dp *DataPlane) process(batch []*pkt.Buf, now int64, uplink bool) {
 // chunk processes one sync-interval's worth of packets through the three
 // stages. No update sync happens inside a chunk, so every lookup
 // observes the same index state the packet-at-a-time loop would have.
+// What the stages forward leaves in one egress enqueue at the end.
 func (dp *DataPlane) chunk(batch []*pkt.Buf, now int64, uplink bool) {
 	sc := &dp.scratch
 	n := len(batch)
 	sc.ensure(n)
 	sc.rules = dp.s.pcefTable.Snapshot()
+	sc.out = sc.out[:0]
 
 	// Stage 1: parse and key extraction.
 	if uplink {
@@ -385,6 +391,7 @@ func (dp *DataPlane) chunk(batch []*pkt.Buf, now int64, uplink bool) {
 		dp.run(batch, i, j, hot, now, uplink)
 		i = j
 	}
+	dp.flushEgress()
 }
 
 // parseUplink is the uplink parse stage: decap, the echo and
@@ -643,16 +650,26 @@ func (dp *DataPlane) isIoT(teid uint32) bool {
 	return n > 0 && teid >= base && teid < base+n
 }
 
+// forward queues b for the chunk's egress burst (see flushEgress).
 func (dp *DataPlane) forward(b *pkt.Buf, now int64) {
-	dp.Forwarded.Add(1)
 	if dp.s.cfg.RecordLatency && b.Meta.TSNanos != 0 {
 		dp.recordLat(b.Meta.Uplink, now-b.Meta.TSNanos)
 	}
-	if !dp.s.Egress.Enqueue(b) {
-		// Egress backpressure: account and release, like a NIC tail
-		// drop.
-		dp.Dropped.Add(1)
-		dp.cache.Put(b)
+	dp.scratch.out = append(dp.scratch.out, b)
+}
+
+// flushEgress hands the chunk's forwarded packets to the egress ring in
+// one burst and counts what it accepted as forwarded. What does not fit
+// is egress backpressure: dropped and released, like a NIC tail drop.
+func (dp *DataPlane) flushEgress() {
+	out := dp.scratch.out
+	if len(out) == 0 {
+		return
+	}
+	n := dp.s.Egress.EnqueueBatch(out)
+	dp.Forwarded.Add(uint64(n))
+	for _, b := range out[n:] {
+		dp.drop(b)
 	}
 }
 

@@ -609,3 +609,29 @@ func TestGTPUEchoAnswered(t *testing.T) {
 		t.Fatal("unsupported GTP message not dropped")
 	}
 }
+
+// An egress tail drop is a drop, not a forward: when the egress ring
+// fills mid-batch, every packet offered ends up counted exactly once,
+// either forwarded (and on the egress ring) or dropped.
+func TestEgressTailDropCountedOnce(t *testing.T) {
+	s := NewSlice(SliceConfig{ID: 18, UserHint: 16, RingCapacity: 4})
+	res := attachOne(t, s, 1801)
+	pool := pkt.NewPool(2048, 128)
+	const offered = 8
+	batch := make([]*pkt.Buf, offered)
+	for i := range batch {
+		batch[i] = buildUplink(pool, res.UplinkTEID, res.UEAddr, pkt.IPv4Addr(192, 168, 0, 1), s.Config().CoreAddr, 80)
+	}
+	s.Data().ProcessUplinkBatch(batch, sim.Now())
+	fwd, drop := s.Data().Forwarded.Load(), s.Data().Dropped.Load()
+	if fwd != uint64(s.Egress.Len()) {
+		t.Fatalf("forwarded = %d, but the egress ring holds %d", fwd, s.Egress.Len())
+	}
+	if fwd+drop != offered {
+		t.Fatalf("forwarded %d + dropped %d = %d, want %d offered", fwd, drop, fwd+drop, offered)
+	}
+	if fwd != 4 {
+		t.Fatalf("forwarded = %d, want the egress capacity 4", fwd)
+	}
+	drainEgress(s)
+}

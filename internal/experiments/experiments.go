@@ -61,8 +61,9 @@ func (r Result) Render() string {
 // Scale bounds experiment cost so the full suite runs in reasonable time
 // on a development machine while keeping the paper's parameters reachable.
 type Scale struct {
-	// MaxUsers caps population sweeps (memory bound: each user context
-	// is ~600B).
+	// MaxUsers caps population sweeps (memory bound: each user costs
+	// ~1 KB, its 896-B context slot plus its index entries; pepcmark's
+	// traced state.mem_b_per_user reads 965 B).
 	MaxUsers int
 	// PacketsPerPoint is the measured packet count per data point.
 	PacketsPerPoint int

@@ -1,9 +1,11 @@
 // Package ring provides lock-free rings used as the I/O substrate between
-// PEPC pipeline stages, standing in for DPDK rings/vports. The SPSC ring is
-// the data-plane workhorse: single producer, single consumer, batched
-// enqueue/dequeue with acquire/release atomics and no allocation. The MPSC
-// ring carries control-plane updates (many control sources, one data
-// thread).
+// PEPC pipeline stages, standing in for DPDK rings/vports. Both move
+// bursts for a fixed number of atomics and never allocate. The SPSC ring
+// (single producer, single consumer) carries each slice's egress. The
+// MPSC ring (many producers, one consumer) carries the data path too:
+// each slice's uplink and downlink ingress, fed by every demux queue,
+// and the packet pool's free list, which every lane frees into; and the
+// control-plane queues (updates, signaling, promotion, paging).
 package ring
 
 import (
@@ -138,27 +140,35 @@ func (r *SPSC[T]) DequeueBatch(vs []T) int {
 	return int(n)
 }
 
-// MPSC is a bounded multi-producer single-consumer queue of T, used for
-// control-plane update channels where several sources (node scheduler,
-// proxy, control thread) feed one data thread. Producers contend on a CAS;
-// the single consumer is wait-free against a committed slot.
+// MPSC is a bounded multi-producer single-consumer queue of T, shaped
+// like DPDK's rte_ring. It carries packets (each slice's ingress, the
+// pool's free list) as well as control queues. A burst costs a fixed
+// number of atomics: producers reserve a range of positions with one CAS
+// on tail, checking free space against the consumer's head, and commit
+// each slot by storing its sequence number; the consumer takes every
+// committed slot in order and releases the whole burst with one store to
+// head.
 type MPSC[T any] struct {
 	buf  []slot[T]
 	mask uint64
 
-	// FaultHook, when non-nil, is consulted before each enqueue; returning
-	// true makes the enqueue report a full ring, driving the producers'
-	// backpressure paths (signaling sheds, tail drops) under fault
-	// injection. Install it before concurrent use; nil costs one
-	// predictable branch.
+	// FaultHook, when non-nil, is consulted before each item enqueued;
+	// returning true makes the enqueue report a full ring at that item,
+	// driving the producers' backpressure paths (signaling sheds, tail
+	// drops) under fault injection. Install it before concurrent use;
+	// nil costs one predictable branch.
 	FaultHook func() bool
 
 	_    [64]byte
-	head atomic.Uint64 // consumer position
+	head atomic.Uint64 // consumer position: every earlier slot is free
 	_    [64]byte
-	tail atomic.Uint64 // next producer position
+	tail atomic.Uint64 // next unreserved producer position
 }
 
+// slot holds one item; seq is pos+1 once the producer that reserved
+// position pos has written v. The consumer never resets it: a value left
+// from an earlier lap (pos-k*Cap+1) or the zero of a new ring can never
+// equal pos+1.
 type slot[T any] struct {
 	seq atomic.Uint64
 	v   T
@@ -170,11 +180,7 @@ func NewMPSC[T any](capacity int) (*MPSC[T], error) {
 	if capacity < 2 || capacity&(capacity-1) != 0 {
 		return nil, ErrBadCapacity
 	}
-	q := &MPSC[T]{buf: make([]slot[T], capacity), mask: uint64(capacity - 1)}
-	for i := range q.buf {
-		q.buf[i].seq.Store(uint64(i))
-	}
-	return q, nil
+	return &MPSC[T]{buf: make([]slot[T], capacity), mask: uint64(capacity - 1)}, nil
 }
 
 // MustMPSC is NewMPSC that panics on bad capacity.
@@ -189,7 +195,8 @@ func MustMPSC[T any](capacity int) *MPSC[T] {
 // Cap returns the ring capacity.
 func (q *MPSC[T]) Cap() int { return len(q.buf) }
 
-// Len returns the approximate number of queued items.
+// Len returns the approximate number of queued items (reserved positions
+// count as queued).
 func (q *MPSC[T]) Len() int {
 	n := int(q.tail.Load()) - int(q.head.Load())
 	if n < 0 {
@@ -198,41 +205,58 @@ func (q *MPSC[T]) Len() int {
 	return n
 }
 
+// reserve claims up to n consecutive positions with one CAS on tail,
+// returning the first and how many it got (0 when the ring is full).
+// Head is read after tail: if it has moved past the tail read, so has
+// tail, and the CAS fails; otherwise every claimed position's slot was
+// released by the consumer before the head read.
+func (q *MPSC[T]) reserve(n uint64) (uint64, uint64) {
+	for {
+		tail := q.tail.Load()
+		if free := uint64(len(q.buf)) + q.head.Load() - tail; n > free {
+			n = free
+		}
+		if n == 0 || q.tail.CompareAndSwap(tail, tail+n) {
+			return tail, n
+		}
+	}
+}
+
 // Enqueue adds one item, reporting false if the ring is full. Safe for
-// concurrent producers (Vyukov bounded MPMC algorithm, producer side).
+// concurrent producers.
 func (q *MPSC[T]) Enqueue(v T) bool {
 	if q.FaultHook != nil && q.FaultHook() {
 		return false // injected overflow
 	}
-	for {
-		tail := q.tail.Load()
-		s := &q.buf[tail&q.mask]
-		seq := s.seq.Load()
-		switch {
-		case seq == tail:
-			if q.tail.CompareAndSwap(tail, tail+1) {
-				s.v = v
-				s.seq.Store(tail + 1)
-				return true
-			}
-		case seq < tail:
-			return false // full
-		}
-		// Another producer claimed this slot; retry.
+	pos, n := q.reserve(1)
+	if n == 0 {
+		return false
 	}
+	s := &q.buf[pos&q.mask]
+	s.v = v
+	s.seq.Store(pos + 1)
+	return true
 }
 
-// EnqueueBatch adds as many items from vs as fit, returning the count.
-// Safe for concurrent producers; slots are claimed one CAS at a time
-// (Vyukov producers cannot reserve ranges), so the batching here saves
-// call overhead rather than synchronization.
+// EnqueueBatch adds as many items from vs as fit, in order, returning
+// the count. Safe for concurrent producers: the whole range is reserved
+// with one CAS, so another producer's items never interleave with it.
 func (q *MPSC[T]) EnqueueBatch(vs []T) int {
-	for i, v := range vs {
-		if !q.Enqueue(v) {
-			return i
+	if q.FaultHook != nil {
+		for i := range vs {
+			if q.FaultHook() {
+				vs = vs[:i] // injected overflow at item i
+				break
+			}
 		}
 	}
-	return len(vs)
+	pos, n := q.reserve(uint64(len(vs)))
+	for i, v := range vs[:n] {
+		s := &q.buf[(pos+uint64(i))&q.mask]
+		s.v = v
+		s.seq.Store(pos + uint64(i) + 1)
+	}
+	return int(n)
 }
 
 // Dequeue removes one item. Only one consumer goroutine may call it.
@@ -245,21 +269,29 @@ func (q *MPSC[T]) Dequeue() (T, bool) {
 	}
 	v := s.v
 	s.v = zero
-	s.seq.Store(head + uint64(len(q.buf)))
 	q.head.Store(head + 1)
 	return v, true
 }
 
-// DequeueBatch fills vs with up to len(vs) items, returning the count.
+// DequeueBatch fills vs with up to len(vs) items, returning the count:
+// the committed slots from head on, stopping at the first slot its
+// producer has not yet written, released with one store to head. Only
+// one consumer goroutine may call it.
 func (q *MPSC[T]) DequeueBatch(vs []T) int {
+	var zero T
+	head := q.head.Load()
 	n := 0
-	for n < len(vs) {
-		v, ok := q.Dequeue()
-		if !ok {
+	for ; n < len(vs); n++ {
+		pos := head + uint64(n)
+		s := &q.buf[pos&q.mask]
+		if s.seq.Load() != pos+1 {
 			break
 		}
-		vs[n] = v
-		n++
+		vs[n] = s.v
+		s.v = zero
+	}
+	if n > 0 {
+		q.head.Store(head + uint64(n))
 	}
 	return n
 }

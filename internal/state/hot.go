@@ -63,7 +63,8 @@ func (c *ControlState) policed() bool {
 // hot half starts on a line boundary (see UE), so its lines are
 // (TestHotLayout pins them)
 //
-//	line 0:  U, cmu, the forward counters (bytes and packets)
+//	line 0:  U, cmu (a Mutex and 16 bytes of padding), the forward
+//	         counters (bytes and packets)
 //	line 1:  DroppedPackets, RuleBytes, fmu
 //	line 2:  seq, Fast, Priv.Epoch, Priv.NTFT, the limiter's configured
 //	         bit and bearer-bucket pointer
@@ -79,7 +80,11 @@ type HotUE struct {
 	// references never observe nil.
 	U *UE
 
-	cmu      sync.RWMutex
+	// cmu guards Counters: the data thread writes them once per run and
+	// only rare control-side snapshots read them, so a Mutex (two
+	// atomics per run, not an RWMutex's four) serves both.
+	cmu      sync.Mutex
+	_        [16]byte // pads cmu to the 24 B the line map was measured with
 	Counters CounterState
 
 	// fmu serializes publishers and backs the race-build fallback for
@@ -153,12 +158,12 @@ func (h *HotUE) WriteCounters(fn func(*CounterState)) {
 	h.cmu.Unlock()
 }
 
-// ReadCounters runs fn with shared access to the counters (control
+// ReadCounters runs fn with exclusive access to the counters (control
 // thread, usage reporting).
 func (h *HotUE) ReadCounters(fn func(*CounterState)) {
-	h.cmu.RLock()
+	h.cmu.Lock()
 	fn(&h.Counters)
-	h.cmu.RUnlock()
+	h.cmu.Unlock()
 }
 
 // reset clears the occupant-specific hot state for reuse. Same caller

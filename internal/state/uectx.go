@@ -269,7 +269,7 @@ func (u *UE) CtrlSeq() uint32 { return u.seq.Load() }
 // the data thread may call it. (Convenience delegate to the hot half.)
 func (u *UE) WriteCounters(fn func(*CounterState)) { u.Hot().WriteCounters(fn) }
 
-// ReadCounters runs fn with shared access to the counter half (control
+// ReadCounters runs fn with exclusive access to the counter half (control
 // thread, for usage reporting).
 func (u *UE) ReadCounters(fn func(*CounterState)) { u.Hot().ReadCounters(fn) }
 
@@ -279,9 +279,9 @@ func (u *UE) Snapshot() (ControlState, CounterState) {
 	cs := u.Ctrl
 	u.ctrlMu.RUnlock()
 	h := u.Hot()
-	h.cmu.RLock()
+	h.cmu.Lock()
 	cnt := h.Counters
-	h.cmu.RUnlock()
+	h.cmu.Unlock()
 	return cs, cnt
 }
 

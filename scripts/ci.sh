@@ -3,9 +3,11 @@
 # formatting, build, vet, the full test suite, then the race detector over the
 # packages that carry the single-writer lock discipline (internal/core's
 # data/control split and parked data thread, internal/lane's socket loop,
-# internal/state's table modes and internal/pcef's copy-on-write rule
+# internal/state's table modes, internal/pcef's copy-on-write rule
 # table, installed by the control side while the data thread classifies
-# snapshots), so a concurrency regression is machine-caught rather than
+# snapshots, and internal/ring's lock-free burst rings with
+# internal/pkt's pool, whose free list is the MPSC ring every lane frees
+# into), so a concurrency regression is machine-caught rather than
 # review-caught.
 set -eu
 
@@ -30,8 +32,16 @@ go vet ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race internal/core internal/lane internal/state internal/sockio internal/hdr internal/pfcp internal/pcef"
-go test -race ./internal/core/ ./internal/lane/ ./internal/state/ ./internal/sockio/ ./internal/hdr/ ./internal/pfcp/ ./internal/pcef/
+echo "== go test -race internal/core internal/lane internal/state internal/sockio internal/hdr internal/pfcp internal/pcef internal/ring internal/pkt"
+go test -race ./internal/core/ ./internal/lane/ ./internal/state/ ./internal/sockio/ ./internal/hdr/ ./internal/pfcp/ ./internal/pcef/ ./internal/ring/ ./internal/pkt/
+
+# Every packet and control ring is the burst MPSC ring: producers
+# reserve ranges with one CAS and the consumer releases bursts with one
+# store, so a reservation or release bug loses or duplicates a slot.
+# Four producers mixing single and batch enqueues into rings of 2, 4 and
+# 8 slots against one consumer, 20 times under the detector.
+echo "== MPSC ring stress x20 (-race)"
+go test -race -run 'TestMPSCBurstStress|TestMPSCConcurrentFillHoldsCap' -count=20 ./internal/ring/
 
 # The demux's route read takes no lock, so steering races migrations,
 # registrations and exception-table writes by design: the window tests,
@@ -85,11 +95,12 @@ echo "== soak smoke (scripts/soak.sh -short)"
 # Allocation guards: the per-packet path (batch lookups, two-level hot
 # lookups, steady-state forwarding, the slice's data pass, recycled
 # signaling, the daemon's lane and the N4 loop's transport, the Maglev
-# batch pick and the cluster's steer) must stay at 0 allocs/op.
+# batch pick, the cluster's steer and the rings' bursts) must stay at 0
+# allocs/op.
 # Run them apart from the main suite with -count=1 so a cached pass can't
 # mask a fresh allocation, and without -race (the race runtime allocates).
 echo "== allocation guards (ZeroAlloc tests)"
-go test -run 'ZeroAlloc' -count=1 ./internal/pkt/ ./internal/gtp/ ./internal/core/ ./internal/state/ ./internal/sockio/ ./internal/hdr/ ./internal/lane/ ./internal/lb/ ./internal/cluster/
+go test -run 'ZeroAlloc' -count=1 ./internal/pkt/ ./internal/gtp/ ./internal/core/ ./internal/state/ ./internal/sockio/ ./internal/hdr/ ./internal/lane/ ./internal/lb/ ./internal/cluster/ ./internal/ring/
 
 # Figure shapes: internal/experiments asserts the paper's relative
 # claims (who wins, which way a curve bends) on regenerated figures; the
