@@ -384,6 +384,31 @@ func TestUplinkDropsNonIPv4Inner(t *testing.T) {
 	drainEgress(s)
 }
 
+// TestAllOnesUplinkTEIDForwards: an SMF may assign any nonzero F-TEID,
+// the all-ones one included. The node accepts the attach and steers the
+// user's G-PDUs, so the data-path index must hold that TEID like any
+// other: the uplink is forwarded, not counted missed.
+func TestAllOnesUplinkTEIDForwards(t *testing.T) {
+	for _, teid := range []uint32{0x0A0B0C0D, ^uint32(0)} {
+		node := NewNode(SliceConfig{ID: 16, UserHint: 64})
+		res, err := node.AttachUser(0, AttachSpec{IMSI: 16, ENBAddr: 1, DownlinkTEID: 2, Preauthorized: true,
+			AssignedUplinkTEID: teid, AssignedUEAddr: pkt.IPv4Addr(45, 0, 0, 16)})
+		if err != nil || res.UplinkTEID != teid {
+			t.Fatalf("attach with TEID %#x: got %#x, err %v", teid, res.UplinkTEID, err)
+		}
+		s := node.Slice(0)
+		pool := pkt.NewPool(2048, 128)
+		node.SteerUplink(buildUplink(pool, teid, res.UEAddr, 1, s.Config().CoreAddr, 80))
+		s.RunPass(make([]*pkt.Buf, 8))
+		if fwd, miss := s.Data().Forwarded.Load(), s.Data().Missed.Load(); fwd != 1 || miss != 0 {
+			t.Fatalf("TEID %#x: forwarded=%d missed=%d, want 1 and 0", teid, fwd, miss)
+		}
+		if n := drainEgress(s); n != 1 {
+			t.Fatalf("TEID %#x: egress %d packets, want 1", teid, n)
+		}
+	}
+}
+
 func TestDedicatedBearerTFTSelection(t *testing.T) {
 	s := NewSlice(SliceConfig{ID: 14, UserHint: 64})
 	// Default bearer unpoliced; dedicated voice bearer with a tight MBR

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pepc/internal/pkt"
 )
@@ -168,13 +169,15 @@ var (
 )
 
 // Table is a PCEF match-action table. Installation happens on the control
-// side under a write lock over a copy-on-write rule slice; the data side
-// classifies against a lock-free Snapshot. With no rule matched, the
-// verdict is the zero Verdict: allow, unmatched, charging key 0.
+// side: mu serializes writers, each of which builds a new rule slice and
+// publishes it through an atomic pointer. The data side classifies
+// against a Snapshot, which is one atomic load and takes no lock. With
+// no rule matched, the verdict is the zero Verdict: allow, unmatched,
+// charging key 0.
 type Table struct {
-	mu    sync.RWMutex
-	rules []*Rule // sorted by precedence, then id
-	byID  map[uint32]*Rule
+	mu    sync.Mutex
+	rules atomic.Pointer[[]*Rule] // sorted by precedence, then id; nil = none
+	byID  map[uint32]*Rule        // guarded by mu
 }
 
 // NewTable returns an empty table.
@@ -196,8 +199,9 @@ func (t *Table) Install(r Rule) error {
 	rc := r // private copy
 	t.byID[r.ID] = &rc
 	// Copy-on-write: readers hold the old slice without blocking.
-	rules := make([]*Rule, 0, len(t.rules)+1)
-	rules = append(rules, t.rules...)
+	old := t.load()
+	rules := make([]*Rule, 0, len(old)+1)
+	rules = append(rules, old...)
 	rules = append(rules, &rc)
 	sort.SliceStable(rules, func(i, j int) bool {
 		if rules[i].Precedence != rules[j].Precedence {
@@ -205,7 +209,7 @@ func (t *Table) Install(r Rule) error {
 		}
 		return rules[i].ID < rules[j].ID
 	})
-	t.rules = rules
+	t.rules.Store(&rules)
 	return nil
 }
 
@@ -217,39 +221,39 @@ func (t *Table) Remove(id uint32) error {
 		return ErrUnknownRule
 	}
 	delete(t.byID, id)
-	rules := make([]*Rule, 0, len(t.rules)-1)
-	for _, r := range t.rules {
+	old := t.load()
+	rules := make([]*Rule, 0, len(old)-1)
+	for _, r := range old {
 		if r.ID != id {
 			rules = append(rules, r)
 		}
 	}
-	t.rules = rules
+	t.rules.Store(&rules)
+	return nil
+}
+
+// load returns the published rule slice (nil before the first install).
+func (t *Table) load() []*Rule {
+	if p := t.rules.Load(); p != nil {
+		return *p
+	}
 	return nil
 }
 
 // Len returns the installed rule count.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rules)
-}
+func (t *Table) Len() int { return len(t.load()) }
 
 // RuleSet is an immutable point-in-time view of the table. The rule
-// slice is copy-on-write (Install/Remove replace it wholesale), so a
-// snapshot stays valid indefinitely and classifies without any locking —
-// the staged data plane takes one Snapshot per batch instead of one
-// RLock per packet.
+// slice is copy-on-write (Install/Remove publish a new one wholesale), so
+// a snapshot stays valid indefinitely and classifies without any
+// locking — the staged data plane takes one Snapshot per batch, and
+// taking it is a single atomic load.
 type RuleSet struct {
 	rules []*Rule
 }
 
 // Snapshot captures the current rules.
-func (t *Table) Snapshot() RuleSet {
-	t.mu.RLock()
-	rs := RuleSet{rules: t.rules}
-	t.mu.RUnlock()
-	return rs
-}
+func (t *Table) Snapshot() RuleSet { return RuleSet{rules: t.load()} }
 
 // ClassifyFlow matches a parsed 5-tuple against the snapshot, lock-free:
 // the first matching rule's verdict, or the zero Verdict when none does.

@@ -8,40 +8,31 @@ import (
 	"pepc/internal/pkt"
 )
 
-// Tests for the cache-conscious store (DESIGN.md §4.10): group-probing
+// Tests for the cache-conscious store (DESIGN.md §4.10): bucket-probing
 // index behaviour under churn, the data-path indexes against a map model,
 // and the zero-allocation guarantees the data path depends on.
 
-// probeGroups32 counts the control-word loads a lookup of key performs
-// (1 = found or missed in the home group). Mirrors getHinted.
-func probeGroups32(g *g32[*UE], key uint32) int {
+// probeBuckets32 counts the buckets a lookup of key loads (1 = found or
+// missed in the home bucket). Each bucket is one cache line, so this is
+// also the probe's line count. Mirrors getHinted.
+func probeBuckets32(t *table32, key uint32) int {
 	h := pkt.HashUint32(key)
 	fp := fpOf(h)
-	gi := h & g.gmask
+	bi := h & t.bmask
 	loads := 0
 	for step := uint64(1); ; step++ {
-		w := g.word(gi)
+		b := &t.b[bi]
 		loads++
-		for m := matchFull(w, fp); m != 0; m &= m - 1 {
-			s := gi*groupSlots + uint64(trailingZeros(m))/groupSlots
-			if g.keys[s] == key {
+		for m := matchFull(b.ctrl, fp); m != 0; m &= m - 1 {
+			if b.keys[slotOf(m)] == key {
 				return loads
 			}
 		}
-		if hasEmpty(w) {
+		if hasEmpty(b.ctrl) {
 			return loads
 		}
-		gi = (gi + step) & g.gmask
+		bi = (bi + step) & t.bmask
 	}
-}
-
-func trailingZeros(m uint64) int {
-	n := 0
-	for m&1 == 0 {
-		m >>= 1
-		n++
-	}
-	return n
 }
 
 // TestTombstoneDecayBoundsProbeLength is the delete-churn regression
@@ -56,7 +47,7 @@ func TestTombstoneDecayBoundsProbeLength(t *testing.T) {
 		m.Put(k, ue)
 	}
 	// Shrink to 100 live keys by deleting in an order that stresses full
-	// groups, then churn the survivors.
+	// buckets, then churn the survivors.
 	for k := uint32(101); k <= 3000; k++ {
 		m.Delete(k)
 	}
@@ -72,25 +63,131 @@ func TestTombstoneDecayBoundsProbeLength(t *testing.T) {
 		m.Put(next, ue)
 		m.Delete(next)
 	}
-	g := m.g
+	g := &m.g
 	if g.grave > g.n && g.grave*8 > g.slots() {
 		t.Fatalf("decay did not run: grave=%d live=%d slots=%d", g.grave, g.n, g.slots())
 	}
 	// Probe length must stay flat for both hits and misses.
 	maxProbe := 0
 	m.Range(func(k uint32, _ *UE) bool {
-		if p := probeGroups32(g, k); p > maxProbe {
+		if p := probeBuckets32(g, k); p > maxProbe {
 			maxProbe = p
 		}
 		return true
 	})
 	for i := 0; i < 1000; i++ {
-		if p := probeGroups32(g, uint32(1_000_000+i)); p > maxProbe {
+		if p := probeBuckets32(g, uint32(1_000_000+i)); p > maxProbe {
 			maxProbe = p
 		}
 	}
 	if maxProbe > 8 {
-		t.Fatalf("probe length degraded under churn: %d group loads", maxProbe)
+		t.Fatalf("probe length degraded under churn: %d bucket loads", maxProbe)
+	}
+}
+
+// sameHomeTEIDs returns the first n keys of FuzzIndexesModel's TEID
+// domain (1..31) that share one home bucket in a table of
+// u32MapMinCap slots — the size NewIndexes(2) starts at.
+func sameHomeTEIDs(n int) []uint32 {
+	byHome := map[uint64][]uint32{}
+	for k := uint32(1); k <= 31; k++ {
+		home := pkt.HashUint32(k) & (u32MapMinCap/bucketSlots - 1)
+		if byHome[home] = append(byHome[home], k); len(byHome[home]) == n {
+			return byHome[home]
+		}
+	}
+	panic("no home bucket holds enough fuzz-domain keys")
+}
+
+// bucketSeeds are FuzzIndexesModel inputs over five keys with one home
+// bucket: four fill it and the fifth overflows into a second bucket.
+// The first then deletes inside the full bucket (a tombstone), looks up
+// the overflowed key past it and re-inserts over the tombstone; the
+// second deletes three of the four, and the third delete leaves more
+// tombstones than live keys, which rehashes the table in place.
+// TestBucketTombstoneLifecycle checks that these steps reach those states.
+func bucketSeeds() [][]byte {
+	const ins, del, fence, look = 0, 1, 3, 4 // the fuzz body's op codes
+	k := sameHomeTEIDs(5)
+	op := func(o byte, keys ...uint32) (b []byte) {
+		for _, key := range keys {
+			b = append(b, o, byte(key-1)) // the fuzz body maps a byte to key b%31+1
+		}
+		return b
+	}
+	cat := func(parts ...[]byte) (b []byte) {
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return b
+	}
+	fill := cat(op(ins, k...), op(look, k...))
+	return [][]byte{
+		cat(fill, op(del, k[1]), op(look, k[4], k[1]), op(ins, k[1]), op(look, k...)),
+		cat(fill, op(del, k[0], k[1], k[2]), op(look, k...), op(fence, 1, 1), op(ins, k[0], k[1]), op(look, k...)),
+	}
+}
+
+// TestBucketTombstoneLifecycle walks one home bucket through the states
+// bucketSeeds feed the model check: overflow into a second bucket, a
+// delete inside the full bucket leaving a tombstone that lookups probe
+// past, a re-insert that reuses it, and the delete that leaves more
+// tombstones than live keys and so rehashes the table in place.
+func TestBucketTombstoneLifecycle(t *testing.T) {
+	k := sameHomeTEIDs(5)
+	ues := map[uint32]*UE{}
+	m := NewU32Map(2)
+	for _, key := range k {
+		ues[key] = &UE{}
+		m.Put(key, ues[key])
+	}
+	g := &m.g
+	if g.slots() != u32MapMinCap {
+		t.Fatalf("table grew to %d slots; the seeds assume %d", g.slots(), u32MapMinCap)
+	}
+	home := &g.b[pkt.HashUint32(k[0])&g.bmask]
+	if hasEmpty(home.ctrl) {
+		t.Fatalf("home bucket not full after 5 inserts: ctrl %#08x", home.ctrl)
+	}
+	if p := probeBuckets32(g, k[4]); p != 2 {
+		t.Fatalf("fifth key found after %d bucket loads, want 2 (overflow)", p)
+	}
+
+	m.Delete(k[1])
+	tombs := 0
+	for s := 0; s < bucketSlots; s++ {
+		if home.ctrlAt(s) == ctrlTomb {
+			tombs++
+		}
+	}
+	if g.grave != 1 || tombs != 1 {
+		t.Fatalf("delete in a full bucket: grave=%d ctrl %#08x, want a tombstone", g.grave, home.ctrl)
+	}
+	if m.Get(k[4]) != ues[k[4]] || m.Get(k[1]) != nil {
+		t.Fatal("lookups past the tombstone went wrong")
+	}
+	m.Put(k[1], ues[k[1]])
+	if g.grave != 0 || g.n != 5 || probeBuckets32(g, k[1]) != 1 {
+		t.Fatalf("re-insert: grave=%d n=%d, want the tombstone reused in the home bucket", g.grave, g.n)
+	}
+
+	m.Delete(k[0])
+	m.Delete(k[1])
+	if g.grave != 2 {
+		t.Fatalf("grave = %d after two deletes in the full bucket, want 2", g.grave)
+	}
+	m.Delete(k[2]) // 3 tombstones > 2 live and > slots/8: decay
+	if g.grave != 0 || g.n != 2 || g.slots() != u32MapMinCap {
+		t.Fatalf("after decay: grave=%d n=%d slots=%d, want 0, 2, %d", g.grave, g.n, g.slots(), u32MapMinCap)
+	}
+	for i, key := range k {
+		want := ues[key]
+		if i < 3 {
+			want = nil
+		}
+		if got := m.Get(key); got != want {
+			t.Fatalf("key %d after decay: got %p, want %p", key, got, want)
+		}
 	}
 }
 
@@ -104,6 +201,9 @@ func TestTombstoneDecayBoundsProbeLength(t *testing.T) {
 func FuzzIndexesModel(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 1, 1, 1, 3, 0, 3, 0, 0, 2, 4, 1, 4, 2})
 	f.Add([]byte{0, 1, 0, 2, 2, 2, 4, 3, 1, 1, 3, 0, 0, 5, 3, 0, 0, 6, 4, 1, 4, 6})
+	for _, seed := range bucketSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 400 {
 			data = data[:400]

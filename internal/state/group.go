@@ -1,43 +1,49 @@
 package state
 
-// Group-probing hash core (swiss-table style) shared by the per-domain
-// indexes. Slots are organized into groups of 8; a parallel control-byte
-// array carries a 7-bit hash fingerprint per full slot, so one 8-byte
-// load answers "which of these 8 slots could hold my key" and the
-// key/value arrays are only touched on a fingerprint hit. Groups are
-// visited in triangular order (step 1, 2, 3, ... from the home group),
-// which over a power-of-two group count covers every group exactly once
-// — probes terminate at the first group containing an empty slot.
+// Bucketed hash core (swiss-table style) shared by the per-domain
+// indexes. A table is a power-of-two array of buckets, and a bucket is
+// the whole probe unit: a 4-byte control word with one byte per slot,
+// then its 4 keys, then its 4 values. For 32-bit keys a bucket is
+// exactly one 64-byte cache line (TestBucketLayout), so the load of a
+// bucket's control word — which answers "which of these 4 slots could
+// hold my key" by SWAR-matching a 7-bit hash fingerprint per slot —
+// brings the keys and the *UE pointers into cache with it: a probe that
+// resolves in its home bucket touches one line. Buckets are visited in
+// triangular order (step 1, 2, 3, ... from the home bucket), which over
+// a power-of-two bucket count covers every bucket exactly once — probes
+// terminate at the first bucket containing an empty slot.
 //
 // Control byte encoding: 0x00 empty, 0x01 tombstone, 0x80|fp7 full.
 // The fingerprint is taken from the top bits of the hash while the home
-// group comes from the bottom bits, so colliding keys in one group
+// bucket comes from the bottom bits, so colliding keys in one bucket
 // still tend to have distinct fingerprints.
 //
-// Like the previous linear-probe implementation, the core is not
-// internally synchronized: each PEPC thread owns its own index and
-// cross-thread changes arrive through the update queue.
+// Key 0 is the only reserved key: deletion zeroes the key slot, and the
+// SWAR fingerprint match relies on dead slots never comparing equal to
+// a probed key.
+//
+// The core is not internally synchronized: each PEPC thread owns its
+// own index and cross-thread changes arrive through the update queue.
 
 import (
-	"encoding/binary"
 	"math/bits"
 
 	"pepc/internal/pkt"
 )
 
 const (
-	groupSlots = 8 // slots per group; one control word per group
+	bucketSlots = 4 // slots per bucket; one control byte each
 
 	ctrlEmpty = 0x00
 	ctrlTomb  = 0x01
 	ctrlFull  = 0x80 // OR'd with the 7-bit fingerprint
 
-	swarLSB = 0x0101010101010101
-	swarMSB = 0x8080808080808080
+	swarLSB = 0x01010101
+	swarMSB = 0x80808080
 )
 
 // fpOf derives the control byte for a full slot from the hash's top
-// seven bits (the group index consumes the bottom bits).
+// seven bits (the bucket index consumes the bottom bits).
 func fpOf(h uint64) byte { return byte(h>>57) | ctrlFull }
 
 // matchFull returns a bitmask with the high bit of every byte position
@@ -46,375 +52,286 @@ func fpOf(h uint64) byte { return byte(h>>57) | ctrlFull }
 // boundaries; callers always confirm with a key compare, and deleted
 // slots have their keys zeroed, so a false positive can never alias a
 // live key.
-func matchFull(w uint64, ctrl byte) uint64 {
-	x := w ^ (swarLSB * uint64(ctrl))
+func matchFull(w uint32, ctrl byte) uint32 {
+	x := w ^ (swarLSB * uint32(ctrl))
 	return (x - swarLSB) &^ x & swarMSB
 }
 
-// hasEmpty reports whether the group holds at least one empty slot. As
+// hasEmpty reports whether the bucket holds at least one empty slot. As
 // a boolean this is exact: a borrow chain in the subtraction starts
 // only at a genuinely zero byte.
-func hasEmpty(w uint64) bool {
+func hasEmpty(w uint32) bool {
 	return (w-swarLSB)&^w&swarMSB != 0
 }
 
 // matchFree returns a bitmask of insertable slots (empty or tombstone:
 // any byte with the full bit clear). Exact.
-func matchFree(w uint64) uint64 { return ^w & swarMSB }
+func matchFree(w uint32) uint32 { return ^w & swarMSB }
+
+// slotOf turns the lowest set bit of a match mask into its slot index.
+func slotOf(m uint32) int { return bits.TrailingZeros32(m) >> 3 & (bucketSlots - 1) }
 
 // batchChunk is the software-pipelining width of GetHotBatch: hashes and
-// home-group control words for a chunk are computed before any probe
-// resolves, so the group loads overlap instead of serializing.
+// home-bucket control words for a chunk are loaded before any probe
+// resolves, so the bucket misses overlap instead of serializing.
 const batchChunk = 32
 
-// groupCore is the key-type-independent part of the table. The generic
-// wrappers below (g32/g64) add typed key/value arrays; splitting this
-// way keeps the layout decisions (growth, compaction thresholds) in one
-// place.
+// key is the set of index key types: TEIDs and IPv4 addresses on the
+// data path, IMSIs on the control path.
+type key interface{ uint32 | uint64 }
+
+// bucket is one probe unit: 4 slots' control bytes, keys and values.
+// pad sits between the control word and the keys and fills a
+// uint32-keyed bucket out to a whole cache line: 4 B of control and
+// 12 B of pad, 16 B of keys, 32 B of values. A uint64-keyed bucket
+// needs none (4 B of control, 4 B of alignment, 32 B of keys, 32 B of
+// values): 72 B, so a control-path probe touches at most two lines.
+type bucket[K key, pad any] struct {
+	ctrl uint32
+	_    pad
+	keys [bucketSlots]K
+	vals [bucketSlots]*UE
+}
+
+// ctrlAt returns slot s's control byte.
+func (b *bucket[K, pad]) ctrlAt(s int) byte { return byte(b.ctrl >> (8 * s)) }
+
+// setCtrl sets slot s's control byte.
+func (b *bucket[K, pad]) setCtrl(s int, c byte) {
+	b.ctrl = b.ctrl&^(0xff<<(8*s)) | uint32(c)<<(8*s)
+}
+
+// table32 is the data-path instantiation (TEID and UE-address indexes);
+// table64 is the control path's (IMSI).
+type (
+	table32 = table[uint32, [3]uint32]
+	table64 = table[uint64, struct{}]
+)
+
+// table is the bucketed hash table behind U32Map and U64Map.
 //
-// Growth keeps (live + tombstones) at or below 3/4 of capacity, as
-// before. Tombstone decay is handled on the delete side too: when
-// tombstones outnumber both the live population and 1/8 of capacity,
-// the table is rehashed in place, so a delete-heavy workload that never
-// inserts enough to trigger growth cannot degrade probes into long
-// chains (amortized O(1): each rehash is paid for by capacity/8
-// deletes).
-type groupCore struct {
-	ctrl  []byte
-	gmask uint64 // group count - 1
-	n     int
-	grave int
+// Growth keeps (live + tombstones) at or below 3/4 of capacity.
+// Tombstone decay is handled on the delete side too: when tombstones
+// outnumber both the live population and 1/8 of capacity, the table is
+// rehashed in place, so a delete-heavy workload that never inserts
+// enough to trigger growth cannot degrade probes into long chains
+// (amortized O(1): each rehash is paid for by capacity/8 deletes).
+type table[K key, pad any] struct {
+	b     []bucket[K, pad]
+	bmask uint64 // bucket count - 1
+	n     int    // live entries
+	grave int    // tombstones
 }
 
-func (g *groupCore) slots() int { return len(g.ctrl) }
+// hashOf hashes a key of either width; pkt.HashUint32(k) is the same
+// function of uint64(k).
+func hashOf[K key](k K) uint64 { return pkt.HashUint64(uint64(k)) }
 
-// word loads the control word of group gi.
-func (g *groupCore) word(gi uint64) uint64 {
-	return binary.LittleEndian.Uint64(g.ctrl[gi*groupSlots:])
-}
-
-func (g *groupCore) initSlots(sizeHint int) {
+// init sizes the table for sizeHint entries within the 3/4 load bound.
+func (t *table[K, pad]) init(sizeHint int) {
 	capacity := u32MapMinCap
 	for capacity*3/4 < sizeHint {
 		capacity <<= 1
 	}
-	g.ctrl = make([]byte, capacity)
-	g.gmask = uint64(capacity/groupSlots - 1)
-	g.n = 0
-	g.grave = 0
+	t.alloc(capacity)
 }
+
+// alloc replaces the bucket array with an empty one of the given slot
+// count. An array of 32 KiB or more (every index sized for 1K users or
+// more) is a large object, which the Go allocator places at the start
+// of its own pages, so every bucket of a uint32 table starts on a line
+// boundary. A smaller pointer-holding array carries the allocator's
+// 8-byte header in front of it; such a table fits in L1 or L2, where a
+// bucket split over two lines costs no extra miss.
+func (t *table[K, pad]) alloc(slots int) {
+	t.b = make([]bucket[K, pad], slots/bucketSlots)
+	t.bmask = uint64(len(t.b) - 1)
+	t.n = 0
+	t.grave = 0
+}
+
+func (t *table[K, pad]) slots() int { return len(t.b) * bucketSlots }
 
 // needGrow reports whether one more insert would push live+tombstones
 // past the 3/4 load bound.
-func (g *groupCore) needGrow() bool {
-	return (g.n+g.grave+1)*4 >= g.slots()*3
+func (t *table[K, pad]) needGrow() bool {
+	return (t.n+t.grave+1)*4 >= t.slots()*3
 }
 
 // growTarget picks the rehash size: double for genuine growth, same
 // size when the pressure is tombstones.
-func (g *groupCore) growTarget() int {
-	newCap := g.slots()
-	if g.n*2 >= newCap {
+func (t *table[K, pad]) growTarget() int {
+	newCap := t.slots()
+	if t.n*2 >= newCap {
 		newCap <<= 1
 	}
 	return newCap
 }
 
 // needDecay reports whether a delete-side in-place compaction is due.
-func (g *groupCore) needDecay() bool {
-	return g.grave > g.n && g.grave*8 > g.slots()
+func (t *table[K, pad]) needDecay() bool {
+	return t.grave > t.n && t.grave*8 > t.slots()
 }
 
-// g32 is the group-probing table for uint32 keys. Key 0 must be
-// rejected by the wrapper: deletion zeroes the key slot, and the
-// SWAR fingerprint match relies on dead slots never comparing equal to
-// a probed key.
-type g32[V any] struct {
-	groupCore
-	keys []uint32
-	vals []V
+// find returns k's value among b's slots whose fingerprint matches fp
+// in w (b's control word, loaded earlier), or nil. Small enough to
+// inline, so a key resolved in its home bucket costs no call.
+func (b *bucket[K, pad]) find(k K, w uint32, fp byte) *UE {
+	for m := matchFull(w, fp); m != 0; m &= m - 1 {
+		if s := slotOf(m); b.keys[s] == k {
+			return b.vals[s]
+		}
+	}
+	return nil
 }
 
-func newG32[V any](sizeHint int) *g32[V] {
-	g := &g32[V]{}
-	g.initSlots(sizeHint)
-	g.keys = make([]uint32, g.slots())
-	g.vals = make([]V, g.slots())
-	return g
+// get returns the value for k, or nil.
+func (t *table[K, pad]) get(k K) *UE {
+	h := hashOf(k)
+	b := &t.b[h&t.bmask]
+	w := b.ctrl
+	if v := b.find(k, w, fpOf(h)); v != nil || hasEmpty(w) {
+		return v
+	}
+	return t.getOverflow(k, h)
 }
 
-func (g *g32[V]) get(key uint32) (V, bool) {
-	h := pkt.HashUint32(key)
-	return g.getHinted(key, h, g.word(h&g.gmask))
-}
-
-// getHinted finishes a probe whose hash and home-group control word
-// were computed ahead of time (the two-pass GetHotBatch).
-func (g *g32[V]) getHinted(key uint32, h, w uint64) (V, bool) {
+// getOverflow continues a lookup past a full home bucket, visiting the
+// next buckets in triangular order.
+func (t *table[K, pad]) getOverflow(k K, h uint64) *UE {
 	fp := fpOf(h)
-	gi := h & g.gmask
+	bi := h & t.bmask
 	for step := uint64(1); ; step++ {
-		for m := matchFull(w, fp); m != 0; m &= m - 1 {
-			s := gi*groupSlots + uint64(bits.TrailingZeros64(m))/groupSlots
-			if g.keys[s] == key {
-				return g.vals[s], true
-			}
+		bi = (bi + step) & t.bmask
+		b := &t.b[bi]
+		w := b.ctrl
+		if v := b.find(k, w, fp); v != nil || hasEmpty(w) {
+			return v
 		}
-		if hasEmpty(w) {
-			var zero V
-			return zero, false
-		}
-		gi = (gi + step) & g.gmask
-		w = g.word(gi)
 	}
 }
 
-// getChunk is one software-pipelined GetHotBatch pass: hash + home-group
-// control word for every key first, then resolve the probes.
-func (g *g32[V]) getChunk(keys []uint32, out []V) {
+// getChunk is one software-pipelined GetHotBatch pass: hash and
+// home-bucket control word for every key first — each of those loads
+// brings in the bucket's whole line — then resolve the probes from
+// cache. Key 0 matches only dead slots, whose values are nil, and is
+// never probed past its home bucket.
+func (t *table[K, pad]) getChunk(keys []K, out []*UE) {
 	var hs [batchChunk]uint64
-	var ws [batchChunk]uint64
+	var ws [batchChunk]uint32
 	for i, k := range keys {
-		h := pkt.HashUint32(k)
+		h := hashOf(k)
 		hs[i] = h
-		ws[i] = g.word(h & g.gmask)
+		ws[i] = t.b[h&t.bmask].ctrl
 	}
 	for i, k := range keys {
-		if k == 0 || k == tombstone {
-			var zero V
-			out[i] = zero
-			continue
+		h, w := hs[i], ws[i]
+		v := t.b[h&t.bmask].find(k, w, fpOf(h))
+		if v == nil && !hasEmpty(w) && k != 0 {
+			v = t.getOverflow(k, h)
 		}
-		out[i], _ = g.getHinted(k, hs[i], ws[i])
+		out[i] = v
 	}
 }
 
-func (g *g32[V]) put(key uint32, v V) {
-	if g.needGrow() {
-		g.rehash(g.growTarget())
+// put inserts or replaces the value for k (nonzero).
+func (t *table[K, pad]) put(k K, v *UE) {
+	if t.needGrow() {
+		t.rehash(t.growTarget())
 	}
-	h := pkt.HashUint32(key)
+	h := hashOf(k)
 	fp := fpOf(h)
-	gi := h & g.gmask
-	free := -1
+	bi := h & t.bmask
+	var free *bucket[K, pad]
+	fs := 0
 	for step := uint64(1); ; step++ {
-		w := g.word(gi)
+		b := &t.b[bi]
+		w := b.ctrl
 		for m := matchFull(w, fp); m != 0; m &= m - 1 {
-			s := gi*groupSlots + uint64(bits.TrailingZeros64(m))/groupSlots
-			if g.keys[s] == key {
-				g.vals[s] = v
+			if s := slotOf(m); b.keys[s] == k {
+				b.vals[s] = v
 				return
 			}
 		}
-		if free < 0 {
+		if free == nil {
 			if f := matchFree(w); f != 0 {
-				free = int(gi)*groupSlots + bits.TrailingZeros64(f)/groupSlots
+				free, fs = b, slotOf(f)
 			}
 		}
 		if hasEmpty(w) {
-			if g.ctrl[free] == ctrlTomb {
-				g.grave--
+			if free.ctrlAt(fs) == ctrlTomb {
+				t.grave--
 			}
-			g.ctrl[free] = fp
-			g.keys[free] = key
-			g.vals[free] = v
-			g.n++
+			free.setCtrl(fs, fp)
+			free.keys[fs] = k
+			free.vals[fs] = v
+			t.n++
 			return
 		}
-		gi = (gi + step) & g.gmask
+		bi = (bi + step) & t.bmask
 	}
 }
 
-func (g *g32[V]) del(key uint32) (V, bool) {
-	var zero V
-	h := pkt.HashUint32(key)
+// del removes k, returning its value (nil if absent).
+func (t *table[K, pad]) del(k K) *UE {
+	h := hashOf(k)
 	fp := fpOf(h)
-	gi := h & g.gmask
+	bi := h & t.bmask
 	for step := uint64(1); ; step++ {
-		w := g.word(gi)
+		b := &t.b[bi]
+		w := b.ctrl
 		for m := matchFull(w, fp); m != 0; m &= m - 1 {
-			s := gi*groupSlots + uint64(bits.TrailingZeros64(m))/groupSlots
-			if g.keys[s] == key {
-				v := g.vals[s]
-				g.keys[s] = 0
-				g.vals[s] = zero
-				g.n--
-				// If this group still has an empty slot, no probe for any
-				// other key can pass through it, so the slot can revert to
-				// empty instead of a tombstone. (A group that was ever
-				// completely full never regains an empty byte, which is
-				// what makes this safe.)
-				if hasEmpty(w) {
-					g.ctrl[s] = ctrlEmpty
-				} else {
-					g.ctrl[s] = ctrlTomb
-					g.grave++
-					if g.needDecay() {
-						g.rehash(g.slots())
-					}
+			s := slotOf(m)
+			if b.keys[s] != k {
+				continue
+			}
+			v := b.vals[s]
+			b.keys[s] = 0
+			b.vals[s] = nil
+			t.n--
+			// If this bucket still has an empty slot, no probe for any
+			// other key can pass through it, so the slot can revert to
+			// empty instead of a tombstone. (A bucket that was ever
+			// completely full never regains an empty byte, which is what
+			// makes this safe.)
+			if hasEmpty(w) {
+				b.setCtrl(s, ctrlEmpty)
+			} else {
+				b.setCtrl(s, ctrlTomb)
+				t.grave++
+				if t.needDecay() {
+					t.rehash(t.slots())
 				}
-				return v, true
 			}
+			return v
 		}
 		if hasEmpty(w) {
-			return zero, false
+			return nil
 		}
-		gi = (gi + step) & g.gmask
+		bi = (bi + step) & t.bmask
 	}
 }
 
-func (g *g32[V]) rehash(newSlots int) {
-	oldCtrl, oldKeys, oldVals := g.ctrl, g.keys, g.vals
-	g.ctrl = make([]byte, newSlots)
-	g.gmask = uint64(newSlots/groupSlots - 1)
-	g.keys = make([]uint32, newSlots)
-	g.vals = make([]V, newSlots)
-	g.n = 0
-	g.grave = 0
-	for i, c := range oldCtrl {
-		if c&ctrlFull != 0 {
-			g.put(oldKeys[i], oldVals[i])
-		}
-	}
-}
-
-func (g *g32[V]) rng(fn func(key uint32, v V) bool) {
-	for i, c := range g.ctrl {
-		if c&ctrlFull != 0 {
-			if !fn(g.keys[i], g.vals[i]) {
-				return
-			}
+// rehash rebuilds the table at newSlots, dropping every tombstone.
+func (t *table[K, pad]) rehash(newSlots int) {
+	old := t.b
+	t.alloc(newSlots)
+	for i := range old {
+		b := &old[i]
+		for m := b.ctrl & swarMSB; m != 0; m &= m - 1 {
+			s := slotOf(m)
+			t.put(b.keys[s], b.vals[s])
 		}
 	}
 }
 
-// g64 mirrors g32 for uint64 keys (IMSI/GUTI indexes).
-type g64[V any] struct {
-	groupCore
-	keys []uint64
-	vals []V
-}
-
-func newG64[V any](sizeHint int) *g64[V] {
-	g := &g64[V]{}
-	g.initSlots(sizeHint)
-	g.keys = make([]uint64, g.slots())
-	g.vals = make([]V, g.slots())
-	return g
-}
-
-func (g *g64[V]) get(key uint64) (V, bool) {
-	h := pkt.HashUint64(key)
-	return g.getHinted(key, h, g.word(h&g.gmask))
-}
-
-func (g *g64[V]) getHinted(key, h, w uint64) (V, bool) {
-	fp := fpOf(h)
-	gi := h & g.gmask
-	for step := uint64(1); ; step++ {
-		for m := matchFull(w, fp); m != 0; m &= m - 1 {
-			s := gi*groupSlots + uint64(bits.TrailingZeros64(m))/groupSlots
-			if g.keys[s] == key {
-				return g.vals[s], true
-			}
-		}
-		if hasEmpty(w) {
-			var zero V
-			return zero, false
-		}
-		gi = (gi + step) & g.gmask
-		w = g.word(gi)
-	}
-}
-
-func (g *g64[V]) put(key uint64, v V) {
-	if g.needGrow() {
-		g.rehash(g.growTarget())
-	}
-	h := pkt.HashUint64(key)
-	fp := fpOf(h)
-	gi := h & g.gmask
-	free := -1
-	for step := uint64(1); ; step++ {
-		w := g.word(gi)
-		for m := matchFull(w, fp); m != 0; m &= m - 1 {
-			s := gi*groupSlots + uint64(bits.TrailingZeros64(m))/groupSlots
-			if g.keys[s] == key {
-				g.vals[s] = v
-				return
-			}
-		}
-		if free < 0 {
-			if f := matchFree(w); f != 0 {
-				free = int(gi)*groupSlots + bits.TrailingZeros64(f)/groupSlots
-			}
-		}
-		if hasEmpty(w) {
-			if g.ctrl[free] == ctrlTomb {
-				g.grave--
-			}
-			g.ctrl[free] = fp
-			g.keys[free] = key
-			g.vals[free] = v
-			g.n++
-			return
-		}
-		gi = (gi + step) & g.gmask
-	}
-}
-
-func (g *g64[V]) del(key uint64) (V, bool) {
-	var zero V
-	h := pkt.HashUint64(key)
-	fp := fpOf(h)
-	gi := h & g.gmask
-	for step := uint64(1); ; step++ {
-		w := g.word(gi)
-		for m := matchFull(w, fp); m != 0; m &= m - 1 {
-			s := gi*groupSlots + uint64(bits.TrailingZeros64(m))/groupSlots
-			if g.keys[s] == key {
-				v := g.vals[s]
-				g.keys[s] = 0
-				g.vals[s] = zero
-				g.n--
-				if hasEmpty(w) {
-					g.ctrl[s] = ctrlEmpty
-				} else {
-					g.ctrl[s] = ctrlTomb
-					g.grave++
-					if g.needDecay() {
-						g.rehash(g.slots())
-					}
-				}
-				return v, true
-			}
-		}
-		if hasEmpty(w) {
-			return zero, false
-		}
-		gi = (gi + step) & g.gmask
-	}
-}
-
-func (g *g64[V]) rehash(newSlots int) {
-	oldCtrl, oldKeys, oldVals := g.ctrl, g.keys, g.vals
-	g.ctrl = make([]byte, newSlots)
-	g.gmask = uint64(newSlots/groupSlots - 1)
-	g.keys = make([]uint64, newSlots)
-	g.vals = make([]V, newSlots)
-	g.n = 0
-	g.grave = 0
-	for i, c := range oldCtrl {
-		if c&ctrlFull != 0 {
-			g.put(oldKeys[i], oldVals[i])
-		}
-	}
-}
-
-func (g *g64[V]) rng(fn func(key uint64, v V) bool) {
-	for i, c := range g.ctrl {
-		if c&ctrlFull != 0 {
-			if !fn(g.keys[i], g.vals[i]) {
+// rng calls fn for each entry until fn returns false.
+func (t *table[K, pad]) rng(fn func(k K, v *UE) bool) {
+	for i := range t.b {
+		b := &t.b[i]
+		for m := b.ctrl & swarMSB; m != 0; m &= m - 1 {
+			s := slotOf(m)
+			if !fn(b.keys[s], b.vals[s]) {
 				return
 			}
 		}

@@ -74,3 +74,26 @@ func TestHotLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestBucketLayout pins the data-path index's line map (group.go): a
+// uint32 bucket — control word, keys and *UE values — is exactly one
+// 64-byte cache line, and the bucket array of a table sized for a
+// production population starts on a line boundary, so no bucket of it
+// straddles two lines and a probe that resolves in its home bucket
+// loads one line.
+func TestBucketLayout(t *testing.T) {
+	const line = 64
+	var tb table32
+	if sz := unsafe.Sizeof(tb.b[0]); sz != line {
+		t.Fatalf("uint32 bucket is %d B, want %d", sz, line)
+	}
+	if end := unsafe.Offsetof(tb.b[0].vals) + unsafe.Sizeof(tb.b[0].vals); end > line {
+		t.Fatalf("uint32 bucket's values end at byte %d, past its line", end)
+	}
+	for _, users := range []int{1000, 250_000} {
+		m := NewU32Map(users)
+		if a := uintptr(unsafe.Pointer(&m.g.b[0])); a%line != 0 {
+			t.Fatalf("the bucket array of a %d-user table starts %d B past a line boundary", users, a%line)
+		}
+	}
+}

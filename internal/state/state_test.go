@@ -160,11 +160,35 @@ func TestU32MapBasic(t *testing.T) {
 
 func TestU32MapRejectsReservedKeys(t *testing.T) {
 	m := NewU32Map(4)
-	if m.Put(0, &UE{}) || m.Put(tombstone, &UE{}) || m.Put(5, nil) {
+	if m.Put(0, &UE{}) || m.Put(5, nil) {
 		t.Fatal("reserved put accepted")
 	}
 	if m.Get(0) != nil || m.Delete(0) != nil {
 		t.Fatal("reserved key lookup returned value")
+	}
+}
+
+// TestAllOnesKeyRoundTrips: the all-ones key is an ordinary key in both
+// maps (an SMF may assign it as an F-TEID), not a reserved sentinel.
+func TestAllOnesKeyRoundTrips(t *testing.T) {
+	ue := &UE{}
+	m := NewU32Map(4)
+	if !m.Put(^uint32(0), ue) || m.Get(^uint32(0)) != ue || m.Len() != 1 {
+		t.Fatal("U32Map: all-ones key not stored")
+	}
+	out := make([]*HotUE, 1)
+	if m.GetHotBatch([]uint32{^uint32(0)}, true, out); out[0] != ue.Hot() {
+		t.Fatal("U32Map: batch lookup of the all-ones key missed")
+	}
+	if m.Delete(^uint32(0)) != ue || m.Get(^uint32(0)) != nil || m.Len() != 0 {
+		t.Fatal("U32Map: all-ones key not deleted")
+	}
+	m64 := NewU64Map(4)
+	if !m64.Put(^uint64(0), ue) || m64.Get(^uint64(0)) != ue {
+		t.Fatal("U64Map: all-ones key not stored")
+	}
+	if m64.Delete(^uint64(0)) != ue || m64.Get(^uint64(0)) != nil || m64.Len() != 0 {
+		t.Fatal("U64Map: all-ones key not deleted")
 	}
 }
 

@@ -2,33 +2,30 @@ package state
 
 // U32Map is a hash table from uint32 keys (TEIDs, IPv4 addresses) to
 // *UE, tuned for the data path: no allocation on lookup, fingerprinted
-// group probing (see group.go) so a probe usually costs one control-word
-// load plus one key compare, and a load factor capped at 3/4. Key 0 is
-// reserved (never a valid TEID or UE address in this system), as is
-// ^uint32(0) (the historical tombstone sentinel, kept reserved for
-// compatibility).
+// bucket probing (see group.go) so a probe usually costs one cache line
+// — the bucket's control word, keys and values share it — plus one key
+// compare, and a load factor capped at 3/4. Key 0 is reserved (never a
+// valid TEID or UE address in this system); every other key, the
+// all-ones one included, is an ordinary key.
 //
 // A U32Map is not internally synchronized: in PEPC each thread owns its
 // own index map (Listing 1's dp_state / cp_state) and cross-thread changes
 // arrive through the update queue. The giant-lock baseline wraps one map
 // in a table-level lock instead.
 type U32Map struct {
-	g *g32[*UE]
+	g table32
 	// sink keeps GetHotBatch's touch loads live; never read.
 	sink uint32
 }
 
+// u32MapMinCap is the smallest slot count of either map (4 buckets).
 const u32MapMinCap = 16
-
-// tombstone is the reserved all-ones key (kept from the linear-probe
-// implementation's sentinel; still rejected at the API).
-const tombstone = ^uint32(0)
-
-const tombstone64 = ^uint64(0)
 
 // NewU32Map returns a map pre-sized for sizeHint entries.
 func NewU32Map(sizeHint int) *U32Map {
-	return &U32Map{g: newG32[*UE](sizeHint)}
+	m := &U32Map{}
+	m.g.init(sizeHint)
+	return m
 }
 
 // Len returns the number of live entries.
@@ -40,21 +37,21 @@ func (m *U32Map) Cap() int { return m.g.slots() }
 
 // Get returns the value for key, or nil.
 func (m *U32Map) Get(key uint32) *UE {
-	if key == 0 || key == tombstone {
+	if key == 0 {
 		return nil
 	}
-	v, _ := m.g.get(key)
-	return v
+	return m.g.get(key)
 }
 
 // GetHotBatch resolves keys[i] into the users' hot halves (nil on
 // miss). The batch is processed in two passes per chunk — hash and
-// home-group control word for every key first, then the probes — so the
-// group loads are software-pipelined instead of serializing behind each
-// probe's cache miss; each hit's hot lines for a run in the given
-// direction are then loaded for the whole chunk at once (HotUE.touch),
-// so those misses overlap too instead of stalling the verdict stage
-// that reads and writes them next one user at a time.
+// home-bucket control word for every key first, then the probes — so
+// the bucket loads are software-pipelined instead of serializing behind
+// each probe's cache miss, and the second pass finds each bucket's keys
+// and values in cache beside its control word; each hit's hot lines for
+// a run in the given direction are then loaded for the whole chunk at
+// once (HotUE.touch), so those misses overlap too instead of stalling
+// the verdict stage that reads and writes them next one user at a time.
 func (m *U32Map) GetHotBatch(keys []uint32, uplink bool, out []*HotUE) {
 	if len(keys) == 0 {
 		return
@@ -82,10 +79,10 @@ func (m *U32Map) GetHotBatch(keys []uint32, uplink bool, out []*HotUE) {
 	m.sink = sink
 }
 
-// Put inserts or replaces the value for key. Returns false for reserved
-// keys.
+// Put inserts or replaces the value for key. Returns false for key 0
+// and a nil value.
 func (m *U32Map) Put(key uint32, v *UE) bool {
-	if key == 0 || key == tombstone || v == nil {
+	if key == 0 || v == nil {
 		return false
 	}
 	m.g.put(key, v)
@@ -94,25 +91,27 @@ func (m *U32Map) Put(key uint32, v *UE) bool {
 
 // Delete removes key, returning the previous value.
 func (m *U32Map) Delete(key uint32) *UE {
-	if key == 0 || key == tombstone {
+	if key == 0 {
 		return nil
 	}
-	v, _ := m.g.del(key)
-	return v
+	return m.g.del(key)
 }
 
 // Range calls fn for each entry until fn returns false.
 func (m *U32Map) Range(fn func(key uint32, v *UE) bool) { m.g.rng(fn) }
 
 // U64Map is the 64-bit-keyed variant for IMSI/GUTI indexes on the control
-// path. Key 0 is reserved.
+// path, on the same bucket code (a bucket of 8-byte keys is 72 B). Key 0
+// is reserved.
 type U64Map struct {
-	g *g64[*UE]
+	g table64
 }
 
 // NewU64Map returns a map pre-sized for sizeHint entries.
 func NewU64Map(sizeHint int) *U64Map {
-	return &U64Map{g: newG64[*UE](sizeHint)}
+	m := &U64Map{}
+	m.g.init(sizeHint)
+	return m
 }
 
 // Len returns the number of live entries.
@@ -123,16 +122,16 @@ func (m *U64Map) Cap() int { return m.g.slots() }
 
 // Get returns the value for key, or nil.
 func (m *U64Map) Get(key uint64) *UE {
-	if key == 0 || key == tombstone64 {
+	if key == 0 {
 		return nil
 	}
-	v, _ := m.g.get(key)
-	return v
+	return m.g.get(key)
 }
 
-// Put inserts or replaces the value for key.
+// Put inserts or replaces the value for key. Returns false for key 0
+// and a nil value.
 func (m *U64Map) Put(key uint64, v *UE) bool {
-	if key == 0 || key == tombstone64 || v == nil {
+	if key == 0 || v == nil {
 		return false
 	}
 	m.g.put(key, v)
@@ -141,11 +140,10 @@ func (m *U64Map) Put(key uint64, v *UE) bool {
 
 // Delete removes key, returning the previous value.
 func (m *U64Map) Delete(key uint64) *UE {
-	if key == 0 || key == tombstone64 {
+	if key == 0 {
 		return nil
 	}
-	v, _ := m.g.del(key)
-	return v
+	return m.g.del(key)
 }
 
 // Range calls fn for each entry until fn returns false.

@@ -8,7 +8,10 @@
 # snapshots, and internal/ring's lock-free burst rings with
 # internal/pkt's pool, whose free list is the MPSC ring every lane frees
 # into), so a concurrency regression is machine-caught rather than
-# review-caught.
+# review-caught. Fuzz targets run their checked-in seeds; the data-path
+# index model alone also gets a short bounded exploration, since its
+# bucket probing and tombstone code are where a wrong or missed lookup
+# would come from.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -110,14 +113,21 @@ echo "== figure shapes x3 (internal/experiments)"
 go test -count=3 ./internal/experiments/
 
 # Fuzz seed corpora: run every fuzz target's checked-in seeds once as
-# plain tests (no -fuzz exploration in CI; a failing seed is a
-# regression in the parse-once codec surface). Covers the GTP-U outer
-# parser (incl. the fragmented-outer rejection seeds), the PFCP
-# message/IE/flow-description codecs, the data-path indexes' model check
-# and the S1-MME parsers pepcd exposes: SCTP packets and chunks, S1AP
-# PDUs and NAS messages.
+# plain tests (a failing seed is a regression in the parse-once codec
+# surface or the indexes). Covers the GTP-U outer parser (incl. the
+# fragmented-outer rejection seeds), the PFCP message/IE/flow-description
+# codecs, the data-path indexes' model check (incl. the seeds that walk
+# one bucket through overflow, tombstone, reuse and decay) and the S1-MME
+# parsers pepcd exposes: SCTP packets and chunks, S1AP PDUs and NAS
+# messages.
 echo "== fuzz seeds"
 go test -run 'Fuzz' -count=1 ./internal/gtp/ ./internal/pfcp/ ./internal/state/ ./internal/sctp/ ./internal/s1ap/ ./internal/nas/
+
+# One bounded fuzz exploration, the only -fuzz step in CI: the
+# data-path indexes against their map model for 20 s, since a probe
+# that returns the wrong user or misses is a lost packet on the wire.
+echo "== fuzz FuzzIndexesModel (20 s)"
+go test -run '^$' -fuzz '^FuzzIndexesModel$' -fuzztime 20s ./internal/state/
 
 # Examples: every program under examples/ runs once and must exit 0.
 echo "== examples"
