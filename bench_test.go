@@ -14,11 +14,12 @@ import (
 	"testing"
 
 	"pepc"
+	"pepc/internal/experiments"
 )
 
 // benchScale trims Quick further so a default `go test -bench=.` pass
 // over all figures completes in minutes.
-var benchScale = pepc.ExperimentScale{
+var benchScale = experiments.Scale{
 	MaxUsers:        100_000,
 	PacketsPerPoint: 100_000,
 	EventsPerPoint:  1_000,
@@ -28,10 +29,10 @@ var benchScale = pepc.ExperimentScale{
 // headline point (the last X) as a custom metric.
 func runFigure(b *testing.B, name string) {
 	b.Helper()
-	var res pepc.ExperimentResult
+	var res experiments.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = pepc.RunExperiment(name, benchScale)
+		res, err = experiments.Run(name, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func sanitizeMetric(s string) string {
 
 func BenchmarkTable1_StateTaxonomy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := pepc.RunExperiment("table1", benchScale)
+		res, err := experiments.Run("table1", benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +69,7 @@ func BenchmarkTable1_StateTaxonomy(b *testing.B) {
 
 func BenchmarkTable2_DefaultParameters(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := pepc.RunExperiment("table2", benchScale); err != nil {
+		if _, err := experiments.Run("table2", benchScale); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +85,6 @@ func BenchmarkFig10_CoresVsSignalingRatio(b *testing.B)    { runFigure(b, "fig10
 func BenchmarkFig11_AttachRateVsControlCores(b *testing.B) { runFigure(b, "fig11") }
 func BenchmarkFig12_SharedStateDesigns(b *testing.B)       { runFigure(b, "fig12") }
 func BenchmarkFig13_UpdateBatching(b *testing.B)           { runFigure(b, "fig13") }
-func BenchmarkFig14_TwoLevelTables(b *testing.B)           { runFigure(b, "fig14") }
 func BenchmarkFig15_IoTCustomization(b *testing.B)         { runFigure(b, "fig15") }
 
 // BenchmarkPipelineUplink measures the PEPC uplink fast path per packet:

@@ -21,22 +21,22 @@ import (
 	"strconv"
 	"time"
 
-	"pepc"
+	"pepc/internal/experiments"
 )
 
 // parseArgs turns the command line into the experiments to run and their
 // scale; names is nil for -list. Unknown flags (the flag package's
 // "provided but not defined") and bad values are errors, reported on
 // stderr before it returns.
-func parseArgs(args []string, stderr io.Writer) (names []string, sc pepc.ExperimentScale, err error) {
+func parseArgs(args []string, stderr io.Writer) (names []string, sc experiments.Scale, err error) {
 	fs := flag.NewFlagSet("pepcbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fail := func(format string, a ...any) ([]string, pepc.ExperimentScale, error) {
+	fail := func(format string, a ...any) ([]string, experiments.Scale, error) {
 		err := fmt.Errorf(format, a...)
 		fmt.Fprintf(stderr, "pepcbench: %v\n", err)
 		return nil, sc, err
 	}
-	fig := fs.String("fig", "", "figure to regenerate: a number (4-15) or a name (e.g. faults)")
+	fig := fs.String("fig", "", "figure to regenerate: a number (4-13, 15) or a name (e.g. faults)")
 	table := fs.Int("table", 0, "table number to print (1-2)")
 	all := fs.Bool("all", false, "run every table and figure")
 	scale := fs.String("scale", "quick", "experiment scale: quick or full")
@@ -56,9 +56,9 @@ func parseArgs(args []string, stderr io.Writer) (names []string, sc pepc.Experim
 
 	switch *scale {
 	case "quick":
-		sc = pepc.QuickScale
+		sc = experiments.Quick
 	case "full":
-		sc = pepc.FullScale
+		sc = experiments.Full
 	default:
 		return fail("unknown scale %q", *scale)
 	}
@@ -82,7 +82,7 @@ func parseArgs(args []string, stderr io.Writer) (names []string, sc pepc.Experim
 
 	switch {
 	case *all:
-		names = pepc.ExperimentNames()
+		names = experiments.Names()
 	case *fig != "":
 		name := *fig
 		// Bare numbers keep the historical spelling: -fig 5 means fig5.
@@ -108,14 +108,14 @@ func main() {
 		os.Exit(2) // parseArgs said why
 	}
 	if names == nil {
-		for _, n := range pepc.ExperimentNames() {
+		for _, n := range experiments.Names() {
 			fmt.Println(n)
 		}
 		return
 	}
 	for _, name := range names {
 		start := time.Now()
-		res, err := pepc.RunExperiment(name, sc)
+		res, err := experiments.Run(name, sc)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pepcbench: %s: %v\n", name, err)
 			os.Exit(1)

@@ -27,10 +27,6 @@ type SliceSpec struct {
 	ID int `json:"id"`
 	// Users hints the expected population for table sizing.
 	Users int `json:"users,omitempty"`
-	// TwoLevelTable selects the primary/secondary state storage.
-	TwoLevelTable bool `json:"two_level_table,omitempty"`
-	// PrimarySize hints the two-level primary table capacity.
-	PrimarySize int `json:"primary_size,omitempty"`
 	// SyncEvery overrides the data plane's update batching interval.
 	SyncEvery int `json:"sync_every,omitempty"`
 	// IoTPoolSize reserves that many stateless-IoT TEIDs (§4.2); 0
@@ -100,19 +96,15 @@ func LoadOperatorConfig(r io.Reader) (OperatorConfig, error) {
 }
 
 // BuildNode instantiates a node from the configuration: slices with their
-// table modes and IoT pools, and each slice's PCEF populated with the
+// table sizes and IoT pools, and each slice's PCEF populated with the
 // configured rules.
 func BuildNode(cfg OperatorConfig) (*Node, error) {
 	sliceCfgs := make([]SliceConfig, len(cfg.Slices))
 	for i, sp := range cfg.Slices {
 		sc := SliceConfig{
-			ID:          sp.ID,
-			UserHint:    sp.Users,
-			PrimaryHint: sp.PrimarySize,
-			SyncEvery:   sp.SyncEvery,
-		}
-		if sp.TwoLevelTable {
-			sc.TableMode = TableTwoLevel
+			ID:        sp.ID,
+			UserHint:  sp.Users,
+			SyncEvery: sp.SyncEvery,
 		}
 		if sp.IoTPoolSize > 0 {
 			sc.IoTTEIDBase = 0xE000_0000 | uint32(sp.ID)<<20

@@ -24,8 +24,6 @@ const sampleConfig = `{
     {
       "id": 2,
       "users": 500,
-      "two_level_table": true,
-      "primary_size": 64,
       "sync_every": 16,
       "iot_pool_size": 100
     }
@@ -102,6 +100,13 @@ func TestLoadOperatorConfigRejectsStateLayout(t *testing.T) {
 	rejectsRetired(t, `{"slices": [{"id": 1, "state_layout": "handle"}]}`, "state_layout")
 }
 
+// The retired two-level table and its primary sizing: every slice runs
+// the single table (EXPERIMENTS.md, "Figure 14").
+func TestLoadOperatorConfigRejectsTwoLevelTable(t *testing.T) {
+	rejectsRetired(t, `{"slices": [{"id": 1, "two_level_table": true}]}`, "two_level_table")
+	rejectsRetired(t, `{"slices": [{"id": 1, "primary_size": 64}]}`, "primary_size")
+}
+
 func TestBuildNodeFromConfig(t *testing.T) {
 	cfg, err := LoadOperatorConfig(strings.NewReader(sampleConfig))
 	if err != nil {
@@ -119,9 +124,6 @@ func TestBuildNodeFromConfig(t *testing.T) {
 	}
 	if n.Slice(0).PCEF().Len() != 2 {
 		t.Fatalf("slice 0 rules = %d", n.Slice(0).PCEF().Len())
-	}
-	if n.Slice(1).Config().TableMode != TableTwoLevel {
-		t.Fatal("slice 1 not two-level")
 	}
 	if n.Slice(1).Config().IoTTEIDCount != 100 {
 		t.Fatalf("slice 1 IoT pool = %d", n.Slice(1).Config().IoTTEIDCount)

@@ -15,8 +15,8 @@ import (
 
 // ControlPlane is the slice's control thread: it terminates signaling
 // (attach, handover, detach), owns every write to per-user control state,
-// manages primary/secondary table residency, talks to the HSS/PCRF
-// through the node proxy, and services state-migration requests.
+// talks to the HSS/PCRF through the node proxy, and services
+// state-migration requests.
 //
 // The control thread is whoever holds mu. Call the methods from one
 // goroutine (tests, figures and in-process rigs drive a slice that way),
@@ -38,10 +38,6 @@ type ControlPlane struct {
 	// at-scale control experiments generate state operations without
 	// wire messages, §5.1).
 	proxy *Proxy
-
-	// promoteQ carries promotion requests from the data thread
-	// (secondary-table hits) back to the control thread.
-	promoteQ *ring.MPSC[promoteReq]
 
 	collector *charging.Collector
 
@@ -73,7 +69,7 @@ type ControlPlane struct {
 
 	// degraded is the control thread's repair backlog: users attached
 	// with the default-bearer-only profile while the PCRF was dark (Gx
-	// establish failed). Maintain retries their Gx session once the
+	// establish failed). RepairDegraded retries their Gx session once the
 	// proxy's Gx breaker reports the backend back. Control-thread-only.
 	degraded []uint64
 
@@ -82,11 +78,6 @@ type ControlPlane struct {
 	Handovers  atomic.Uint64
 	Detaches   atomic.Uint64
 	QoSUpdates atomic.Uint64
-	Promotions atomic.Uint64
-	Evictions  atomic.Uint64
-	// PromoteDrops counts promotion requests discarded because promoteQ
-	// was full (the device stays in the secondary until a later hit).
-	PromoteDrops atomic.Uint64
 	// SigDrops counts signaling events rejected because sigQ was full
 	// (the control plane's backpressure toward the RAN).
 	SigDrops atomic.Uint64
@@ -104,10 +95,6 @@ type ControlPlane struct {
 	// RepairDrops counts degraded users dropped from the (bounded)
 	// repair backlog; they keep the default-bearer profile.
 	RepairDrops atomic.Uint64
-}
-
-type promoteReq struct {
-	ue *state.UE
 }
 
 // retiree is a parked UE context awaiting recycling. seq records the
@@ -136,14 +123,9 @@ const sigDrainBatch = 256
 // the default-bearer profile permanently (counted in RepairDrops).
 const degradedCap = 1 << 14
 
-// repairBatch bounds how many degraded users one Maintain round repairs,
-// so repair traffic never monopolizes the control thread.
-const repairBatch = 64
-
 func newControlPlane(s *Slice) *ControlPlane {
 	return &ControlPlane{
 		s:          s,
-		promoteQ:   ring.MustMPSC[promoteReq](1 << 12),
 		collector:  charging.NewCollector(),
 		sigQ:       ring.MustMPSC[SigEvent](sigRingCap),
 		sigScratch: make([]SigEvent, sigDrainBatch),
@@ -159,9 +141,6 @@ type CtrlStats struct {
 	Handovers        uint64
 	Detaches         uint64
 	QoSUpdates       uint64
-	Promotions       uint64
-	PromoteDrops     uint64
-	Evictions        uint64
 	SigDrops         uint64
 	UpdateDrops      uint64
 	Recycles         uint64
@@ -177,9 +156,6 @@ func (cp *ControlPlane) Stats() CtrlStats {
 		Handovers:        cp.Handovers.Load(),
 		Detaches:         cp.Detaches.Load(),
 		QoSUpdates:       cp.QoSUpdates.Load(),
-		Promotions:       cp.Promotions.Load(),
-		PromoteDrops:     cp.PromoteDrops.Load(),
-		Evictions:        cp.Evictions.Load(),
 		SigDrops:         cp.SigDrops.Load(),
 		UpdateDrops:      cp.UpdateDrops.Load(),
 		Recycles:         cp.Recycles.Load(),
@@ -429,8 +405,8 @@ func (cp *ControlPlane) retire(ue *state.UE, teid, ueAddr uint32) {
 // — TEID prefix ID+16, UE-address prefix ID+10 — above a 24-bit
 // sequence. The prefix names the user's home slice, which is all the
 // node demux reads to steer it, and keeps a slice's TEIDs and addresses
-// disjoint (the two-level table shares one key space). Above MaxSliceID
-// a TEID prefix would reach the IoT pool's 0xE0–0xEF range, then wrap.
+// disjoint. Above MaxSliceID a TEID prefix would reach the IoT pool's
+// 0xE0–0xEF range, then wrap.
 const (
 	teidPrefix = 16
 	addrPrefix = 10
@@ -459,17 +435,9 @@ func (cp *ControlPlane) allocate() (teid, ueAddr uint32, err error) {
 	return HomeTEID(cp.s.cfg.ID, seq), HomeUEAddr(cp.s.cfg.ID, seq), nil
 }
 
-// notifyInsert pushes the data-plane index updates for a new/restored
-// user: in two-level mode the user lands in the secondary table
-// immediately (control-side insert) and is promoted on first use or here
-// proactively for an active attach.
+// notifyInsert pushes the data-plane index insert for a new/restored
+// user.
 func (cp *ControlPlane) notifyInsert(teid, ueAddr uint32, ue *state.UE) {
-	if cp.s.tl != nil {
-		cp.s.tl.InsertSecondary(teid, ueAddr, ue)
-		// A freshly attached device is active: promote now.
-		cp.s.pushUpdates(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
-		return
-	}
 	cp.s.pushUpdates(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
 }
 
@@ -480,9 +448,6 @@ func ueKeys(ue *state.UE) (teid, ueAddr uint32) {
 }
 
 func (cp *ControlPlane) notifyDelete(teid, ueAddr uint32) {
-	if cp.s.tl != nil {
-		cp.s.tl.RemoveSecondary(teid, ueAddr)
-	}
 	cp.s.pushUpdates(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ueAddr})
 }
 
@@ -558,76 +523,6 @@ func (cp *ControlPlane) CollectUsage(imsi uint64, now int64) (charging.CDR, erro
 		_ = cp.proxy.ReportUsage(imsi, cdr.Delta.Total())
 	}
 	return cdr, nil
-}
-
-// Promote forces a device's state into the primary table (two-level
-// mode): the control thread resolves the keys and queues the insert for
-// the data thread. No-op in single-table mode.
-func (cp *ControlPlane) Promote(imsi uint64) error {
-	if cp.s.tl == nil {
-		return nil
-	}
-	ue := cp.s.cp.LookupIMSI(imsi)
-	if ue == nil {
-		return ErrUserUnknown
-	}
-	teid, ueAddr := ueKeys(ue)
-	cp.s.pushUpdates(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
-	cp.Promotions.Add(1)
-	return nil
-}
-
-// Demote evicts a device's state from the primary table; it remains in
-// the secondary (idle device, §3.2). No-op in single-table mode.
-func (cp *ControlPlane) Demote(imsi uint64) error {
-	if cp.s.tl == nil {
-		return nil
-	}
-	ue := cp.s.cp.LookupIMSI(imsi)
-	if ue == nil {
-		return ErrUserUnknown
-	}
-	teid, ueAddr := ueKeys(ue)
-	cp.s.pushUpdates(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ueAddr})
-	cp.Evictions.Add(1)
-	return nil
-}
-
-// requestPromotion is called by the data thread on a secondary-table hit.
-func (cp *ControlPlane) requestPromotion(ue *state.UE) {
-	// Best effort: a full queue just means the promotion happens on a
-	// later miss — but count the drop so a sustained promotion backlog
-	// is visible in the slice stats instead of silent.
-	if !cp.promoteQ.Enqueue(promoteReq{ue: ue}) {
-		cp.PromoteDrops.Add(1)
-	}
-}
-
-// Maintain performs one round of control-thread housekeeping: drains
-// promotion requests into data-plane updates and evicts idle users from
-// the primary table. Returns the number of actions taken. Call it
-// periodically as the control thread.
-func (cp *ControlPlane) Maintain(now, idleNs int64) int {
-	actions := 0
-	for {
-		req, ok := cp.promoteQ.Dequeue()
-		if !ok {
-			break
-		}
-		teid, ueAddr := ueKeys(req.ue)
-		cp.s.pushUpdates(state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: req.ue})
-		cp.Promotions.Add(1)
-		actions++
-	}
-	if cp.s.tl != nil && idleNs > 0 {
-		n := cp.s.tl.EvictIdle(now, idleNs, func(teid, ip uint32) {
-			cp.s.pushUpdates(state.Update{Op: state.OpDelete, TEID: teid, UEIP: ip})
-			cp.Evictions.Add(1)
-		})
-		actions += n
-	}
-	actions += cp.RepairDegraded(repairBatch)
-	return actions
 }
 
 // extract snapshots a user and removes it from the slice (migration

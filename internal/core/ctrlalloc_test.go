@@ -2,7 +2,11 @@ package core
 
 import (
 	"testing"
+	"time"
 
+	"pepc/internal/fault"
+	"pepc/internal/hss"
+	"pepc/internal/pcrf"
 	"pepc/internal/pkt"
 	"pepc/internal/sim"
 )
@@ -103,27 +107,49 @@ func TestPolicedFirstPacketZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMaintainZeroAlloc: the control thread's periodic housekeeping —
-// draining promotion requests into data-plane updates and applying them
-// — is allocation-free in steady state.
-func TestMaintainZeroAlloc(t *testing.T) {
+// TestRepairDegradedZeroAlloc: the control thread's housekeeping round —
+// a degraded-user repair pass while the PCRF is still dark, then the
+// data-plane sync — is allocation-free, so running it on every slice
+// each tick costs no garbage however long an outage lasts.
+func TestRepairDegradedZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	s := NewSlice(SliceConfig{ID: 1, TableMode: TableTwoLevel, UserHint: 64})
-	attachOne(t, s, 42)
-	ue := s.Control().Lookup(42)
-	now := sim.Now()
+	h := hss.New()
+	h.ProvisionRange(1, 100, 10e6, 50e6)
+	policy := pcrf.New()
+	policy.SetDefaultRules(outageRules())
+	p := NewProxy(h, policy)
+	dark := outagePolicy
+	dark.BreakerCooldown = time.Hour // the breaker stays open for the test
+	p.SetPolicy(dark)
+	inj := fault.New(1)
+	inj.Arm(fault.DiameterDrop, fault.RateMax)
+	p.SetGxFaults(inj)
+
+	s := NewSlice(SliceConfig{ID: 1, UserHint: 64})
+	cp := s.Control()
+	cp.SetProxy(p)
+	for imsi := uint64(1); imsi <= 4; imsi++ {
+		if _, err := cp.Attach(AttachSpec{IMSI: imsi}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.GxAvailable() || cp.DegradedBacklog() != 4 {
+		t.Fatalf("setup: Gx available=%v, backlog=%d; want breaker open, 4 degraded",
+			p.GxAvailable(), cp.DegradedBacklog())
+	}
 	round := func() {
-		s.Control().requestPromotion(ue)
-		s.Control().Maintain(now, 0)
+		if cp.RepairDegraded(0) != 0 {
+			t.Fatal("repaired a user while the PCRF is dark")
+		}
 		s.Data().SyncUpdates()
 	}
-	for i := 0; i < 64; i++ {
-		round()
-	}
 	if avg := testing.AllocsPerRun(100, round); avg != 0 {
-		t.Fatalf("Maintain round allocates %.1f allocs/op, want 0", avg)
+		t.Fatalf("repair round allocates %.1f allocs/op, want 0", avg)
+	}
+	if cp.DegradedBacklog() != 4 {
+		t.Fatalf("backlog = %d after dark rounds, want 4", cp.DegradedBacklog())
 	}
 }
 

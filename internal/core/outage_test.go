@@ -103,7 +103,7 @@ func TestPCRFOutageDegradesAndRecovers(t *testing.T) {
 	}
 
 	// Outage ends: disarm, wait out the breaker cooldown, and let
-	// maintenance repair the backlog (the detached users were dropped
+	// RepairDegraded drain the backlog (the detached users were dropped
 	// from it by the repair pass's liveness check).
 	inj.DisarmAll()
 	time.Sleep(outagePolicy.BreakerCooldown + time.Millisecond)
@@ -112,7 +112,7 @@ func TestPCRFOutageDegradesAndRecovers(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("repair stalled, backlog = %d", s.Control().DegradedBacklog())
 		}
-		s.Control().Maintain(0, 0)
+		s.Control().RepairDegraded(0)
 		time.Sleep(time.Millisecond)
 	}
 	if got := s.Control().Stats().Repairs; got != users-2 {

@@ -44,9 +44,7 @@ func (dp *DataPlane) parkForPaging(b *pkt.Buf, ue *state.UE) {
 
 // ReleaseAccess moves a user to idle: the radio-side tunnel endpoint is
 // cleared (S1 UE Context Release on the control side). Subsequent
-// downlink traffic is parked for paging. In two-level mode the user is
-// also a natural eviction candidate; eviction still happens via the
-// normal idle scan.
+// downlink traffic is parked for paging.
 func (cp *ControlPlane) ReleaseAccess(imsi uint64) error {
 	ue := cp.s.cp.LookupIMSI(imsi)
 	if ue == nil {

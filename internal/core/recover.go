@@ -31,9 +31,6 @@ type RecoveryReport struct {
 	// proved their detach completed on the control side before the
 	// crash.
 	CompletedDetaches int
-	// EvictionsReplayed counts two-level primary evictions re-applied
-	// from the queue.
-	EvictionsReplayed int
 	// SignalsAdopted counts signaling events moved from the crashed
 	// slice's ring into the new slice's ring (still to be executed).
 	SignalsAdopted int
@@ -69,20 +66,19 @@ func (s *Slice) RecoverFrom(r io.Reader, crashed *Slice) (RecoveryReport, error)
 }
 
 // reconcileSurvivors replays the crashed slice's undrained update queue
-// against the restored population, in queue order. Inserts and rekeys
-// carry a context pointer: its *current* snapshot (final pre-crash
-// state) is installed — resurrecting post-checkpoint attaches and
-// refreshing stale checkpoint copies. Deletes carry only keys: a key
-// still owned by a user in the crashed control store is an eviction
-// (two-level) or a recycled key superseded by a later re-insert
-// (single-level, skipped); a key with no surviving owner proves the
+// against the restored population, in queue order. Inserts carry a
+// context pointer: its *current* snapshot (final pre-crash state) is
+// installed — resurrecting post-checkpoint attaches and refreshing stale
+// checkpoint copies. Deletes carry only keys: a key still owned by a
+// user in the crashed control store is a recycled key superseded by a
+// later re-insert (skipped); a key with no surviving owner proves the
 // detach completed before the crash, so the restored copy is removed —
 // a queued detach is never lost, a completed one never resurrected.
 func (s *Slice) reconcileSurvivors(crashed *Slice, rep *RecoveryReport) {
 	seen := make(map[uint64]struct{})
 	crashed.updates.DrainFunc(func(u state.Update) {
 		switch u.Op {
-		case state.OpInsert, state.OpRekey:
+		case state.OpInsert:
 			if u.UE == nil {
 				return
 			}
@@ -106,8 +102,9 @@ func (s *Slice) reconcileSurvivors(crashed *Slice, rep *RecoveryReport) {
 					// counters in place, indexes stay valid.
 					existing.Restore(cs, cnt)
 				} else {
-					// A surviving rekey outran the checkpoint copy:
-					// replace it wholesale so the old keys are removed.
+					// A re-attach after the checkpoint changed its
+					// identifiers: replace the copy wholesale so the old
+					// keys are removed.
 					s.dropUser(cs.IMSI)
 					if s.ctrl.install(cs, cnt, cs.LastActive) != nil {
 						return
@@ -121,15 +118,9 @@ func (s *Slice) reconcileSurvivors(crashed *Slice, rep *RecoveryReport) {
 			}
 		case state.OpDelete:
 			if crashed.cp.LookupTEID(u.TEID) != nil {
-				// Owner still attached at crash time. Two-level: a
-				// primary eviction, replay it (the user stays reachable
-				// through the secondary). Single-level: a delete of a
+				// Owner still attached at crash time: a delete of a
 				// recycled key, superseded by the re-insert that follows
 				// it in the queue — skip.
-				if s.tl != nil {
-					s.pushUpdates(u)
-					rep.EvictionsReplayed++
-				}
 				return
 			}
 			if ue := s.cp.LookupTEID(u.TEID); ue != nil {

@@ -125,24 +125,26 @@ func TestRecoverFromCheckpointPlusQueue(t *testing.T) {
 	drainEgress(dst)
 }
 
-// A surviving handover rekey outruns the checkpoint copy: the restored
-// slice must serve the new TEID and must not leave the stale one
-// resolvable.
+// A user rekeyed after the checkpoint — detached and re-attached under
+// new identifiers, the detach already synced — leaves a surviving insert
+// whose keys the checkpoint copy does not have. The restored slice must
+// serve the new TEID and must not leave the stale one resolvable.
 func TestRecoverReplaysRekey(t *testing.T) {
 	src, ckp := crashScenario(t, SliceConfig{ID: 1, UserHint: 64}, 10)
 
-	// Simulate a post-checkpoint TEID change the way migration installs
-	// do: extract + reinstall under new identifiers would do it, but the
-	// queue-visible form is an OpRekey — produce one directly through a
-	// control write plus a queued rekey, as the S1 path does for uplink
-	// rekeys.
-	ue := src.Control().Lookup(4)
-	var oldTEID uint32
-	ue.ReadCtrl(func(c *state.ControlState) { oldTEID = c.UplinkTEID })
-	newTEID := oldTEID + 0x5000
-	ue.WriteCtrl(func(c *state.ControlState) { c.UplinkTEID = newTEID })
-	src.cp.Rekey(oldTEID, newTEID, ue)
-	src.updates.Push(state.Update{Op: state.OpRekey, TEID: newTEID, OldTEID: oldTEID, UE: ue})
+	oldTEID, _ := ueKeys(src.Control().Lookup(4))
+	if err := src.Control().Detach(4); err != nil {
+		t.Fatal(err)
+	}
+	src.Data().SyncUpdates()
+	res, err := src.Control().Attach(AttachSpec{IMSI: 4, ENBAddr: 4, DownlinkTEID: 0x104})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newTEID := res.UplinkTEID
+	if newTEID == oldTEID {
+		t.Fatal("re-attach reused the old TEID; the scenario needs new identifiers")
+	}
 
 	dst := NewSlice(SliceConfig{ID: 1, UserHint: 64})
 	rep, err := dst.RecoverFrom(bytes.NewReader(ckp.Bytes()), src)
@@ -160,34 +162,6 @@ func TestRecoverReplaysRekey(t *testing.T) {
 	}
 	if dst.cp.LookupTEID(oldTEID) != nil {
 		t.Fatal("stale pre-rekey TEID still resolvable")
-	}
-}
-
-// Two-level mode: a queued primary eviction of a still-attached user is
-// replayed as an eviction, never as a detach.
-func TestRecoverReplaysEviction(t *testing.T) {
-	src, ckp := crashScenario(t, SliceConfig{
-		ID: 1, UserHint: 64, TableMode: TableTwoLevel, PrimaryHint: 1024,
-	}, 10)
-	if err := src.Control().Demote(3); err != nil {
-		t.Fatal(err)
-	}
-
-	dst := NewSlice(SliceConfig{
-		ID: 1, UserHint: 64, TableMode: TableTwoLevel, PrimaryHint: 1024,
-	})
-	rep, err := dst.RecoverFrom(bytes.NewReader(ckp.Bytes()), src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.EvictionsReplayed != 1 {
-		t.Fatalf("report: %+v", rep)
-	}
-	if dst.Users() != 10 {
-		t.Fatalf("demoted user lost: users = %d", dst.Users())
-	}
-	if dst.Control().Lookup(3) == nil {
-		t.Fatal("demoted user detached by recovery")
 	}
 }
 

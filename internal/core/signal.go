@@ -142,9 +142,6 @@ func (cp *ControlPlane) attachEventBatch(run []SigEvent) int {
 			teid = c.UplinkTEID
 			ueAddr = c.UEAddr
 		})
-		if cp.s.tl != nil {
-			cp.s.tl.InsertSecondary(teid, ueAddr, ue)
-		}
 		upd = append(upd, state.Update{Op: state.OpInsert, TEID: teid, UEIP: ueAddr, UE: ue})
 		done++
 	}
@@ -226,9 +223,6 @@ func (cp *ControlPlane) detachBatch(run []SigEvent) int {
 			continue
 		}
 		teid, ueAddr := ueKeys(ue)
-		if cp.s.tl != nil {
-			cp.s.tl.RemoveSecondary(teid, ueAddr)
-		}
 		upd = append(upd, state.Update{Op: state.OpDelete, TEID: teid, UEIP: ueAddr})
 		cp.collector.Forget(run[i].IMSI)
 		cp.retire(ue, teid, ueAddr)

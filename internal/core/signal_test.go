@@ -26,91 +26,86 @@ func applyInline(cp *ControlPlane, ev SigEvent) {
 // the inline procedure calls — same surviving users, same tunnel state,
 // same event counters, same data-plane behaviour.
 func TestDrainSignalingMatchesInline(t *testing.T) {
-	for _, mode := range []TableMode{TableSingle, TableTwoLevel} {
-		name := "single"
-		if mode == TableTwoLevel {
-			name = "twolevel"
-		}
-		t.Run(name, func(t *testing.T) {
-			mk := func(id int) *Slice {
-				s := NewSlice(SliceConfig{ID: id, TableMode: mode, UserHint: 64})
-				for imsi := uint64(1); imsi <= 16; imsi++ {
-					attachOne(t, s, imsi)
-				}
-				return s
-			}
-			inline, batched := mk(1), mk(2)
-
-			// Mixed sequence: runs of handovers and attach events with
-			// detaches interleaved, including events for unknown users.
-			var evs []SigEvent
-			for i := uint64(0); i < 48; i++ {
-				imsi := 1 + i%16
-				switch i % 6 {
-				case 0, 3:
-					evs = append(evs, SigEvent{Kind: SigS1Handover, IMSI: imsi,
-						ENBAddr: pkt.IPv4Addr(192, 168, 1, byte(i)), DownlinkTEID: 0x9000 + uint32(i), ECGI: 40 + uint32(i)})
-				case 1, 4:
-					evs = append(evs, SigEvent{Kind: SigAttachEvent, IMSI: imsi})
-				case 2:
-					evs = append(evs, SigEvent{Kind: SigAttachEvent, IMSI: 999}) // unknown
-				case 5:
-					if i > 24 {
-						evs = append(evs, SigEvent{Kind: SigDetach, IMSI: imsi})
-					}
-				}
-			}
-
-			for _, ev := range evs {
-				applyInline(inline.Control(), ev)
-			}
-			for _, ev := range evs {
-				if !batched.Control().EnqueueSignal(ev) {
-					t.Fatal("signal ring overflowed")
-				}
-			}
-			for batched.Control().DrainSignaling(0) > 0 {
-			}
-			inline.Data().SyncUpdates()
-			batched.Data().SyncUpdates()
-
-			is, bs := inline.Control().Stats(), batched.Control().Stats()
-			if is.Attaches != bs.Attaches || is.Handovers != bs.Handovers || is.Detaches != bs.Detaches {
-				t.Fatalf("counters diverge: inline=%+v batched=%+v", is, bs)
-			}
-			var ic, bc state.ControlState
+	// The subtest is named for the single table, the only one.
+	t.Run("single", func(t *testing.T) {
+		mk := func(id int) *Slice {
+			s := NewSlice(SliceConfig{ID: id, UserHint: 64})
 			for imsi := uint64(1); imsi <= 16; imsi++ {
-				iu := inline.Control().Lookup(imsi)
-				bu := batched.Control().Lookup(imsi)
-				if (iu == nil) != (bu == nil) {
-					t.Fatalf("imsi %d: inline present=%v batched present=%v", imsi, iu != nil, bu != nil)
-				}
-				if iu == nil {
-					continue
-				}
-				iu.ReadCtrlSnapshot(&ic)
-				bu.ReadCtrlSnapshot(&bc)
-				if ic.ENBAddr != bc.ENBAddr || ic.DownlinkTEID != bc.DownlinkTEID ||
-					ic.ECGI != bc.ECGI || ic.Attached != bc.Attached || ic.TAICount != bc.TAICount {
-					t.Fatalf("imsi %d control state diverges:\ninline:  %+v\nbatched: %+v", imsi, ic, bc)
-				}
+				attachOne(t, s, imsi)
 			}
+			return s
+		}
+		inline, batched := mk(1), mk(2)
 
-			// Detached users are gone from the data path too.
-			pool := pkt.NewPool(2048, 64)
-			bu := batched.Control().Lookup(2) // 2 was never detached (i%6==5 hits odd offsets)
-			if bu == nil {
-				t.Fatal("expected imsi 2 to survive")
+		// Mixed sequence: runs of handovers and attach events with
+		// detaches interleaved, including events for unknown users.
+		var evs []SigEvent
+		for i := uint64(0); i < 48; i++ {
+			imsi := 1 + i%16
+			switch i % 6 {
+			case 0, 3:
+				evs = append(evs, SigEvent{Kind: SigS1Handover, IMSI: imsi,
+					ENBAddr: pkt.IPv4Addr(192, 168, 1, byte(i)), DownlinkTEID: 0x9000 + uint32(i), ECGI: 40 + uint32(i)})
+			case 1, 4:
+				evs = append(evs, SigEvent{Kind: SigAttachEvent, IMSI: imsi})
+			case 2:
+				evs = append(evs, SigEvent{Kind: SigAttachEvent, IMSI: 999}) // unknown
+			case 5:
+				if i > 24 {
+					evs = append(evs, SigEvent{Kind: SigDetach, IMSI: imsi})
+				}
 			}
+		}
+
+		for _, ev := range evs {
+			applyInline(inline.Control(), ev)
+		}
+		for _, ev := range evs {
+			if !batched.Control().EnqueueSignal(ev) {
+				t.Fatal("signal ring overflowed")
+			}
+		}
+		for batched.Control().DrainSignaling(0) > 0 {
+		}
+		inline.Data().SyncUpdates()
+		batched.Data().SyncUpdates()
+
+		is, bs := inline.Control().Stats(), batched.Control().Stats()
+		if is.Attaches != bs.Attaches || is.Handovers != bs.Handovers || is.Detaches != bs.Detaches {
+			t.Fatalf("counters diverge: inline=%+v batched=%+v", is, bs)
+		}
+		var ic, bc state.ControlState
+		for imsi := uint64(1); imsi <= 16; imsi++ {
+			iu := inline.Control().Lookup(imsi)
+			bu := batched.Control().Lookup(imsi)
+			if (iu == nil) != (bu == nil) {
+				t.Fatalf("imsi %d: inline present=%v batched present=%v", imsi, iu != nil, bu != nil)
+			}
+			if iu == nil {
+				continue
+			}
+			iu.ReadCtrlSnapshot(&ic)
 			bu.ReadCtrlSnapshot(&bc)
-			b := buildUplink(pool, bc.UplinkTEID, bc.UEAddr, pkt.IPv4Addr(192, 168, 0, 1), batched.Config().CoreAddr, 80)
-			batched.Data().ProcessUplinkBatch([]*pkt.Buf{b}, sim.Now())
-			if batched.Data().Forwarded.Load() != 1 {
-				t.Fatalf("surviving user not forwarded (missed=%d)", batched.Data().Missed.Load())
+			if ic.ENBAddr != bc.ENBAddr || ic.DownlinkTEID != bc.DownlinkTEID ||
+				ic.ECGI != bc.ECGI || ic.Attached != bc.Attached || ic.TAICount != bc.TAICount {
+				t.Fatalf("imsi %d control state diverges:\ninline:  %+v\nbatched: %+v", imsi, ic, bc)
 			}
-			drainEgress(batched)
-		})
-	}
+		}
+
+		// Detached users are gone from the data path too.
+		pool := pkt.NewPool(2048, 64)
+		bu := batched.Control().Lookup(2) // 2 was never detached (i%6==5 hits odd offsets)
+		if bu == nil {
+			t.Fatal("expected imsi 2 to survive")
+		}
+		bu.ReadCtrlSnapshot(&bc)
+		b := buildUplink(pool, bc.UplinkTEID, bc.UEAddr, pkt.IPv4Addr(192, 168, 0, 1), batched.Config().CoreAddr, 80)
+		batched.Data().ProcessUplinkBatch([]*pkt.Buf{b}, sim.Now())
+		if batched.Data().Forwarded.Load() != 1 {
+			t.Fatalf("surviving user not forwarded (missed=%d)", batched.Data().Missed.Load())
+		}
+		drainEgress(batched)
+	})
 }
 
 // TestEnqueueSignalBackpressure: a full ring rejects events, counts the
@@ -228,20 +223,5 @@ func TestAssignedAttachRecyclesContextOnly(t *testing.T) {
 	if res := attachOne(t, s, 5); res.UplinkTEID != issued.UplinkTEID || res.UEAddr != issued.UEAddr {
 		t.Fatalf("allocator attach got %#x/%#x, want the parked pair %#x/%#x back",
 			res.UplinkTEID, res.UEAddr, issued.UplinkTEID, issued.UEAddr)
-	}
-}
-
-// TestPromoteDropsCounted: overflowing the promotion queue is not silent —
-// requestPromotion counts discarded requests and Stats surfaces them.
-func TestPromoteDropsCounted(t *testing.T) {
-	s := NewSlice(SliceConfig{ID: 1, TableMode: TableTwoLevel, UserHint: 16})
-	cp := s.Control()
-	ue := &state.UE{}
-	const extra = 7
-	for i := 0; i < (1<<12)+extra; i++ {
-		cp.requestPromotion(ue)
-	}
-	if got := cp.Stats().PromoteDrops; got != extra {
-		t.Fatalf("PromoteDrops = %d, want %d", got, extra)
 	}
 }

@@ -20,25 +20,11 @@ import (
 	"pepc/internal/state"
 )
 
-// TableMode selects the data-plane state storage layout.
-type TableMode uint8
-
-const (
-	// TableSingle keeps one flat TEID/IP index, the baseline layout.
-	TableSingle TableMode = iota
-	// TableTwoLevel uses the primary/secondary split of §7.3.
-	TableTwoLevel
-)
-
 // SliceConfig parameterizes a PEPC slice.
 type SliceConfig struct {
 	// ID distinguishes slices within a node (0..MaxSliceID) and is the
 	// prefix of the identifiers it allocates (HomeTEID, HomeUEAddr).
 	ID int
-	// TableMode selects single vs two-level state storage.
-	TableMode TableMode
-	// PrimaryHint sizes the two-level primary table (active devices).
-	PrimaryHint int
 	// UserHint pre-sizes tables for the expected population.
 	UserHint int
 	// SyncEvery is the data thread's update-sync interval in packets
@@ -61,12 +47,6 @@ type SliceConfig struct {
 func (c SliceConfig) withDefaults() SliceConfig {
 	if c.UserHint <= 0 {
 		c.UserHint = 1 << 16
-	}
-	if c.PrimaryHint <= 0 {
-		c.PrimaryHint = c.UserHint / 64
-		if c.PrimaryHint < 1024 {
-			c.PrimaryHint = 1024
-		}
 	}
 	if c.SyncEvery <= 0 {
 		c.SyncEvery = state.DefaultSyncEvery
@@ -93,10 +73,8 @@ type Slice struct {
 	// §7.2).
 	updates *state.UpdateQueue
 
-	// Data-plane state (Listing 1's dp_state): exactly one of ix/tl is
-	// used depending on TableMode; both are data-thread-owned.
+	// Data-plane state (Listing 1's dp_state), data-thread-owned.
 	ix *state.Indexes
-	tl *state.TwoLevel
 
 	// pcefTable is the slice's match-action table (shared, internally
 	// synchronized; installs are control-side, classification data-side).
@@ -136,12 +114,7 @@ func NewSlice(cfg SliceConfig) *Slice {
 		Uplink:    ring.MustMPSC[*pkt.Buf](cfg.RingCapacity),
 		Downlink:  ring.MustMPSC[*pkt.Buf](cfg.RingCapacity),
 		Egress:    ring.MustSPSC[*pkt.Buf](cfg.RingCapacity),
-	}
-	switch cfg.TableMode {
-	case TableTwoLevel:
-		s.tl = state.NewTwoLevel(cfg.PrimaryHint, cfg.UserHint)
-	default:
-		s.ix = state.NewIndexes(cfg.UserHint)
+		ix:        state.NewIndexes(cfg.UserHint),
 	}
 	s.ctrl = newControlPlane(s)
 	s.data = newDataPlane(s)
@@ -243,7 +216,6 @@ type dpScratch struct {
 	allowed []bool         // per-packet policing verdict, then forward mask
 	runKeys []uint32       // distinct consecutive keys of the batch
 	runHot  []*state.HotUE // resolved hot state, one per key run
-	runSec  []bool         // two-level: run resolved from the secondary
 	out     []*pkt.Buf     // the chunk's forwarded packets, in order
 	rules   pcef.RuleSet
 
@@ -271,7 +243,6 @@ func (sc *dpScratch) ensure(n int) {
 	sc.allowed = make([]bool, n)
 	sc.runKeys = make([]uint32, n)
 	sc.runHot = make([]*state.HotUE, n)
-	sc.runSec = make([]bool, n)
 	sc.out = make([]*pkt.Buf, 0, n)
 }
 
@@ -294,12 +265,7 @@ func (dp *DataPlane) MergeLatency(into *hdr.Histogram) {
 // indexes. Called automatically every SyncEvery packets and by every
 // RunPass; exposed for inline drivers and tests.
 func (dp *DataPlane) SyncUpdates() int {
-	var n int
-	if dp.s.ix != nil {
-		n = dp.s.updates.Drain(dp.s.ix)
-	} else {
-		n = dp.s.updates.DrainTwoLevel(dp.s.tl)
-	}
+	n := dp.s.updates.Drain(dp.s.ix)
 	dp.syncSeq.Add(1)
 	return n
 }
@@ -477,8 +443,6 @@ func (dp *DataPlane) parseDownlink(batch []*pkt.Buf) {
 // lookupRuns groups the chunk's live packets into runs of consecutive
 // equal keys and resolves each distinct run with a single probe via the
 // state layer's batched lookup (uplink: TEID index, downlink: IP index).
-// For two-level tables all secondary probes of the chunk share one read
-// lock, and each secondary hit requests promotion once per run.
 func (dp *DataPlane) lookupRuns(batch []*pkt.Buf, uplink bool) {
 	sc := &dp.scratch
 	nruns := 0
@@ -497,16 +461,7 @@ func (dp *DataPlane) lookupRuns(batch []*pkt.Buf, uplink bool) {
 	if nruns == 0 {
 		return
 	}
-	if dp.s.ix != nil {
-		dp.s.ix.GetHotBatch(sc.runKeys[:nruns], uplink, sc.runHot[:nruns])
-		return
-	}
-	dp.s.tl.LookupHotBatch(sc.runKeys[:nruns], uplink, sc.runHot[:nruns], sc.runSec[:nruns])
-	for r := 0; r < nruns; r++ {
-		if sc.runSec[r] {
-			dp.s.ctrl.requestPromotion(sc.runHot[r].U)
-		}
-	}
+	dp.s.ix.GetHotBatch(sc.runKeys[:nruns], uplink, sc.runHot[:nruns])
 }
 
 // run applies classification, policing, charging and forwarding to

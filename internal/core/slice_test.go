@@ -66,43 +66,38 @@ func drainEgress(s *Slice) int {
 }
 
 func TestSliceUplinkEndToEnd(t *testing.T) {
-	for _, mode := range []TableMode{TableSingle, TableTwoLevel} {
-		name := "single"
-		if mode == TableTwoLevel {
-			name = "twolevel"
+	// The subtest is named for the single table, the only one.
+	t.Run("single", func(t *testing.T) {
+		s := NewSlice(SliceConfig{ID: 1, UserHint: 64})
+		res := attachOne(t, s, 1001)
+		pool := pkt.NewPool(2048, 128)
+		b := buildUplink(pool, res.UplinkTEID, res.UEAddr, pkt.IPv4Addr(192, 168, 0, 1), s.Config().CoreAddr, 80)
+		s.Data().ProcessUplinkBatch([]*pkt.Buf{b}, sim.Now())
+		if got := s.Data().Forwarded.Load(); got != 1 {
+			t.Fatalf("forwarded = %d (missed=%d dropped=%d)", got,
+				s.Data().Missed.Load(), s.Data().Dropped.Load())
 		}
-		t.Run(name, func(t *testing.T) {
-			s := NewSlice(SliceConfig{ID: 1, TableMode: mode, UserHint: 64})
-			res := attachOne(t, s, 1001)
-			pool := pkt.NewPool(2048, 128)
-			b := buildUplink(pool, res.UplinkTEID, res.UEAddr, pkt.IPv4Addr(192, 168, 0, 1), s.Config().CoreAddr, 80)
-			s.Data().ProcessUplinkBatch([]*pkt.Buf{b}, sim.Now())
-			if got := s.Data().Forwarded.Load(); got != 1 {
-				t.Fatalf("forwarded = %d (missed=%d dropped=%d)", got,
-					s.Data().Missed.Load(), s.Data().Dropped.Load())
-			}
-			// The forwarded packet is the decapsulated inner packet.
-			out, ok := s.Egress.Dequeue()
-			if !ok {
-				t.Fatal("no egress packet")
-			}
-			var ip pkt.IPv4
-			if err := ip.DecodeFromBytes(out.Bytes()); err != nil {
-				t.Fatal(err)
-			}
-			if ip.Src != res.UEAddr || ip.Dst != pkt.IPv4Addr(8, 8, 8, 8) {
-				t.Fatalf("inner packet: %s -> %s", pkt.FormatIPv4(ip.Src), pkt.FormatIPv4(ip.Dst))
-			}
-			out.Free()
-			// Counters recorded.
-			ue := s.Control().Lookup(1001)
-			var up uint64
-			ue.ReadCounters(func(c *state.CounterState) { up = c.UplinkPackets })
-			if up != 1 {
-				t.Fatalf("uplink packets counted = %d", up)
-			}
-		})
-	}
+		// The forwarded packet is the decapsulated inner packet.
+		out, ok := s.Egress.Dequeue()
+		if !ok {
+			t.Fatal("no egress packet")
+		}
+		var ip pkt.IPv4
+		if err := ip.DecodeFromBytes(out.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if ip.Src != res.UEAddr || ip.Dst != pkt.IPv4Addr(8, 8, 8, 8) {
+			t.Fatalf("inner packet: %s -> %s", pkt.FormatIPv4(ip.Src), pkt.FormatIPv4(ip.Dst))
+		}
+		out.Free()
+		// Counters recorded.
+		ue := s.Control().Lookup(1001)
+		var up uint64
+		ue.ReadCounters(func(c *state.CounterState) { up = c.UplinkPackets })
+		if up != 1 {
+			t.Fatalf("uplink packets counted = %d", up)
+		}
+	})
 }
 
 func TestSliceDownlinkEncapsulates(t *testing.T) {
@@ -292,32 +287,6 @@ func TestSliceDuplicateAttachRejected(t *testing.T) {
 	if _, err := s.Control().Attach(AttachSpec{IMSI: 1}); err != ErrUserExists {
 		t.Fatalf("duplicate attach: %v", err)
 	}
-}
-
-func TestSliceTwoLevelPromotionOnMiss(t *testing.T) {
-	s := NewSlice(SliceConfig{ID: 12, TableMode: TableTwoLevel, UserHint: 1024, PrimaryHint: 16})
-	res, err := s.Control().Attach(AttachSpec{IMSI: 12, ENBAddr: 1, DownlinkTEID: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Do NOT sync: the user is only in the secondary table. A lookup
-	// must still succeed (served from secondary) and request promotion.
-	pool := pkt.NewPool(2048, 128)
-	b := buildUplink(pool, res.UplinkTEID, res.UEAddr, 1, s.Config().CoreAddr, 80)
-	s.Data().ProcessUplinkBatch([]*pkt.Buf{b}, sim.Now())
-	if s.Data().Forwarded.Load() != 1 {
-		t.Fatalf("secondary-served packet not forwarded (missed=%d)", s.Data().Missed.Load())
-	}
-	// Control maintenance turns the promotion request into an update;
-	// sync applies it to the primary.
-	if n := s.Control().Maintain(sim.Now(), 0); n == 0 {
-		t.Fatal("no promotion requests processed")
-	}
-	s.Data().SyncUpdates()
-	if s.tl.LookupPrimaryOnly(res.UplinkTEID) == nil {
-		t.Fatal("user not promoted to primary")
-	}
-	drainEgress(s)
 }
 
 func TestSliceChargingCollection(t *testing.T) {

@@ -9,42 +9,37 @@ import (
 )
 
 // Checks of the per-user state (DESIGN.md §4.10): forwarding and exact
-// counters in both table modes, policing and the attach/detach
+// counters, policing and the attach/detach
 // lifecycle.
 
 func TestTableModesUplinkEndToEnd(t *testing.T) {
-	for _, mode := range []TableMode{TableSingle, TableTwoLevel} {
-		name := "single"
-		if mode == TableTwoLevel {
-			name = "twolevel"
+	// The subtest is named for the single table, the only one.
+	t.Run("single", func(t *testing.T) {
+		s := NewSlice(SliceConfig{ID: 1, UserHint: 64})
+		res := attachOne(t, s, 1001)
+		pool := pkt.NewPool(2048, 128)
+		b := buildUplink(pool, res.UplinkTEID, res.UEAddr, pkt.IPv4Addr(192, 168, 0, 1), s.Config().CoreAddr, 80)
+		s.Data().ProcessUplinkBatch([]*pkt.Buf{b}, sim.Now())
+		if got := s.Data().Forwarded.Load(); got != 1 {
+			t.Fatalf("forwarded = %d (missed=%d dropped=%d)", got,
+				s.Data().Missed.Load(), s.Data().Dropped.Load())
 		}
-		t.Run(name, func(t *testing.T) {
-			s := NewSlice(SliceConfig{ID: 1, TableMode: mode, UserHint: 64})
-			res := attachOne(t, s, 1001)
-			pool := pkt.NewPool(2048, 128)
-			b := buildUplink(pool, res.UplinkTEID, res.UEAddr, pkt.IPv4Addr(192, 168, 0, 1), s.Config().CoreAddr, 80)
-			s.Data().ProcessUplinkBatch([]*pkt.Buf{b}, sim.Now())
-			if got := s.Data().Forwarded.Load(); got != 1 {
-				t.Fatalf("forwarded = %d (missed=%d dropped=%d)", got,
-					s.Data().Missed.Load(), s.Data().Dropped.Load())
-			}
-			down := buildDownlink(pool, res.UEAddr, 443)
-			s.Data().ProcessDownlinkBatch([]*pkt.Buf{down}, sim.Now())
-			if got := s.Data().Forwarded.Load(); got != 2 {
-				t.Fatalf("downlink not forwarded (missed=%d)", s.Data().Missed.Load())
-			}
-			ue := s.Control().Lookup(1001)
-			var up, dn uint64
-			ue.ReadCounters(func(c *state.CounterState) { up, dn = c.UplinkPackets, c.DownlinkPackets })
-			if up != 1 || dn != 1 {
-				t.Fatalf("counters: up=%d down=%d", up, dn)
-			}
-			if ue.Hot().U != ue {
-				t.Fatal("attached user's hot half is not bound to its context")
-			}
-			drainEgress(s)
-		})
-	}
+		down := buildDownlink(pool, res.UEAddr, 443)
+		s.Data().ProcessDownlinkBatch([]*pkt.Buf{down}, sim.Now())
+		if got := s.Data().Forwarded.Load(); got != 2 {
+			t.Fatalf("downlink not forwarded (missed=%d)", s.Data().Missed.Load())
+		}
+		ue := s.Control().Lookup(1001)
+		var up, dn uint64
+		ue.ReadCounters(func(c *state.CounterState) { up, dn = c.UplinkPackets, c.DownlinkPackets })
+		if up != 1 || dn != 1 {
+			t.Fatalf("counters: up=%d down=%d", up, dn)
+		}
+		if ue.Hot().U != ue {
+			t.Fatal("attached user's hot half is not bound to its context")
+		}
+		drainEgress(s)
+	})
 }
 
 func TestUserStatePolicing(t *testing.T) {

@@ -331,12 +331,22 @@ func TestFig13Smoke(t *testing.T) {
 	}
 }
 
-func TestFig14Smoke(t *testing.T) {
-	r, err := Fig14(micro)
-	if err != nil {
-		t.Fatal(err)
+func TestExperimentRegistry(t *testing.T) {
+	names := Names()
+	if len(names) != 18 { // 2 tables + 11 figures + faults + sockio + cluster + lat + pfcp
+		t.Fatalf("experiments = %d: %v", len(names), names)
 	}
-	seriesNonEmptySigned(t, r)
+	if names[0] != "table1" || names[2] != "lat" || names[3] != "fig4" {
+		t.Fatalf("ordering: %v", names)
+	}
+	if _, err := Run("fig99", Quick); err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	// Tables run instantly at any scale.
+	r, err := Run("table1", Quick)
+	if err != nil || r.Figure != "Table 1" {
+		t.Fatalf("table1: %+v %v", r.Figure, err)
+	}
 }
 
 func TestFig15Smoke(t *testing.T) {

@@ -191,141 +191,6 @@ func Fig13(sc Scale) (Result, error) {
 	return r, nil
 }
 
-// Fig14 regenerates Figure 14: the two-level state table's improvement
-// over a single table as a function of the always-on device fraction,
-// under low (1%/s) and high (10%/s) churn.
-func Fig14(sc Scale) (Result, error) {
-	r := Result{
-		Figure: "Figure 14",
-		Title:  "Two-level state table improvement over single table (%)",
-		XLabel: "% always-on devices",
-		YLabel: "% improvement",
-	}
-	total := sc.users(1_000_000)
-	fractions := []float64{0.01, 0.10, 0.25, 0.50, 1.00}
-	churns := map[string]float64{"low churn (1%/s)": 0.01, "high churn (10%/s)": 0.10}
-	for churnName, churn := range churns {
-		var pts []sim.Point
-		for _, f := range fractions {
-			single, err := fig14Point(sc, core.TableSingle, total, f, churn)
-			if err != nil {
-				return r, err
-			}
-			gcNow()
-			two, err := fig14Point(sc, core.TableTwoLevel, total, f, churn)
-			if err != nil {
-				return r, err
-			}
-			gcNow()
-			improvement := (two - single) / single * 100
-			pts = append(pts, sim.Point{X: f * 100, Y: improvement})
-		}
-		r.Series = append(r.Series, sim.Series{Name: churnName, Points: pts})
-	}
-	r.Notes = append(r.Notes,
-		"paper shape: ~29%/27% at 1% always-on, 1-3% at 50%, ~0% at 100%; churn effect ≤2%")
-	return r, nil
-}
-
-// fig14Point measures data-plane throughput for one table mode with the
-// given always-on fraction and churn rate.
-//
-// Traffic follows the paper's workload: it targets the always-on set
-// plus the devices currently churned into the active population, so the
-// single-table configuration's working set rotates across the whole
-// population over time (the cache effect under study) while the
-// two-level primary holds only the instantaneously active devices.
-// Churn converts the paper's per-second fractions to per-packet debts
-// against an assumed ~3 Mpps base rate.
-func fig14Point(sc Scale, mode core.TableMode, total int, alwaysOn, churnPerSec float64) (float64, error) {
-	activeCount := int(float64(total) * alwaysOn)
-	if activeCount < 1 {
-		activeCount = 1
-	}
-	// The churn window: devices considered active at any instant beyond
-	// the always-on set (sized like one second of churn, capped).
-	window := int(float64(total) * churnPerSec)
-	if window > total-activeCount {
-		window = total - activeCount
-	}
-	if window < 0 {
-		window = 0
-	}
-	s := core.NewSlice(core.SliceConfig{
-		ID: 1, TableMode: mode, UserHint: total,
-		PrimaryHint: activeCount + window + 16,
-	})
-	pop, err := attachPopulation(s, total, 1)
-	if err != nil {
-		return 0, err
-	}
-	// In two-level mode, demote everyone beyond the initial active set
-	// (always-on + the first churn window).
-	if mode == core.TableTwoLevel {
-		for i := activeCount + window; i < total; i++ {
-			s.Control().Demote(pop[i].IMSI)
-			if i%1024 == 1023 {
-				s.Data().SyncUpdates() // keep the update queue bounded
-			}
-		}
-		s.Data().SyncUpdates()
-	}
-
-	// The traffic target set: always-on devices plus the rotating churn
-	// window. The generator reads this slice by index, so rotating a
-	// window entry in place redirects subsequent traffic.
-	targets := make([]workload.User, activeCount+window)
-	copy(targets, pop[:activeCount+window])
-	gen := workload.NewTrafficGen(workload.TrafficConfig{CoreAddr: s.Config().CoreAddr}, targets)
-
-	churnPool := pop[activeCount:] // devices that rotate through
-	nextIn := window               // index into churnPool of the next device to churn in
-	slot := 0                      // which window slot rotates next
-
-	batch := make([]*pkt.Buf, 0, 32)
-	runtime.GC()
-	for w := 0; w < 4096; w += 32 {
-		batch = batch[:0]
-		for i := 0; i < 32; i++ {
-			batch = append(batch, gen.NextUplink())
-		}
-		s.Data().ProcessUplinkBatch(batch, sim.Now())
-		drainRing(s)
-	}
-
-	measure := func() (float64, error) {
-		processed := 0
-		churnDebt := 0.0
-		start := time.Now()
-		for processed < sc.PacketsPerPoint {
-			batch = batch[:0]
-			for i := 0; i < 32 && processed+len(batch) < sc.PacketsPerPoint; i++ {
-				batch = append(batch, gen.NextUplink())
-			}
-			s.Data().ProcessUplinkBatch(batch, sim.Now())
-			processed += len(batch)
-			drainRing(s)
-			if churnPerSec > 0 && window > 0 && len(churnPool) > 0 {
-				churnDebt += float64(len(batch)) / 3e6 * churnPerSec * float64(total)
-				for churnDebt >= 1 {
-					out := targets[activeCount+slot]
-					in := churnPool[nextIn%len(churnPool)]
-					nextIn++
-					if mode == core.TableTwoLevel {
-						s.Control().Demote(out.IMSI)
-						s.Control().Promote(in.IMSI)
-					}
-					targets[activeCount+slot] = in
-					slot = (slot + 1) % window
-					churnDebt--
-				}
-			}
-		}
-		return mpps(processed, time.Since(start)), nil
-	}
-	return median3(measure)
-}
-
 // Fig15 regenerates Figure 15: the benefit of the stateless-IoT
 // customization as the IoT share of devices grows.
 func Fig15(sc Scale) (Result, error) {

@@ -77,7 +77,7 @@ func Faults(sc Scale) (Result, error) {
 	}
 	stats, violations := runChaosSoak(seed, epochs, sc.users(256))
 	notes := []string{
-		fmt.Sprintf("attaches during outage complete degraded (default bearer) and are repaired by Maintain once the breaker closes; budget per Gx round trip %v", soakPolicy.Deadline*time.Duration(soakPolicy.MaxRetries+1)),
+		fmt.Sprintf("attaches during outage complete degraded (default bearer) and are repaired by RepairDegraded once the breaker closes; budget per Gx round trip %v", soakPolicy.Deadline*time.Duration(soakPolicy.MaxRetries+1)),
 		fmt.Sprintf("chaos soak: %d epochs, %d attaches, %d detaches, %d handovers, %d migrations, %d cross-node moves, %d recoveries, %d injected stalls, %d sig drops — %d invariant violations",
 			stats.Epochs, stats.Attaches, stats.Detaches, stats.Handovers, stats.Migrations, stats.NodeMoves, stats.Recoveries, stats.Stalls, stats.SigDrops, len(violations)),
 	}
@@ -131,7 +131,7 @@ func outagePoint(ms, users int) (float64, float64, uint64, error) {
 	time.Sleep(soakPolicy.BreakerCooldown + time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Control().DegradedBacklog() > 0 && time.Now().Before(deadline) {
-		s.Control().Maintain(0, 0)
+		s.Control().RepairDegraded(0)
 	}
 	st := s.Control().Stats()
 	ps := p.Stats()
@@ -344,7 +344,7 @@ func runChaosSoak(seed uint64, epochs, usersPerEpoch int) (SoakStats, []string) 
 		deadline := time.Now().Add(5 * time.Second)
 		for s0.Control().DegradedBacklog() > 0 && time.Now().Before(deadline) {
 			time.Sleep(soakPolicy.BreakerCooldown)
-			s0.Control().Maintain(0, 0)
+			s0.Control().RepairDegraded(0)
 		}
 		if bl := s0.Control().DegradedBacklog(); bl > 0 {
 			fail("epoch %d: repair backlog stuck at %d", e, bl)

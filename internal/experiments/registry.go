@@ -21,7 +21,6 @@ var registry = map[string]runner{
 	"fig11":   Fig11,
 	"fig12":   Fig12,
 	"fig13":   Fig13,
-	"fig14":   Fig14,
 	"fig15":   Fig15,
 	"faults":  Faults,
 	"sockio":  Sockio,

@@ -5,7 +5,7 @@
 // MPSC ring (many producers, one consumer) carries the data path too:
 // each slice's uplink and downlink ingress, fed by every demux queue,
 // and the packet pool's free list, which every lane frees into; and the
-// control-plane queues (updates, signaling, promotion, paging).
+// control-plane queues (updates, signaling, paging).
 package ring
 
 import (

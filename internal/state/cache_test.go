@@ -2,7 +2,6 @@ package state
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"pepc/internal/pkt"
@@ -107,7 +106,7 @@ func sameHomeTEIDs(n int) []uint32 {
 // tombstones than live keys, which rehashes the table in place.
 // TestBucketTombstoneLifecycle checks that these steps reach those states.
 func bucketSeeds() [][]byte {
-	const ins, del, fence, look = 0, 1, 3, 4 // the fuzz body's op codes
+	const ins, del, fence, look = 0, 1, 2, 3 // the fuzz body's op codes
 	k := sameHomeTEIDs(5)
 	op := func(o byte, keys ...uint32) (b []byte) {
 		for _, key := range keys {
@@ -192,15 +191,15 @@ func TestBucketTombstoneLifecycle(t *testing.T) {
 }
 
 // FuzzIndexesModel drives the data-path indexes through Apply against
-// plain Go map models: interleaved insert, delete and rekey, with deleted
+// plain Go map models: interleaved inserts and deletes, with deleted
 // contexts recycled into new users the way the control plane recycles
 // them (UE.Recycle once the two-sync fence has passed). Single (GetUE)
 // and batched (GetHotBatch) lookups must agree with the models in both
 // key domains, and a deleted key must keep missing after its context was
 // recycled into another user, whose counters start from zero.
 func FuzzIndexesModel(f *testing.F) {
-	f.Add([]byte{0, 1, 4, 1, 1, 1, 3, 0, 3, 0, 0, 2, 4, 1, 4, 2})
-	f.Add([]byte{0, 1, 0, 2, 2, 2, 4, 3, 1, 1, 3, 0, 0, 5, 3, 0, 0, 6, 4, 1, 4, 6})
+	f.Add([]byte{0, 1, 3, 1, 1, 1, 2, 0, 2, 0, 0, 2, 3, 1, 3, 2})
+	f.Add([]byte{0, 1, 0, 2, 3, 2, 3, 3, 1, 1, 2, 0, 0, 5, 2, 0, 0, 6, 3, 1, 3, 6})
 	for _, seed := range bucketSeeds() {
 		f.Add(seed)
 	}
@@ -220,7 +219,7 @@ func FuzzIndexesModel(f *testing.F) {
 		var free []retiree
 		var syncSeq uint64
 		for i := 0; i+1 < len(data); i += 2 {
-			op, key := data[i]%5, uint32(data[i+1]%31+1)
+			op, key := data[i]%4, uint32(data[i+1]%31+1)
 			u := byTEID[key]
 			switch op {
 			case 0: // insert, reusing the oldest retiree once it cleared the fence
@@ -260,16 +259,7 @@ func FuzzIndexesModel(f *testing.F) {
 				delete(byTEID, key)
 				delete(byIP, ip)
 				free = append(free, retiree{ue: u, teid: key, ip: ip, seq: syncSeq})
-			case 2: // rekey to the next TEID
-				to := key%31 + 1
-				if u == nil || byTEID[to] != nil {
-					break
-				}
-				u.WriteCtrl(func(c *ControlState) { c.UplinkTEID = to })
-				ix.Apply(Update{Op: OpRekey, OldTEID: key, TEID: to, UE: u})
-				byTEID[to] = u
-				delete(byTEID, key)
-			case 3: // advance the data-plane sync fence
+			case 2: // advance the data-plane sync fence
 				syncSeq++
 			default: // single lookups; a hit counts a packet like the data plane
 				if got := ix.GetUE(key, true); got != u {
@@ -310,44 +300,6 @@ func FuzzIndexesModel(f *testing.F) {
 	})
 }
 
-// TestTwoLevelMissesConcurrent pins the miss counter's thread model: the
-// data thread bumps it on secondary-served lookups while the control
-// plane polls it for primary sizing. Run under -race.
-func TestTwoLevelMissesConcurrent(t *testing.T) {
-	tl := NewTwoLevel(16, 1024)
-	for i := uint32(1); i <= 64; i++ {
-		tl.InsertSecondary(i, 0, &UE{})
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = tl.Misses()
-			}
-		}
-	}()
-	var out [8]*HotUE
-	var fromSec [8]bool
-	keys := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
-	for i := 0; i < 5000; i++ {
-		if ue, _ := tl.Lookup(keys[i%8], true); ue == nil {
-			t.Fatal("secondary miss")
-		}
-		tl.LookupHotBatch(keys, true, out[:], fromSec[:])
-	}
-	close(stop)
-	wg.Wait()
-	if tl.Misses() == 0 {
-		t.Fatal("miss counter did not move")
-	}
-}
-
 // Zero-allocation guards: the per-packet paths must not allocate. These
 // back the CI allocation-guard step (scripts/ci.sh).
 
@@ -369,22 +321,19 @@ func TestGetHotBatchZeroAlloc(t *testing.T) {
 func TestLookupHotBatchZeroAlloc(t *testing.T) {
 	// The subtest is named for the pointer state layout, the only one.
 	t.Run("pointer", func(t *testing.T) {
-		tl := NewTwoLevel(256, 1024)
+		ix := NewIndexes(1024)
 		for i := uint32(1); i <= 256; i++ {
-			u := &UE{}
-			tl.InsertSecondary(i, 0, u)
-			tl.Promote(i, 0, u)
+			ix.Apply(Update{Op: OpInsert, TEID: i, UEIP: 0x0a000000 + i, UE: &UE{}})
 		}
 		keys := make([]uint32, 64)
 		for i := range keys {
-			keys[i] = uint32(i + 1)
+			keys[i] = 0x0a000000 + uint32(i+1)
 		}
 		out := make([]*HotUE, 64)
-		fromSec := make([]bool, 64)
 		if n := testing.AllocsPerRun(100, func() {
-			tl.LookupHotBatch(keys, true, out, fromSec)
+			ix.GetHotBatch(keys, false, out)
 		}); n != 0 {
-			t.Fatalf("LookupHotBatch allocates %.1f/op", n)
+			t.Fatalf("Indexes.GetHotBatch allocates %.1f/op", n)
 		}
 	})
 }

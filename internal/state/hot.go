@@ -75,7 +75,7 @@ func (c *ControlState) policed() bool {
 // downlink runs.
 type HotUE struct {
 	// U points back at the owning cold context, for the rare fast-path
-	// escapes (policed-user rebuilds, promotion requests, paging parks).
+	// escapes (policed-user rebuilds, paging parks).
 	// Set on the first publish and never cleared, so in-flight data-path
 	// references never observe nil.
 	U *UE

@@ -310,11 +310,11 @@ func TestU64MapModelProperty(t *testing.T) {
 }
 
 // BenchmarkU32MapLookupScaling quantifies how lookup cost grows with
-// table size under two access patterns. It backs the Figure 14 finding
-// in EXPERIMENTS.md: with this open-address per-domain index, even a
-// 1M-entry table costs only a couple of cache lines per probe when the
-// accessed subset is hot, which is why the two-level table's benefit is
-// small in this implementation compared to the paper's.
+// table size under two access patterns. It backs EXPERIMENTS.md's pinned
+// "Figure 14" section: with this bucketed per-domain index, even a
+// 1M-entry table costs about one cache line per probe when the accessed
+// subset is hot, which is why a two-level table in front of it did not
+// pay here, unlike in the paper.
 func BenchmarkU32MapLookupScaling(b *testing.B) {
 	for _, size := range []int{10_000, 100_000, 1_000_000} {
 		m := NewU32Map(size)

@@ -157,19 +157,6 @@ func (t *Table) Remove(imsi uint64) (*UE, error) {
 	return ue, nil
 }
 
-// Rekey updates the TEID index after a handover changed a user's uplink
-// TEID (control thread).
-func (t *Table) Rekey(oldTEID, newTEID uint32, ue *UE) {
-	t.lockIdxW()
-	if oldTEID != 0 {
-		t.byTEID.Delete(oldTEID)
-	}
-	if newTEID != 0 {
-		t.byTEID.Put(newTEID, ue)
-	}
-	t.unlockIdxW()
-}
-
 // LookupIMSI finds a user by IMSI (control path).
 func (t *Table) LookupIMSI(imsi uint64) *UE {
 	t.lockIdxR()

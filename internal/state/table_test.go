@@ -92,20 +92,6 @@ func TestTableCtrlWriteVisibleToDataPath(t *testing.T) {
 	}
 }
 
-func TestTableRekey(t *testing.T) {
-	tb := NewTable(LockModePEPC, 16)
-	ue := newTestUE(1, 2, 3)
-	tb.Insert(ue)
-	tb.CtrlWrite(ue, func(c *ControlState) { c.UplinkTEID = 20 })
-	tb.Rekey(2, 20, ue)
-	if tb.LookupTEID(2) != nil {
-		t.Fatal("old TEID still mapped")
-	}
-	if tb.LookupTEID(20) != ue {
-		t.Fatal("new TEID not mapped")
-	}
-}
-
 func TestTableConcurrentDataAndControl(t *testing.T) {
 	// Control ops and data-path accesses race across all modes without
 	// data races (validated under -race) or lost counter updates.
@@ -151,75 +137,6 @@ func TestTableConcurrentDataAndControl(t *testing.T) {
 	}
 }
 
-func TestTwoLevelPromoteEvict(t *testing.T) {
-	tl := NewTwoLevel(16, 1024)
-	ue := newTestUE(1, 100, 200)
-	tl.InsertSecondary(100, 200, ue)
-	got, fromSec := tl.Lookup(100, true)
-	if got != ue || !fromSec {
-		t.Fatalf("first lookup: %v fromSec=%v", got, fromSec)
-	}
-	if tl.Misses() != 1 {
-		t.Fatalf("misses = %d", tl.Misses())
-	}
-	// Downlink domain resolves by UE address.
-	if got, _ := tl.Lookup(200, false); got != ue {
-		t.Fatal("downlink lookup failed")
-	}
-	// Domains are separate: the TEID does not resolve as an address.
-	if got, _ := tl.Lookup(100, false); got != nil {
-		t.Fatal("TEID leaked into the address domain")
-	}
-	tl.Promote(100, 200, ue)
-	got, fromSec = tl.Lookup(100, true)
-	if got != ue || fromSec {
-		t.Fatalf("post-promote lookup: fromSec=%v", fromSec)
-	}
-	tl.Evict(100, 200)
-	if tl.LookupPrimaryOnly(100) != nil {
-		t.Fatal("evicted key still in primary")
-	}
-	got, fromSec = tl.Lookup(100, true)
-	if got != ue || !fromSec {
-		t.Fatal("evicted key lost from secondary")
-	}
-	tl.RemoveSecondary(100, 200)
-	if got, _ := tl.Lookup(100, true); got != nil {
-		t.Fatal("fully removed key still found")
-	}
-	if got, _ := tl.Lookup(200, false); got != nil {
-		t.Fatal("fully removed address still found")
-	}
-}
-
-func TestTwoLevelEvictIdle(t *testing.T) {
-	tl := NewTwoLevel(64, 64)
-	now := int64(1_000_000_000)
-	for i := uint32(1); i <= 10; i++ {
-		ue := newTestUE(uint64(i), i, 1000+i)
-		ue.WriteCtrl(func(c *ControlState) {
-			if i <= 5 {
-				c.LastActive = now // active
-			} else {
-				c.LastActive = 0 // long idle
-			}
-		})
-		tl.InsertSecondary(i, 1000+i, ue)
-		tl.Promote(i, 1000+i, ue)
-	}
-	evicted := 0
-	n := tl.EvictIdle(now, 500_000_000, func(teid, ip uint32) {
-		tl.Evict(teid, ip)
-		evicted++
-	})
-	if n != 5 || evicted != 5 {
-		t.Fatalf("evicted %d/%d, want 5", evicted, n)
-	}
-	if tl.PrimaryLen() != 5 || tl.SecondaryLen() != 10 {
-		t.Fatalf("primary=%d secondary=%d", tl.PrimaryLen(), tl.SecondaryLen())
-	}
-}
-
 func TestUpdateQueueDrainApplies(t *testing.T) {
 	ix := NewIndexes(16)
 	q := NewUpdateQueue(64)
@@ -231,14 +148,9 @@ func TestUpdateQueueDrainApplies(t *testing.T) {
 	if ix.ByTEID.Get(10) != ue || ix.ByIP.Get(20) != ue {
 		t.Fatal("insert not applied")
 	}
-	q.Push(Update{Op: OpRekey, OldTEID: 10, TEID: 11, UE: ue})
+	q.Push(Update{Op: OpDelete, TEID: 10, UEIP: 20})
 	q.Drain(ix)
-	if ix.ByTEID.Get(10) != nil || ix.ByTEID.Get(11) != ue {
-		t.Fatal("rekey not applied")
-	}
-	q.Push(Update{Op: OpDelete, TEID: 11, UEIP: 20})
-	q.Drain(ix)
-	if ix.ByTEID.Get(11) != nil || ix.ByIP.Get(20) != nil {
+	if ix.ByTEID.Get(10) != nil || ix.ByIP.Get(20) != nil {
 		t.Fatal("delete not applied")
 	}
 }
@@ -253,29 +165,6 @@ func TestUpdateQueueBackpressure(t *testing.T) {
 	}
 	if q.Push(Update{Op: OpInsert, TEID: 3, UE: &UE{}}) {
 		t.Fatal("push into full queue succeeded")
-	}
-}
-
-func TestDrainTwoLevel(t *testing.T) {
-	tl := NewTwoLevel(16, 64)
-	q := NewUpdateQueue(64)
-	ue := newTestUE(1, 5, 50)
-	tl.InsertSecondary(5, 50, ue)
-	q.Push(Update{Op: OpInsert, TEID: 5, UEIP: 50, UE: ue})
-	q.DrainTwoLevel(tl)
-	if tl.LookupPrimaryOnly(5) != ue {
-		t.Fatal("promote via queue failed")
-	}
-	if got, _ := tl.Lookup(50, false); got != ue {
-		t.Fatal("address not promoted")
-	}
-	q.Push(Update{Op: OpDelete, TEID: 5, UEIP: 50})
-	q.DrainTwoLevel(tl)
-	if tl.LookupPrimaryOnly(5) != nil {
-		t.Fatal("evict via queue failed")
-	}
-	if got, _ := tl.Lookup(50, false); got == nil || got != ue {
-		t.Fatal("secondary must still hold the device after eviction")
 	}
 }
 
@@ -469,8 +358,8 @@ func TestGiantLockWriterExcludesAllReaders(t *testing.T) {
 	}
 }
 
-// TestTableModelProperty runs randomized Insert/Remove/Rekey/DataPath/
-// CtrlWrite sequences against every lock mode and checks the table agrees
+// TestTableModelProperty runs randomized Insert/Remove/DataPath/
+// LookupIMSI sequences against every lock mode and checks the table agrees
 // with a plain reference model at every step.
 func TestTableModelProperty(t *testing.T) {
 	for _, mode := range []LockMode{LockModePEPC, LockModeDatapathWriter, LockModeGiant} {
@@ -486,7 +375,7 @@ func TestTableModelProperty(t *testing.T) {
 			teidOf := map[uint32]uint64{}
 			nextTEID := uint32(1)
 			for step := 0; step < 20000; step++ {
-				switch rng.Intn(5) {
+				switch rng.Intn(4) {
 				case 0: // insert
 					imsi := uint64(rng.Intn(200) + 1)
 					ue := newTestUE(imsi, nextTEID, 0x0a000000+nextTEID)
@@ -515,18 +404,7 @@ func TestTableModelProperty(t *testing.T) {
 					} else if err != ErrNotFound {
 						t.Fatalf("step %d: remove absent: %v", step, err)
 					}
-				case 2: // rekey
-					imsi := uint64(rng.Intn(200) + 1)
-					if e, ok := model[imsi]; ok {
-						old := e.teid
-						e.teid = nextTEID
-						nextTEID++
-						tb.CtrlWrite(e.ue, func(c *ControlState) { c.UplinkTEID = e.teid })
-						tb.Rekey(old, e.teid, e.ue)
-						delete(teidOf, old)
-						teidOf[e.teid] = imsi
-					}
-				case 3: // data path by TEID
+				case 2: // data path by TEID
 					teid := uint32(rng.Intn(int(nextTEID)) + 1)
 					found := tb.DataPathTEID(teid, func(_ *ControlState, c *CounterState) {
 						c.UplinkPackets++

@@ -1,8 +1,7 @@
 // Package state implements PEPC's consolidated per-user state: the state
 // taxonomy of the paper's Table 1, the UE context split into control-
 // written and data-written halves with fine-grained per-user locks
-// (paper §3.2), the single-table and two-level (primary/secondary) state
-// tables (§3.2, §7.3), and the alternative shared-state designs the paper
+// (paper §3.2), the state table and the data path's indexes (§3.2), and the alternative shared-state designs the paper
 // ablates in §7.1 (giant lock, datapath-writer).
 package state
 

@@ -18,24 +18,20 @@ type UpdateOp uint8
 
 // Update operations.
 const (
-	// OpInsert adds the user to the data-path indexes (attach, or
-	// promotion from the secondary table).
+	// OpInsert adds the user to the data-path indexes (attach, restore
+	// or migration in).
 	OpInsert UpdateOp = iota
-	// OpDelete removes the user from the data-path indexes (detach,
-	// eviction to the secondary table, or migration away).
+	// OpDelete removes the user from the data-path indexes (detach or
+	// migration away).
 	OpDelete
-	// OpRekey retargets the TEID index after a handover changed the
-	// user's uplink TEID.
-	OpRekey
 )
 
 // Update is one control→data index operation.
 type Update struct {
-	Op      UpdateOp
-	TEID    uint32 // uplink TEID index key (OpInsert/OpDelete), new TEID (OpRekey)
-	OldTEID uint32 // previous TEID (OpRekey)
-	UEIP    uint32 // UE address index key, 0 to skip the IP index
-	UE      *UE
+	Op   UpdateOp
+	TEID uint32 // uplink TEID index key, 0 to skip the TEID index
+	UEIP uint32 // UE address index key, 0 to skip the IP index
+	UE   *UE    // the user (OpInsert)
 }
 
 // Indexes are the data-thread-owned lookup structures (Listing 1's
@@ -49,26 +45,6 @@ type Indexes struct {
 // NewIndexes returns data-path indexes sized for sizeHint users.
 func NewIndexes(sizeHint int) *Indexes {
 	return &Indexes{ByTEID: NewU32Map(sizeHint), ByIP: NewU32Map(sizeHint)}
-}
-
-// put registers ue under both keys (0 skips a domain).
-func (ix *Indexes) put(teid, ip uint32, ue *UE) {
-	if teid != 0 {
-		ix.ByTEID.Put(teid, ue)
-	}
-	if ip != 0 {
-		ix.ByIP.Put(ip, ue)
-	}
-}
-
-// del removes both keys (0 skips a domain).
-func (ix *Indexes) del(teid, ip uint32) {
-	if teid != 0 {
-		ix.ByTEID.Delete(teid)
-	}
-	if ip != 0 {
-		ix.ByIP.Delete(ip)
-	}
 }
 
 // GetUE resolves one key to the user's context (nil on miss).
@@ -90,17 +66,23 @@ func (ix *Indexes) GetHotBatch(keys []uint32, uplink bool, out []*HotUE) {
 	m.GetHotBatch(keys, uplink, out)
 }
 
-// Apply executes one update against the indexes.
+// Apply executes one update against the indexes (a 0 key skips its
+// domain).
 func (ix *Indexes) Apply(u Update) {
 	switch u.Op {
 	case OpInsert:
-		ix.put(u.TEID, u.UEIP, u.UE)
+		if u.TEID != 0 {
+			ix.ByTEID.Put(u.TEID, u.UE)
+		}
+		if u.UEIP != 0 {
+			ix.ByIP.Put(u.UEIP, u.UE)
+		}
 	case OpDelete:
-		ix.del(u.TEID, u.UEIP)
-	case OpRekey:
-		ix.del(u.OldTEID, 0)
-		if u.TEID != 0 && u.UE != nil {
-			ix.put(u.TEID, 0, u.UE)
+		if u.TEID != 0 {
+			ix.ByTEID.Delete(u.TEID)
+		}
+		if u.UEIP != 0 {
+			ix.ByIP.Delete(u.UEIP)
 		}
 	}
 }
@@ -155,30 +137,6 @@ func (uq *UpdateQueue) DrainFunc(fn func(Update)) int {
 			return n
 		}
 		fn(u)
-		n++
-	}
-}
-
-// DrainTwoLevel applies queued updates to a two-level store's primary
-// table (promotions and evictions). Data thread only.
-func (uq *UpdateQueue) DrainTwoLevel(t *TwoLevel) int {
-	n := 0
-	for {
-		u, ok := uq.q.Dequeue()
-		if !ok {
-			return n
-		}
-		switch u.Op {
-		case OpInsert:
-			t.Promote(u.TEID, u.UEIP, u.UE)
-		case OpDelete:
-			t.Evict(u.TEID, u.UEIP)
-		case OpRekey:
-			t.Evict(u.OldTEID, 0)
-			if u.UE != nil {
-				t.Promote(u.TEID, 0, u.UE)
-			}
-		}
 		n++
 	}
 }

@@ -2,9 +2,8 @@
 // paper's evaluation (§5): GTP-U encapsulated uplink packets and plain IP
 // downlink packets across configurable user populations, packet sizes and
 // uplink:downlink ratios (Table 2), plus signaling-event schedules
-// (attach requests, S1 handovers) at controlled rates, and the device
-// population models of the two-level-table and IoT experiments (§7.3,
-// §7.4).
+// (attach requests, S1 handovers) at controlled rates, and a device
+// population model (always-on share, churn, IoT share; §7.3, §7.4).
 package workload
 
 import (
@@ -312,11 +311,10 @@ func (sg *SignalingGen) NextHandoverTarget() (enbAddr, dlTEID, ecgi uint32) {
 // Population describes the device mix of an experiment.
 type Population struct {
 	Total int
-	// AlwaysOnFraction of devices stay resident in the primary table.
+	// AlwaysOnFraction of devices stay active.
 	AlwaysOnFraction float64
-	// ChurnPerSecond is the fraction of all devices moving into (and
-	// out of) the primary table per second ("low churn" 0.01, "high
-	// churn" 0.10 in Fig 14).
+	// ChurnPerSecond is the fraction of all devices becoming active (and
+	// idle) per second (the paper's "low churn" 0.01, "high churn" 0.10).
 	ChurnPerSecond float64
 	// IoTFraction of devices are stateless-IoT (§7.4).
 	IoTFraction float64

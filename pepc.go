@@ -32,7 +32,6 @@ import (
 	"pepc/internal/cluster"
 	"pepc/internal/core"
 	"pepc/internal/enb"
-	"pepc/internal/experiments"
 	"pepc/internal/fault"
 	"pepc/internal/hss"
 	"pepc/internal/pcef"
@@ -90,11 +89,6 @@ type (
 	UEContext = state.UE
 	// Buf is an mbuf-style packet buffer.
 	Buf = pkt.Buf
-
-	// ExperimentScale bounds experiment runtime/memory.
-	ExperimentScale = experiments.Scale
-	// ExperimentResult is one regenerated table/figure.
-	ExperimentResult = experiments.Result
 
 	// CallPolicy bounds proxy backend calls: per-call deadline, bounded
 	// retries with backoff and a circuit breaker (DESIGN.md §4.12).
@@ -169,12 +163,6 @@ func FaultEpochPlan(seed uint64, epoch int, maxRate uint32, maxDelay time.Durati
 	return fault.EpochPlan(seed, epoch, maxRate, maxDelay, kinds...)
 }
 
-// Table modes for SliceConfig.TableMode.
-const (
-	TableSingle   = core.TableSingle
-	TableTwoLevel = core.TableTwoLevel
-)
-
 // NewNode creates a PEPC node with the given slices.
 func NewNode(cfgs ...SliceConfig) *Node { return core.NewNode(cfgs...) }
 
@@ -232,23 +220,6 @@ type SCTPConfig = sctp.Config
 func NewTrafficGen(cfg TrafficConfig, users []User) *TrafficGen {
 	return workload.NewTrafficGen(cfg, users)
 }
-
-// Experiment scales.
-var (
-	// QuickScale runs every figure in seconds.
-	QuickScale = experiments.Quick
-	// FullScale approximates the paper's populations.
-	FullScale = experiments.Full
-)
-
-// RunExperiment regenerates one of the paper's tables or figures by name
-// ("table1", "table2", "fig4" … "fig15").
-func RunExperiment(name string, sc ExperimentScale) (ExperimentResult, error) {
-	return experiments.Run(name, sc)
-}
-
-// ExperimentNames lists the regenerable tables and figures.
-func ExperimentNames() []string { return experiments.Names() }
 
 // OperatorConfig is the JSON-loadable node description (slices, IoT
 // pools, PCC rules).

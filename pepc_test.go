@@ -45,24 +45,6 @@ func TestFacadeUnknownSubscriberRejected(t *testing.T) {
 	}
 }
 
-func TestExperimentRegistry(t *testing.T) {
-	names := pepc.ExperimentNames()
-	if len(names) != 19 { // 2 tables + 12 figures + faults + sockio + cluster + lat + pfcp
-		t.Fatalf("experiments = %d: %v", len(names), names)
-	}
-	if names[0] != "table1" || names[2] != "lat" || names[3] != "fig4" {
-		t.Fatalf("ordering: %v", names)
-	}
-	if _, err := pepc.RunExperiment("fig99", pepc.QuickScale); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-	// Tables run instantly at any scale.
-	r, err := pepc.RunExperiment("table1", pepc.QuickScale)
-	if err != nil || r.Figure != "Table 1" {
-		t.Fatalf("table1: %+v %v", r.Figure, err)
-	}
-}
-
 func TestFacadeTrafficThroughSlice(t *testing.T) {
 	s := pepc.NewSlice(pepc.SliceConfig{ID: 3, UserHint: 64})
 	res, err := s.Control().Attach(pepc.AttachSpec{IMSI: 9, ENBAddr: 1, DownlinkTEID: 2})

@@ -3,7 +3,7 @@
 # formatting, build, vet, the full test suite, then the race detector over the
 # packages that carry the single-writer lock discipline (internal/core's
 # data/control split and parked data thread, internal/lane's socket loop,
-# internal/state's table modes, internal/pcef's copy-on-write rule
+# internal/state's lock modes, internal/pcef's copy-on-write rule
 # table, installed by the control side while the data thread classifies
 # snapshots, and internal/ring's lock-free burst rings with
 # internal/pkt's pool, whose free list is the MPSC ring every lane frees
@@ -31,6 +31,14 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+# The daemon links what it runs: the paper's figures and their baseline
+# EPC stay in pepcbench.
+echo "== pepcd dependencies"
+if go list -deps ./cmd/pepcd | grep -E '^pepc/internal/(experiments|legacy)$'; then
+	echo "pepcd depends on the packages above" >&2
+	exit 1
+fi
 
 echo "== go test ./..."
 go test ./...
@@ -95,9 +103,9 @@ go test -run 'TestPepcdN4' -count=20 ./cmd/pepcd/
 echo "== soak smoke (scripts/soak.sh -short)"
 ./scripts/soak.sh -short
 
-# Allocation guards: the per-packet path (batch lookups, two-level hot
-# lookups, steady-state forwarding, the slice's data pass, recycled
-# signaling, the daemon's lane and the N4 loop's transport, the Maglev
+# Allocation guards: the per-packet path (batch lookups, steady-state
+# forwarding, the slice's data pass, recycled signaling, degraded-user
+# repair, the daemon's lane and the N4 loop's transport, the Maglev
 # batch pick, the cluster's steer and the rings' bursts) must stay at 0
 # allocs/op.
 # Run them apart from the main suite with -count=1 so a cached pass can't
@@ -154,10 +162,12 @@ done
 # policy readback and S6a breaker probe, point-list formatting), and the
 # PCEF's filter VM and compiler (the direct 5-tuple filter in pcef is the
 # only matcher; sockio's cBPF flow steering is unrelated and not meant)
-# with the S6a fault hook and flow hashes nothing called; nothing
-# outside the project history (and the config test proving the JSON keys
-# are rejected, and one comment in the benchmark, which is frozen) may
-# still name them.
+# with the S6a fault hook and flow hashes nothing called, and the
+# two-level (primary/secondary) table with its table mode, primary
+# sizing, promotion queue, Figure 14 driver and the rekey update nothing
+# pushed (the single table is the only one); nothing outside the project
+# history (and the config test proving the JSON keys are rejected, and
+# one comment in the benchmark, which is frozen) may still name them.
 echo "== dangling-reference guard"
 retired='benchdiff|BENCHDIFF_|bench/baseline|encap_mode|-fig8 pktsize'
 retired="$retired|idlePark|IdlePark|runQueueEgress|runGTPURx|FlushExpired|-linger"
@@ -169,6 +179,7 @@ retired="$retired|uplinkChunk|downlinkChunk|uplinkRun|downlinkRun|\bAllowUplink\
 retired="$retired|DataPath(TEID|IP)Batch|\.LookupBatch\b|U(32|64)Map\.GetBatch|LatencyUplink|LatencyDownlink|ResetLatency"
 retired="$retired|RunCtrl|ctrlCmds|loopRunning|RunUsageReporting|StampIngress|PollBatch|ClearPolicy|S6aAvailable|FormatPoints"
 retired="$retired|internal/bpf|\bbpf\.|ClassifyPacket|(^|[^.[:alnum:]_])MustCompile|SetS6aFaults|FastHash"
+retired="$retired|TwoLevel|two_level_table|primary_size|\bTableMode\b|PrimaryHint|PromoteDrops|promoteQ|OpRekey|\bFig14\b|fig14Point"
 if grep -rnE -e "$retired" --include='*.go' --include='*.sh' --include='*.md' --include=Makefile \
 	--exclude-dir=.git --exclude-dir=.bench_build . |
 	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:|^\./scripts/ci\.sh:|^\./internal/core/config_test\.go:' |
