@@ -2,11 +2,15 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"log"
 	"net"
 	"net/netip"
 	"os"
 	"os/exec"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -183,6 +187,7 @@ func TestPepcdOverRealUDP(t *testing.T) {
 			t.Fatalf("lane made %d tx syscalls for %d packets; egress was not vectorized", st.TxCalls, st.TxPackets)
 		}
 	}
+	checkWireLine(t, d)
 
 	// Decapsulated uplink must actually arrive at the SGi next-hop: all
 	// of it (the sink's buffer holds the lot).
@@ -267,6 +272,28 @@ func detachSteering(g *sockio.Group) error {
 		return err
 	}
 	return serr
+}
+
+// checkWireLine: the wire stats line keeps the prefix the benchmark
+// parses (rx=… pkts/… calls tx=… pkts/… calls) and ends with the
+// messages the kernel took for those tx packets — fewer where runs went
+// out segmented, never more.
+func checkWireLine(t *testing.T, d *daemon) {
+	t.Helper()
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	d.logStats()
+	log.SetOutput(os.Stderr)
+	m := regexp.MustCompile(`wire: rx=(\d+) pkts/(\d+) calls tx=(\d+) pkts/(\d+) calls .* tx-msgs=(\d+)\n`).
+		FindStringSubmatch(buf.String())
+	if m == nil {
+		t.Fatalf("no wire stats line ending in tx-msgs in %q", buf.String())
+	}
+	pkts, _ := strconv.ParseUint(m[3], 10, 64)
+	msgs, _ := strconv.ParseUint(m[5], 10, 64)
+	if pkts == 0 || msgs == 0 || msgs > pkts {
+		t.Fatalf("wire line reports %d tx packets as %d kernel messages: %q", pkts, msgs, m[0])
+	}
 }
 
 // TestPepcdMultiQueue exercises two lanes end to end: a two-slice node

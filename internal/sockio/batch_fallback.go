@@ -17,11 +17,10 @@ type txState struct{}
 
 func (c *Conn) initOS() {}
 
+func (c *Conn) gsoOn() bool { return false }
+
 func (c *Conn) readBatch(ms []Message, wait bool) (int, error) {
-	if !wait {
-		return 0, nil // the net package offers no non-blocking read
-	}
-	return c.fallbackReadBatch(ms)
+	return c.fallbackReadBatch(ms, wait)
 }
 
 func (c *Conn) writeBatch(ms []Message) (int, error) {

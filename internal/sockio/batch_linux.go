@@ -38,15 +38,53 @@ type osState struct {
 	// fields below.
 	fn func(fd uintptr) bool
 
-	want  int  // messages in the call in flight (tx)
+	want  int  // headers in the call in flight (tx)
 	poll  bool // rx: report an empty socket instead of parking on it
-	count int  // messages completed so far
+	count int  // headers completed so far
 	calls int  // kernel crossings performed (including EAGAIN probes)
 	errno syscall.Errno
 }
 
 type rxState struct{ osState }
-type txState struct{ osState }
+
+// txState adds UDP generic segmentation offload to the tx scratch: a
+// header carries a whole run of datagrams (see gsoRun) with a
+// UDP_SEGMENT control message, and the kernel splits it back into those
+// datagrams after one pass through route, IP output, loopback and IP
+// input. Receivers see exactly the datagrams that were sent.
+type txState struct {
+	osState
+	ms    []Message // the batch in flight; nil between calls
+	segs  []uint8   // datagrams carried by each header
+	cmsgs []gsoCmsg // each header's UDP_SEGMENT control message
+	sent  int       // datagrams carried by the headers sent so far
+
+	// gso is whether runs go out as one segmented message: set by the
+	// probe in NewConn, cleared for good by an EIO (no checksum offload
+	// on the path).
+	gso bool
+	// send is sendmmsg; tests replace it to inject kernel answers.
+	send func(fd uintptr, hs []mmsghdr) (int, syscall.Errno)
+}
+
+// UDP generic segmentation offload (linux/udp.h).
+const (
+	udpSegment = 103 // UDP_SEGMENT, at level IPPROTO_UDP
+	// gsoMaxSegs is UDP_MAX_SEGMENTS as older kernels define it (newer
+	// ones allow 128): a longer run would be refused with EINVAL.
+	gsoMaxSegs = 64
+	// gsoMaxBytes caps a run's payload at the largest UDP payload IPv6
+	// carries without jumbograms (IPv4 allows 20 bytes more).
+	gsoMaxBytes = 65535 - 40 - 8
+)
+
+// gsoCmsg is one UDP_SEGMENT control message: the cmsghdr and the
+// 16-bit segment size, padded to CMSG_SPACE(2).
+type gsoCmsg struct {
+	hdr  syscall.Cmsghdr
+	size uint16
+	_    [6]byte
+}
 
 func (s *osState) ensure(n int) {
 	if cap(s.hdrs) >= n {
@@ -60,10 +98,43 @@ func (s *osState) ensure(n int) {
 	s.names = make([]syscall.RawSockaddrInet6, n)
 }
 
+func (s *txState) ensure(n int) {
+	s.osState.ensure(n)
+	if cap(s.segs) >= n {
+		s.segs = s.segs[:n]
+		s.cmsgs = s.cmsgs[:n]
+		return
+	}
+	s.segs = make([]uint8, n)
+	s.cmsgs = make([]gsoCmsg, n)
+	for i := range s.cmsgs {
+		h := &s.cmsgs[i].hdr
+		h.Level = syscall.IPPROTO_UDP
+		h.Type = udpSegment
+		h.SetLen(syscall.CmsgLen(2))
+	}
+}
+
 func (c *Conn) initOS() {
 	c.rx.fn = c.rxReady
 	c.tx.fn = c.txReady
+	c.tx.send = sendmmsg
+	c.tx.gso = probeGSO(c.rc)
 }
+
+// probeGSO reports whether the kernel knows UDP_SEGMENT on this socket.
+// It must be asked: a kernel without it ignores the control message and
+// would send each run as one concatenated datagram.
+func probeGSO(rc syscall.RawConn) bool {
+	ok := false
+	rc.Control(func(fd uintptr) {
+		_, err := syscall.GetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpSegment)
+		ok = err == nil
+	})
+	return ok
+}
+
+func (c *Conn) gsoOn() bool { return c.tx.gso }
 
 // rxReady is the raw-read callback: one recvmmsg attempt. Returning false
 // parks the goroutine on the netpoller until the socket is readable; a
@@ -120,59 +191,130 @@ func (c *Conn) readBatch(ms []Message, wait bool) (int, error) {
 	return n, nil
 }
 
-// txReady is the raw-write callback: sendmmsg over the not-yet-sent tail
-// of the batch, looping on partial progress. Returning false parks until
-// writable.
+func sendmmsg(fd uintptr, hs []mmsghdr) (int, syscall.Errno) {
+	n, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&hs[0])), uintptr(len(hs)), 0, 0, 0)
+	return int(n), errno
+}
+
+// txReady is the raw-write callback: sendmmsg over the not-yet-sent
+// headers, looping on partial progress. Returning false parks until
+// writable. A run the kernel refuses to segment is resent as its own
+// datagrams: EIO (no checksum offload on the path) for the rest of the
+// conn's life, EINVAL (a segment over the path MTU, say) for that run
+// only.
 func (c *Conn) txReady(fd uintptr) bool {
-	s := &c.tx.osState
+	s := &c.tx
 	for s.count < s.want {
 		s.calls++
-		n, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-			uintptr(unsafe.Pointer(&s.hdrs[s.count])), uintptr(s.want-s.count), 0, 0, 0)
+		n, errno := s.send(fd, s.hdrs[s.count:s.want])
 		if errno != 0 {
-			if errno == syscall.EAGAIN {
+			switch {
+			case errno == syscall.EAGAIN:
 				return false
-			}
-			if errno == syscall.EINTR {
+			case errno == syscall.EINTR:
+				continue
+			case errno == syscall.EIO && s.segs[s.count] > 1:
+				s.gso = false
+				s.plan(s.count, s.sent, s.sent)
+				continue
+			case errno == syscall.EINVAL && s.segs[s.count] > 1:
+				s.plan(s.count, s.sent, s.sent+int(s.segs[s.count]))
 				continue
 			}
 			s.errno = errno
 			return true
 		}
-		s.count += int(n)
+		for _, k := range s.segs[s.count : s.count+n] {
+			s.sent += int(k)
+		}
+		s.count += n
 	}
 	return true
 }
 
+// gsoRun returns how many leading messages of ms go out as one
+// segmented message: the same destination, equal non-zero lengths
+// except that the last may be shorter, at most gsoMaxSegs segments and
+// gsoMaxBytes bytes. A zero-length datagram always goes alone: as a
+// segment it would vanish from the concatenation.
+func gsoRun(ms []Message) int {
+	size := ms[0].N
+	if size == 0 {
+		return 1
+	}
+	k, total := 1, size
+	for k < len(ms) && k < gsoMaxSegs {
+		m := &ms[k]
+		if m.N == 0 || m.N > size || total+m.N > gsoMaxBytes || m.Addr != ms[0].Addr {
+			break
+		}
+		k++
+		total += m.N
+		if m.N < size {
+			break
+		}
+	}
+	return k
+}
+
+// plan lays out headers from index h for the messages from msg on, one
+// header per run, and sets want to the header count. Messages before
+// plain go alone, as does every message once gso is off.
+func (s *txState) plan(h, msg, plain int) {
+	for msg < len(s.ms) {
+		k := 1
+		if s.gso && msg >= plain {
+			k = gsoRun(s.ms[msg:])
+		}
+		hd := &s.hdrs[h].hdr
+		if s.ms[msg].Addr.IsValid() {
+			hd.Namelen = addrPortToSockaddr(&s.names[msg], s.ms[msg].Addr)
+			hd.Name = (*byte)(unsafe.Pointer(&s.names[msg]))
+		} else {
+			hd.Name = nil
+			hd.Namelen = 0
+		}
+		hd.Iov = &s.iovs[msg]
+		hd.Iovlen = uint64(k)
+		if k > 1 {
+			s.cmsgs[h].size = uint16(s.ms[msg].N)
+			hd.Control = (*byte)(unsafe.Pointer(&s.cmsgs[h]))
+			hd.SetControllen(int(unsafe.Sizeof(s.cmsgs[h])))
+		} else {
+			hd.Control = nil
+			hd.Controllen = 0
+		}
+		hd.Flags = 0
+		s.hdrs[h].n = 0
+		s.segs[h] = uint8(k)
+		h++
+		msg += k
+	}
+	s.want = h
+}
+
 func (c *Conn) writeBatch(ms []Message) (int, error) {
-	s := &c.tx.osState
+	s := &c.tx
 	s.ensure(len(ms))
 	for i := range ms {
-		s.iovs[i].Base = &ms[i].Buf[0]
-		s.iovs[i].SetLen(ms[i].N)
-		h := &s.hdrs[i].hdr
-		if ms[i].Addr.IsValid() {
-			nl := addrPortToSockaddr(&s.names[i], ms[i].Addr)
-			h.Name = (*byte)(unsafe.Pointer(&s.names[i]))
-			h.Namelen = nl
-		} else {
-			h.Name = nil
-			h.Namelen = 0
+		s.iovs[i].Base = nil
+		if ms[i].N > 0 {
+			s.iovs[i].Base = &ms[i].Buf[0]
 		}
-		h.Iov = &s.iovs[i]
-		h.Iovlen = 1
-		h.Control = nil
-		h.Controllen = 0
-		h.Flags = 0
-		s.hdrs[i].n = 0
+		s.iovs[i].SetLen(ms[i].N)
 	}
-	s.want = len(ms)
+	s.ms = ms
+	s.plan(0, 0, 0)
 	s.count = 0
+	s.sent = 0
 	s.calls = 0
 	s.errno = 0
 	err := c.rc.Write(s.fn)
+	s.ms = nil
 	c.stats.TxCalls.Add(uint64(s.calls))
-	n := s.count
+	c.stats.TxMsgs.Add(uint64(s.count))
+	n := s.sent
 	if err != nil {
 		return n, err
 	}

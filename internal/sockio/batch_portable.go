@@ -4,12 +4,18 @@ package sockio
 // (batch_fallback.go) into a tag-free file so the non-vectorized path
 // compiles — and is tested — on every platform, including the Linux CI
 // hosts that otherwise only exercise recvmmsg/sendmmsg. The fallback
-// build's readBatch/writeBatch delegate here; the contract matches the
-// OS implementations: these count kernel crossings (RxCalls/TxCalls),
-// the ReadBatch/WriteBatch wrappers count the packet tallies.
+// build's readBatch/writeBatch delegate here, and so does a Linux Conn
+// with portable set; the contract matches the OS implementations: these
+// count kernel crossings and messages (RxCalls/TxCalls/TxMsgs), the
+// ReadBatch/WriteBatch wrappers count the packet tallies.
 
 // fallbackReadBatch reads one datagram per kernel crossing into ms[0].
-func (c *Conn) fallbackReadBatch(ms []Message) (int, error) {
+// The net package offers no non-blocking read, so a poll (wait false)
+// reports nothing queued.
+func (c *Conn) fallbackReadBatch(ms []Message, wait bool) (int, error) {
+	if !wait {
+		return 0, nil
+	}
 	n, ap, err := c.uc.ReadFromUDPAddrPort(ms[0].Buf)
 	c.stats.RxCalls.Add(1)
 	if err != nil {
@@ -34,6 +40,7 @@ func (c *Conn) fallbackWriteBatch(ms []Message) (int, error) {
 		if err != nil {
 			return i, err
 		}
+		c.stats.TxMsgs.Add(1)
 	}
 	return len(ms), nil
 }

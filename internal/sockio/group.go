@@ -99,6 +99,7 @@ func (g *Group) Stats() StatsSnapshot {
 		agg.RxPackets += st.RxPackets
 		agg.TxCalls += st.TxCalls
 		agg.TxPackets += st.TxPackets
+		agg.TxMsgs += st.TxMsgs
 	}
 	return agg
 }

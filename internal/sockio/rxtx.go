@@ -202,12 +202,7 @@ func (s *Sender) Flush() error {
 	}
 	_, err := s.conn.WriteBatch(s.msgs[:s.n]) // the conn's stats count what left
 	if s.lat != nil {
-		now := sim.Now()
-		for i := 0; i < s.n; i++ {
-			if ts := s.bufs[i].Meta.TSNanos; ts != 0 {
-				s.lat.Record(now - ts)
-			}
-		}
+		s.recordLat(sim.Now())
 	}
 	for i := 0; i < s.n; i++ {
 		s.cache.Put(s.bufs[i])
@@ -215,6 +210,26 @@ func (s *Sender) Flush() error {
 	}
 	s.n = 0
 	return err
+}
+
+// recordLat records now − TSNanos for every stamped staged datagram,
+// one RecordN per run of equal stamps: a Receiver stamps a whole rx
+// burst with one clock read, so a forwarded burst is a few runs.
+func (s *Sender) recordLat(now int64) {
+	var ts int64
+	var n uint64
+	for i := 0; i < s.n; i++ {
+		if t := s.bufs[i].Meta.TSNanos; t != ts {
+			if ts != 0 {
+				s.lat.RecordN(now-ts, n)
+			}
+			ts, n = t, 0
+		}
+		n++
+	}
+	if ts != 0 {
+		s.lat.RecordN(now-ts, n)
+	}
 }
 
 // Close flushes pending datagrams and spills the free-side cache.

@@ -1,7 +1,9 @@
 // Package sockio is the vectorized UDP I/O layer between the kernel and
 // PEPC's batch machinery: it reads and writes many datagrams per syscall
-// boundary (recvmmsg/sendmmsg on Linux, a portable one-at-a-time fallback
-// elsewhere) and lands receive bursts directly in pool-backed pkt.Bufs
+// boundary (recvmmsg/sendmmsg on Linux, with each same-destination,
+// same-size run of datagrams sent as one UDP_SEGMENT message; a portable
+// one-at-a-time fallback elsewhere) and lands receive bursts directly in
+// pool-backed pkt.Bufs
 // with their encap headroom preserved, so the wire path feeds the same
 // zero-copy staged pipeline the in-memory substrate runs on.
 //
@@ -44,12 +46,15 @@ type Message struct {
 
 // Stats counts the conn's syscall boundary: calls are actual kernel
 // crossings, packets the datagrams they moved. syscalls/packet =
-// Calls/Packets is the number the batching exists to shrink.
+// Calls/Packets is the number the batching exists to shrink. TxMsgs
+// counts the messages the kernel took: one per datagram, or one per
+// segmented run, so TxPackets/TxMsgs is the coalescing factor.
 type Stats struct {
 	RxCalls   atomic.Uint64
 	RxPackets atomic.Uint64
 	TxCalls   atomic.Uint64
 	TxPackets atomic.Uint64
+	TxMsgs    atomic.Uint64
 }
 
 // StatsSnapshot is a point-in-time copy of Stats.
@@ -58,6 +63,7 @@ type StatsSnapshot struct {
 	RxPackets uint64
 	TxCalls   uint64
 	TxPackets uint64
+	TxMsgs    uint64
 }
 
 // Conn is a UDP socket with vectorized batch I/O. At most one goroutine
@@ -75,6 +81,11 @@ type Conn struct {
 	// txMu serializes WriteBatch callers sharing the conn.
 	txMu sync.Mutex
 	tx   txState
+
+	// portable routes the conn through the one-datagram substrate
+	// (batch_portable.go) where vectorized I/O exists: tests run the
+	// same contract over both.
+	portable bool
 }
 
 // NewConn wraps uc for batch I/O. The socket stays usable through uc
@@ -108,6 +119,7 @@ func (c *Conn) Stats() StatsSnapshot {
 		RxPackets: c.stats.RxPackets.Load(),
 		TxCalls:   c.stats.TxCalls.Load(),
 		TxPackets: c.stats.TxPackets.Load(),
+		TxMsgs:    c.stats.TxMsgs.Load(),
 	}
 }
 
@@ -125,7 +137,13 @@ func (c *Conn) read(ms []Message, wait bool) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
 	}
-	n, err := c.readBatch(ms, wait)
+	var n int
+	var err error
+	if c.portable {
+		n, err = c.fallbackReadBatch(ms, wait)
+	} else {
+		n, err = c.readBatch(ms, wait)
+	}
 	if n > 0 {
 		// readBatch counts its own kernel crossings (including EAGAIN
 		// probes); only the packet tally lives here.
@@ -135,13 +153,23 @@ func (c *Conn) read(ms []Message, wait bool) (int, error) {
 }
 
 // WriteBatch sends every message in ms, looping on partial progress, and
-// returns the count sent. Allocation free in the steady state.
+// returns the count of datagrams sent. Where the kernel offers UDP
+// segmentation offload, each run of messages to one destination with
+// equal lengths (the last may be shorter) goes out as one segmented
+// message, and the receiver still sees each datagram as sent.
+// Allocation free in the steady state.
 func (c *Conn) WriteBatch(ms []Message) (int, error) {
 	if len(ms) == 0 {
 		return 0, nil
 	}
+	var n int
+	var err error
 	c.txMu.Lock()
-	n, err := c.writeBatch(ms)
+	if c.portable {
+		n, err = c.fallbackWriteBatch(ms)
+	} else {
+		n, err = c.writeBatch(ms)
+	}
 	c.txMu.Unlock()
 	if n > 0 {
 		// writeBatch counts its own kernel crossings (including

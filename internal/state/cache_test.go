@@ -190,6 +190,15 @@ func TestBucketTombstoneLifecycle(t *testing.T) {
 	}
 }
 
+// GetUE resolves one key to the user's context (nil on miss): the
+// single-key oracle the batched lookups are checked against.
+func (ix *Indexes) GetUE(key uint32, uplink bool) *UE {
+	if uplink {
+		return ix.ByTEID.Get(key)
+	}
+	return ix.ByIP.Get(key)
+}
+
 // FuzzIndexesModel drives the data-path indexes through Apply against
 // plain Go map models: interleaved inserts and deletes, with deleted
 // contexts recycled into new users the way the control plane recycles

@@ -47,14 +47,6 @@ func NewIndexes(sizeHint int) *Indexes {
 	return &Indexes{ByTEID: NewU32Map(sizeHint), ByIP: NewU32Map(sizeHint)}
 }
 
-// GetUE resolves one key to the user's context (nil on miss).
-func (ix *Indexes) GetUE(key uint32, uplink bool) *UE {
-	if uplink {
-		return ix.ByTEID.Get(key)
-	}
-	return ix.ByIP.Get(key)
-}
-
 // GetHotBatch resolves keys[i] into hot halves out[i] (nil on miss),
 // using the maps' software-pipelined batch probes. Data thread; zero
 // allocations.

@@ -305,32 +305,3 @@ func (sg *SignalingGen) NextHandoverTarget() (enbAddr, dlTEID, ecgi uint32) {
 	return pkt.IPv4Addr(192, 168, byte(sg.enbSeq>>8), byte(sg.enbSeq)),
 		0x0200_0000 | sg.enbSeq, sg.enbSeq & 0xffff
 }
-
-// --- Population models (§7.3, §7.4) ---
-
-// Population describes the device mix of an experiment.
-type Population struct {
-	Total int
-	// AlwaysOnFraction of devices stay active.
-	AlwaysOnFraction float64
-	// ChurnPerSecond is the fraction of all devices becoming active (and
-	// idle) per second (the paper's "low churn" 0.01, "high churn" 0.10).
-	ChurnPerSecond float64
-	// IoTFraction of devices are stateless-IoT (§7.4).
-	IoTFraction float64
-}
-
-// AlwaysOn returns the count of always-on devices.
-func (p Population) AlwaysOn() int {
-	return int(float64(p.Total) * p.AlwaysOnFraction)
-}
-
-// ChurnPerTick returns how many devices churn in a tick of dt seconds.
-func (p Population) ChurnPerTick(dt float64) int {
-	return int(float64(p.Total) * p.ChurnPerSecond * dt)
-}
-
-// IoTCount returns the count of stateless-IoT devices.
-func (p Population) IoTCount() int {
-	return int(float64(p.Total) * p.IoTFraction)
-}

@@ -159,19 +159,6 @@ func TestHandoverTargetsVary(t *testing.T) {
 	}
 }
 
-func TestPopulationModel(t *testing.T) {
-	p := Population{Total: 1_000_000, AlwaysOnFraction: 0.01, ChurnPerSecond: 0.10, IoTFraction: 0.25}
-	if p.AlwaysOn() != 10_000 {
-		t.Fatalf("always-on = %d", p.AlwaysOn())
-	}
-	if p.ChurnPerTick(0.1) != 10_000 {
-		t.Fatalf("churn per 100ms = %d", p.ChurnPerTick(0.1))
-	}
-	if p.IoTCount() != 250_000 {
-		t.Fatalf("IoT = %d", p.IoTCount())
-	}
-}
-
 func BenchmarkNextUplink(b *testing.B) {
 	g := NewTrafficGen(TrafficConfig{}, testUsers(1024))
 	b.ReportAllocs()
