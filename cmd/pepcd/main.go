@@ -336,11 +336,11 @@ func (d *daemon) logStats() {
 	}
 	st := d.group.Stats()
 	log.Printf("wire: rx=%d pkts/%d calls tx=%d pkts/%d calls peers=%d "+
-		"egress sent=%d noroute=%d errs=%d s1ap-drops=%d%s%s tx-msgs=%d",
+		"egress sent=%d noroute=%d errs=%d s1ap-drops=%d%s%s tx-msgs=%d rx-msgs=%d",
 		st.RxPackets, st.RxCalls, st.TxPackets, st.TxCalls, d.peers.Len(),
 		st.TxPackets, d.stats.egressNoRoute.Load(),
 		d.stats.egressErrs.Load(), d.stats.s1apDrops.Load(), queueStatsSuffix(d.group),
-		latStatsSuffix(d.lats), st.TxMsgs)
+		latStatsSuffix(d.lats), st.TxMsgs, st.RxMsgs)
 }
 
 // latStatsSuffix renders the merged wire-to-wire latency tail appended

@@ -180,8 +180,8 @@ func (l *Lane) finish(rxDone *sync.WaitGroup) {
 			continue
 		}
 		l.pass(n)
-		if n < cap(l.burst) {
-			break // a short burst: the socket is empty
+		if l.rcv.Drained() {
+			break // nothing carried over and a short read: the socket is empty
 		}
 	}
 	rxDone.Done()

@@ -19,6 +19,15 @@ func (c *Conn) initOS() {}
 
 func (c *Conn) gsoOn() bool { return false }
 
+func (c *Conn) enableGRO() bool { return false }
+
+func (c *Conn) groOn() bool { return false }
+
+// A Receiver maps its landing only where enableGRO succeeds.
+func mapLanding(n int) []byte { return make([]byte, n) }
+
+func unmapLanding([]byte) {}
+
 func (c *Conn) readBatch(ms []Message, wait bool) (int, error) {
 	return c.fallbackReadBatch(ms, wait)
 }

@@ -45,7 +45,15 @@ type osState struct {
 	errno syscall.Errno
 }
 
-type rxState struct{ osState }
+// rxState adds generic receive offload to the rx scratch. With gro on
+// (a Receiver turned UDP_GRO on for the socket), each header gets room
+// for the UDP_GRO control message, and a message the kernel coalesced
+// from a run reports the run's segment size in Message.seg.
+type rxState struct {
+	osState
+	ctrl []groCmsg // each header's control space
+	gro  bool
+}
 
 // txState adds UDP generic segmentation offload to the tx scratch: a
 // header carries a whole run of datagrams (see gsoRun) with a
@@ -84,6 +92,20 @@ type gsoCmsg struct {
 	hdr  syscall.Cmsghdr
 	size uint16
 	_    [6]byte
+}
+
+// UDP generic receive offload (linux/udp.h): on a socket with it set, a
+// run the kernel holds as one packet (a sender's UDP_SEGMENT run over
+// loopback, a NIC's GRO merge) is handed up as one message, with a
+// control message giving its segment size.
+const udpGRO = 104 // UDP_GRO, at level IPPROTO_UDP
+
+// groCmsg is room for one UDP_GRO control message: the cmsghdr and the
+// int segment size, padded to CMSG_SPACE(4).
+type groCmsg struct {
+	hdr  syscall.Cmsghdr
+	size int32
+	_    [4]byte
 }
 
 func (s *osState) ensure(n int) {
@@ -136,6 +158,43 @@ func probeGSO(rc syscall.RawConn) bool {
 
 func (c *Conn) gsoOn() bool { return c.tx.gso }
 
+// enableGRO turns UDP_GRO on for the socket, reporting whether the
+// kernel took it; a refusal leaves the conn receiving one message per
+// datagram. It stays on for the socket's life.
+func (c *Conn) enableGRO() bool {
+	if c.portable || c.noGRO {
+		return false
+	}
+	if !c.rx.gro {
+		var serr error
+		if err := c.rc.Control(func(fd uintptr) {
+			serr = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1)
+		}); err == nil && serr == nil {
+			c.rx.gro = true
+		}
+	}
+	return c.rx.gro
+}
+
+func (c *Conn) groOn() bool { return c.rx.gro }
+
+// mapLanding maps n bytes of anonymous memory for a Receiver's run-sized
+// landing slots. It lives outside the Go heap: the heap would zero and
+// account the whole slab on a lane's start path, while the kernel maps
+// pages as runs first touch them. Should the map fail, the slab comes
+// from the heap after all.
+func mapLanding(n int) []byte {
+	b, err := syscall.Mmap(-1, 0, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		return make([]byte, n)
+	}
+	return b
+}
+
+// unmapLanding unmaps a slab from mapLanding; Munmap refuses a heap
+// slab (EINVAL) and leaves it to the collector.
+func unmapLanding(b []byte) { _ = syscall.Munmap(b) }
+
 // rxReady is the raw-read callback: one recvmmsg attempt. Returning false
 // parks the goroutine on the netpoller until the socket is readable; a
 // polling read returns true on an empty socket instead (count stays 0).
@@ -159,6 +218,10 @@ func (c *Conn) readBatch(ms []Message, wait bool) (int, error) {
 	s := &c.rx.osState
 	s.poll = !wait
 	s.ensure(len(ms))
+	gro := c.rx.gro
+	if gro && len(c.rx.ctrl) < len(ms) {
+		c.rx.ctrl = make([]groCmsg, len(ms))
+	}
 	for i := range ms {
 		s.iovs[i].Base = &ms[i].Buf[0]
 		s.iovs[i].SetLen(len(ms[i].Buf))
@@ -167,8 +230,13 @@ func (c *Conn) readBatch(ms []Message, wait bool) (int, error) {
 		h.Namelen = uint32(unsafe.Sizeof(s.names[i]))
 		h.Iov = &s.iovs[i]
 		h.Iovlen = 1
-		h.Control = nil
-		h.Controllen = 0
+		if gro {
+			h.Control = (*byte)(unsafe.Pointer(&c.rx.ctrl[i]))
+			h.SetControllen(int(unsafe.Sizeof(c.rx.ctrl[i])))
+		} else {
+			h.Control = nil
+			h.Controllen = 0
+		}
 		h.Flags = 0
 		s.hdrs[i].n = 0
 	}
@@ -185,8 +253,23 @@ func (c *Conn) readBatch(ms []Message, wait bool) (int, error) {
 	}
 	n := s.count
 	for i := 0; i < n; i++ {
+		h := &s.hdrs[i].hdr
 		ms[i].N = int(s.hdrs[i].n)
-		ms[i].Addr = sockaddrToAddrPort(&s.names[i], s.hdrs[i].hdr.Namelen)
+		ms[i].Addr = sockaddrToAddrPort(&s.names[i], h.Namelen)
+		// Called with flags 0, recvmmsg reports the length it copied;
+		// only msg_flags says the datagram was longer.
+		ms[i].Truncated = h.Flags&syscall.MSG_TRUNC != 0
+		ms[i].seg = 0
+		if gro {
+			if h.Flags&syscall.MSG_CTRUNC != 0 {
+				// The segment size may be what was cut: the
+				// message cannot be split.
+				ms[i].Truncated = true
+			} else if cm := &c.rx.ctrl[i]; h.Controllen >= uint64(syscall.CmsgLen(4)) &&
+				cm.hdr.Level == syscall.IPPROTO_UDP && cm.hdr.Type == udpGRO {
+				ms[i].seg = int(cm.size)
+			}
+		}
 	}
 	return n, nil
 }

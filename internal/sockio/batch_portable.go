@@ -16,13 +16,15 @@ func (c *Conn) fallbackReadBatch(ms []Message, wait bool) (int, error) {
 	if !wait {
 		return 0, nil
 	}
-	n, ap, err := c.uc.ReadFromUDPAddrPort(ms[0].Buf)
+	n, _, flags, ap, err := c.uc.ReadMsgUDPAddrPort(ms[0].Buf, nil)
 	c.stats.RxCalls.Add(1)
 	if err != nil {
 		return 0, err
 	}
 	ms[0].N = n
 	ms[0].Addr = ap
+	ms[0].Truncated = flags&msgTrunc != 0
+	ms[0].seg = 0
 	return 1, nil
 }
 

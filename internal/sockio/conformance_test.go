@@ -13,8 +13,9 @@ import (
 )
 
 // The Conn contract, run over every substrate this platform has: the
-// vectorized one (recvmmsg/sendmmsg, UDP segmentation offload) where it
-// exists and the portable one-datagram one (batch_portable.go)
+// vectorized one (recvmmsg/sendmmsg, UDP segmentation offload, and
+// UDP_GRO on a Receiver's conn) where it exists, the same with UDP_GRO
+// kept off, and the portable one-datagram one (batch_portable.go)
 // everywhere. Each test runs one subtest per backend; what differs
 // between them is only how many kernel crossings and messages a burst
 // costs, never what a peer receives.
@@ -23,13 +24,14 @@ import (
 type backend struct {
 	name     string
 	portable bool
+	noGRO    bool
 }
 
 // forEachBackend runs f once per substrate available here.
 func forEachBackend(t *testing.T, f func(t *testing.T, be backend)) {
 	bs := []backend{{name: "portable", portable: true}}
 	if Batched() {
-		bs = append([]backend{{name: "vectorized"}}, bs...)
+		bs = append([]backend{{name: "vectorized"}, {name: "vectorized-nogro", noGRO: true}}, bs...)
 	}
 	for _, be := range bs {
 		t.Run(be.name, func(t *testing.T) { f(t, be) })
@@ -44,6 +46,7 @@ func (be backend) wrap(t *testing.T, uc *net.UDPConn) *Conn {
 		t.Fatal(err)
 	}
 	c.portable = be.portable
+	c.noGRO = be.noGRO
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -190,8 +193,9 @@ func TestReadBatchSetsSourceAddr(t *testing.T) {
 }
 
 // TestReadBatchTruncates pins what a datagram longer than its buffer
-// becomes: the buffer's worth of its head, N = len(Buf), and nothing of
-// its tail leaks into the next message.
+// becomes: the buffer's worth of its head, N = len(Buf), marked
+// Truncated and counted in RxTrunc, and nothing of its tail leaks into
+// the next message.
 func TestReadBatchTruncates(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, be backend) {
 		rx, tx := be.pair(t)
@@ -206,6 +210,7 @@ func TestReadBatchTruncates(t *testing.T) {
 		rms := []Message{{Buf: make([]byte, 64)}, {Buf: make([]byte, 64)}}
 		rx.UDPConn().SetReadDeadline(time.Now().Add(5 * time.Second))
 		var got [][]byte
+		var trunc []bool
 		for len(got) < 2 {
 			n, err := rx.ReadBatch(rms)
 			if err != nil {
@@ -213,6 +218,7 @@ func TestReadBatchTruncates(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				got = append(got, append([]byte(nil), rms[i].Buf[:rms[i].N]...))
+				trunc = append(trunc, rms[i].Truncated)
 			}
 		}
 		if string(got[0]) != string(long[:64]) {
@@ -220,6 +226,12 @@ func TestReadBatchTruncates(t *testing.T) {
 		}
 		if string(got[1]) != "short" {
 			t.Fatalf("next datagram = %q, want \"short\"", got[1])
+		}
+		if !trunc[0] || trunc[1] {
+			t.Fatalf("Truncated = %v, want only the long datagram marked", trunc)
+		}
+		if st := rx.Stats(); st.RxTrunc != 1 || st.RxPackets != 2 {
+			t.Fatalf("RxTrunc = %d, RxPackets = %d; want 1 and 2", st.RxTrunc, st.RxPackets)
 		}
 	})
 }
@@ -554,6 +566,139 @@ func TestGSORuns(t *testing.T) {
 			if d := st.TxMsgs - before.TxMsgs; d != uint64(msgs) {
 				t.Fatalf("%s: kernel took %d messages, want %d", sh.name, d, msgs)
 			}
+		}
+	})
+}
+
+// TestReceiverDropsOversized: a datagram longer than a pool buffer's
+// RecvSlice (1,920 bytes in a default pool) is dropped and counted,
+// never delivered clipped, and the datagram after it is delivered — on
+// the GRO path both arrive as one coalesced message.
+func TestReceiverDropsOversized(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, be backend) {
+		rx, tx := be.pair(t)
+		pool := pkt.NewPool(pkt.DefaultBufSize, pkt.DefaultHeadroom)
+		r := NewReceiver(rx, pool, 8)
+		defer r.Close()
+		long := make([]byte, 2000)
+		ms := []Message{{Buf: long, N: len(long)}, {Buf: []byte("after"), N: 5}}
+		if n, err := tx.WriteBatch(ms); err != nil || n != 2 {
+			t.Fatalf("WriteBatch = %d, %v", n, err)
+		}
+		rx.UDPConn().SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := r.Recv()
+		if err != nil || n != 1 {
+			t.Fatalf("Recv = %d, %v; want the one datagram that fits", n, err)
+		}
+		if got := r.Buf(0).Bytes(); string(got) != "after" {
+			t.Fatalf("delivered %d bytes %.8x…, want \"after\"", len(got), got)
+		}
+		if st := rx.Stats(); st.RxTrunc != 1 || st.RxPackets != 2 {
+			t.Fatalf("RxTrunc = %d, RxPackets = %d; want 1 and 2", st.RxTrunc, st.RxPackets)
+		}
+	})
+}
+
+// rxSend is one WriteBatch of a receive shape: datagrams of lens from
+// sender 0 or 1, each shape chosen to be one segmented run.
+type rxSend struct {
+	from int
+	lens []int
+}
+
+// rxShapes are what a Receiver must deliver whatever the kernel
+// coalesced: each send is one run, so with UDP_GRO (and UDP_SEGMENT at
+// the sender) each reaches the receiver as one message.
+var rxShapes = []struct {
+	name  string
+	batch int
+	sends []rxSend
+}{
+	{name: "equal", batch: 8, sends: []rxSend{{0, repeatLen(8, 100)}}},
+	{name: "shorter-last", batch: 8, sends: []rxSend{{0, append(repeatLen(5, 100), 40)}}},
+	{name: "longer-than-batch", batch: 4, sends: []rxSend{{0, repeatLen(30, 200)}}},
+	{name: "two-senders", batch: 8, sends: []rxSend{
+		{0, repeatLen(5, 100)}, {1, repeatLen(4, 60)}, {0, repeatLen(3, 100)}, {1, repeatLen(6, 60)}}},
+	{name: "run-then-lone", batch: 8, sends: []rxSend{{0, repeatLen(6, 120)}, {0, []int{300}}}},
+}
+
+// TestReceiverRuns sends each receive shape and reads it back at a
+// Receiver: every datagram byte for byte, in order, with its sender's
+// address and the pool's headroom, at most a batch per Recv. Everything
+// is sent before the first Recv and nothing after, so datagrams carried
+// over from a coalesced run must come out of the next Recvs with no
+// further arrival, no deadline hit and no syscall.
+func TestReceiverRuns(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, be backend) {
+		rx := be.bound(t)
+		txs := [2]*Conn{be.bound(t), be.bound(t)}
+		pool := pkt.NewPool(pkt.DefaultBufSize, pkt.DefaultHeadroom)
+		for _, sh := range rxShapes {
+			r := NewReceiver(rx, pool, sh.batch)
+			var want [][]byte
+			var from []netip.AddrPort
+			for _, sd := range sh.sends {
+				ms := make([]Message, len(sd.lens))
+				for i, l := range sd.lens {
+					p := make([]byte, l)
+					for j := range p {
+						p[j] = byte(len(want)*13 + j)
+					}
+					p[0] = byte(len(want))
+					ms[i] = Message{Buf: p, N: l, Addr: rx.LocalAddrPort()}
+					want = append(want, p)
+					from = append(from, txs[sd.from].LocalAddrPort())
+				}
+				if n, err := txs[sd.from].WriteBatch(ms); err != nil || n != len(ms) {
+					t.Fatalf("%s: WriteBatch = %d, %v", sh.name, n, err)
+				}
+			}
+			before := rx.Stats()
+			rx.UDPConn().SetReadDeadline(time.Now().Add(5 * time.Second))
+			for got := 0; got < len(want); {
+				carried, calls := r.next < r.landed, rx.Stats().RxCalls
+				n, err := r.Recv()
+				if err != nil {
+					t.Fatalf("%s: Recv after %d of %d datagrams: %v", sh.name, got, len(want), err)
+				}
+				if n > sh.batch {
+					t.Fatalf("%s: Recv returned %d datagrams, more than the batch of %d", sh.name, n, sh.batch)
+				}
+				if carried && rx.Stats().RxCalls != calls {
+					t.Fatalf("%s: serving carried-over datagrams cost a syscall", sh.name)
+				}
+				for i := 0; i < n; i++ {
+					b := r.Buf(i)
+					if string(b.Bytes()) != string(want[got]) {
+						t.Fatalf("%s: datagram %d: got %d bytes %.8x…, want %d bytes %.8x…",
+							sh.name, got, b.Len(), b.Bytes(), len(want[got]), want[got])
+					}
+					if r.From(i) != from[got] {
+						t.Fatalf("%s: datagram %d from %v, want %v", sh.name, got, r.From(i), from[got])
+					}
+					if b.Headroom() != pkt.DefaultHeadroom {
+						t.Fatalf("%s: headroom %d, want %d", sh.name, b.Headroom(), pkt.DefaultHeadroom)
+					}
+					got++
+				}
+			}
+			if n, err := r.Poll(); n != 0 || err != nil {
+				t.Fatalf("%s: Poll after the last datagram = %d, %v; want 0, nil", sh.name, n, err)
+			}
+			st := rx.Stats()
+			pkts, msgs := st.RxPackets-before.RxPackets, st.RxMsgs-before.RxMsgs
+			wantMsgs := uint64(len(want))
+			if rx.groOn() && txs[0].gsoOn() {
+				wantMsgs = uint64(len(sh.sends))
+			}
+			if pkts != uint64(len(want)) || msgs != wantMsgs {
+				t.Fatalf("%s: %d datagrams in %d messages, want %d in %d (gro %v)",
+					sh.name, pkts, msgs, len(want), wantMsgs, rx.groOn())
+			}
+			r.Close()
+		}
+		if want := Batched() && !be.portable && !be.noGRO; rx.groOn() != want {
+			t.Fatalf("UDP_GRO on = %v, want %v", rx.groOn(), want)
 		}
 	})
 }

@@ -97,6 +97,8 @@ func (g *Group) Stats() StatsSnapshot {
 		st := c.Stats()
 		agg.RxCalls += st.RxCalls
 		agg.RxPackets += st.RxPackets
+		agg.RxMsgs += st.RxMsgs
+		agg.RxTrunc += st.RxTrunc
 		agg.TxCalls += st.TxCalls
 		agg.TxPackets += st.TxPackets
 		agg.TxMsgs += st.TxMsgs

@@ -310,3 +310,75 @@ func TestGroupConcurrentSendersSharedPeerTable(t *testing.T) {
 		t.Fatalf("Lookup(3) = %v, %v after churn", got, ok)
 	}
 }
+
+// TestGroupSegmentedRunGRO pins what one segmented run does to a steered
+// group whose queues receive with UDP_GRO: 32 equal GTP-U datagrams,
+// TEIDs 0–31, sent as one UDP_SEGMENT message. Every datagram must
+// arrive exactly once and byte-exact on some queue. Which queue is not
+// asserted: the kernel steers a run as one packet, by its first
+// datagram's TEID, so most land on a queue other than TEID mod 4 — the
+// count is logged.
+func TestGroupSegmentedRunGRO(t *testing.T) {
+	const queues, n = 4, 32
+	g, err := ListenGroup("udp4", "127.0.0.1:0", queues)
+	if err != nil {
+		t.Skipf("loopback UDP unavailable: %v", err)
+	}
+	defer g.Close()
+	if g.Size() != queues || !g.Steered() {
+		t.Skipf("no steered %d-queue group here (size %d, steered %v)", queues, g.Size(), g.Steered())
+	}
+	tx := backend{}.bound(t)
+	if !tx.gsoOn() {
+		t.Skip("the kernel does not offer UDP_SEGMENT")
+	}
+	pool := pkt.NewPool(pkt.DefaultBufSize, pkt.DefaultHeadroom)
+	rcvs := make([]*Receiver, queues)
+	for i := range rcvs {
+		rcvs[i] = NewReceiver(g.Queue(i), pool, 8)
+		defer rcvs[i].Close()
+		if !g.Queue(i).groOn() {
+			t.Logf("queue %d: the kernel refused UDP_GRO", i)
+		}
+	}
+	ms := make([]Message, n)
+	for i := range ms {
+		p := gtpPayload(uint32(i), byte(i))
+		ms[i] = Message{Buf: p, N: len(p), Addr: g.LocalAddrPort()}
+	}
+	if sent, err := tx.WriteBatch(ms); err != nil || sent != n {
+		t.Fatalf("WriteBatch = %d, %v", sent, err)
+	}
+	queueOf := make(map[uint32]int)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(queueOf) < n && time.Now().Before(deadline) {
+		for q, r := range rcvs {
+			k, err := r.Poll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < k; i++ {
+				b := r.Buf(i).Bytes()
+				teid := binary.BigEndian.Uint32(b[32:36])
+				if teid >= n || string(b) != string(gtpPayload(teid, byte(teid))) {
+					t.Fatalf("queue %d: datagram %.8x… matches none sent", q, b)
+				}
+				if prev, dup := queueOf[teid]; dup {
+					t.Fatalf("TEID %d arrived twice (queues %d and %d)", teid, prev, q)
+				}
+				queueOf[teid] = q
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if len(queueOf) != n {
+		t.Fatalf("%d of %d datagrams arrived", len(queueOf), n)
+	}
+	foreign := 0
+	for teid, q := range queueOf {
+		if q != int(teid%queues) {
+			foreign++
+		}
+	}
+	t.Logf("%d of %d datagrams landed on a queue other than TEID mod %d", foreign, n, queues)
+}

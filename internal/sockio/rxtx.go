@@ -9,19 +9,51 @@ import (
 	"pepc/internal/sim"
 )
 
-// Receiver scatters rx bursts from a Conn directly into pool-backed
-// packet buffers: one ReadBatch lands up to batch datagrams, each in its
-// own pkt.Buf with the pool's encap headroom preserved, refilled from a
-// per-receiver PoolCache so the steady state touches the shared pool once
-// per half-cache rather than once per packet. Single goroutine.
+// Receiver lands rx bursts from a Conn in pool-backed packet buffers,
+// each datagram in its own pkt.Buf with the pool's encap headroom
+// preserved, refilled from a per-receiver PoolCache so the steady state
+// touches the shared pool once per half-cache rather than once per
+// packet. Single goroutine.
+//
+// Where the kernel offers it (probed per conn, no switch), the receiver
+// turns UDP_GRO on, so a run of datagrams the kernel holds as one packet
+// (a UDP_SEGMENT run over loopback, a NIC's GRO merge) is handed up as
+// one message: one socket queueing and one reader wake-up per run rather
+// than per datagram. Each of its batch recvmmsg slots then lands in a
+// run-sized (64 KiB) slot of a slab mapped outside the Go heap at
+// construction and unmapped by Close — 2 MiB at the default batch — and
+// Recv copies each datagram out into its own pool buffer. A read can
+// land more datagrams than a batch: Recv returns at most batch of them,
+// in arrival order, and the rest carry over to the next Recv or Poll,
+// which serves them without a syscall and without parking, stamped
+// (StampRx) with the clock read of the read that landed them. Where the
+// kernel refuses UDP_GRO, Recv lands each datagram straight in a pool
+// buffer, with no copy.
+//
+// A datagram longer than a pool buffer's RecvSlice is dropped and
+// counted in the conn's Stats.RxTrunc, never delivered clipped; so is
+// a landing the kernel reports truncated (MSG_TRUNC, or MSG_CTRUNC,
+// which may have cut the segment size).
 type Receiver struct {
 	conn  *Conn
 	cache *pkt.PoolCache
-	msgs  []Message
-	bufs  []*pkt.Buf
+	msgs  []Message        // the landing: pool buffers, or slab slots with GRO
+	bufs  []*pkt.Buf       // datagrams of the last Recv (without GRO, also the landing)
+	from  []netip.AddrPort // their sources
 	n     int
 	stamp bool
+	short bool // the last read filled fewer landing slots than it had
+
+	// With GRO, msgs[i].Buf is slot i of slab. The last read landed
+	// msgs[:landed]; the first datagram not yet delivered starts at
+	// byte off of msgs[next], and ts is the read's rx stamp.
+	slab              []byte
+	landed, next, off int
+	ts                int64
 }
+
+// groSlot is a landing slot's size: any UDP payload, so any run.
+const groSlot = 64 << 10
 
 // NewReceiver builds a receiver reading bursts of up to batch datagrams
 // into buffers drawn from pool.
@@ -33,12 +65,20 @@ func NewReceiver(conn *Conn, pool *pkt.Pool, batch int) *Receiver {
 	if cacheSize < pkt.DefaultCacheSize {
 		cacheSize = pkt.DefaultCacheSize
 	}
-	return &Receiver{
+	r := &Receiver{
 		conn:  conn,
 		cache: pool.NewCache(cacheSize),
 		msgs:  make([]Message, batch),
 		bufs:  make([]*pkt.Buf, batch),
+		from:  make([]netip.AddrPort, batch),
 	}
+	if conn.enableGRO() {
+		r.slab = mapLanding(batch * groSlot)
+		for i := range r.msgs {
+			r.msgs[i].Buf = r.slab[i*groSlot : (i+1)*groSlot : (i+1)*groSlot]
+		}
+	}
+	return r
 }
 
 // Conn returns the receiver's socket.
@@ -50,18 +90,20 @@ func (r *Receiver) Conn() *Conn { return r.conn }
 func (r *Receiver) Cache() *pkt.PoolCache { return r.cache }
 
 // StampRx enables ingress timestamping: every datagram of a Recv burst
-// gets its Meta.TSNanos set from one clock read per burst (not per
-// packet), arming downstream wire-to-wire latency recording. The
+// gets its Meta.TSNanos set from one clock read per kernel read (not
+// per packet), arming downstream wire-to-wire latency recording. The
 // sub-burst error this batching introduces is bounded by the burst's
-// own kernel-copy time — far below the histogram's bucket width at
-// realistic rates — and errs toward over-reporting latency, never
-// under.
+// own kernel-copy time, plus, for a carried-over datagram, the passes
+// it waited in the receiver — and errs toward over-reporting latency,
+// never under.
 func (r *Receiver) StampRx(on bool) { r.stamp = on }
 
-// Recv performs one batched read and returns the number of datagrams
-// landed. Each datagram i is in Buf(i) (length set, headroom intact) with
-// its source address at From(i). Buffers not taken with Take before the
-// next Recv are recycled. Blocks per the conn's read deadline.
+// Recv returns the next burst of at most batch datagrams: the rest of
+// the last read's runs if any carried over, else one batched read's.
+// Each datagram i is in Buf(i) (length set, headroom intact) with its
+// source address at From(i). Buffers not taken with Take before the
+// next Recv are recycled. Blocks per the conn's read deadline, but never
+// while datagrams are carried over.
 func (r *Receiver) Recv() (int, error) { return r.recv(true) }
 
 // Poll is Recv that never waits: 0 datagrams and a nil error mean the
@@ -69,29 +111,102 @@ func (r *Receiver) Recv() (int, error) { return r.recv(true) }
 // always reports nothing queued.
 func (r *Receiver) Poll() (int, error) { return r.recv(false) }
 
+// Drained reports whether the last Recv or Poll left nothing behind: no
+// datagram carried over, and its read found fewer messages queued than
+// it had slots for.
+func (r *Receiver) Drained() bool { return r.short && r.next == r.landed }
+
 func (r *Receiver) recv(wait bool) (int, error) {
-	for i := range r.bufs {
-		if r.bufs[i] == nil {
-			r.bufs[i] = r.cache.Get()
+	for {
+		if r.next == r.landed {
+			if r.slab == nil {
+				for i := range r.bufs {
+					if r.bufs[i] == nil {
+						r.bufs[i] = r.cache.Get()
+					}
+					r.msgs[i].Buf = r.bufs[i].RecvSlice()
+				}
+			}
+			n, err := r.conn.read(r.msgs, wait)
+			r.landed, r.next, r.off = n, 0, 0
+			r.short = n < len(r.msgs)
+			if n == 0 || err != nil {
+				r.n = 0
+				return 0, err
+			}
+			if r.stamp {
+				r.ts = sim.Now()
+			}
 		}
-		r.msgs[i].Buf = r.bufs[i].RecvSlice()
-	}
-	n, err := r.conn.read(r.msgs, wait)
-	for i := 0; i < n; i++ {
-		if serr := r.bufs[i].SetRecvLen(r.msgs[i].N); serr != nil {
-			// Datagram larger than the buffer (truncated by the kernel):
-			// drop it rather than forward a clipped packet.
-			r.bufs[i].SetRecvLen(0)
+		var k int
+		if r.slab != nil {
+			k = r.split()
+		} else {
+			k = r.keep()
+		}
+		// Read again only when everything landed was dropped.
+		if k > 0 {
+			r.n = k
+			return k, nil
 		}
 	}
-	if r.stamp && n > 0 {
-		now := sim.Now()
-		for i := 0; i < n; i++ {
-			r.bufs[i].Meta.TSNanos = now
+}
+
+// keep delivers what a read landed straight in the pool buffers,
+// moving the buffers of dropped datagrams behind the delivered ones,
+// where the next read lands in them again.
+func (r *Receiver) keep() int {
+	k := 0
+	for i := 0; i < r.landed; i++ {
+		m := &r.msgs[i]
+		if m.Truncated {
+			continue // counted by the conn
+		}
+		b := r.bufs[i]
+		b.SetRecvLen(m.N)
+		if r.stamp {
+			b.Meta.TSNanos = r.ts
+		}
+		r.bufs[k], r.bufs[i] = b, r.bufs[k]
+		r.from[k] = m.Addr
+		k++
+	}
+	r.next = r.landed
+	return k
+}
+
+// split copies up to a batch of landed datagrams, in arrival order, out
+// of the slab into pool buffers, one each, and returns how many.
+func (r *Receiver) split() int {
+	k := 0
+	for k < len(r.bufs) && r.next < r.landed {
+		m := &r.msgs[r.next]
+		end := m.N // a truncated landing goes whole, counted by the conn
+		if !m.Truncated {
+			if m.seg > 0 && r.off+m.seg < end {
+				end = r.off + m.seg
+			}
+			if r.bufs[k] == nil {
+				r.bufs[k] = r.cache.Get()
+			}
+			b := r.bufs[k]
+			if dst := b.RecvSlice(); end-r.off <= len(dst) {
+				b.SetRecvLen(copy(dst, m.Buf[r.off:end]))
+				if r.stamp {
+					b.Meta.TSNanos = r.ts
+				}
+				r.from[k] = m.Addr
+				k++
+			} else {
+				r.conn.stats.RxTrunc.Add(1)
+			}
+		}
+		if r.off = end; r.off >= m.N {
+			r.next++
+			r.off = 0
 		}
 	}
-	r.n = n
-	return n, err
+	return k
 }
 
 // Buf returns datagram i of the last Recv without transferring ownership.
@@ -116,9 +231,11 @@ func (r *Receiver) TakeAll(dst []*pkt.Buf) []*pkt.Buf {
 }
 
 // From returns the source address of datagram i of the last Recv.
-func (r *Receiver) From(i int) netip.AddrPort { return r.msgs[i].Addr }
+func (r *Receiver) From(i int) netip.AddrPort { return r.from[i] }
 
-// Close releases the receiver's cached buffers back to the shared pool.
+// Close releases the receiver's cached buffers back to the shared pool
+// and unmaps its landing slab; datagrams still carried over are dropped.
+// The conn keeps UDP_GRO on.
 func (r *Receiver) Close() {
 	for i := range r.bufs {
 		if r.bufs[i] != nil {
@@ -127,6 +244,14 @@ func (r *Receiver) Close() {
 		}
 	}
 	r.cache.Flush()
+	if r.slab != nil {
+		for i := range r.msgs {
+			r.msgs[i].Buf = nil
+		}
+		unmapLanding(r.slab)
+		r.slab = nil
+		r.landed, r.next, r.off = 0, 0, 0
+	}
 }
 
 // Sender coalesces egress packet buffers into gathered tx bursts: Queue

@@ -1,21 +1,26 @@
 // Package sockio is the vectorized UDP I/O layer between the kernel and
 // PEPC's batch machinery: it reads and writes many datagrams per syscall
 // boundary (recvmmsg/sendmmsg on Linux, with each same-destination,
-// same-size run of datagrams sent as one UDP_SEGMENT message; a portable
-// one-at-a-time fallback elsewhere) and lands receive bursts directly in
-// pool-backed pkt.Bufs
-// with their encap headroom preserved, so the wire path feeds the same
-// zero-copy staged pipeline the in-memory substrate runs on.
+// same-size run of datagrams sent as one UDP_SEGMENT message and, on a
+// Receiver's socket, each run received as one UDP_GRO message; a
+// portable one-at-a-time fallback elsewhere) and lands receive bursts in
+// pool-backed pkt.Bufs with their encap headroom preserved, so the wire
+// path feeds the same staged pipeline the in-memory substrate runs on.
 //
 // The layer has two levels. Conn wraps a *net.UDPConn with ReadBatch and
 // WriteBatch over a caller-owned []Message — the raw vectorized syscall
 // surface, allocation free in the steady state. Receiver and Sender sit
-// on top and own the pkt.PoolCache glue: a Receiver scatters each rx
-// burst into fresh pool buffers (headroom intact) and a Sender coalesces
-// egress buffers into gathered bursts, flushed when a batch fills or its
-// owner ends a pass. PeerTable remembers which UDP endpoint
-// each outer tunnel source address arrived from, so downlink egress can
-// be routed back to the eNodeB's socket without configuration.
+// on top and own the pkt.PoolCache glue: a Receiver turns UDP_GRO on
+// where the kernel offers it, lands each coalesced run in a run-sized
+// slot outside the Go heap and splits it into pool buffers, one per
+// datagram (headroom intact), carrying what exceeds a batch over to the
+// next Recv; a Sender coalesces egress buffers into gathered bursts,
+// flushed when a batch fills or its owner ends a pass. A datagram longer
+// than its buffer is never delivered clipped by a Receiver: it is
+// dropped and counted (Stats.RxTrunc). PeerTable remembers which UDP
+// endpoint each outer tunnel source address arrived from, so downlink
+// egress can be routed back to the eNodeB's socket without
+// configuration.
 package sockio
 
 import (
@@ -35,23 +40,37 @@ const DefaultBatch = 32
 
 // Message describes one datagram of a batch: the payload region and the
 // peer address. On receive, Buf is the scatter target (typically a
-// pkt.Buf's RecvSlice), N is set to the datagram length and Addr to the
-// source. On send, Buf[:N] is the datagram and Addr the destination; a
-// zero Addr sends on the connected socket's peer.
+// pkt.Buf's RecvSlice), N is set to the length landed and Addr to the
+// source; Truncated reports a datagram longer than Buf, of which N bytes
+// (its head) were landed and the rest lost. On send, Buf[:N] is the
+// datagram and Addr the destination; a zero Addr sends on the connected
+// socket's peer.
 type Message struct {
-	Buf  []byte
-	N    int
-	Addr netip.AddrPort
+	Buf       []byte
+	N         int
+	Addr      netip.AddrPort
+	Truncated bool
+
+	// seg is the segment size of a message the kernel coalesced from a
+	// run (UDP_GRO, on a Receiver's conn only): Buf[:N] then holds
+	// datagrams of seg bytes, the last possibly shorter. 0 otherwise.
+	seg int
 }
 
 // Stats counts the conn's syscall boundary: calls are actual kernel
 // crossings, packets the datagrams they moved. syscalls/packet =
-// Calls/Packets is the number the batching exists to shrink. TxMsgs
-// counts the messages the kernel took: one per datagram, or one per
-// segmented run, so TxPackets/TxMsgs is the coalescing factor.
+// Calls/Packets is the number the batching exists to shrink. TxMsgs and
+// RxMsgs count the messages the kernel took and handed up: one per
+// datagram, or one per segmented (tx) or coalesced (rx) run, so
+// Packets/Msgs is the coalescing factor of each direction. RxTrunc
+// counts received datagrams longer than the buffer meant for them:
+// ReadBatch lands their head and marks them Truncated, a Receiver drops
+// them.
 type Stats struct {
 	RxCalls   atomic.Uint64
 	RxPackets atomic.Uint64
+	RxMsgs    atomic.Uint64
+	RxTrunc   atomic.Uint64
 	TxCalls   atomic.Uint64
 	TxPackets atomic.Uint64
 	TxMsgs    atomic.Uint64
@@ -61,6 +80,8 @@ type Stats struct {
 type StatsSnapshot struct {
 	RxCalls   uint64
 	RxPackets uint64
+	RxMsgs    uint64
+	RxTrunc   uint64
 	TxCalls   uint64
 	TxPackets uint64
 	TxMsgs    uint64
@@ -86,6 +107,10 @@ type Conn struct {
 	// (batch_portable.go) where vectorized I/O exists: tests run the
 	// same contract over both.
 	portable bool
+	// noGRO keeps a Receiver on this conn from turning UDP_GRO on, as
+	// if the kernel had refused it: tests run the receive contract with
+	// and without coalescing.
+	noGRO bool
 }
 
 // NewConn wraps uc for batch I/O. The socket stays usable through uc
@@ -117,6 +142,8 @@ func (c *Conn) Stats() StatsSnapshot {
 	return StatsSnapshot{
 		RxCalls:   c.stats.RxCalls.Load(),
 		RxPackets: c.stats.RxPackets.Load(),
+		RxMsgs:    c.stats.RxMsgs.Load(),
+		RxTrunc:   c.stats.RxTrunc.Load(),
 		TxCalls:   c.stats.TxCalls.Load(),
 		TxPackets: c.stats.TxPackets.Load(),
 		TxMsgs:    c.stats.TxMsgs.Load(),
@@ -129,8 +156,13 @@ func (c *Conn) Close() error { return c.uc.Close() }
 // ReadBatch blocks until at least one datagram is available (or the
 // socket's read deadline expires / the socket closes), then fills ms with
 // as many datagrams as one kernel crossing yields, up to len(ms). It
-// returns the count; ms[i].N and ms[i].Addr describe each datagram.
-// Allocation free in the steady state.
+// returns the count; ms[i].N, ms[i].Addr and ms[i].Truncated describe
+// each datagram. Allocation free in the steady state.
+//
+// ReadBatch sees one message per datagram as long as no Receiver reads
+// the conn: a Receiver turns UDP_GRO on for the socket's life, after
+// which a run would arrive as one long message. No conn here is read
+// both ways — pepcd's N4 loop reads its own socket, the lanes theirs.
 func (c *Conn) ReadBatch(ms []Message) (int, error) { return c.read(ms, true) }
 
 func (c *Conn) read(ms []Message, wait bool) (int, error) {
@@ -146,8 +178,21 @@ func (c *Conn) read(ms []Message, wait bool) (int, error) {
 	}
 	if n > 0 {
 		// readBatch counts its own kernel crossings (including EAGAIN
-		// probes); only the packet tally lives here.
-		c.stats.RxPackets.Add(uint64(n))
+		// probes); the message and datagram tallies live here.
+		pkts, trunc := n, 0
+		for i := range ms[:n] {
+			if s := ms[i].seg; s > 0 && ms[i].N > s {
+				pkts += (ms[i].N - 1) / s
+			}
+			if ms[i].Truncated {
+				trunc++
+			}
+		}
+		c.stats.RxMsgs.Add(uint64(n))
+		c.stats.RxPackets.Add(uint64(pkts))
+		if trunc > 0 {
+			c.stats.RxTrunc.Add(uint64(trunc))
+		}
 	}
 	return n, err
 }

@@ -32,12 +32,13 @@ func TestPeerTable(t *testing.T) {
 }
 
 // TestZeroAllocBatchIO guards the acceptance criterion: steady-state
-// batched rx and tx perform zero allocations per burst, including the
-// segmentation-offload path — the burst is two runs (five equal
-// datagrams and a shorter one, then two larger ones), which coalesce
-// into two kernel messages wherever the kernel offers UDP_SEGMENT. The
-// pool caches are pre-warmed and the peer table pre-learned, as in the
-// daemon's steady state.
+// batched rx and tx perform zero allocations per burst, including both
+// offload paths — the burst is two runs (five equal datagrams and a
+// shorter one, then two larger ones), which coalesce into two kernel
+// messages wherever the kernel offers UDP_SEGMENT, and arrive as two
+// coalesced messages the Receiver splits wherever it offers UDP_GRO.
+// The pool caches are pre-warmed and the peer table pre-learned, as in
+// the daemon's steady state.
 func TestZeroAllocBatchIO(t *testing.T) {
 	rx, tx := backend{}.pair(t)
 	pool := pkt.NewPool(512, 64)
@@ -85,15 +86,20 @@ func TestZeroAllocBatchIO(t *testing.T) {
 	// free cycle.
 	round(pool.Get)
 
-	before := tx.Stats()
+	before, rbefore := tx.Stats(), rx.Stats()
 	steady := func() { round(snd.Cache().Get) }
 	if allocs := testing.AllocsPerRun(50, steady); allocs != 0 {
 		t.Fatalf("batched rx/tx steady state allocates %.1f allocs/round, want 0", allocs)
 	}
-	st := tx.Stats()
+	st, rst := tx.Stats(), rx.Stats()
 	pkts, msgs := st.TxPackets-before.TxPackets, st.TxMsgs-before.TxMsgs
 	if tx.gsoOn() && msgs*batch != pkts*2 {
 		t.Fatalf("%d datagrams went out as %d kernel messages, want 2 per %d-datagram burst", pkts, msgs, batch)
+	}
+	rpkts, rmsgs := rst.RxPackets-rbefore.RxPackets, rst.RxMsgs-rbefore.RxMsgs
+	if rpkts != pkts || tx.gsoOn() && rx.groOn() && rmsgs >= rpkts {
+		t.Fatalf("%d of %d datagrams came in as %d kernel messages (gro %v); the split went unexercised",
+			rpkts, pkts, rmsgs, rx.groOn())
 	}
 }
 

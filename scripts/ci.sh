@@ -8,10 +8,14 @@
 # snapshots, and internal/ring's lock-free burst rings with
 # internal/pkt's pool, whose free list is the MPSC ring every lane frees
 # into), so a concurrency regression is machine-caught rather than
-# review-caught. Fuzz targets run their checked-in seeds; the data-path
-# index model alone also gets a short bounded exploration, since its
-# bucket probing and tombstone code are where a wrong or missed lookup
-# would come from.
+# review-caught. The sockio step runs the conn contract over all three
+# backends (vectorized with UDP_GRO on its receivers, vectorized with it
+# held off, portable), so the GRO landing, split and carry-over are
+# raced as well as the plain path; the ZeroAlloc step receives a
+# coalesced burst through that split. Fuzz targets run their checked-in
+# seeds; the data-path index model alone also gets a short bounded
+# exploration, since its bucket probing and tombstone code are where a
+# wrong or missed lookup would come from.
 set -eu
 
 cd "$(dirname "$0")/.."
