@@ -23,7 +23,7 @@ func (c *Conn) enableGRO() bool { return false }
 
 func (c *Conn) groOn() bool { return false }
 
-// A Receiver maps its landing only where enableGRO succeeds.
+// The portable build lands a Receiver's slots on the Go heap.
 func mapLanding(n int) []byte { return make([]byte, n) }
 
 func unmapLanding([]byte) {}

@@ -19,16 +19,15 @@ import (
 // turns UDP_GRO on, so a run of datagrams the kernel holds as one packet
 // (a UDP_SEGMENT run over loopback, a NIC's GRO merge) is handed up as
 // one message: one socket queueing and one reader wake-up per run rather
-// than per datagram. Each of its batch recvmmsg slots then lands in a
+// than per datagram. Each of its batch recvmmsg slots lands in a
 // run-sized (64 KiB) slot of a slab mapped outside the Go heap at
 // construction and unmapped by Close — 2 MiB at the default batch — and
-// Recv copies each datagram out into its own pool buffer. A read can
-// land more datagrams than a batch: Recv returns at most batch of them,
-// in arrival order, and the rest carry over to the next Recv or Poll,
-// which serves them without a syscall and without parking, stamped
-// (StampRx) with the clock read of the read that landed them. Where the
-// kernel refuses UDP_GRO, Recv lands each datagram straight in a pool
-// buffer, with no copy.
+// Recv copies each datagram out into its own pool buffer; where the
+// kernel refuses UDP_GRO, each slot simply holds one datagram. A read
+// can land more datagrams than a batch: Recv returns at most batch of
+// them, in arrival order, and the rest carry over to the next Recv or
+// Poll, which serves them without a syscall and without parking, stamped
+// (StampRx) with the clock read of the read that landed them.
 //
 // A datagram longer than a pool buffer's RecvSlice is dropped and
 // counted in the conn's Stats.RxTrunc, never delivered clipped; so is
@@ -37,16 +36,16 @@ import (
 type Receiver struct {
 	conn  *Conn
 	cache *pkt.PoolCache
-	msgs  []Message        // the landing: pool buffers, or slab slots with GRO
-	bufs  []*pkt.Buf       // datagrams of the last Recv (without GRO, also the landing)
+	msgs  []Message        // the landing: msgs[i].Buf is slot i of slab
+	bufs  []*pkt.Buf       // datagrams of the last Recv
 	from  []netip.AddrPort // their sources
 	n     int
 	stamp bool
 	short bool // the last read filled fewer landing slots than it had
 
-	// With GRO, msgs[i].Buf is slot i of slab. The last read landed
-	// msgs[:landed]; the first datagram not yet delivered starts at
-	// byte off of msgs[next], and ts is the read's rx stamp.
+	// The last read landed msgs[:landed]; the first datagram not yet
+	// delivered starts at byte off of msgs[next], and ts is the read's
+	// rx stamp.
 	slab              []byte
 	landed, next, off int
 	ts                int64
@@ -71,12 +70,11 @@ func NewReceiver(conn *Conn, pool *pkt.Pool, batch int) *Receiver {
 		msgs:  make([]Message, batch),
 		bufs:  make([]*pkt.Buf, batch),
 		from:  make([]netip.AddrPort, batch),
+		slab:  mapLanding(batch * groSlot),
 	}
-	if conn.enableGRO() {
-		r.slab = mapLanding(batch * groSlot)
-		for i := range r.msgs {
-			r.msgs[i].Buf = r.slab[i*groSlot : (i+1)*groSlot : (i+1)*groSlot]
-		}
+	conn.enableGRO()
+	for i := range r.msgs {
+		r.msgs[i].Buf = r.slab[i*groSlot : (i+1)*groSlot : (i+1)*groSlot]
 	}
 	return r
 }
@@ -119,14 +117,6 @@ func (r *Receiver) Drained() bool { return r.short && r.next == r.landed }
 func (r *Receiver) recv(wait bool) (int, error) {
 	for {
 		if r.next == r.landed {
-			if r.slab == nil {
-				for i := range r.bufs {
-					if r.bufs[i] == nil {
-						r.bufs[i] = r.cache.Get()
-					}
-					r.msgs[i].Buf = r.bufs[i].RecvSlice()
-				}
-			}
 			n, err := r.conn.read(r.msgs, wait)
 			r.landed, r.next, r.off = n, 0, 0
 			r.short = n < len(r.msgs)
@@ -138,41 +128,12 @@ func (r *Receiver) recv(wait bool) (int, error) {
 				r.ts = sim.Now()
 			}
 		}
-		var k int
-		if r.slab != nil {
-			k = r.split()
-		} else {
-			k = r.keep()
-		}
 		// Read again only when everything landed was dropped.
-		if k > 0 {
+		if k := r.split(); k > 0 {
 			r.n = k
 			return k, nil
 		}
 	}
-}
-
-// keep delivers what a read landed straight in the pool buffers,
-// moving the buffers of dropped datagrams behind the delivered ones,
-// where the next read lands in them again.
-func (r *Receiver) keep() int {
-	k := 0
-	for i := 0; i < r.landed; i++ {
-		m := &r.msgs[i]
-		if m.Truncated {
-			continue // counted by the conn
-		}
-		b := r.bufs[i]
-		b.SetRecvLen(m.N)
-		if r.stamp {
-			b.Meta.TSNanos = r.ts
-		}
-		r.bufs[k], r.bufs[i] = b, r.bufs[k]
-		r.from[k] = m.Addr
-		k++
-	}
-	r.next = r.landed
-	return k
 }
 
 // split copies up to a batch of landed datagrams, in arrival order, out
@@ -244,14 +205,12 @@ func (r *Receiver) Close() {
 		}
 	}
 	r.cache.Flush()
-	if r.slab != nil {
-		for i := range r.msgs {
-			r.msgs[i].Buf = nil
-		}
-		unmapLanding(r.slab)
-		r.slab = nil
-		r.landed, r.next, r.off = 0, 0, 0
+	for i := range r.msgs {
+		r.msgs[i].Buf = nil
 	}
+	unmapLanding(r.slab)
+	r.slab = nil
+	r.landed, r.next, r.off = 0, 0, 0
 }
 
 // Sender coalesces egress packet buffers into gathered tx bursts: Queue
